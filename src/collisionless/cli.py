@@ -173,11 +173,11 @@ def _cmd_list_models(args):
     return EXIT_OK
 
 
-def _cmd_solve(args):
-    started = time.perf_counter()
-    model, inputs = _resolve_model(args)
+def _solve_and_pick(model, args, **kwargs):
+    """(run, picked records) of a solve, or the exit code after saying why there are none."""
     try:
-        run = solve_model(model, _grid_from_args(args), tolerances=_tolerances_from_args(args))
+        run = solve_model(model, _grid_from_args(args), tolerances=_tolerances_from_args(args),
+                          **kwargs)
     except NoExistenceError as exc:
         print(f"no solution exists: {exc}", file=sys.stderr)
         return EXIT_NO_EXISTENCE
@@ -188,6 +188,16 @@ def _cmd_solve(args):
     if not picked:
         print("all converged roots failed physical validation", file=sys.stderr)
         return EXIT_VALIDATION_FAILED
+    return run, picked
+
+
+def _cmd_solve(args):
+    started = time.perf_counter()
+    model, inputs = _resolve_model(args)
+    result = _solve_and_pick(model, args)
+    if isinstance(result, int):
+        return result
+    run, picked = result
     payload = {
         "model": model.name,
         "pick": str(args.pick),
@@ -230,19 +240,10 @@ def _cmd_contour(args):
 def _cmd_trajectory(args):
     started = time.perf_counter()
     model, inputs = _resolve_model(args)
-    try:
-        run = solve_model(model, _grid_from_args(args), samples_per_phase=args.samples,
-                          tolerances=_tolerances_from_args(args))
-    except NoExistenceError as exc:
-        print(f"no solution exists: {exc}", file=sys.stderr)
-        return EXIT_NO_EXISTENCE
-    except ConvergenceError as exc:
-        print(f"no converged root: {exc}", file=sys.stderr)
-        return EXIT_NO_ROOT
-    picked = pick_records(run, args.pick)
-    if not picked:
-        print("all converged roots failed physical validation", file=sys.stderr)
-        return EXIT_VALIDATION_FAILED
+    result = _solve_and_pick(model, args, samples_per_phase=args.samples)
+    if isinstance(result, int):
+        return result
+    run, picked = result
     record = picked[0]
     traj = synthesize(run.spectral, record.solution, args.samples)
     outputs = []
@@ -269,6 +270,7 @@ def _cmd_validate(args):
 
 
 def _cmd_analytic2(args):
+    started = time.perf_counter()
     solver = SOLVERS[args.family]
     rows = []
     for n in _parse_branches(args.n):
@@ -294,7 +296,8 @@ def _cmd_analytic2(args):
     outputs = []
     _emit(payload, args, outputs, args.out)
     if args.out:
-        _write_manifest(args.out, "analytic2", vars(args).copy(), outputs, time.perf_counter())
+        config = {k: v for k, v in vars(args).items() if k != "func"}
+        _write_manifest(args.out, "analytic2", config, outputs, started)
     return EXIT_OK
 
 

@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 
+# Tau samples of the critical bracket scan.
+_SCAN_POINTS = 1200
+
+
 def existence_gate(lam_prime) -> bool:
     """True iff the largest contact eigenvalue is strictly positive."""
     return bool(np.asarray(lam_prime, float)[-1] > 0)
@@ -77,10 +81,11 @@ def _hyperbolic_rates(taus, spectra):
     return np.where(spectra.sigma[:-1][None, :] == 1, -th * nu[None, :], -nu[None, :] / th)
 
 
-def _k_ingredients(taus, spectra):
-    """Batched pieces of the 2x2 critical system over a tau grid.
+def _k_ingredients(w_bar, spectra):
+    """Batched pieces of the 2x2 critical system over rows of hyperbolic rates.
 
-    Returns (P0, P1, S, r): the first K row is P0 + w_N * P1 plus the rank-one
+    ``w_bar`` (T, n-1) holds the rates of the non-top free modes.  Returns
+    (P0, P1, S, r): the first K row is P0 + w_N * P1 plus the rank-one
     r [1, w_N] term, and the second row is S (independent of w_N), so
     det(K + K~) = A + B w_N with A, B affine combinations of these.
     """
@@ -88,7 +93,6 @@ def _k_ingredients(taus, spectra):
     lam = spectra.lam
     lam_bar = lam[:-1]
     nu_p = np.concatenate([np.sqrt(-spectra.lam_prime[:-1]), [0.0]])
-    w_bar = _hyperbolic_rates(taus, spectra)                      # (T, n-1)
     M = cauchy_matrix(lam, spectra.lam_prime)
     u_bar = M[None, :-1, :] * (
         1.0 + w_bar[:, :, None] * nu_p[None, None, :] / lam_bar[None, :, None]
@@ -109,6 +113,14 @@ def _k_ingredients(taus, spectra):
     return P0, P1, S, r
 
 
+def _det_terms(w_bar, spectra):
+    """(A, B, S): det(K + K~) = A + B w_N, and the second K row S, per row of w_bar."""
+    P0, P1, S, r = _k_ingredients(w_bar, spectra)
+    A = (P0[:, 0] + r) * S[:, 1] - P0[:, 1] * S[:, 0]
+    B = P1[:, 0] * S[:, 1] - (P1[:, 1] + r) * S[:, 0]
+    return A, B, S
+
+
 def critical_matrices(tau: float, spectra: SpectrumPair):
     """The 2x2 matrices (K, K~) of the decoupled critical impact equations.
 
@@ -117,7 +129,7 @@ def critical_matrices(tau: float, spectra: SpectrumPair):
     """
     _require_limit(spectra)
     taus = np.atleast_1d(float(tau))
-    P0, P1, S, r = _k_ingredients(taus, spectra)
+    P0, P1, S, r = _k_ingredients(_hyperbolic_rates(taus, spectra), spectra)
     lam_top = spectra.lam[-1]
     om_top = np.sqrt(lam_top)
     o_top = om_top * tau
@@ -134,9 +146,7 @@ def _depoled_residual(taus, spectra):
     The determinant is affine in w_N, so this form is continuous in tau and
     its sign changes bracket genuine roots only (never w_N poles).
     """
-    P0, P1, S, r = _k_ingredients(taus, spectra)
-    A = (P0[:, 0] + r) * S[:, 1] - P0[:, 1] * S[:, 0]
-    B = P1[:, 0] * S[:, 1] - (P1[:, 1] + r) * S[:, 0]
+    A, B, _ = _det_terms(_hyperbolic_rates(taus, spectra), spectra)
     om_top = np.sqrt(spectra.lam[-1])
     o_top = om_top * taus
     if spectra.sigma[-1] == 1:
@@ -144,35 +154,42 @@ def _depoled_residual(taus, spectra):
     return A * np.sin(o_top) - B * om_top * np.cos(o_top)
 
 
-def critical_roots(spectra: SpectrumPair, o_max: float = 6 * np.pi, points: int = 1200):
-    """All critical roots (tau_c, c0) with o_N below o_max, in ascending tau."""
+def _brackets(spectra, o_max, points):
+    """Ascending tau intervals over which the depoled residual changes sign."""
     _require_limit(spectra)
     om_top = np.sqrt(spectra.lam[-1])
     taus = np.linspace(1e-3 / om_top, o_max / om_top, points)
     vals = _depoled_residual(taus, spectra)
     finite = np.isfinite(vals)
     signs = np.sign(vals)
-    roots = []
-    for i in np.nonzero((signs[:-1] * signs[1:] < 0) & finite[:-1] & finite[1:])[0]:
-        tau_c = brentq(
-            lambda t: _depoled_residual(np.array([t]), spectra)[0],
-            taus[i],
-            taus[i + 1],
-            xtol=1e-13,
-            rtol=8.9e-16,
-        )
-        _, _, S, _ = _k_ingredients(np.array([tau_c]), spectra)
-        c0 = -S[0, 1] / S[0, 0]
-        roots.append((float(tau_c), float(c0)))
-    return roots
+    idx = np.nonzero((signs[:-1] * signs[1:] < 0) & finite[:-1] & finite[1:])[0]
+    return [(taus[i], taus[i + 1]) for i in idx]
+
+
+def _polish(spectra, lo, hi):
+    """Critical root (tau_c, c0) inside one sign-change bracket."""
+    tau_c = brentq(
+        lambda t: _depoled_residual(np.array([t]), spectra)[0],
+        lo,
+        hi,
+        xtol=1e-13,
+        rtol=8.9e-16,
+    )
+    _, _, S = _det_terms(_hyperbolic_rates(np.array([tau_c]), spectra), spectra)
+    return float(tau_c), float(-S[0, 1] / S[0, 0])
+
+
+def critical_roots(spectra: SpectrumPair, o_max: float = 6 * np.pi, points: int = _SCAN_POINTS):
+    """All critical roots (tau_c, c0) with o_N below o_max, in ascending tau."""
+    return [_polish(spectra, lo, hi) for lo, hi in _brackets(spectra, o_max, points)]
 
 
 def solve_critical(spectra: SpectrumPair, o_max: float = 6 * np.pi):
     """First critical root: (tau_critical, c0).  Raises NoRootError if none found."""
-    roots = critical_roots(spectra, o_max=o_max)
-    if not roots:
+    brackets = _brackets(spectra, o_max, _SCAN_POINTS)
+    if not brackets:
         raise NoRootError(f"no critical root with o_N < {o_max:.4g}")
-    return roots[0]
+    return _polish(spectra, *brackets[0])
 
 
 def predicted_contact_phase(c0: float, lam_prime_top: float, sigma_prime_top: int) -> float:
@@ -219,39 +236,19 @@ def large_tau_asymptote(n: int, spectra: SpectrumPair) -> AsymptoticPoint:
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidParameterError(f"branch index must be a positive integer, got {n!r}")
-    lam = np.asarray(spectra.lam, float)
-    lamp = np.asarray(spectra.lam_prime, float)
-    if np.any(lam[:-1] >= 0):
-        raise InvalidParameterError("large-tau asymptote requires all non-top free eigenvalues < 0")
-    if lam[-1] <= 0:
+    if spectra.lam[-1] <= 0:
         raise InvalidParameterError("top free eigenvalue must be positive")
-    lamp_limit = lamp.copy()
-    lamp_limit[-1] = 0.0
-    lam_bar = lam[:-1]
-    nu_bar = np.sqrt(-lam_bar)
-    nu_p = np.concatenate([np.sqrt(-lamp_limit[:-1]), [0.0]])
-    M = 1.0 / (lam[:, None] - lamp_limit[None, :])
-    u_bar = M[:-1, :] * (1.0 - np.outer(nu_bar / lam_bar, nu_p))
-    det_u = np.linalg.det(u_bar)
-    adj_u = det_u * np.linalg.inv(u_bar)
-    weighted = adj_u / (lam_bar ** 2)[None, :]
-    eta_sum = float(np.sum(cauchy_eta(lam, lamp_limit)))
-    m_row = M[-1, :]
-    lhs = np.vstack([m_row * nu_p / lam[-1], m_row, eta_sum * np.ones(lam.size - 1)])
-    rhs = np.column_stack([np.ones(lam.size - 1), -nu_bar])
-    R = lhs @ weighted @ rhs
-    r = det_u / lam[-1] ** 2
-    top = np.delete(R, 0, axis=0) + r * np.array([[1.0, 0.0], [0.0, 0.0]])
-    bottom = np.delete(R, 1, axis=0) + r * np.array([[0.0, 1.0], [0.0, 0.0]])
-    denominator = np.linalg.det(bottom)
-    if denominator == 0:
+    limit = critical_limit(spectra)
+    nu_bar = np.sqrt(-limit.lam[:-1])
+    A, B, S = _det_terms(-nu_bar[None, :], limit)
+    if B[0] == 0:
         raise InvalidParameterError("degenerate asymptotic system")
-    w_top = -np.linalg.det(top) / denominator
-    c0 = -R[2, 1] / R[2, 0]
-    om_top = np.sqrt(lam[-1])
+    w_top = -A[0] / B[0]
+    c0 = -S[0, 1] / S[0, 0]
+    om_top = np.sqrt(spectra.lam[-1])
     sig_top = spectra.sigma[-1]
     o_n = (n - (1 - sig_top) / 4) * np.pi + np.arctan(w_top / om_top)
-    om_p = np.sqrt(max(lamp[-1], 0.0))
+    om_p = np.sqrt(max(spectra.lam_prime[-1], 0.0))
     sig_p = spectra.sigma_prime[-1]
     o_p = (3 - sig_p) * np.pi / 4 - om_p / c0
     return AsymptoticPoint(n=int(n), o_n=float(o_n), o_prime=float(o_p),

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -182,30 +183,37 @@ def contact_matrix(tau, tau_prime, spectra: SpectrumPair, M, eta_vec) -> np.ndar
     row: sum(eta) * [g', 1].  The contact-phase kernels are evaluated at
     -tau_prime (the contact symmetry point lies after the impact).  Entries
     are entire functions of the times, so zero contours can be traced without
-    pole gaps.
+    pole gaps.  The times may be arrays; their broadcast shape leads the
+    result, which then has shape (..., N+1, N).
     """
     n = spectra.n
     _require_nonzero_spectra(spectra)
     g, gd = mode_motion_vec(tau, spectra.lam, spectra.sigma)
     gp, gpd = mode_motion_vec(-tau_prime, spectra.lam_prime, spectra.sigma_prime)
     eta_sum = float(np.sum(eta_vec))
-    out = np.zeros((n + 1, n))
-    out[:n, : n - 1] = (np.outer(gd, gp) - np.outer(g, gpd)) * M
-    out[:n, n - 1] = gd / spectra.lam
-    out[n, : n - 1] = eta_sum * gp
-    out[n, n - 1] = eta_sum
+    out = np.empty(np.broadcast_shapes(g.shape[:-1], gp.shape[:-1]) + (n + 1, n))
+    out[..., :n, : n - 1] = (
+        gd[..., :, None] * gp[..., None, :] - g[..., :, None] * gpd[..., None, :]
+    ) * M
+    out[..., :n, n - 1] = gd / spectra.lam
+    out[..., n, : n - 1] = eta_sum * gp
+    out[..., n, n - 1] = eta_sum
     return out
 
 
-def _normalized_minor_dets(bc: np.ndarray) -> np.ndarray:
-    """Determinants of the two maximal minors, each row-normalized to O(1)."""
-    n = bc.shape[1]
-    out = np.empty(2)
-    for k, drop in enumerate((n - 1, n)):
-        sub = np.delete(bc, drop, axis=0)
-        norms = np.maximum(np.linalg.norm(sub, axis=1), 1e-300)
-        out[k] = np.linalg.det(sub / norms[:, None])
-    return out
+def _minor_dets(bc: np.ndarray) -> np.ndarray:
+    """Determinants of the two maximal minors of (..., N+1, N) contact matrices.
+
+    Each minor is row-normalized to O(1) first.  The result has shape
+    (2, ...): the top-mode row dropped, then the amplitude-sum row dropped.
+    """
+    n = bc.shape[-1]
+    dets = []
+    for drop in (n - 1, n):
+        sub = np.delete(bc, drop, axis=-2)
+        norms = np.maximum(np.linalg.norm(sub, axis=-1, keepdims=True), 1e-300)
+        dets.append(np.linalg.det(sub / norms))
+    return np.array(dets)
 
 
 def impact_residual(o, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
@@ -215,39 +223,13 @@ def impact_residual(o, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
     both vanish simultaneously exactly at impact-time solutions.
     """
     tau, tau_prime = spectra.from_phase(o[0], o[1])
-    return _normalized_minor_dets(contact_matrix(tau, tau_prime, spectra, M, eta_vec))
+    return _minor_dets(contact_matrix(tau, tau_prime, spectra, M, eta_vec))
 
 
 def phi(o_n, o_prime, spectra: SpectrumPair, M, eta_vec) -> float:
     """Product of the two normalized determinants; its zero set is both curves."""
     d = impact_residual((o_n, o_prime), spectra, M, eta_vec)
     return float(d[0] * d[1])
-
-
-def _det_grids(spectra, M, eta_vec, o_n_axis, o_p_axis):
-    """Batched evaluation of both determinants over a phase grid."""
-    n = spectra.n
-    _require_nonzero_spectra(spectra)
-    taus = o_n_axis / spectra.omega_top
-    taups = o_p_axis / spectra.omega_prime_top
-    g, gd = mode_motion_vec(taus, spectra.lam, spectra.sigma)            # (A, n)
-    gp, gpd = mode_motion_vec(-taups, spectra.lam_prime, spectra.sigma_prime)  # (B, n-1)
-    eta_sum = float(np.sum(eta_vec))
-    A, B = taus.size, taups.size
-    bc = np.zeros((A, B, n + 1, n))
-    bc[:, :, :n, : n - 1] = (
-        gd[:, None, :, None] * gp[None, :, None, :]
-        - g[:, None, :, None] * gpd[None, :, None, :]
-    ) * M[None, None, :, :]
-    bc[:, :, :n, n - 1] = (gd / spectra.lam[None, :])[:, None, :]
-    bc[:, :, n, : n - 1] = eta_sum * gp[None, :, :]
-    bc[:, :, n, n - 1] = eta_sum
-    dets = []
-    for drop in (n - 1, n):
-        sub = np.delete(bc, drop, axis=2)
-        norms = np.maximum(np.linalg.norm(sub, axis=3, keepdims=True), 1e-300)
-        dets.append(np.linalg.det(sub / norms))
-    return dets[0], dets[1]
 
 
 # ----------------------------------------------------------------- contour scan
@@ -272,17 +254,21 @@ class GridSpec:
         return o_n, o_p
 
 
+def _sign_change_cells(Z):
+    """Mask of the grid cells whose four corner values of Z do not share one sign."""
+    s = np.sign(Z)
+    return (
+        (s[:-1, :-1] != s[1:, :-1])
+        | (s[:-1, :-1] != s[:-1, 1:])
+        | (s[1:, 1:] != s[1:, :-1])
+        | (s[1:, 1:] != s[:-1, 1:])
+    )
+
+
 def _cell_crossings(xa, ya, Z):
     """Zero-crossing segments of Z by cell-edge linear interpolation."""
     segments = []
-    sgn = np.sign(Z)
-    change = (
-        (sgn[:-1, :-1] != sgn[1:, :-1])
-        | (sgn[:-1, :-1] != sgn[:-1, 1:])
-        | (sgn[1:, 1:] != sgn[1:, :-1])
-        | (sgn[1:, 1:] != sgn[:-1, 1:])
-    )
-    for i, j in zip(*np.nonzero(change)):
+    for i, j in zip(*np.nonzero(_sign_change_cells(Z))):
         x0, x1 = xa[i], xa[i + 1]
         y0, y1 = ya[j], ya[j + 1]
         v00, v10 = Z[i, j], Z[i + 1, j]
@@ -344,43 +330,62 @@ def _chain_segments(segments, digits=9):
     return polylines
 
 
-def _cluster_seeds(seeds, radius):
-    """Merge runs of adjacent seed cells into single seeds at their centroid.
+def _component_seeds(cells, o_n_axis, o_p_axis):
+    """Centroids of the 8-connected components of a cell mask, one seed each.
 
     A curve crossing typically flags a couple of neighbouring cells; refining
-    one representative per cluster is enough (roots are deduplicated again
-    after refinement).
+    one representative per component is enough (roots are deduplicated again
+    after refinement).  Each component is labelled by its first cell in
+    raster order: every cell repeatedly takes the least label in its 3x3
+    neighbourhood and then that label's own label.  Seeds come in raster
+    order of the components' first cells.
     """
-    if not seeds.size:
-        return seeds
-    remaining = list(range(seeds.shape[0]))
-    clusters = []
-    while remaining:
-        group = [remaining.pop(0)]
-        grew = True
-        while grew:
-            grew = False
-            for idx in remaining[:]:
-                if any(np.abs(seeds[idx] - seeds[g]).max() <= radius for g in group):
-                    group.append(idx)
-                    remaining.remove(idx)
-                    grew = True
-        clusters.append(seeds[group].mean(axis=0))
-    return np.array(clusters)
+    ii, jj = np.nonzero(cells)
+    k = ii.size
+    index = np.full((cells.shape[0] + 2, cells.shape[1] + 2), k)
+    index[ii + 1, jj + 1] = np.arange(k)
+    neighbours = np.stack(
+        [index[ii + 1 + di, jj + 1 + dj] for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+    )
+    label = np.arange(k + 1)   # label[k] marks cells outside the mask
+    while True:
+        new = label[label[neighbours].min(axis=0)]
+        if np.array_equal(new, label[:k]):
+            break
+        label[:k] = new
+    _, component = np.unique(label[:k], return_inverse=True)
+    counts = np.bincount(component)
+    centers_n = 0.5 * (o_n_axis[ii] + o_n_axis[ii + 1])
+    centers_p = 0.5 * (o_p_axis[jj] + o_p_axis[jj + 1])
+    return np.column_stack(
+        [np.bincount(component, centers_n) / counts, np.bincount(component, centers_p) / counts]
+    )
 
 
 @dataclass(eq=False)
 class ContourField:
-    """Gridded determinant values with extracted zero curves and crossing seeds."""
+    """Gridded determinant values with crossing seeds.
+
+    The zero curves ``curves_a``/``curves_b`` serve export only, so they are
+    built on first access.
+    """
 
     o_n_axis: np.ndarray
     o_p_axis: np.ndarray
     det_a: np.ndarray            # top-mode row dropped
     det_b: np.ndarray            # amplitude-sum row dropped
     phi: np.ndarray
-    curves_a: list = field(default_factory=list)
-    curves_b: list = field(default_factory=list)
-    seeds: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
+    seeds: np.ndarray
+
+    @cached_property
+    def curves_a(self) -> list:
+        """Zero polylines of ``det_a``."""
+        return _chain_segments(_cell_crossings(self.o_n_axis, self.o_p_axis, self.det_a))
+
+    @cached_property
+    def curves_b(self) -> list:
+        """Zero polylines of ``det_b``."""
+        return _chain_segments(_cell_crossings(self.o_n_axis, self.o_p_axis, self.det_b))
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -414,44 +419,26 @@ class ContourField:
 
 
 def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> ContourField:
-    """Evaluate both determinants on a grid; extract zero curves and seeds.
+    """Evaluate both determinants on a grid and extract crossing seeds.
 
-    Seeds are centers of grid cells in which both determinants change sign,
-    i.e. candidate curve intersections to be refined by ``refine_root``.
+    Seeds are centroids of connected runs of grid cells in which both
+    determinants change sign, i.e. candidate curve intersections to be
+    refined by ``refine_root``.
     """
     grid = grid or GridSpec()
     o_n_axis, o_p_axis = grid.axes()
     M = cauchy_matrix(spectra.lam, spectra.lam_prime)
     eta_vec = cauchy_eta(spectra.lam, spectra.lam_prime)
-    det_a, det_b = _det_grids(spectra, M, eta_vec, o_n_axis, o_p_axis)
-    sa, sb = np.sign(det_a), np.sign(det_b)
-
-    def _changes(s):
-        return (
-            (s[:-1, :-1] != s[1:, :-1])
-            | (s[:-1, :-1] != s[:-1, 1:])
-            | (s[1:, 1:] != s[1:, :-1])
-            | (s[1:, 1:] != s[:-1, 1:])
-        )
-
-    both = _changes(sa) & _changes(sb)
-    ii, jj = np.nonzero(both)
-    seeds = np.column_stack(
-        [
-            0.5 * (o_n_axis[ii] + o_n_axis[ii + 1]),
-            0.5 * (o_p_axis[jj] + o_p_axis[jj + 1]),
-        ]
-    )
-    seeds = _cluster_seeds(seeds, 1.1 * grid.step)
+    taus, taups = spectra.from_phase(o_n_axis[:, None], o_p_axis[None, :])
+    det_a, det_b = _minor_dets(contact_matrix(taus, taups, spectra, M, eta_vec))
+    both = _sign_change_cells(det_a) & _sign_change_cells(det_b)
     return ContourField(
         o_n_axis=o_n_axis,
         o_p_axis=o_p_axis,
         det_a=det_a,
         det_b=det_b,
         phi=det_a * det_b,
-        curves_a=_chain_segments(_cell_crossings(o_n_axis, o_p_axis, det_a)),
-        curves_b=_chain_segments(_cell_crossings(o_n_axis, o_p_axis, det_b)),
-        seeds=seeds,
+        seeds=_component_seeds(both, o_n_axis, o_p_axis),
     )
 
 

@@ -1,9 +1,12 @@
+import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import collisionless as cl
+from collisionless import cli
 from collisionless.cli import main
 
 
@@ -143,6 +146,26 @@ def test_analytic2_rocker_table(capsys):
     assert "error" in branches[0]  # n = 1 has no root
     ref = cl.solve_rocker(1.0, 2.0, 1.0, 2)
     assert branches[1]["o_2"] == pytest.approx(ref.o_2, rel=1e-12)
+
+
+def test_analytic2_manifest_times_whole_command(tmp_path, monkeypatch, capsys):
+    # the clock advances one unit per read and one per branch solve
+    ticks = itertools.count()
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+    rocker = cli.SOLVERS["rocker"]
+
+    def ticking_rocker(**kwargs):
+        next(ticks)
+        return rocker(**kwargs)
+
+    monkeypatch.setitem(cli.SOLVERS, "rocker", ticking_rocker)
+    prefix = tmp_path / "a2"
+    code = main(["analytic2", "--family", "rocker", "--nu1", "1", "--omega2", "2",
+                 "--omega1p", "1", "--n", "2..4", "--out", str(prefix)])
+    assert code == 0
+    manifest = json.loads((tmp_path / "a2.manifest.json").read_text())
+    assert manifest["command"] == "analytic2"
+    assert manifest["wall_time_s"] == 4.0   # three solves plus the closing read
 
 
 def test_critical_study_deterministic(capsys):

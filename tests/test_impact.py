@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import collisionless as cl
+from collisionless.impact import _component_seeds
 from helpers import cauchy_inputs, non_pole_times, random_rocker_freqs
 
 
@@ -223,6 +225,54 @@ def test_scan_biped_seeds(biped_spectral):
     assert bottom.shape[0] == 3
     assert len(field.curves_a) > 0 and len(field.curves_b) > 0
     assert np.all(np.isfinite(field.det_a)) and np.all(np.isfinite(field.det_b))
+
+
+@pytest.mark.parametrize("family", ["biped", "rocker"])
+def test_scan_grid_is_impact_residual_bit_for_bit(family, biped_spectral):
+    if family == "biped":
+        spectra = biped_spectral.spectra
+    else:
+        spectra = cl.n2_spectrum("rocker", nu1=1.0, omega2=2.0, omega1p=1.0)
+    M, eta_vec = cauchy_inputs(spectra)
+    field = cl.scan_contour(spectra, cl.GridSpec(o_n_max=5.0, o_p_max=1.5, step=0.1))
+    for i, o_n in enumerate(field.o_n_axis):
+        for j, o_p in enumerate(field.o_p_axis):
+            d = cl.impact_residual((o_n, o_p), spectra, M, eta_vec)
+            assert field.det_a[i, j] == d[0] and field.det_b[i, j] == d[1]
+
+
+def _flood_fill_seeds(mask, xa, ya):
+    """Reference: centroids of 8-connected components, found by flood fill in raster order."""
+    seen = np.zeros_like(mask)
+    seeds = []
+    for i in range(mask.shape[0]):
+        for j in range(mask.shape[1]):
+            if not mask[i, j] or seen[i, j]:
+                continue
+            seen[i, j] = True
+            stack, members = [(i, j)], []
+            while stack:
+                a, b = stack.pop()
+                members.append((a, b))
+                for p in range(max(a - 1, 0), min(a + 2, mask.shape[0])):
+                    for q in range(max(b - 1, 0), min(b + 2, mask.shape[1])):
+                        if mask[p, q] and not seen[p, q]:
+                            seen[p, q] = True
+                            stack.append((p, q))
+            seeds.append([np.mean([0.5 * (xa[a] + xa[a + 1]) for a, _ in members]),
+                          np.mean([0.5 * (ya[b] + ya[b + 1]) for _, b in members])])
+    return np.array(seeds).reshape(-1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(bool, st.tuples(st.integers(1, 14), st.integers(1, 14))))
+def test_component_seeds_match_flood_fill(mask):
+    xa = 0.3 + 0.05 * np.arange(mask.shape[0] + 1)
+    ya = 0.01 + 0.04 * np.arange(mask.shape[1] + 1)
+    got = _component_seeds(mask, xa, ya)
+    expected = _flood_fill_seeds(mask, xa, ya)
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_scan_rejects_zero_modes():

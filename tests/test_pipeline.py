@@ -82,3 +82,11 @@ def test_rocker_pipeline_matches_closed_form(rocker_model):
 def test_solve_model_reports_scan(biped_run):
     assert biped_run.contour.seeds.shape[0] >= len(biped_run.records)
     assert biped_run.spectral.lam[-1] > 0
+
+
+def test_solve_builds_contour_curves_only_on_access(rocker_model):
+    run = cl.solve_model(rocker_model)
+    assert "curves_a" not in run.contour.__dict__
+    assert "curves_b" not in run.contour.__dict__
+    for curves in (run.contour.curves_a, run.contour.curves_b):
+        assert curves and all(len(poly) >= 2 for poly in curves)
