@@ -7,11 +7,11 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .cauchy import cauchy_matrix
 from .closed_form import SOLVERS
 from .critical import (
     asymptotic_grid,
@@ -46,6 +46,9 @@ EXIT_NO_ROOT = 3
 EXIT_VALIDATION_FAILED = 4
 EXIT_REFERENCE_MISMATCH = 5
 EXIT_USAGE = 64
+
+# Largest relative deviation of a stored trajectory sample from its re-synthesis.
+SAMPLE_RTOL = 1e-12
 
 _current_argv: list = []
 
@@ -117,13 +120,7 @@ def _tolerances_from_args(args):
     if factor == 1.0:
         return None
     base = ValidatorTolerances()
-    return ValidatorTolerances(
-        velocity=base.velocity * factor,
-        acceleration=base.acceleration * factor,
-        continuity=base.continuity * factor,
-        energy=base.energy * factor,
-        contact=base.contact * factor,
-    )
+    return ValidatorTolerances(**{f.name: factor * getattr(base, f.name) for f in fields(base)})
 
 
 def _parse_pick(text):
@@ -173,11 +170,10 @@ def _cmd_list_models(args):
     return EXIT_OK
 
 
-def _solve_and_pick(model, args, **kwargs):
+def _solve_and_pick(model, args):
     """(run, picked records) of a solve, or the exit code after saying why there are none."""
     try:
-        run = solve_model(model, _grid_from_args(args), tolerances=_tolerances_from_args(args),
-                          **kwargs)
+        run = solve_model(model, _grid_from_args(args), tolerances=_tolerances_from_args(args))
     except NoExistenceError as exc:
         print(f"no solution exists: {exc}", file=sys.stderr)
         return EXIT_NO_EXISTENCE
@@ -240,7 +236,7 @@ def _cmd_contour(args):
 def _cmd_trajectory(args):
     started = time.perf_counter()
     model, inputs = _resolve_model(args)
-    result = _solve_and_pick(model, args, samples_per_phase=args.samples)
+    result = _solve_and_pick(model, args)
     if isinstance(result, int):
         return result
     run, picked = result
@@ -264,7 +260,17 @@ def _cmd_trajectory(args):
 def _cmd_validate(args):
     model, _ = _resolve_model(args)
     traj = trajectory_from_json(args.trajectory)
-    report = validate(traj, model, tolerances=_tolerances_from_args(args))
+    # the samples must be those of the stored solution, to SAMPLE_RTOL of each array's scale
+    fresh = synthesize(traj.meta.spectral, traj.meta, (traj.t.size - 1) // 2)
+    for name in ("t", "x", "xdot", "xddot", "energy", "constraint_force"):
+        stored, expected = getattr(traj, name), getattr(fresh, name)
+        atol = SAMPLE_RTOL * np.nanmax(np.abs(expected))
+        if stored.shape != expected.shape or not np.allclose(
+            stored, expected, rtol=0.0, atol=atol, equal_nan=True
+        ):
+            print(f"trajectory samples disagree with their solution: {name}", file=sys.stderr)
+            return EXIT_VALIDATION_FAILED
+    report = validate(traj.meta, model, tolerances=_tolerances_from_args(args))
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAILED
 
@@ -350,7 +356,7 @@ def _cmd_reproduce(args):
         "lam": spectral.lam,
         "lam_prime": spectral.lam_prime,
         "norm_const": spectral.norm_const,
-        "cauchy": cauchy_matrix(spectral.lam, spectral.lam_prime),
+        "cauchy": spectral.spectra.M,
         "mode_matrix": spectral.mode_matrix,
         "mode_matrix_prime": spectral.mode_matrix_prime,
         "tau": solution.times.tau,

@@ -28,14 +28,34 @@ __all__ = [
 _SCAN_POINTS = 4096
 
 
+def _branch_root(f, n: int):
+    """First positive root of f in [(n-1) pi, n pi) from a dense scan, or None.
+
+    The first sign change between neighbouring scan points is polished with
+    Brent's method; without one, the first scan point where f is exactly zero
+    counts as the root.  The scan skips y = 0, which is not a positive root.
+    """
+    ys = np.linspace((n - 1) * np.pi, n * np.pi, _SCAN_POINTS)
+    if n == 1:
+        ys = ys[1:]
+    vals = f(ys)
+    signs = np.sign(vals)
+    crossings = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    if crossings.size:
+        i = crossings[0]
+        return brentq(f, ys[i], ys[i + 1], xtol=1e-14, rtol=8.9e-16)
+    exact = ys[np.nonzero(vals == 0.0)[0]]
+    return float(exact[0]) if exact.size else None
+
+
 def y_root(a: float, b: float, n: int) -> float:
     """Root of tan(y) = a * tanh(b * y) inside [(n-1) pi, n pi).
 
     The search uses the pole-free form sin(y) - a tanh(b y) cos(y), bracketing
-    on a dense scan and polishing with Brent's method.  For a = 0 the root is
-    exactly (n-1) pi.  Raises NoRootError when the interval contains no root
-    (e.g. the n = 1 interval of the hopper/rocker families, where
-    tan(y) > a tanh(b y) throughout (0, pi)).
+    on a dense scan and polishing with Brent's method and then Newton.  For
+    a = 0 the root is exactly (n-1) pi.  Raises NoRootError when the interval
+    contains no root (e.g. the n = 1 interval of the hopper/rocker families,
+    where tan(y) > a tanh(b y) throughout (0, pi)).
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise InvalidParameterError("a and b must be finite")
@@ -51,19 +71,9 @@ def y_root(a: float, b: float, n: int) -> float:
 
     lo = (n - 1) * np.pi
     hi = n * np.pi
-    ys = np.linspace(lo, hi, _SCAN_POINTS)
-    if n == 1:
-        ys = ys[1:]  # y = 0 solves the equation trivially; positive roots only
-    vals = f(ys)
-    signs = np.sign(vals)
-    crossings = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    if crossings.size == 0:
-        exact = ys[np.nonzero(vals == 0.0)[0]]
-        if exact.size:
-            return float(exact[0])
+    root = _branch_root(f, n)
+    if root is None:
         raise NoRootError(f"no root of tan y = {a} tanh({b} y) in [{lo:.6g}, {hi:.6g})")
-    i = crossings[0]
-    root = brentq(f, ys[i], ys[i + 1], xtol=1e-14, rtol=8.9e-16)
     # Newton polish on the pole-free form
     for _ in range(3):
         df = np.cos(root) + a * (np.tanh(b * root) * np.sin(root)
@@ -78,19 +88,13 @@ def y_root(a: float, b: float, n: int) -> float:
 
 def _alpha(n: int) -> float:
     """Positive roots of tan y = y (the a b -> 1, b -> 0 limit family)."""
-
-    def f(y):
-        return np.sin(y) - y * np.cos(y)
-
-    lo, hi = (n - 1) * np.pi, n * np.pi
-    ys = np.linspace(lo + 1e-12, hi - 1e-12, _SCAN_POINTS)
-    vals = f(ys)
-    signs = np.sign(vals)
-    crossings = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    if crossings.size == 0:
-        raise NoRootError(f"tan y = y has no root in [{lo:.6g}, {hi:.6g}) (lowest branch is n = 2)")
-    i = crossings[0]
-    return float(brentq(f, ys[i], ys[i + 1], xtol=1e-14, rtol=8.9e-16))
+    root = _branch_root(lambda y: np.sin(y) - y * np.cos(y), n)
+    if root is None:
+        raise NoRootError(
+            f"tan y = y has no root in [{(n - 1) * np.pi:.6g}, {n * np.pi:.6g}) "
+            "(lowest branch is n = 2)"
+        )
+    return root
 
 
 @dataclass(frozen=True)

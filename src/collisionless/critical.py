@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .cauchy import cauchy_matrix, eta as cauchy_eta
 from .errors import InvalidParameterError, NoRootError
 from .model import SpectrumPair
 
@@ -93,7 +92,7 @@ def _k_ingredients(w_bar, spectra):
     lam = spectra.lam
     lam_bar = lam[:-1]
     nu_p = np.concatenate([np.sqrt(-spectra.lam_prime[:-1]), [0.0]])
-    M = cauchy_matrix(lam, spectra.lam_prime)
+    M = spectra.M
     u_bar = M[None, :-1, :] * (
         1.0 + w_bar[:, :, None] * nu_p[None, None, :] / lam_bar[None, :, None]
     )
@@ -103,7 +102,7 @@ def _k_ingredients(w_bar, spectra):
     weighted = adj_u / (lam_bar ** 2)[None, None, :]
     ones = np.ones(n - 1)
     rhs = np.stack([np.broadcast_to(ones, w_bar.shape), w_bar], axis=-1)   # (T, n-1, 2)
-    eta_sum = float(np.sum(cauchy_eta(lam, spectra.lam_prime)))
+    eta_sum = float(np.sum(spectra.eta))
     m_row = M[-1, :]
     m_row_scaled = m_row * nu_p / lam[-1]
     P0 = np.einsum("j,tjk,tkl->tl", m_row, weighted, rhs)

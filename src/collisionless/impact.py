@@ -25,7 +25,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .cauchy import cauchy_matrix, eta as cauchy_eta
 from .errors import (
     ConvergenceError,
     DegenerateSolutionError,
@@ -427,10 +426,8 @@ def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> Contour
     """
     grid = grid or GridSpec()
     o_n_axis, o_p_axis = grid.axes()
-    M = cauchy_matrix(spectra.lam, spectra.lam_prime)
-    eta_vec = cauchy_eta(spectra.lam, spectra.lam_prime)
     taus, taups = spectra.from_phase(o_n_axis[:, None], o_p_axis[None, :])
-    det_a, det_b = _minor_dets(contact_matrix(taus, taups, spectra, M, eta_vec))
+    det_a, det_b = _minor_dets(contact_matrix(taus, taups, spectra, spectra.M, spectra.eta))
     both = _sign_change_cells(det_a) & _sign_change_cells(det_b)
     return ContourField(
         o_n_axis=o_n_axis,
@@ -554,8 +551,7 @@ def reduction_gap(spectral: SpectralData, tau: float, tau_prime: float) -> float
     X = spectral.mode_matrix
     lam = spectral.lam
     spectra = spectral.spectra
-    M = cauchy_matrix(lam, spectral.lam_prime)
-    eta_vec = cauchy_eta(lam, spectral.lam_prime)
+    M, eta_vec = spectra.M, spectra.eta
     A, _ = assemble_impact_matrix(spectral, tau, tau_prime)
     g, gd = mode_motion_vec(tau, lam, spectral.sigma)
     gp, _ = mode_motion_vec(-tau_prime, spectral.lam_prime, spectral.sigma_prime)
@@ -587,12 +583,10 @@ def alt_impact_residual(spectra: SpectrumPair, tau: float, tau_prime: float) -> 
     Returns [lam_N U_N; sum(eta) ones] inv(U-bar) (1/lam-bar) - [1; sum(eta)],
     a two-vector that vanishes at solutions together with the determinant form.
     """
-    M = cauchy_matrix(spectra.lam, spectra.lam_prime)
-    eta_vec = cauchy_eta(spectra.lam, spectra.lam_prime)
-    U = _u_matrix(tau, tau_prime, spectra, M)
+    U = _u_matrix(tau, tau_prime, spectra, spectra.M)
     u_bar = U[:-1, :]
     rhs = np.linalg.solve(u_bar, 1.0 / spectra.lam[:-1])
-    eta_sum = float(np.sum(eta_vec))
+    eta_sum = float(np.sum(spectra.eta))
     lhs = np.array([spectra.lam[-1] * U[-1, :] @ rhs, eta_sum * np.sum(rhs)])
     return lhs - np.array([1.0, eta_sum])
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from .cauchy import cauchy_matrix, eta as cauchy_eta
 from .errors import InterlacingError, InvalidModelError, InvalidParameterError
 
 __all__ = [
@@ -169,6 +171,16 @@ class SpectrumPair:
     def omega_prime_top(self) -> float:
         """|omega'_{N-1}|, the frequency scale of the contact-phase impact phase."""
         return float(np.sqrt(abs(self.lam_prime[-1])))
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """Read-only Cauchy matrix M[i, j] = 1/(lam_i - lam'_j), built once per pair."""
+        return _frozen(cauchy_matrix(self.lam, self.lam_prime))
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        """Read-only squared contact-row amplitudes (``cauchy.eta``), built once per pair."""
+        return _frozen(cauchy_eta(self.lam, self.lam_prime))
 
     def to_phase(self, tau: float, tau_prime: float) -> tuple[float, float]:
         """Convert impact times to dimensionless impact phases (o_N, o'_{N-1})."""

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import cauchy_matrix, eta as cauchy_eta
 from .critical import existence_gate
 from .errors import (
     ConvergenceError,
@@ -24,7 +23,7 @@ from .impact import (
 )
 from .model import ModelSpec
 from .spectral import SpectralData, analyze
-from .trajectory import ValidationReport, ValidatorTolerances, synthesize, validate
+from .trajectory import ValidationReport, ValidatorTolerances, validate
 
 __all__ = ["RootRecord", "SolveRun", "solve_model", "pick_records", "RANK_GAP_MAX"]
 
@@ -74,7 +73,6 @@ def _cluster_rows(values, gap):
 
 
 def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
-                samples_per_phase: int = 500,
                 tolerances: ValidatorTolerances | None = None) -> SolveRun:
     """Run the full procedure on a model and return every certified root.
 
@@ -89,14 +87,12 @@ def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
             f"largest contact eigenvalue {spectral.lam_prime[-1]:.6g} is not positive"
         )
     spectra = spectral.spectra
-    M = cauchy_matrix(spectral.lam, spectral.lam_prime)
-    eta_vec = cauchy_eta(spectral.lam, spectral.lam_prime)
     contour = scan_contour(spectra, grid)
     roots = []
     failed = 0
     for seed in contour.seeds:
         try:
-            times = refine_root(seed, spectra, M, eta_vec)
+            times = refine_root(seed, spectra, spectra.M, spectra.eta)
         except ConvergenceError:
             failed += 1
             continue
@@ -128,8 +124,7 @@ def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
         members = [s for s, r in zip(solutions, rows) if r == row_idx]
         members.sort(key=lambda s: s.times.o_n)
         for col_idx, solution in enumerate(members):
-            traj = synthesize(spectral, solution, samples_per_phase)
-            report = validate(traj, model, tolerances)
+            report = validate(solution, model, tolerances)
             records.append(
                 RootRecord(solution=solution, report=report, row=row_idx, col=col_idx)
             )

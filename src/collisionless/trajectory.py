@@ -3,10 +3,10 @@
 The emitted trajectory covers the half cycle from the free-phase symmetry
 point (t = 0) through the impact (t = tau) to the contact-phase symmetry
 point (t = tau + tau'); the rest of the period follows by the solution's
-time-reversal symmetries.  Physical realizability, however, must hold on the
-*full* phases, which extend symmetrically about each symmetry point, so the
-validator re-samples t in [-tau, tau] and the contact phase in
-[-tau', tau'] analytically when checking ground clearance and contact force.
+time-reversal symmetries.  It serves export only.  Physical realizability
+must hold on the *full* phases, which extend symmetrically about each
+symmetry point, so the validator works from the solution itself: it samples
+t in [-tau, tau] and the contact phase in [-tau', tau'] analytically.
 
 The conserved energy is the plain mechanical one, E = (xd^T m xd + x^T k x)/2:
 the contact constraint force acts on a fixed coordinate and does no work, so
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,6 +43,9 @@ PHASE_FREE = 0
 PHASE_CONTACT = 1
 _PHASE_NAMES = {PHASE_FREE: "unconstrained", PHASE_CONTACT: "constrained"}
 
+# Samples per full phase in ``validate``.
+CHECK_SAMPLES = 2001
+
 
 def _free_state(spectral: SpectralData, q, t):
     """Analytic x, xd, xdd in the free phase at times t (array)."""
@@ -62,6 +65,18 @@ def _contact_state(spectral: SpectralData, q_prime, u):
     xd = (gpd * q_prime) @ Xp.T
     xdd = ((-spectral.lam_prime * gp) * q_prime) @ Xp.T
     return x, xd, xdd
+
+
+def _scale(values) -> float:
+    """Largest magnitude in ``values``, floored away from zero."""
+    return max(np.abs(values).max(), 1e-300)
+
+
+def _energy(spectral: SpectralData, x, xd):
+    """Mechanical energy (xd^T m xd + x^T k x) / 2 per sample row."""
+    return 0.5 * np.einsum("ij,jk,ik->i", xd, spectral.mass_matrix, xd) + 0.5 * np.einsum(
+        "ij,jk,ik->i", x, spectral.stiffness_matrix, x
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,21 +126,16 @@ def synthesize(spectral: SpectralData, solution: ImpactSolution,
     phase = np.concatenate(
         [np.zeros(t_free.size, dtype=int), np.ones(t_contact.size, dtype=int)]
     )
-    mass = spectral.mass_matrix
-    stiffness = spectral.stiffness_matrix
-    energy = 0.5 * np.einsum("ij,jk,ik->i", xd, mass, xd) + 0.5 * np.einsum(
-        "ij,jk,ik->i", x, stiffness, x
-    )
     force = np.full(t.size, np.nan)
     contact_rows = phase == PHASE_CONTACT
-    force[contact_rows] = xdd_c @ mass[-1] + x_c @ stiffness[-1]
+    force[contact_rows] = xdd_c @ spectral.mass_matrix[-1] + x_c @ spectral.stiffness_matrix[-1]
     return Trajectory(
         t=t,
         phase=phase,
         x=x,
         xdot=xd,
         xddot=xdd,
-        energy=energy,
+        energy=_energy(spectral, x, xd),
         constraint_force=force,
         tau_mark=tau,
         meta=solution,
@@ -145,12 +155,14 @@ class ValidatorTolerances:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Residuals and worst-case clearances of one trajectory.
+    """Residuals and worst-case clearances of one solution.
 
     ``penetration_violation`` and ``contact_force_violation`` are the worst
     signed values of contact_sign * (x_N - x0_N) over the full free phase and
     contact_sign * F_N over the full contact phase; negative values beyond
-    the contact tolerance (times the respective scale) fail the check.
+    the contact tolerance (times the respective scale) fail the check.  Every
+    scale a tolerance multiplies (velocity, acceleration, position, energy,
+    clearance, force) is a maximum over the full phases.
     """
 
     impact_velocity_residual: float
@@ -174,58 +186,52 @@ class ValidationReport:
         }
 
 
-def validate(traj: Trajectory, model: ModelSpec,
-             tolerances: ValidatorTolerances | None = None,
-             check_samples: int = 2001) -> ValidationReport:
+def validate(solution: ImpactSolution, model: ModelSpec,
+             tolerances: ValidatorTolerances | None = None) -> ValidationReport:
     """Check impact conditions, conservation, clearance and contact force.
 
     Impact conditions and continuity are evaluated analytically from both
-    phase formulas at the impact; energy variation comes from the trajectory
-    samples; the clearance and force checks re-sample the full symmetric
-    phases (t in [-tau, tau] and u in [-tau', tau']), where higher-branch
-    roots reveal attractive-force stretches invisible on the emitted half.
+    phase formulas at the impact.  Everything else, and every scale, comes
+    from CHECK_SAMPLES analytic samples of each full symmetric phase
+    (t in [-tau, tau] and u in [-tau', tau']), where higher-branch roots
+    reveal attractive-force stretches invisible on the emitted half cycle.
     """
     tol = tolerances or ValidatorTolerances()
-    spectral = traj.meta.spectral
-    if model.n != traj.n:
-        raise InvalidParameterError("model and trajectory dimensions differ")
-    times = traj.meta.times
+    spectral = solution.spectral
+    if model.n != spectral.n:
+        raise InvalidParameterError("model and solution dimensions differ")
+    times = solution.times
     tau, taup = times.tau, times.tau_prime
-    q, qp = traj.meta.q, traj.meta.q_prime
+    q, qp = solution.q, solution.q_prime
 
     x_f, xd_f, xdd_f = _free_state(spectral, q, np.array([tau]))
     x_c, xd_c, _ = _contact_state(spectral, qp, np.array([-taup]))
-    velocity_scale = max(np.abs(traj.xdot).max(), 1e-300)
-    accel_scale = max(np.abs(traj.xddot).max(), 1e-300)
     v_resid = abs(xd_f[0, -1])
     a_resid = abs(xdd_f[0, -1])
     continuity = max(
         np.abs(x_f[0] - x_c[0]).max(), np.abs(xd_f[0] - xd_c[0]).max()
     )
-    energy_scale = max(np.abs(traj.energy).max(), 1e-300)
-    energy_var = float((traj.energy.max() - traj.energy.min()) / energy_scale)
+
+    # (x, xd, xdd) of each full phase, then of both stacked
+    free = _free_state(spectral, q, np.linspace(-tau, tau, CHECK_SAMPLES))
+    contact = _contact_state(spectral, qp, np.linspace(-taup, taup, CHECK_SAMPLES))
+    x, xd, xdd = (np.vstack(pair) for pair in zip(free, contact))
+    energy = _energy(spectral, x, xd)
+    energy_var = float((energy.max() - energy.min()) / _scale(energy))
 
     sign = model.contact_sign
-    contact_level = spectral.static_offset[-1]
-    t_full = np.linspace(-tau, tau, check_samples)
-    x_full, _, _ = _free_state(spectral, q, t_full)
-    clearance = sign * (x_full[:, -1] - contact_level)
-    clearance_scale = max(np.abs(clearance).max(), 1e-300)
+    clearance = sign * (free[0][:, -1] - spectral.static_offset[-1])
     penetration = float(clearance.min())
-
-    u_full = np.linspace(-taup, taup, check_samples)
-    xc_full, _, xddc_full = _contact_state(spectral, qp, u_full)
-    force = sign * (xddc_full @ model.mass[-1] + xc_full @ model.stiffness[-1])
-    force_scale = max(np.abs(force).max(), 1e-300)
+    force = sign * (contact[2] @ model.mass[-1] + contact[0] @ model.stiffness[-1])
     force_violation = float(force.min())
 
     passed = (
-        v_resid < tol.velocity * velocity_scale
-        and a_resid < tol.acceleration * accel_scale
-        and continuity < tol.continuity * max(np.abs(traj.x).max(), velocity_scale)
+        v_resid < tol.velocity * _scale(xd)
+        and a_resid < tol.acceleration * _scale(xdd)
+        and continuity < tol.continuity * max(np.abs(x).max(), _scale(xd))
         and energy_var < tol.energy
-        and penetration >= -tol.contact * clearance_scale
-        and force_violation >= -tol.contact * force_scale
+        and penetration >= -tol.contact * _scale(clearance)
+        and force_violation >= -tol.contact * _scale(force)
     )
     return ValidationReport(
         impact_velocity_residual=float(v_resid),
@@ -265,29 +271,12 @@ def to_csv(traj: Trajectory, path):
 
 
 def _spectral_to_dict(spectral: SpectralData) -> dict:
-    return {
-        "lam": spectral.lam.tolist(),
-        "mode_matrix": spectral.mode_matrix.tolist(),
-        "norm_const": spectral.norm_const,
-        "lam_prime": spectral.lam_prime.tolist(),
-        "mode_matrix_prime": spectral.mode_matrix_prime.tolist(),
-        "static_offset": spectral.static_offset.tolist(),
-        "sigma": spectral.sigma.tolist(),
-        "sigma_prime": spectral.sigma_prime.tolist(),
-    }
+    return {f.name: np.asarray(getattr(spectral, f.name)).tolist() for f in fields(SpectralData)}
 
 
 def _spectral_from_dict(data: dict) -> SpectralData:
-    return SpectralData(
-        lam=np.array(data["lam"]),
-        mode_matrix=np.array(data["mode_matrix"]),
-        norm_const=float(data["norm_const"]),
-        lam_prime=np.array(data["lam_prime"]),
-        mode_matrix_prime=np.array(data["mode_matrix_prime"]),
-        static_offset=np.array(data["static_offset"]),
-        sigma=np.array(data["sigma"], dtype=int),
-        sigma_prime=np.array(data["sigma_prime"], dtype=int),
-    )
+    arrays = {f.name: np.array(data[f.name]) for f in fields(SpectralData) if f.name != "norm_const"}
+    return SpectralData(norm_const=float(data["norm_const"]), **arrays)
 
 
 def to_json(traj: Trajectory, path):

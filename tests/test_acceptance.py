@@ -174,7 +174,7 @@ def test_criterion_6_trajectory_physics(biped_run):
     assert traj.t.size == 2001
     energy_variation = (traj.energy.max() - traj.energy.min()) / np.abs(traj.energy).max()
     assert energy_variation < 1e-9
-    report = cl.validate(traj, biped_run.model)
+    report = cl.validate(record.solution, biped_run.model)
     assert report.passed
     assert report.impact_velocity_residual < 1e-8 * np.abs(traj.xdot).max()
     assert report.impact_accel_residual < 1e-8 * np.abs(traj.xddot).max()

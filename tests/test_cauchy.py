@@ -11,6 +11,16 @@ def test_biped_matrix_entries(biped_spectral):
     assert M[2, 1] == pytest.approx(9.15225, abs=1e-4)
 
 
+def test_spectrum_pair_builds_cauchy_pair_once(biped_spectral):
+    pair = biped_spectral.spectra
+    assert pair.M is pair.M and pair.eta is pair.eta
+    assert np.array_equal(pair.M, cl.cauchy_matrix(pair.lam, pair.lam_prime))
+    assert np.array_equal(pair.eta, cl.eta(pair.lam, pair.lam_prime))
+    for arr in (pair.M, pair.eta):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_direct_arithmetic():
     M = cl.cauchy_matrix([-1.0, 1.0], [0.5])
     np.testing.assert_allclose(M, [[-2.0 / 3.0], [2.0]], rtol=1e-15)

@@ -134,6 +134,22 @@ def test_trajectory_then_validate(tmp_path, capsys):
     assert report["passed"] is True
 
 
+@pytest.mark.parametrize("name", ["x", "energy"])
+def test_validate_rejects_edited_sample(tmp_path, capsys, name):
+    prefix = tmp_path / "traj"
+    assert main(["trajectory", "--out", str(prefix), "--samples", "150", "--format", "json"]) == 0
+    path = tmp_path / "traj.json"
+    payload = json.loads(path.read_text())
+    values = np.array(payload[name])
+    index = np.unravel_index(np.argmax(np.abs(values)), values.shape)
+    values[index] *= 1 + 1e-6
+    payload[name] = values.tolist()
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["validate", "--trajectory", str(path)]) == 4
+    assert name in capsys.readouterr().err
+
+
 def test_analytic2_rocker_table(capsys):
     code = main(
         ["analytic2", "--family", "rocker", "--nu1", "1", "--omega2", "2",

@@ -90,3 +90,13 @@ def test_solve_builds_contour_curves_only_on_access(rocker_model):
     assert "curves_b" not in run.contour.__dict__
     for curves in (run.contour.curves_a, run.contour.curves_b):
         assert curves and all(len(poly) >= 2 for poly in curves)
+
+
+def test_solve_never_synthesizes(rocker_model, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_model synthesized a trajectory")
+
+    monkeypatch.setattr("collisionless.trajectory.synthesize", forbidden)
+    monkeypatch.setattr("collisionless.pipeline.synthesize", forbidden, raising=False)
+    run = cl.solve_model(rocker_model)
+    assert run.records and any(r.accepted for r in run.records)

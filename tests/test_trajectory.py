@@ -70,8 +70,8 @@ def test_energy_constant(biped_spectral, biped_solution):
     assert variation < 1e-9
 
 
-def test_validation_passes_on_bottom_root(biped_traj, biped):
-    report = cl.validate(biped_traj, biped)
+def test_validation_passes_on_bottom_root(biped_traj, biped_solution, biped):
+    report = cl.validate(biped_solution, biped)
     assert report.passed
     assert report.impact_velocity_residual < 1e-8 * np.abs(biped_traj.xdot).max()
     assert report.impact_accel_residual < 1e-8 * np.abs(biped_traj.xddot).max()
@@ -93,7 +93,7 @@ def test_validation_fails_on_detuned_root(biped_spectral, biped_solution, biped)
     )
     solution = cl.build_solution(biped_spectral, detuned)
     traj = cl.synthesize(biped_spectral, solution, 200)
-    report = cl.validate(traj, biped)
+    report = cl.validate(solution, biped)
     assert not report.passed
     assert report.impact_velocity_residual > 1e-8 * np.abs(traj.xdot).max()
 
@@ -108,9 +108,9 @@ def test_second_row_root_fails_contact_force(biped_run):
         assert record.report.penetration_violation > -1e-8
 
 
-def test_validate_rejects_dimension_mismatch(biped_traj, rocker_model):
+def test_validate_rejects_dimension_mismatch(biped_solution, rocker_model):
     with pytest.raises(cl.InvalidParameterError):
-        cl.validate(biped_traj, rocker_model)
+        cl.validate(biped_solution, rocker_model)
 
 
 def test_csv_export(tmp_path, biped_traj):
@@ -142,7 +142,7 @@ def test_json_roundtrip_bitwise(tmp_path, biped_traj):
     assert np.array_equal(clone.meta.q, biped_traj.meta.q)
     assert np.array_equal(clone.meta.spectral.mode_matrix, biped_traj.meta.spectral.mode_matrix)
     # and the clone still validates identically
-    report = cl.validate(clone, cl.build_armed_biped())
+    report = cl.validate(clone.meta, cl.build_armed_biped())
     assert report.passed
 
 
