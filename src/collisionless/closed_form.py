@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import InvalidParameterError, NoRootError
+from .model import _check_positive
 
 __all__ = [
     "y_root",
@@ -113,20 +114,12 @@ class N2Solution:
         return self.tau / self.tau_prime
 
 
-def _check_freqs(**freqs):
-    for label, value in freqs.items():
-        if not isinstance(value, (int, float, np.integer, np.floating)) or not (
-            np.isfinite(value) and value > 0
-        ):
-            raise InvalidParameterError(f"{label} must be positive, got {value!r}")
-
-
 def solve_hopper(omega2: float, omega1p: float, n: int) -> N2Solution:
     """Hopping branch n: o2 solves o cot o = 1, contact phase from the time ratio.
 
     The lowest existing branch is n = 2 (tan y = y has no root below pi).
     """
-    _check_freqs(omega2=omega2, omega1p=omega1p)
+    _check_positive(omega2=omega2, omega1p=omega1p)
     o2 = _alpha(n)
     o1p = np.pi - np.arctan(o2 * omega1p / omega2)
     return N2Solution("hopper", n, o2, o1p, o2 / omega2, o1p / omega1p)
@@ -144,7 +137,7 @@ def solve_rimless(nu1: float, omega2: float, omega1p: float, n: int) -> N2Soluti
     o2 = y_n(-rho, rho) with rho = nu1/omega2; tan(o2) < 0 there, so the
     arctan branch with positive contact time is the principal one negated.
     """
-    _check_freqs(nu1=nu1, omega2=omega2, omega1p=omega1p)
+    _check_positive(nu1=nu1, omega2=omega2, omega1p=omega1p)
     rho = nu1 / omega2
     o2 = y_root(-rho, rho, n)
     o1p = -np.arctan((omega2 / omega1p) * np.tan(o2))
@@ -158,7 +151,7 @@ def solve_rocker(nu1: float, omega2: float, omega1p: float, n: int) -> N2Solutio
     positive contact phase.  The lowest existing branch is n = 2: on (0, pi)
     tan y exceeds (1/rho) tanh(rho y) pointwise (tanh x < x), so no root.
     """
-    _check_freqs(nu1=nu1, omega2=omega2, omega1p=omega1p)
+    _check_positive(nu1=nu1, omega2=omega2, omega1p=omega1p)
     rho = nu1 / omega2
     o2 = y_root(1.0 / rho, rho, n)
     o1p = np.arctan((omega2 / omega1p) / np.tan(o2))

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import InvalidParameterError, NoRootError
+from .impact import phase_rate
 from .model import SpectrumPair
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "critical_limit",
     "critical_matrices",
     "solve_critical",
-    "critical_roots",
     "predicted_contact_phase",
     "AsymptoticPoint",
     "large_tau_asymptote",
@@ -129,11 +129,7 @@ def critical_matrices(tau: float, spectra: SpectrumPair):
     _require_limit(spectra)
     taus = np.atleast_1d(float(tau))
     P0, P1, S, r = _k_ingredients(_hyperbolic_rates(taus, spectra), spectra)
-    lam_top = spectra.lam[-1]
-    om_top = np.sqrt(lam_top)
-    o_top = om_top * tau
-    sig_top = spectra.sigma[-1]
-    w_top = np.tan(o_top) * om_top if sig_top == 1 else -om_top / np.tan(o_top)
+    w_top = phase_rate(tau, spectra.lam[-1:], spectra.sigma[-1:])[0]
     K = np.vstack([P0[0] + w_top * P1[0], S[0]])
     K_tilde = np.array([[r[0], r[0] * w_top], [0.0, 0.0]])
     return K, K_tilde
@@ -153,11 +149,11 @@ def _depoled_residual(taus, spectra):
     return A * np.sin(o_top) - B * om_top * np.cos(o_top)
 
 
-def _brackets(spectra, o_max, points):
+def _brackets(spectra, o_max):
     """Ascending tau intervals over which the depoled residual changes sign."""
     _require_limit(spectra)
     om_top = np.sqrt(spectra.lam[-1])
-    taus = np.linspace(1e-3 / om_top, o_max / om_top, points)
+    taus = np.linspace(1e-3 / om_top, o_max / om_top, _SCAN_POINTS)
     vals = _depoled_residual(taus, spectra)
     finite = np.isfinite(vals)
     signs = np.sign(vals)
@@ -178,14 +174,9 @@ def _polish(spectra, lo, hi):
     return float(tau_c), float(-S[0, 1] / S[0, 0])
 
 
-def critical_roots(spectra: SpectrumPair, o_max: float = 6 * np.pi, points: int = _SCAN_POINTS):
-    """All critical roots (tau_c, c0) with o_N below o_max, in ascending tau."""
-    return [_polish(spectra, lo, hi) for lo, hi in _brackets(spectra, o_max, points)]
-
-
 def solve_critical(spectra: SpectrumPair, o_max: float = 6 * np.pi):
     """First critical root: (tau_critical, c0).  Raises NoRootError if none found."""
-    brackets = _brackets(spectra, o_max, _SCAN_POINTS)
+    brackets = _brackets(spectra, o_max)
     if not brackets:
         raise NoRootError(f"no critical root with o_N < {o_max:.4g}")
     return _polish(spectra, *brackets[0])

@@ -60,6 +60,11 @@ __all__ = [
 ZERO_EIGENVALUE_ATOL = 1e-14
 POLE_ATOL = 1e-9
 
+# Newton refinement: convergence tolerances and forward-difference step.
+REFINE_TOL_RESIDUAL = 1e-11
+REFINE_TOL_STEP = 1e-12
+REFINE_FD_STEP = 1e-6
+
 
 # --------------------------------------------------------------------------- kernels
 
@@ -100,17 +105,10 @@ def mode_motion_vec(t, lam, sigma):
     arg = om * t
     even = sigma == -1
     pos = lam > 0
-    g = np.where(
-        pos,
-        np.where(even, np.cos(arg), np.sin(arg)),
-        np.where(even, np.cosh(arg), np.sinh(arg)),
-    )
-    gd = np.where(
-        pos,
-        np.where(even, -om * np.sin(arg), om * np.cos(arg)),
-        np.where(even, om * np.sinh(arg), om * np.cosh(arg)),
-    )
-    return g, gd
+    c = np.where(pos, np.cos(arg), np.cosh(arg))
+    s = np.where(pos, np.sin(arg), np.sinh(arg))
+    # d/dt cos = -om sin, d/dt cosh = om sinh, d/dt sin(h) = om cos(h)
+    return np.where(even, c, s), np.where(even, np.where(pos, -om, om) * s, om * c)
 
 
 def phase_rate(tau, lam, sigma, zero_mode: str = "raise"):
@@ -122,34 +120,30 @@ def phase_rate(tau, lam, sigma, zero_mode: str = "raise"):
     (the even kernel) and 0 for sigma = +1.
 
     Raises PoleError when an oscillatory mode sits within POLE_ATOL (in phase
-    units) of a tan/cot pole.
+    units) of a tan/cot pole.  Errors are raised for the first offending mode.
     """
     lam = np.atleast_1d(np.asarray(lam, float))
-    sigma = np.broadcast_to(np.asarray(sigma), lam.shape)
-    out = np.empty(lam.shape)
+    even = np.broadcast_to(np.asarray(sigma), lam.shape) == -1
     scale = np.abs(lam).max() if lam.size else 1.0
-    for i, (lv, sv) in enumerate(zip(lam, sigma)):
-        if abs(lv) <= ZERO_EIGENVALUE_ATOL * max(scale, 1.0):
-            if zero_mode != "limit":
-                raise ZeroModeError("phase_rate is undefined for a zero eigenvalue")
-            out[i] = -1.0 / tau if sv == -1 else 0.0
-            continue
-        om = np.sqrt(abs(lv))
-        o = om * tau
-        if lv > 0:
-            # poles: sin(o)=0 for sigma=-1 (cot), cos(o)=0 for sigma=+1 (tan)
-            shift = 0.0 if sv == -1 else np.pi / 2
-            dist = abs((o - shift + np.pi / 2) % np.pi - np.pi / 2)
-            if dist < POLE_ATOL:
-                raise PoleError(
-                    f"phase_rate pole: o = {o:.6g} is within {dist:.2e} of a pole",
-                    distance=dist,
-                )
-            out[i] = np.tan(o) * om if sv == 1 else -om / np.tan(o)
-        else:
-            th = np.tanh(o)
-            out[i] = -th * om if sv == 1 else -om / th
-    return out
+    zero = np.abs(lam) <= ZERO_EIGENVALUE_ATOL * max(scale, 1.0)
+    osc = (lam > 0) & ~zero
+    om = np.sqrt(np.abs(lam))
+    o = om * tau
+    # poles: sin(o)=0 for sigma=-1 (cot), cos(o)=0 for sigma=+1 (tan)
+    dist = np.abs((o - np.where(even, 0.0, np.pi / 2) + np.pi / 2) % np.pi - np.pi / 2)
+    bad = (osc & (dist < POLE_ATOL)) | (zero & (zero_mode != "limit"))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if zero[i]:
+            raise ZeroModeError("phase_rate is undefined for a zero eigenvalue")
+        raise PoleError(
+            f"phase_rate pole: o = {o[i]:.6g} is within {dist[i]:.2e} of a pole",
+            distance=dist[i],
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tan = np.where(osc, np.tan(o), np.tanh(o))
+        out = np.where(even, -om / tan, np.where(osc, tan, -tan) * om)
+        return np.where(zero, np.where(even, -1.0 / tau, 0.0), out)
 
 
 def _require_nonzero_spectra(spectra: SpectrumPair):
@@ -454,15 +448,14 @@ class ImpactTimes:
     iterations: int = 0
 
 
-def refine_root(seed, spectra: SpectrumPair, M, eta_vec, *, max_iter=100,
-                tol_residual=1e-11, tol_step=1e-12, fd_step=1e-6) -> ImpactTimes:
+def refine_root(seed, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> ImpactTimes:
     """Damped Newton refinement of a contour seed in impact-phase coordinates.
 
     The residual is the pair of normalized determinants; the Jacobian is
-    forward finite differences with step ``fd_step``.  Steps that leave the
-    positive quadrant or increase the residual norm are halved.  Convergence
-    requires both residuals below ``tol_residual`` and the last full Newton
-    step below ``tol_step``.
+    forward finite differences with step ``REFINE_FD_STEP``.  Steps that leave
+    the positive quadrant or increase the residual norm are halved.
+    Convergence requires both residuals below ``REFINE_TOL_RESIDUAL`` and the
+    last full Newton step below ``REFINE_TOL_STEP``.
     """
     o = np.asarray(seed, float).copy()
     if o.shape != (2,) or o.min() <= 0:
@@ -476,13 +469,13 @@ def refine_root(seed, spectra: SpectrumPair, M, eta_vec, *, max_iter=100,
         J = np.empty((2, 2))
         for j in range(2):
             probe = o.copy()
-            probe[j] += fd_step
-            J[:, j] = (residual(probe) - F) / fd_step
+            probe[j] += REFINE_FD_STEP
+            J[:, j] = (residual(probe) - F) / REFINE_FD_STEP
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             raise ConvergenceError("singular Jacobian during refinement") from None
-        if np.abs(F).max() < tol_residual and np.abs(step).max() < tol_step:
+        if np.abs(F).max() < REFINE_TOL_RESIDUAL and np.abs(step).max() < REFINE_TOL_STEP:
             tau, tau_prime = spectra.from_phase(o[0], o[1])
             return ImpactTimes(
                 tau=tau,
@@ -603,22 +596,18 @@ def solve_weights(spectral: SpectralData, times: ImpactTimes):
     recovered from that kernel, scaled to the static force, and still satisfy
     the square system (the returned residual certifies it).
     """
+    return _weights(spectral, *assemble_impact_matrix(spectral, times.tau, times.tau_prime))
+
+
+def _weights(spectral: SpectralData, A: np.ndarray, rank_gap: float):
+    """``solve_weights`` on an assembled matching matrix A with its rank gap."""
     n = spectral.n
-    X = spectral.mode_matrix
-    Xp = spectral.mode_matrix_prime
-    g, gd = mode_motion_vec(times.tau, spectral.lam, spectral.sigma)
-    gp, gpd = mode_motion_vec(-times.tau_prime, spectral.lam_prime, spectral.sigma_prime)
-    W = np.zeros((2 * n - 1, 2 * n - 1))
-    W[:n, :n] = X * g[None, :]
-    W[:n, n:] = -Xp * gp[None, :]
-    W[n:, :n] = X[: n - 1, :] * gd[None, :]
-    W[n:, n:] = -Xp[: n - 1, :] * gpd[None, :]
+    W = A[: 2 * n - 1, : 2 * n - 1]
     rhs = np.concatenate([spectral.static_offset, np.zeros(n - 1)])
     cond = np.linalg.cond(W)
     if np.isfinite(cond) and cond < 1e12:
         sol = np.linalg.solve(W, rhs)
     else:
-        A, rank_gap = assemble_impact_matrix(spectral, times.tau, times.tau_prime)
         if rank_gap > 1e-6:
             raise DegenerateSolutionError(
                 f"weight subsystem singular (cond {cond:.2e}) away from a root"
@@ -668,8 +657,8 @@ class ImpactSolution:
 
 def build_solution(spectral: SpectralData, times: ImpactTimes) -> ImpactSolution:
     """Assemble the matching matrix, certify the rank drop, and solve the weights."""
-    _, rank_gap = assemble_impact_matrix(spectral, times.tau, times.tau_prime)
-    q, q_prime, weight_residual = solve_weights(spectral, times)
+    A, rank_gap = assemble_impact_matrix(spectral, times.tau, times.tau_prime)
+    q, q_prime, weight_residual = _weights(spectral, A, rank_gap)
     return ImpactSolution(
         times=times,
         q=q,

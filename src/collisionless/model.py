@@ -32,6 +32,15 @@ __all__ = [
 ]
 
 
+def _check_positive(**values):
+    """Raise InvalidParameterError unless every value is a positive finite number."""
+    for label, value in values.items():
+        if not isinstance(value, (int, float, np.integer, np.floating)) or not (
+            np.isfinite(value) and value > 0
+        ):
+            raise InvalidParameterError(f"{label} must be positive, got {value!r}")
+
+
 def _frozen(values, dtype=float):
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
@@ -269,14 +278,7 @@ def n2_spectrum(family: str, *, nu1: float | None = None, omega2: float,
     rimless          : rolling wheel-with-pendulum; lam1 = -nu1^2 < 0, odd modes.
     rocker           : side-to-side rocking; same spectra as rimless, even free modes.
     """
-    def _positive(label, value):
-        if not isinstance(value, (int, float, np.integer, np.floating)) or not (
-            np.isfinite(value) and value > 0
-        ):
-            raise InvalidParameterError(f"{label} must be positive, got {value!r}")
-
-    _positive("omega2", omega2)
-    _positive("omega1p", omega1p)
+    _check_positive(omega2=omega2, omega1p=omega1p)
     family = family.lower()
     if family in ("hopper", "juggler"):
         if nu1 is not None:
@@ -288,7 +290,7 @@ def n2_spectrum(family: str, *, nu1: float | None = None, omega2: float,
             sigma_prime=[-1],
         )
     if family in ("rimless", "rocker"):
-        _positive("nu1", nu1)
+        _check_positive(nu1=nu1)
         sig = [1, 1] if family == "rimless" else [-1, -1]
         return SpectrumPair(
             lam=[-nu1 ** 2, omega2 ** 2],

@@ -301,41 +301,51 @@ def to_json(traj: Trajectory, path):
 
 
 def trajectory_from_json(path) -> Trajectory:
-    with open(path) as fh:
-        payload = json.load(fh)
-    sol_data = payload["solution"]
-    spectral = _spectral_from_dict(sol_data["spectral"])
-    times = ImpactTimes(
-        tau=sol_data["tau"],
-        tau_prime=sol_data["tau_prime"],
-        o_n=sol_data["o_n"],
-        o_prime=sol_data["o_prime"],
-        mu=sol_data["mu"],
-        residual=tuple(sol_data["residual"]),
-        iterations=sol_data["iterations"],
-    )
-    solution = ImpactSolution(
-        times=times,
-        q=np.array(sol_data["q"]),
-        q_prime=np.array(sol_data["q_prime"]),
-        spectral=spectral,
-        rank_gap=sol_data["rank_gap"],
-        weight_residual=sol_data["weight_residual"],
-    )
-    force = np.array(
-        [np.nan if v is None else v for v in payload["constraint_force"]], dtype=float
-    )
-    return Trajectory(
-        t=np.array(payload["t"]),
-        phase=np.array(payload["phase"], dtype=int),
-        x=np.array(payload["x"]),
-        xdot=np.array(payload["xdot"]),
-        xddot=np.array(payload["xddot"]),
-        energy=np.array(payload["energy"]),
-        constraint_force=force,
-        tau_mark=payload["tau_mark"],
-        meta=solution,
-    )
+    """Read a trajectory written by ``to_json``.
+
+    A file that cannot be opened, is not JSON, or lacks a field raises
+    InvalidParameterError naming the file and the fault.
+    """
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        sol_data = payload["solution"]
+        spectral = _spectral_from_dict(sol_data["spectral"])
+        times = ImpactTimes(
+            tau=sol_data["tau"],
+            tau_prime=sol_data["tau_prime"],
+            o_n=sol_data["o_n"],
+            o_prime=sol_data["o_prime"],
+            mu=sol_data["mu"],
+            residual=tuple(sol_data["residual"]),
+            iterations=sol_data["iterations"],
+        )
+        solution = ImpactSolution(
+            times=times,
+            q=np.array(sol_data["q"]),
+            q_prime=np.array(sol_data["q_prime"]),
+            spectral=spectral,
+            rank_gap=sol_data["rank_gap"],
+            weight_residual=sol_data["weight_residual"],
+        )
+        force = np.array(
+            [np.nan if v is None else v for v in payload["constraint_force"]], dtype=float
+        )
+        return Trajectory(
+            t=np.array(payload["t"]),
+            phase=np.array(payload["phase"], dtype=int),
+            x=np.array(payload["x"]),
+            xdot=np.array(payload["xdot"]),
+            xddot=np.array(payload["xddot"]),
+            energy=np.array(payload["energy"]),
+            constraint_force=force,
+            tau_mark=payload["tau_mark"],
+            meta=solution,
+        )
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InvalidParameterError(
+            f"cannot read trajectory file {path}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 _PALETTE = ["#c03030", "#2f8f2f", "#2f5fbf", "#b06f10", "#7d3fa0", "#2f8f8f"]

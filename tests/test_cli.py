@@ -150,6 +150,26 @@ def test_validate_rejects_edited_sample(tmp_path, capsys, name):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault", ["missing-key", "truncated", "absent"])
+def test_validate_reports_unreadable_file(tmp_path, capsys, fault):
+    path = tmp_path / "traj.json"
+    if fault != "absent":
+        assert main(["trajectory", "--out", str(tmp_path / "traj"), "--samples", "20",
+                     "--format", "json"]) == 0
+        text = path.read_text()
+        if fault == "missing-key":
+            payload = json.loads(text)
+            del payload["solution"]["spectral"]["lam"]
+            text = json.dumps(payload)
+        else:
+            text = text[: len(text) // 2]
+        path.write_text(text)
+    capsys.readouterr()
+    assert main(["validate", "--trajectory", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_analytic2_rocker_table(capsys):
     code = main(
         ["analytic2", "--family", "rocker", "--nu1", "1", "--omega2", "2",

@@ -59,13 +59,22 @@ def test_mode_motion_zero_eigenvalue_raises():
 
 
 def test_mode_motion_vec_matches_scalar():
-    lam = np.array([-2.0, 1.5, 4.0])
-    sigma = np.array([-1, 1, -1])
+    # all four kernels: cosh, sin, cos, sinh
+    lam = np.array([-2.0, 1.5, 4.0, -0.5])
+    sigma = np.array([-1, 1, -1, 1])
     g, gd = cl.mode_motion_vec(0.8, lam, sigma)
     for i, (lv, sv) in enumerate(zip(lam, sigma)):
         ref = cl.mode_motion(0.8, lv, (1 - sv) // 2)
         assert g[i] == pytest.approx(ref[0], rel=1e-15)
         assert gd[i] == pytest.approx(ref[1], rel=1e-15)
+    times = np.array([-1.3, 0.0, 0.8, 2.5])
+    g, gd = cl.mode_motion_vec(times, lam, sigma)
+    assert g.shape == gd.shape == (times.size, lam.size)
+    for k, t in enumerate(times):
+        for i, (lv, sv) in enumerate(zip(lam, sigma)):
+            ref = cl.mode_motion(t, lv, (1 - sv) // 2)
+            assert g[k, i] == pytest.approx(ref[0], rel=1e-15)
+            assert gd[k, i] == pytest.approx(ref[1], rel=1e-15)
 
 
 def test_phase_rate_values():
@@ -101,6 +110,51 @@ def test_phase_rate_pole_error():
     with pytest.raises(cl.PoleError) as info:
         cl.phase_rate(np.pi / 2, [4.0], [-1])  # o = pi, cot pole
     assert info.value.distance is not None and info.value.distance < 1e-9
+
+
+def _phase_rate_loop(tau, lam, sigma, zero_mode):
+    """Per-mode reference for phase_rate: (value, None) or (None, error type)."""
+    scale = max(np.abs(lam).max(), 1.0)
+    out = np.empty(len(lam))
+    for i, (lv, sv) in enumerate(zip(lam, sigma)):
+        if abs(lv) <= cl.impact.ZERO_EIGENVALUE_ATOL * scale:
+            if zero_mode != "limit":
+                return None, cl.ZeroModeError
+            out[i] = -1.0 / tau if sv == -1 else 0.0
+            continue
+        om = np.sqrt(abs(lv))
+        o = om * tau
+        if lv > 0:
+            shift = 0.0 if sv == -1 else np.pi / 2
+            if abs((o - shift + np.pi / 2) % np.pi - np.pi / 2) < cl.impact.POLE_ATOL:
+                return None, cl.PoleError
+            out[i] = np.tan(o) * om if sv == 1 else -om / np.tan(o)
+        else:
+            th = np.tanh(o)
+            out[i] = -th * om if sv == 1 else -om / th
+    return out, None
+
+
+def test_phase_rate_matches_per_mode_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        n = int(rng.integers(1, 6))
+        lam = rng.uniform(-9, 9, n)
+        sigma = rng.choice([-1, 1], n)
+        tau = float(rng.uniform(0.05, 5))
+        if rng.random() < 0.2:
+            lam[rng.integers(n)] = 0.0
+        if rng.random() < 0.3:   # put one oscillatory mode on a pole
+            i = rng.integers(n)
+            lam[i] = abs(lam[i]) + 0.5
+            tau = (np.pi * int(rng.integers(1, 4)) + (sigma[i] == 1) * np.pi / 2) / np.sqrt(lam[i])
+        zero_mode = "limit" if rng.random() < 0.5 else "raise"
+        ref, error = _phase_rate_loop(tau, lam, sigma, zero_mode)
+        if error is not None:
+            with pytest.raises(error):
+                cl.phase_rate(tau, lam, sigma, zero_mode=zero_mode)
+        else:
+            np.testing.assert_array_equal(cl.phase_rate(tau, lam, sigma, zero_mode=zero_mode), ref)
 
 
 # ------------------------------------------------------------ kernel ratios
@@ -442,6 +496,20 @@ def test_solve_weights_linearity(biped, biped_root, biped_solution):
     q, qp, _ = cl.solve_weights(spectral, biped_root)
     np.testing.assert_allclose(q, 2 * biped_solution.q, rtol=1e-10)
     np.testing.assert_allclose(qp, 2 * biped_solution.q_prime, rtol=1e-10)
+
+
+def test_build_solution_evaluates_kernels_once(biped_spectral, biped_root, monkeypatch):
+    # one matching-matrix assembly: one kernel call per phase
+    calls = []
+    kernels = cl.mode_motion_vec
+
+    def counting(*args):
+        calls.append(args)
+        return kernels(*args)
+
+    monkeypatch.setattr("collisionless.impact.mode_motion_vec", counting)
+    cl.build_solution(biped_spectral, biped_root)
+    assert len(calls) == 2
 
 
 def test_build_solution_records_everything(biped_solution, biped_root):
