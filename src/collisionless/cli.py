@@ -135,10 +135,14 @@ def _parse_pick(text):
 
 
 def _parse_branches(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        branches = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from None
+    if not branches or branches[0] < 1:
+        raise argparse.ArgumentTypeError(f"expected a non-empty range of positive branches, got {text!r}")
+    return branches
 
 
 def _record_to_dict(record):
@@ -216,7 +220,7 @@ def _cmd_contour(args):
     crosses = None
     if args.asymptotes:
         try:
-            crosses = asymptotic_grid(spectral.spectra, _parse_branches(args.asymptotes))
+            crosses = asymptotic_grid(spectral.spectra, args.asymptotes)
         except CollisionlessError as exc:
             print(f"asymptote overlay skipped: {exc}", file=sys.stderr)
     outputs = []
@@ -279,7 +283,7 @@ def _cmd_analytic2(args):
     started = time.perf_counter()
     solver = SOLVERS[args.family]
     rows = []
-    for n in _parse_branches(args.n):
+    for n in args.n:
         kwargs = {"omega2": args.omega2, "omega1p": args.omega1p, "n": n}
         if args.family in ("rimless", "rocker"):
             kwargs["nu1"] = args.nu1
@@ -334,10 +338,10 @@ def _cmd_critical(args):
     tau_c, c0 = solve_critical(limit)
     payload = {"tau_critical": tau_c, "c0": c0}
     if args.branches:
-        pts = asymptotic_grid(spectra, _parse_branches(args.branches))
+        pts = asymptotic_grid(spectra, args.branches)
         payload["asymptotic_grid"] = [
-            {"n": int(n), "o_n": float(p[0]), "o_prime": float(p[1])}
-            for n, p in zip(_parse_branches(args.branches), pts)
+            {"n": n, "o_n": float(p[0]), "o_prime": float(p[1])}
+            for n, p in zip(args.branches, pts)
         ]
     outputs = []
     _emit(payload, args, outputs, args.out)
@@ -408,7 +412,7 @@ def build_parser():
     _add_grid_args(p)
     p.add_argument("--out", required=True, help="output prefix")
     p.add_argument("--format", choices=("all", "csv", "svg"), default="all")
-    p.add_argument("--asymptotes", default=None, help="overlay branches, e.g. 3..6")
+    p.add_argument("--asymptotes", type=_parse_branches, default=None, help="overlay branches, e.g. 3..6")
     p.set_defaults(func=_cmd_contour)
 
     p = sub.add_parser("trajectory", help="solve and export a trajectory")
@@ -434,7 +438,7 @@ def build_parser():
     p.add_argument("--nu1", type=float, default=None)
     p.add_argument("--omega2", type=float, required=True)
     p.add_argument("--omega1p", type=float, required=True)
-    p.add_argument("--n", default="1..5", help="branch or range, e.g. 2 or 1..5")
+    p.add_argument("--n", type=_parse_branches, default="1..5", help="branch or range, e.g. 2 or 1..5")
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_analytic2)
@@ -445,7 +449,7 @@ def build_parser():
     p.add_argument("--nu1", type=float, default=None)
     p.add_argument("--omega2", type=float, default=None)
     p.add_argument("--omega1p", type=float, default=None)
-    p.add_argument("--branches", default=None, help="asymptotic branches, e.g. 3..6")
+    p.add_argument("--branches", type=_parse_branches, default=None, help="asymptotic branches, e.g. 3..6")
     p.add_argument("--study-c0", action="store_true")
     p.add_argument("--n", dest="n_dof", type=int, default=3)
     p.add_argument("--samples", type=int, default=1000)

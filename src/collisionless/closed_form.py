@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import InvalidParameterError, NoRootError
-from .model import _check_positive
+from .model import _check_branch_index, _check_positive
 
 __all__ = [
     "y_root",
@@ -60,8 +60,7 @@ def y_root(a: float, b: float, n: int) -> float:
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise InvalidParameterError("a and b must be finite")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameterError(f"branch index must be a positive integer, got {n!r}")
+    _check_branch_index(n)
     if a == 0.0:
         if n == 1:
             raise NoRootError("tan y = 0 has no positive root in [0, pi)")
@@ -89,6 +88,7 @@ def y_root(a: float, b: float, n: int) -> float:
 
 def _alpha(n: int) -> float:
     """Positive roots of tan y = y (the a b -> 1, b -> 0 limit family)."""
+    _check_branch_index(n)
     root = _branch_root(lambda y: np.sin(y) - y * np.cos(y), n)
     if root is None:
         raise NoRootError(

@@ -19,7 +19,7 @@ from scipy.optimize import brentq
 
 from .errors import InvalidParameterError, NoRootError
 from .impact import phase_rate
-from .model import SpectrumPair
+from .model import SpectrumPair, _check_branch_index
 
 __all__ = [
     "existence_gate",
@@ -224,8 +224,7 @@ def large_tau_asymptote(n: int, spectra: SpectrumPair) -> AsymptoticPoint:
     eigenvalue; the actual (small) eigenvalue of ``spectra`` enters only
     through omega'_{N-1} in the second formula.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameterError(f"branch index must be a positive integer, got {n!r}")
+    _check_branch_index(n)
     if spectra.lam[-1] <= 0:
         raise InvalidParameterError("top free eigenvalue must be positive")
     limit = critical_limit(spectra)

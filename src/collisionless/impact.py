@@ -32,7 +32,7 @@ from .errors import (
     PoleError,
     ZeroModeError,
 )
-from .model import SpectrumPair
+from .model import SpectrumPair, _check_positive
 from .spectral import SpectralData
 from .svgout import SvgCanvas
 
@@ -238,6 +238,9 @@ class GridSpec:
     o_p_min: float = 0.0
 
     def axes(self):
+        _check_positive(step=self.step)
+        if not np.all(np.isfinite([self.o_n_min, self.o_n_max, self.o_p_min, self.o_p_max])):
+            raise InvalidParameterError("contour grid bounds must be finite")
         start_n = self.o_n_min if self.o_n_min > 0 else self.step
         start_p = self.o_p_min if self.o_p_min > 0 else self.step
         o_n = np.arange(start_n, self.o_n_max + 0.5 * self.step, self.step)
@@ -452,25 +455,24 @@ def refine_root(seed, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> Imp
     """Damped Newton refinement of a contour seed in impact-phase coordinates.
 
     The residual is the pair of normalized determinants; the Jacobian is
-    forward finite differences with step ``REFINE_FD_STEP``.  Steps that leave
-    the positive quadrant or increase the residual norm are halved.
-    Convergence requires both residuals below ``REFINE_TOL_RESIDUAL`` and the
-    last full Newton step below ``REFINE_TOL_STEP``.
+    forward finite differences with step ``REFINE_FD_STEP``, taken from the
+    same batched residual evaluation as F.  Steps that leave the positive
+    quadrant or increase the residual norm are halved.  Convergence requires
+    both residuals below ``REFINE_TOL_RESIDUAL`` and the last full Newton step
+    below ``REFINE_TOL_STEP``.
     """
     o = np.asarray(seed, float).copy()
     if o.shape != (2,) or o.min() <= 0:
         raise InvalidParameterError(f"seed must be two positive phases, got {seed!r}")
+    probes = np.array([[0.0, REFINE_FD_STEP, 0.0], [0.0, 0.0, REFINE_FD_STEP]])
 
-    def residual(pt):
-        return impact_residual(pt, spectra, M, eta_vec)
+    def evaluate(pt):
+        # one call on pt, pt + h e0 and pt + h e1
+        R = impact_residual(pt[:, None] + probes, spectra, M, eta_vec)
+        return R[:, 0], (R[:, 1:] - R[:, :1]) / REFINE_FD_STEP
 
-    F = residual(o)
+    F, J = evaluate(o)
     for iteration in range(1, max_iter + 1):
-        J = np.empty((2, 2))
-        for j in range(2):
-            probe = o.copy()
-            probe[j] += REFINE_FD_STEP
-            J[:, j] = (residual(probe) - F) / REFINE_FD_STEP
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
@@ -487,17 +489,15 @@ def refine_root(seed, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> Imp
                 iterations=iteration,
             )
         damping = 1.0
-        accepted = False
         for _ in range(40):
             cand = o + damping * step
             if cand.min() > 0:
-                F_cand = residual(cand)
-                if np.abs(F_cand).max() <= np.abs(F).max() or damping * np.abs(step).max() < 1e-14:
-                    o, F = cand, F_cand
-                    accepted = True
+                F_cand, J_cand = evaluate(cand)
+                if np.abs(F_cand).max() <= np.abs(F).max():
+                    o, F, J = cand, F_cand, J_cand
                     break
             damping *= 0.5
-        if not accepted:
+        else:
             raise ConvergenceError(
                 f"refinement stalled at o = {o.tolist()} (residual {np.abs(F).max():.2e})"
             )

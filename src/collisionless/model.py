@@ -41,6 +41,12 @@ def _check_positive(**values):
             raise InvalidParameterError(f"{label} must be positive, got {value!r}")
 
 
+def _check_branch_index(n):
+    """Raise InvalidParameterError unless n is a positive integer branch index."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise InvalidParameterError(f"branch index must be a positive integer, got {n!r}")
+
+
 def _frozen(values, dtype=float):
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
@@ -51,7 +57,7 @@ def _check_signature(sig, length, label):
     arr = np.asarray(sig)
     if arr.shape != (length,):
         raise InvalidModelError(f"{label} must have length {length}, got shape {arr.shape}")
-    if not np.all(np.isin(arr, (-1, 1))):
+    if not np.all((arr == 1) | (arr == -1)):
         raise InvalidModelError(f"{label} entries must be +1 or -1")
     return _frozen(arr, int)
 
@@ -214,10 +220,7 @@ def build_armed_biped(theta: float = 1.0, m0: float = 1.0, m1: float = 1.0,
     m0 is the mass of each of the two feet; m1..m3 are the arm, torso and leg
     masses; all links share length ``l``.
     """
-    params = {"theta": theta, "m0": m0, "m1": m1, "m2": m2, "m3": m3, "l": l, "g": g}
-    for label, value in params.items():
-        if not (np.isfinite(value) and value > 0):
-            raise InvalidParameterError(f"{label} must be positive, got {value!r}")
+    _check_positive(theta=theta, m0=m0, m1=m1, m2=m2, m3=m3, l=l, g=g)
     total = 2 * m0 + m1 + m2 + m3
     mass = l ** 2 * np.array(
         [

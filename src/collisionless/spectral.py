@@ -15,10 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cauchy import cauchy_matrix
 from .errors import (
     DegenerateSpectrumError,
-    InterlacingError,
     NormalizationError,
     ZeroModeError,
 )
@@ -100,16 +98,6 @@ def static_offset(model: ModelSpec) -> np.ndarray:
     return np.linalg.solve(model.stiffness, rhs)
 
 
-def _check_interlacing(lam, lam_prime):
-    merged = np.empty(2 * lam.size - 1)
-    merged[0::2] = lam
-    merged[1::2] = lam_prime
-    if not np.all(np.diff(merged) > 0):
-        raise InterlacingError(
-            f"free/contact spectra do not strictly interlace: {lam.tolist()} / {lam_prime.tolist()}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralData:
     """Complete mode data of a model: spectra, mode matrices, normalization, offset."""
@@ -161,9 +149,8 @@ def analyze(model: ModelSpec) -> SpectralData:
             "a mode has (numerically) zero amplitude on the contact coordinate"
         )
     lam_prime = constrained_spectrum(model)
-    _check_interlacing(lam, lam_prime)
-    M = cauchy_matrix(lam, lam_prime)
-    X_prime = constrained_modes(X, M)
+    pair = SpectrumPair(lam, lam_prime, model.sigma, model.sigma_prime)   # checks interlacing
+    X_prime = constrained_modes(X, pair.M)
     x0 = static_offset(model)
     for arr in (lam, X, lam_prime, X_prime, x0):
         arr.setflags(write=False)

@@ -227,6 +227,32 @@ def test_critical_family_report(capsys):
     assert len(payload["asymptotic_grid"]) == 2
 
 
+@pytest.mark.parametrize("grid", [["--grid-step", "0"], ["--grid-step", "nan"], ["--o-n-max", "inf"]])
+def test_solve_rejects_invalid_grid(capsys, grid):
+    assert main(["solve", *grid]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analytic2", "--family", "rocker", "--nu1", "1", "--omega2", "2", "--omega1p", "1",
+         "--n", "abc"],
+        ["analytic2", "--family", "hopper", "--omega2", "2", "--omega1p", "1", "--n", "5..3"],
+        ["critical", "--family", "rocker", "--nu1", "1", "--omega2", "2", "--omega1p", "0.3",
+         "--branches", "x"],
+        ["critical", "--family", "rocker", "--nu1", "1", "--omega2", "2", "--omega1p", "0.3",
+         "--branches=0..2"],
+        ["contour", "--out", "unused", "--asymptotes", "x"],
+    ],
+)
+def test_branch_lists_rejected_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 64
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_usage_error_exit64():
     with pytest.raises(SystemExit) as info:
         main(["solve", "--pick", "bogus"])

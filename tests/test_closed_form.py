@@ -83,6 +83,13 @@ def test_hopper_lowest_branch_is_two():
         cl.solve_hopper(1.0, 0.5, 1)
 
 
+@pytest.mark.parametrize("solver", [cl.solve_hopper, cl.solve_juggler])
+@pytest.mark.parametrize("n", [0, -1, 1.5])
+def test_hopper_juggler_reject_invalid_branch(solver, n):
+    with pytest.raises(cl.InvalidParameterError, match="branch index"):
+        solver(1.0, 0.5, n)
+
+
 def test_juggler_identical_to_hopper():
     a = cl.solve_hopper(1.7, 0.8, 3)
     b = cl.solve_juggler(1.7, 0.8, 3)

@@ -423,6 +423,31 @@ def test_refine_root_bad_seed_errors(biped_spectral, biped_cauchy):
         cl.refine_root((0.3, 0.3), biped_spectral.spectra, M, eta_vec, max_iter=25)
 
 
+def test_refine_root_one_residual_call_per_trial_point(biped_spectral, biped_cauchy, monkeypatch):
+    # F and the forward-difference Jacobian come from one batched call; the
+    # biped seed accepts every full step, so there is one call per iteration
+    calls = []
+    residual = cl.impact_residual
+
+    def counting(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr("collisionless.impact.impact_residual", counting)
+    M, eta_vec = biped_cauchy
+    root = cl.refine_root((3.80, 0.93), biped_spectral.spectra, M, eta_vec)
+    assert root.iterations == 5
+    assert len(calls) == root.iterations
+
+
+def test_refine_root_stalls_when_no_halving_helps():
+    # this seed creeps toward o_N -> 0 until no halved step lowers max|F|
+    pair = cl.n2_spectrum("rocker", nu1=1.5, omega2=2.5, omega1p=1.0)
+    M, eta_vec = cauchy_inputs(pair)
+    with pytest.raises(cl.ConvergenceError, match="stalled"):
+        cl.refine_root((0.9, 1.23), pair, M, eta_vec, max_iter=40)
+
+
 # --------------------------------------------------- matching matrix, weights
 
 def test_rank_gap_drops_at_root(biped_spectral, biped_root):
