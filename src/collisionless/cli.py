@@ -21,9 +21,10 @@ from .critical import (
 )
 from .errors import (
     CollisionlessError,
-    ConvergenceError,
-    NoExistenceError,
+    InvalidParameterError,
     NoRootError,
+    ReferenceMismatchError,
+    ValidationFailedError,
 )
 from .impact import GridSpec, scan_contour
 from .model import BUILTIN_MODELS, builtin_model, load_model, n2_spectrum
@@ -40,17 +41,10 @@ from .trajectory import (
     validate,
 )
 
-EXIT_OK = 0
-EXIT_NO_EXISTENCE = 2
-EXIT_NO_ROOT = 3
-EXIT_VALIDATION_FAILED = 4
-EXIT_REFERENCE_MISMATCH = 5
 EXIT_USAGE = 64
 
 # Largest relative deviation of a stored trajectory sample from its re-synthesis.
 SAMPLE_RTOL = 1e-12
-
-_current_argv: list = []
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,18 +62,19 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _write_manifest(prefix, command, config, outputs, started, seed=None, inputs=()):
+def _write_manifest(args, config, outputs, seed=None, inputs=()):
+    """Write ``{args.out}.manifest.json``; ``main`` stores argv and the start time on args."""
     manifest = {
-        "command": command,
-        "argv": list(_current_argv),
+        "command": args.command,
+        "argv": args.argv,
         "config": config,
         "version": __version__,
         "seed": seed,
         "input_hashes": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
-        "wall_time_s": time.perf_counter() - started,
+        "wall_time_s": time.perf_counter() - args.started,
     }
-    path = f"{prefix}.manifest.json"
+    path = f"{args.out}.manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return path
@@ -171,33 +166,20 @@ def _cmd_list_models(args):
     for name in sorted(BUILTIN_MODELS):
         print(name)
     print("n2 families: hopper, juggler, rimless, rocker (see 'analytic2')")
-    return EXIT_OK
 
 
 def _solve_and_pick(model, args):
-    """(run, picked records) of a solve, or the exit code after saying why there are none."""
-    try:
-        run = solve_model(model, _grid_from_args(args), tolerances=_tolerances_from_args(args))
-    except NoExistenceError as exc:
-        print(f"no solution exists: {exc}", file=sys.stderr)
-        return EXIT_NO_EXISTENCE
-    except ConvergenceError as exc:
-        print(f"no converged root: {exc}", file=sys.stderr)
-        return EXIT_NO_ROOT
+    """(run, picked records) of a solve; raises ValidationFailedError if none is picked."""
+    run = solve_model(model, _grid_from_args(args), tolerances=_tolerances_from_args(args))
     picked = pick_records(run, args.pick)
     if not picked:
-        print("all converged roots failed physical validation", file=sys.stderr)
-        return EXIT_VALIDATION_FAILED
+        raise ValidationFailedError("all converged roots failed physical validation")
     return run, picked
 
 
 def _cmd_solve(args):
-    started = time.perf_counter()
     model, inputs = _resolve_model(args)
-    result = _solve_and_pick(model, args)
-    if isinstance(result, int):
-        return result
-    run, picked = result
+    run, picked = _solve_and_pick(model, args)
     payload = {
         "model": model.name,
         "pick": str(args.pick),
@@ -208,19 +190,17 @@ def _cmd_solve(args):
     outputs = []
     _emit(payload, args, outputs, args.out)
     if args.out:
-        outputs.append(_write_manifest(args.out, "solve", model.to_config(), outputs, started, inputs=inputs))
-    return EXIT_OK
+        outputs.append(_write_manifest(args, model.to_config(), outputs, inputs=inputs))
 
 
 def _cmd_contour(args):
-    started = time.perf_counter()
     model, inputs = _resolve_model(args)
     spectral = analyze(model)
-    field = scan_contour(spectral.spectra, _grid_from_args(args))
+    field = scan_contour(spectral, _grid_from_args(args))
     crosses = None
     if args.asymptotes:
         try:
-            crosses = asymptotic_grid(spectral.spectra, args.asymptotes)
+            crosses = asymptotic_grid(spectral, args.asymptotes)
         except CollisionlessError as exc:
             print(f"asymptote overlay skipped: {exc}", file=sys.stderr)
     outputs = []
@@ -232,20 +212,15 @@ def _cmd_contour(args):
         path = f"{args.out}.svg"
         field.to_svg(path, asymptotes=crosses)
         outputs.append(path)
-    outputs.append(_write_manifest(args.out, "contour", model.to_config(), outputs, started, inputs=inputs))
+    outputs.append(_write_manifest(args, model.to_config(), outputs, inputs=inputs))
     print(f"{field.seeds.shape[0]} seed cells; wrote {', '.join(outputs)}")
-    return EXIT_OK
 
 
 def _cmd_trajectory(args):
-    started = time.perf_counter()
     model, inputs = _resolve_model(args)
-    result = _solve_and_pick(model, args)
-    if isinstance(result, int):
-        return result
-    run, picked = result
+    _, picked = _solve_and_pick(model, args)
     record = picked[0]
-    traj = synthesize(run.spectral, record.solution, args.samples)
+    traj = synthesize(record.solution, args.samples)
     outputs = []
     if args.format in ("all", "csv"):
         to_csv(traj, f"{args.out}.csv")
@@ -256,31 +231,29 @@ def _cmd_trajectory(args):
     if args.format in ("all", "svg"):
         to_svg(traj, f"{args.out}.svg")
         outputs.append(f"{args.out}.svg")
-    outputs.append(_write_manifest(args.out, "trajectory", model.to_config(), outputs, started, inputs=inputs))
+    outputs.append(_write_manifest(args, model.to_config(), outputs, inputs=inputs))
     print(f"tau={record.solution.times.tau:.6g} tau'={record.solution.times.tau_prime:.6g}; wrote {', '.join(outputs)}")
-    return EXIT_OK
 
 
 def _cmd_validate(args):
     model, _ = _resolve_model(args)
     traj = trajectory_from_json(args.trajectory)
     # the samples must be those of the stored solution, to SAMPLE_RTOL of each array's scale
-    fresh = synthesize(traj.meta.spectral, traj.meta, (traj.t.size - 1) // 2)
+    fresh = synthesize(traj.meta, (traj.t.size - 1) // 2)
     for name in ("t", "x", "xdot", "xddot", "energy", "constraint_force"):
         stored, expected = getattr(traj, name), getattr(fresh, name)
         atol = SAMPLE_RTOL * np.nanmax(np.abs(expected))
         if stored.shape != expected.shape or not np.allclose(
             stored, expected, rtol=0.0, atol=atol, equal_nan=True
         ):
-            print(f"trajectory samples disagree with their solution: {name}", file=sys.stderr)
-            return EXIT_VALIDATION_FAILED
+            raise ValidationFailedError(f"trajectory samples disagree with their solution: {name}")
     report = validate(traj.meta, model, tolerances=_tolerances_from_args(args))
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    return EXIT_OK if report.passed else EXIT_VALIDATION_FAILED
+    if not report.passed:
+        raise ValidationFailedError("the stored solution failed physical validation")
 
 
 def _cmd_analytic2(args):
-    started = time.perf_counter()
     solver = SOLVERS[args.family]
     rows = []
     for n in args.n:
@@ -306,34 +279,25 @@ def _cmd_analytic2(args):
     outputs = []
     _emit(payload, args, outputs, args.out)
     if args.out:
-        config = {k: v for k, v in vars(args).items() if k != "func"}
-        _write_manifest(args.out, "analytic2", config, outputs, started)
-    return EXIT_OK
-
-
-def _spectra_for_critical(args):
-    if args.config or args.model:
-        model, inputs = _resolve_model(args)
-        return analyze(model).spectra, inputs
-    if args.family:
-        return (
-            n2_spectrum(args.family, nu1=args.nu1, omega2=args.omega2, omega1p=args.omega1p),
-            [],
-        )
-    raise NoRootError("critical needs --model/--config, --family, or --study-c0")
+        config = {k: v for k, v in vars(args).items() if k not in ("func", "argv", "started")}
+        _write_manifest(args, config, outputs)
 
 
 def _cmd_critical(args):
-    started = time.perf_counter()
     if args.study_c0:
         summary = c0_sampling_study(args.samples, args.n_dof, args.seed)
         payload = summary.to_dict()
         outputs = []
         _emit(payload, args, outputs, args.out)
         if args.out:
-            _write_manifest(args.out, "critical", payload, outputs, started, seed=args.seed)
-        return EXIT_OK
-    spectra, inputs = _spectra_for_critical(args)
+            _write_manifest(args, payload, outputs, seed=args.seed)
+        return
+    if args.family:
+        spectra = n2_spectrum(args.family, nu1=args.nu1, omega2=args.omega2, omega1p=args.omega1p)
+        inputs = []
+    else:
+        model, inputs = _resolve_model(args)
+        spectra = analyze(model)
     limit = critical_limit(spectra)
     tau_c, c0 = solve_critical(limit)
     payload = {"tau_critical": tau_c, "c0": c0}
@@ -346,21 +310,39 @@ def _cmd_critical(args):
     outputs = []
     _emit(payload, args, outputs, args.out)
     if args.out:
-        _write_manifest(args.out, "critical", payload, outputs, started, inputs=inputs)
-    return EXIT_OK
+        _write_manifest(args, payload, outputs, inputs=inputs)
+
+
+def _load_fixtures(path, computed):
+    """Reference table from a JSON object of reproduced quantities, each shaped as computed."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise TypeError("expected a JSON object")
+        reference = {name: np.asarray(value, dtype=float) for name, value in raw.items()}
+    except (OSError, ValueError, TypeError) as exc:
+        raise InvalidParameterError(
+            f"cannot read fixtures file {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+    shapes = {name: np.shape(value) for name, value in computed.items()}
+    for name, value in reference.items():
+        if shapes.get(name) != value.shape:
+            raise InvalidParameterError(
+                f"fixtures file {path}: {name!r} of shape {value.shape} is not one of {shapes}"
+            )
+    return reference
 
 
 def _cmd_reproduce(args):
-    model = builtin_model("armed-biped")
-    spectral = analyze(model)
-    run = solve_model(model)
-    record = pick_records(run, "lowest-row")[0]
-    solution = record.solution
+    run = solve_model(builtin_model("armed-biped"))
+    spectral = run.spectral
+    solution = pick_records(run, "lowest-row")[0].solution
     computed = {
         "lam": spectral.lam,
         "lam_prime": spectral.lam_prime,
         "norm_const": spectral.norm_const,
-        "cauchy": spectral.spectra.M,
+        "cauchy": spectral.M,
         "mode_matrix": spectral.mode_matrix,
         "mode_matrix_prime": spectral.mode_matrix_prime,
         "tau": solution.times.tau,
@@ -368,13 +350,8 @@ def _cmd_reproduce(args):
         "q": solution.q,
         "q_prime": solution.q_prime,
     }
-    reference = REFERENCE
-    tolerances = TOLERANCES
-    if args.fixtures:
-        with open(args.fixtures) as fh:
-            raw = json.load(fh)
-        reference = {k: np.asarray(v) for k, v in raw.items()}
-    rows = compare_reference(computed, reference, tolerances)
+    reference = _load_fixtures(args.fixtures, computed) if args.fixtures else REFERENCE
+    rows = compare_reference(computed, reference, TOLERANCES)
     if args.json:
         payload = {
             "rows": [vars(r) for r in rows],
@@ -387,7 +364,8 @@ def _cmd_reproduce(args):
             status = "pass" if r.passed else "FAIL"
             print(f"{r.name:<{width}}  max diff {r.max_diff:11.4e}  tol {r.tolerance:8.1e} ({r.mode})  {status}")
         print("all quantities reproduced" if all(r.passed for r in rows) else "MISMATCH")
-    return EXIT_OK if all(r.passed for r in rows) else EXIT_REFERENCE_MISMATCH
+    if not all(r.passed for r in rows):
+        raise ReferenceMismatchError("reproduced values differ from the reference table")
 
 
 def build_parser():
@@ -444,13 +422,14 @@ def build_parser():
     p.set_defaults(func=_cmd_analytic2)
 
     p = sub.add_parser("critical", help="critical-region report or c0 sampling study")
-    _add_model_args(p)
-    p.add_argument("--family", choices=sorted(SOLVERS), default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    _add_model_args(source)
+    source.add_argument("--family", choices=sorted(SOLVERS), default=None)
+    source.add_argument("--study-c0", action="store_true")
     p.add_argument("--nu1", type=float, default=None)
     p.add_argument("--omega2", type=float, default=None)
     p.add_argument("--omega1p", type=float, default=None)
     p.add_argument("--branches", type=_parse_branches, default=None, help="asymptotic branches, e.g. 3..6")
-    p.add_argument("--study-c0", action="store_true")
     p.add_argument("--n", dest="n_dof", type=int, default=3)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -468,15 +447,17 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    global _current_argv
-    _current_argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; a CollisionlessError exits with its class's ``exit_code``."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
+    args.started = time.perf_counter()
     try:
-        return args.func(args)
+        args.func(args)
     except CollisionlessError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

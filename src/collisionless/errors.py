@@ -2,7 +2,8 @@
 
 
 class CollisionlessError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; ``exit_code`` is its CLI exit status."""
+    exit_code = 1
 
 
 class InvalidModelError(CollisionlessError, ValueError):
@@ -42,15 +43,28 @@ class PoleError(CollisionlessError):
 
 class NoRootError(CollisionlessError):
     """A bracketed search found no root in the requested interval."""
+    exit_code = 3
 
 
 class ConvergenceError(CollisionlessError):
     """Iterative refinement failed to converge."""
+    exit_code = 3
 
 
 class NoExistenceError(CollisionlessError):
     """The solution existence condition (largest contact eigenvalue > 0) fails."""
+    exit_code = 2
 
 
 class DegenerateSolutionError(CollisionlessError):
     """The mode-weight linear system is singular at the root."""
+
+
+class ValidationFailedError(CollisionlessError):
+    """Every converged root, or a stored trajectory, failed physical validation."""
+    exit_code = 4
+
+
+class ReferenceMismatchError(CollisionlessError):
+    """Reproduced values differ from the reference table beyond tolerance."""
+    exit_code = 5

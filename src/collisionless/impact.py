@@ -370,7 +370,6 @@ class ContourField:
     o_p_axis: np.ndarray
     det_a: np.ndarray            # top-mode row dropped
     det_b: np.ndarray            # amplitude-sum row dropped
-    phi: np.ndarray
     seeds: np.ndarray
 
     @cached_property
@@ -388,10 +387,11 @@ class ContourField:
             writer = csv.writer(fh)
             writer.writerow(["o_n", "o_prime", "det_a", "det_b", "phi"])
             for i, on in enumerate(self.o_n_axis):
+                phi_row = self.det_a[i] * self.det_b[i]
                 for j, op in enumerate(self.o_p_axis):
                     writer.writerow(
                         [f"{on:.10g}", f"{op:.10g}", f"{self.det_a[i, j]:.12e}",
-                         f"{self.det_b[i, j]:.12e}", f"{self.phi[i, j]:.12e}"]
+                         f"{self.det_b[i, j]:.12e}", f"{phi_row[j]:.12e}"]
                     )
 
     def to_svg(self, path, asymptotes=None, marked=None):
@@ -431,7 +431,6 @@ def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> Contour
         o_p_axis=o_p_axis,
         det_a=det_a,
         det_b=det_b,
-        phi=det_a * det_b,
         seeds=_component_seeds(both, o_n_axis, o_p_axis),
     )
 
@@ -543,8 +542,7 @@ def reduction_gap(spectral: SpectralData, tau: float, tau_prime: float) -> float
     n = spectral.n
     X = spectral.mode_matrix
     lam = spectral.lam
-    spectra = spectral.spectra
-    M, eta_vec = spectra.M, spectra.eta
+    M, eta_vec = spectral.M, spectral.eta
     A, _ = assemble_impact_matrix(spectral, tau, tau_prime)
     g, gd = mode_motion_vec(tau, lam, spectral.sigma)
     gp, _ = mode_motion_vec(-tau_prime, spectral.lam_prime, spectral.sigma_prime)
@@ -559,7 +557,7 @@ def reduction_gap(spectral: SpectralData, tau: float, tau_prime: float) -> float
     S_left[2 * n, :n] = (eta_vec * lam) @ D1
     S_left[2 * n, 2 * n] = 1.0
     S_right = np.diag(np.concatenate([row_n / g, -1.0 / gp, [-1.0 / spectral.norm_const]]))
-    U = _u_matrix(tau, tau_prime, spectra, M)
+    U = _u_matrix(tau, tau_prime, spectral, M)
     target = np.zeros((2 * n + 1, 2 * n))
     target[:n, :n] = np.eye(n)
     target[:n, n : 2 * n - 1] = M

@@ -86,13 +86,12 @@ def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
         raise NoExistenceError(
             f"largest contact eigenvalue {spectral.lam_prime[-1]:.6g} is not positive"
         )
-    spectra = spectral.spectra
-    contour = scan_contour(spectra, grid)
+    contour = scan_contour(spectral, grid)
     roots = []
     failed = 0
     for seed in contour.seeds:
         try:
-            times = refine_root(seed, spectra, spectra.M, spectra.eta)
+            times = refine_root(seed, spectral, spectral.M, spectral.eta)
         except ConvergenceError:
             failed += 1
             continue

@@ -17,10 +17,11 @@ import numpy as np
 
 from .errors import (
     DegenerateSpectrumError,
+    InvalidParameterError,
     NormalizationError,
     ZeroModeError,
 )
-from .model import ModelSpec, SpectrumPair
+from .model import ModelSpec, SpectrumPair, _frozen
 
 __all__ = [
     "SpectralData",
@@ -99,25 +100,32 @@ def static_offset(model: ModelSpec) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralData:
-    """Complete mode data of a model: spectra, mode matrices, normalization, offset."""
+class SpectralData(SpectrumPair):
+    """The validated spectrum pair of a model with its mode matrix, normalization and offset."""
 
-    lam: np.ndarray
     mode_matrix: np.ndarray
     norm_const: float
-    lam_prime: np.ndarray
-    mode_matrix_prime: np.ndarray
     static_offset: np.ndarray
-    sigma: np.ndarray
-    sigma_prime: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        n = self.n
+        for name, shape in (("mode_matrix", (n, n)), ("static_offset", (n,))):
+            value = _frozen(getattr(self, name))
+            if value.shape != shape:
+                raise InvalidParameterError(f"{name} must have shape {shape}, got {value.shape}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "norm_const", float(self.norm_const))
 
     @property
-    def n(self) -> int:
-        return self.lam.shape[0]
+    def spectra(self) -> SpectrumPair:
+        """The spectrum pair, which is this object itself."""
+        return self
 
     @cached_property
-    def spectra(self) -> SpectrumPair:
-        return SpectrumPair(self.lam, self.lam_prime, self.sigma, self.sigma_prime)
+    def mode_matrix_prime(self) -> np.ndarray:
+        """Read-only contact-phase mode matrix (``constrained_modes``)."""
+        return _frozen(constrained_modes(self.mode_matrix, self.M))
 
     @cached_property
     def mass_matrix(self) -> np.ndarray:
@@ -148,19 +156,12 @@ def analyze(model: ModelSpec) -> SpectralData:
         raise NormalizationError(
             "a mode has (numerically) zero amplitude on the contact coordinate"
         )
-    lam_prime = constrained_spectrum(model)
-    pair = SpectrumPair(lam, lam_prime, model.sigma, model.sigma_prime)   # checks interlacing
-    X_prime = constrained_modes(X, pair.M)
-    x0 = static_offset(model)
-    for arr in (lam, X, lam_prime, X_prime, x0):
-        arr.setflags(write=False)
     return SpectralData(
         lam=lam,
-        mode_matrix=X,
-        norm_const=c,
-        lam_prime=lam_prime,
-        mode_matrix_prime=X_prime,
-        static_offset=x0,
+        lam_prime=constrained_spectrum(model),   # SpectrumPair checks interlacing
         sigma=model.sigma,
         sigma_prime=model.sigma_prime,
+        mode_matrix=X,
+        norm_const=c,
+        static_offset=static_offset(model),
     )

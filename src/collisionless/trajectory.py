@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import CollisionlessError, InvalidParameterError
 from .impact import ImpactSolution, ImpactTimes, mode_motion_vec
 from .model import ModelSpec
 from .spectral import SpectralData
@@ -39,9 +39,8 @@ __all__ = [
     "trajectory_from_json",
 ]
 
-PHASE_FREE = 0
-PHASE_CONTACT = 1
-_PHASE_NAMES = {PHASE_FREE: "unconstrained", PHASE_CONTACT: "constrained"}
+# CSV label of each value of ``Trajectory.phase``
+_PHASE_NAMES = ("unconstrained", "constrained")
 
 # Samples per full phase in ``validate``.
 CHECK_SAMPLES = 2001
@@ -84,34 +83,42 @@ class Trajectory:
     """Sampled half-cycle with per-sample energy and contact force.
 
     ``t`` runs from 0 (free symmetry point) to tau + tau' (contact symmetry
-    point); ``phase`` is 0 on [0, tau] and 1 afterwards; ``constraint_force``
-    is NaN on free samples.
+    point), with the impact at its middle sample; ``constraint_force`` is NaN
+    on free samples.
     """
 
     t: np.ndarray
-    phase: np.ndarray
     x: np.ndarray
     xdot: np.ndarray
     xddot: np.ndarray
     energy: np.ndarray
     constraint_force: np.ndarray
-    tau_mark: float
     meta: ImpactSolution
 
     @property
     def n(self) -> int:
         return self.x.shape[1]
 
+    @property
+    def tau_mark(self) -> float:
+        """Impact time tau of the solution."""
+        return self.meta.times.tau
 
-def synthesize(spectral: SpectralData, solution: ImpactSolution,
-               samples_per_phase: int = 500) -> Trajectory:
-    """Sample the half-cycle trajectory analytically (no integration).
+    @property
+    def phase(self) -> np.ndarray:
+        """Per-sample phase: 0 up to and including the impact sample, 1 after it."""
+        return (np.arange(self.t.size) > self.t.size // 2).astype(int)
+
+
+def synthesize(solution: ImpactSolution, samples_per_phase: int = 500) -> Trajectory:
+    """Sample the half-cycle trajectory of a solution analytically (no integration).
 
     Each phase contributes ``samples_per_phase`` intervals; the impact sample
     is shared, so the total row count is 2 * samples_per_phase + 1.
     """
     if samples_per_phase < 1:
         raise InvalidParameterError("samples_per_phase must be >= 1")
+    spectral = solution.spectral
     times = solution.times
     tau, taup = times.tau, times.tau_prime
     t_free = np.linspace(0.0, tau, samples_per_phase + 1)
@@ -123,21 +130,15 @@ def synthesize(spectral: SpectralData, solution: ImpactSolution,
     xd = np.vstack([xd_f, xd_c])
     xdd = np.vstack([xdd_f, xdd_c])
     t = np.concatenate([t_free, t_contact])
-    phase = np.concatenate(
-        [np.zeros(t_free.size, dtype=int), np.ones(t_contact.size, dtype=int)]
-    )
     force = np.full(t.size, np.nan)
-    contact_rows = phase == PHASE_CONTACT
-    force[contact_rows] = xdd_c @ spectral.mass_matrix[-1] + x_c @ spectral.stiffness_matrix[-1]
+    force[t_free.size:] = xdd_c @ spectral.mass_matrix[-1] + x_c @ spectral.stiffness_matrix[-1]
     return Trajectory(
         t=t,
-        phase=phase,
         x=x,
         xdot=xd,
         xddot=xdd,
         energy=_energy(spectral, x, xd),
         constraint_force=force,
-        tau_mark=tau,
         meta=solution,
     )
 
@@ -259,8 +260,9 @@ def to_csv(traj: Trajectory, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        phase = traj.phase
         for i in range(traj.t.size):
-            row = [f"{traj.t[i]:.12g}", _PHASE_NAMES[int(traj.phase[i])]]
+            row = [f"{traj.t[i]:.12g}", _PHASE_NAMES[phase[i]]]
             row += [f"{v:.12e}" for v in traj.x[i]]
             row += [f"{v:.12e}" for v in traj.xdot[i]]
             row += [f"{v:.12e}" for v in traj.xddot[i]]
@@ -275,8 +277,7 @@ def _spectral_to_dict(spectral: SpectralData) -> dict:
 
 
 def _spectral_from_dict(data: dict) -> SpectralData:
-    arrays = {f.name: np.array(data[f.name]) for f in fields(SpectralData) if f.name != "norm_const"}
-    return SpectralData(norm_const=float(data["norm_const"]), **arrays)
+    return SpectralData(**{f.name: data[f.name] for f in fields(SpectralData)})
 
 
 def to_json(traj: Trajectory, path):
@@ -284,13 +285,11 @@ def to_json(traj: Trajectory, path):
     sol = traj.meta
     payload = {
         "t": traj.t.tolist(),
-        "phase": traj.phase.tolist(),
         "x": traj.x.tolist(),
         "xdot": traj.xdot.tolist(),
         "xddot": traj.xddot.tolist(),
         "energy": traj.energy.tolist(),
         "constraint_force": [None if np.isnan(v) else v for v in traj.constraint_force],
-        "tau_mark": traj.tau_mark,
         "solution": {
             **sol.to_dict(),
             "spectral": _spectral_to_dict(sol.spectral),
@@ -303,8 +302,11 @@ def to_json(traj: Trajectory, path):
 def trajectory_from_json(path) -> Trajectory:
     """Read a trajectory written by ``to_json``.
 
-    A file that cannot be opened, is not JSON, or lacks a field raises
-    InvalidParameterError naming the file and the fault.
+    A file that cannot be opened, is not JSON, lacks a field, or stores
+    spectra that fail ``SpectrumPair``'s checks raises InvalidParameterError
+    naming the file and the fault.  Stored ``phase``, ``tau_mark`` and
+    ``mode_matrix_prime`` keys are ignored: those values are derived from
+    the solution.
     """
     try:
         with open(path) as fh:
@@ -333,16 +335,14 @@ def trajectory_from_json(path) -> Trajectory:
         )
         return Trajectory(
             t=np.array(payload["t"]),
-            phase=np.array(payload["phase"], dtype=int),
             x=np.array(payload["x"]),
             xdot=np.array(payload["xdot"]),
             xddot=np.array(payload["xddot"]),
             energy=np.array(payload["energy"]),
             constraint_force=force,
-            tau_mark=payload["tau_mark"],
             meta=solution,
         )
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, CollisionlessError) as exc:
         raise InvalidParameterError(
             f"cannot read trajectory file {path}: {type(exc).__name__}: {exc}"
         ) from exc

@@ -170,7 +170,7 @@ def test_criterion_5_cauchy_algebra(biped_spectral, rocker_model):
 
 def test_criterion_6_trajectory_physics(biped_run):
     record = cl.pick_records(biped_run, "lowest-row")[0]
-    traj = cl.synthesize(biped_run.spectral, record.solution, samples_per_phase=1000)
+    traj = cl.synthesize(record.solution, samples_per_phase=1000)
     assert traj.t.size == 2001
     energy_variation = (traj.energy.max() - traj.energy.min()) / np.abs(traj.energy).max()
     assert energy_variation < 1e-9

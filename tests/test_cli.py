@@ -41,7 +41,25 @@ def test_reproduce_perturbed_fixtures_exit5(tmp_path, capsys):
     path = tmp_path / "fixtures.json"
     path.write_text(json.dumps(perturbed))
     assert main(["reproduce", "--fixtures", str(path)]) == 5
-    assert "MISMATCH" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "MISMATCH" in captured.out
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fault", ["absent", "list", "unknown-key", "non-numeric", "wrong-shape"])
+def test_reproduce_rejects_bad_fixtures(tmp_path, capsys, fault):
+    path = tmp_path / "fixtures.json"
+    contents = {
+        "list": [1, 2],
+        "unknown-key": {"zzz": 1.0},
+        "non-numeric": {"tau": "abc"},
+        "wrong-shape": {"lam": [1, 2]},
+    }
+    if fault != "absent":
+        path.write_text(json.dumps(contents[fault]))
+    assert main(["reproduce", "--fixtures", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_solve_json_payload(capsys):
@@ -64,23 +82,26 @@ def test_solve_writes_outputs_and_manifest(tmp_path, capsys):
     assert "wall_time_s" in manifest and "version" in manifest
 
 
-def test_solve_no_existence_exit2(tmp_path, no_existence_model):
+def test_solve_no_existence_exit2(tmp_path, capsys, no_existence_model):
     config = tmp_path / "sunk.json"
     config.write_text(json.dumps(no_existence_model.to_config()))
     assert main(["solve", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_solve_no_root_exit3():
+def test_solve_no_root_exit3(capsys):
     # a window below the first root: seeds exist nowhere
     assert main(["solve", "--o-n-max", "1.0", "--o-p-max", "0.5"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_solve_validation_failed_exit4():
+def test_solve_validation_failed_exit4(capsys):
     # only the second row is inside this window; all of it is attractive
     code = main(
         ["solve", "--o-p-min", "3.2", "--o-p-max", "5.0", "--o-n-max", "8.0"]
     )
     assert code == 4
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solve_pick_all(capsys):
@@ -100,6 +121,7 @@ def test_solve_tol_scaling(capsys):
     # absurdly tight tolerances make even the true root fail validation
     code = main(["solve", "--tol", "1e-9"])
     assert code == 4
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_contour_csv_only(tmp_path, capsys):
@@ -150,24 +172,48 @@ def test_validate_rejects_edited_sample(tmp_path, capsys, name):
     assert name in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fault", ["missing-key", "truncated", "absent"])
+@pytest.mark.parametrize("fault", ["missing-key", "truncated", "absent", "unlaced", "sigma-five"])
 def test_validate_reports_unreadable_file(tmp_path, capsys, fault):
     path = tmp_path / "traj.json"
     if fault != "absent":
         assert main(["trajectory", "--out", str(tmp_path / "traj"), "--samples", "20",
                      "--format", "json"]) == 0
         text = path.read_text()
-        if fault == "missing-key":
-            payload = json.loads(text)
-            del payload["solution"]["spectral"]["lam"]
-            text = json.dumps(payload)
-        else:
+        if fault == "truncated":
             text = text[: len(text) // 2]
+        else:
+            payload = json.loads(text)
+            spectral = payload["solution"]["spectral"]
+            if fault == "missing-key":
+                del spectral["lam"]
+            elif fault == "unlaced":
+                spectral["lam"] = spectral["lam"][::-1]
+            else:
+                spectral["sigma"] = [5] * len(spectral["sigma"])
+            text = json.dumps(payload)
         path.write_text(text)
     capsys.readouterr()
     assert main(["validate", "--trajectory", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("stored", ["exact", "edited"])
+def test_validate_derives_constrained_modes(tmp_path, capsys, stored):
+    # a stored mode_matrix_prime is ignored: X' is derived from the stored modes
+    assert main(["trajectory", "--out", str(tmp_path / "traj"), "--samples", "20",
+                 "--format", "json"]) == 0
+    path = tmp_path / "traj.json"
+    payload = json.loads(path.read_text())
+    expected = cl.analyze(cl.build_armed_biped()).mode_matrix_prime
+    payload["solution"]["spectral"]["mode_matrix_prime"] = (
+        expected if stored == "exact" else 2 * expected
+    ).tolist()
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["validate", "--trajectory", str(path)]) == 0
+    derived = cl.trajectory_from_json(path).meta.spectral.mode_matrix_prime
+    assert derived.tobytes() == expected.tobytes()
 
 
 def test_analytic2_rocker_table(capsys):
@@ -225,6 +271,25 @@ def test_critical_family_report(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["c0"] > 0
     assert len(payload["asymptotic_grid"]) == 2
+
+
+def test_critical_needs_one_source():
+    with pytest.raises(SystemExit) as info:
+        main(["critical"])
+    assert info.value.code == 64
+    with pytest.raises(SystemExit) as info:
+        main(["critical", "--model", "armed-biped", "--study-c0"])
+    assert info.value.code == 64
+
+
+def test_critical_no_root_exit3(monkeypatch, capsys):
+    def no_root(limit):
+        raise cl.NoRootError("no critical root in the window")
+
+    monkeypatch.setattr(cli, "solve_critical", no_root)
+    assert main(["critical", "--family", "rocker", "--nu1", "1", "--omega2", "2",
+                 "--omega1p", "0.3"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("grid", [["--grid-step", "0"], ["--grid-step", "nan"], ["--o-n-max", "inf"]])

@@ -100,3 +100,16 @@ def test_solve_never_synthesizes(rocker_model, monkeypatch):
     monkeypatch.setattr("collisionless.pipeline.synthesize", forbidden, raising=False)
     run = cl.solve_model(rocker_model)
     assert run.records and any(r.accepted for r in run.records)
+
+
+def test_solve_builds_cauchy_matrix_once(biped, monkeypatch):
+    build = cl.model.cauchy_matrix
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr("collisionless.model.cauchy_matrix", counting)
+    cl.solve_model(cl.build_armed_biped())
+    assert len(calls) == 1

@@ -160,3 +160,26 @@ def test_spectra_property(biped_spectral):
     pair = biped_spectral.spectra
     np.testing.assert_array_equal(pair.lam, biped_spectral.lam)
     np.testing.assert_array_equal(pair.sigma, [-1, -1, -1])
+
+
+def test_spectral_data_is_its_spectrum_pair(biped):
+    spectral = cl.analyze(biped)
+    assert isinstance(spectral, cl.SpectrumPair)
+    assert spectral.spectra is spectral
+    Xp = spectral.mode_matrix_prime
+    assert Xp is spectral.mode_matrix_prime
+    assert np.array_equal(Xp, cl.constrained_modes(spectral.mode_matrix, spectral.M))
+    with pytest.raises(ValueError):
+        Xp[0, 0] = 0.0
+
+
+def test_spectral_data_rejects_misshaped_modes(biped_spectral):
+    fields = dict(
+        lam=biped_spectral.lam, lam_prime=biped_spectral.lam_prime,
+        sigma=biped_spectral.sigma, sigma_prime=biped_spectral.sigma_prime,
+        mode_matrix=biped_spectral.mode_matrix, norm_const=biped_spectral.norm_const,
+        static_offset=biped_spectral.static_offset,
+    )
+    for name, value in (("mode_matrix", np.eye(2)), ("static_offset", np.zeros(2))):
+        with pytest.raises(cl.InvalidParameterError):
+            cl.SpectralData(**{**fields, name: value})

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ import collisionless as cl
 
 
 @pytest.fixture(scope="module")
-def biped_traj(biped_spectral, biped_solution):
-    return cl.synthesize(biped_spectral, biped_solution, samples_per_phase=400)
+def biped_traj(biped_solution):
+    return cl.synthesize(biped_solution, samples_per_phase=400)
 
 
 def test_sample_layout(biped_traj, biped_solution):
@@ -43,7 +45,7 @@ def test_odd_free_modes_start_at_zero_position():
     model = cl.n2_model(pair, static_force=1.0)
     run = cl.solve_model(model, cl.GridSpec(o_n_max=7.0, o_p_max=1.5))
     record = run.records[0]
-    traj = cl.synthesize(run.spectral, record.solution, 100)
+    traj = cl.synthesize(record.solution, 100)
     assert np.abs(traj.x[0]).max() < 1e-12 * max(np.abs(traj.x).max(), 1.0)
 
 
@@ -65,7 +67,7 @@ def test_acceleration_cusp_at_impact(biped_traj, biped_spectral, biped_solution)
 
 
 def test_energy_constant(biped_spectral, biped_solution):
-    traj = cl.synthesize(biped_spectral, biped_solution, samples_per_phase=1000)
+    traj = cl.synthesize(biped_solution, samples_per_phase=1000)
     variation = (traj.energy.max() - traj.energy.min()) / np.abs(traj.energy).max()
     assert variation < 1e-9
 
@@ -92,7 +94,7 @@ def test_validation_fails_on_detuned_root(biped_spectral, biped_solution, biped)
         residual=(np.nan, np.nan),
     )
     solution = cl.build_solution(biped_spectral, detuned)
-    traj = cl.synthesize(biped_spectral, solution, 200)
+    traj = cl.synthesize(solution, 200)
     report = cl.validate(solution, biped)
     assert not report.passed
     assert report.impact_velocity_residual > 1e-8 * np.abs(traj.xdot).max()
@@ -146,6 +148,19 @@ def test_json_roundtrip_bitwise(tmp_path, biped_traj):
     assert report.passed
 
 
+def test_json_derives_tau_mark_and_phase(tmp_path, biped_traj):
+    # stored tau_mark and phase keys are ignored: both are derived from the solution
+    path = tmp_path / "traj.json"
+    cl.to_json(biped_traj, path)
+    payload = json.loads(path.read_text())
+    payload["tau_mark"] = 123.0
+    payload["phase"] = [1] * biped_traj.t.size
+    path.write_text(json.dumps(payload))
+    clone = cl.trajectory_from_json(path)
+    assert clone.tau_mark == biped_traj.meta.times.tau
+    assert np.array_equal(clone.phase, biped_traj.phase)
+
+
 def test_svg_export(tmp_path, biped_traj):
     path = tmp_path / "traj.svg"
     cl.to_svg(biped_traj, path)
@@ -156,4 +171,4 @@ def test_svg_export(tmp_path, biped_traj):
 
 def test_synthesize_validates_sample_count(biped_spectral, biped_solution):
     with pytest.raises(cl.InvalidParameterError):
-        cl.synthesize(biped_spectral, biped_solution, samples_per_phase=0)
+        cl.synthesize(biped_solution, samples_per_phase=0)
