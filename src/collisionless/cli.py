@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import fields
@@ -446,6 +447,15 @@ def build_parser():
     return parser
 
 
+def _check_out_dir(prefix):
+    """Reject an output prefix whose directory does not exist, before any work is done."""
+    if prefix is None:
+        return
+    directory = os.path.dirname(prefix) or "."
+    if not os.path.isdir(directory):
+        raise InvalidParameterError(f"output directory does not exist: {directory}")
+
+
 def main(argv=None) -> int:
     """Run one command; a CollisionlessError exits with its class's ``exit_code``."""
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -453,6 +463,7 @@ def main(argv=None) -> int:
     args.argv = argv
     args.started = time.perf_counter()
     try:
+        _check_out_dir(getattr(args, "out", None))
         args.func(args)
     except CollisionlessError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidParameterError, NoRootError
 from .impact import phase_rate
@@ -35,8 +35,16 @@ __all__ = [
 ]
 
 
-# Tau samples of the critical bracket scan.
+# Tau samples of the critical bracket scan, evaluated in ascending blocks of
+# _SCAN_BLOCK intervals; _O_MAX is the default end of the scanned o_N range.
 _SCAN_POINTS = 1200
+_SCAN_BLOCK = 32
+_O_MAX = 6 * np.pi
+# Bracket-polish stopping test: width below _XTOL + _RTOL * tau.
+_XTOL = 1e-13
+_RTOL = 8.9e-16
+# Samples a c0 study draws and solves at once.
+_STUDY_CHUNK = 128
 
 
 def existence_gate(lam_prime) -> bool:
@@ -72,51 +80,80 @@ def _require_limit(spectra: SpectrumPair):
         raise InvalidParameterError("top free eigenvalue must be positive")
 
 
-def _hyperbolic_rates(taus, spectra):
-    """w_i(tau) for the (all-hyperbolic) non-top free modes, batched over taus."""
-    lam_bar = spectra.lam[:-1]
-    nu = np.sqrt(-lam_bar)
-    th = np.tanh(nu[None, :] * taus[:, None])
-    return np.where(spectra.sigma[:-1][None, :] == 1, -th * nu[None, :], -nu[None, :] / th)
+class _Stack(NamedTuple):
+    """Spectra in the critical limit, S of them stacked on axis 0.
+
+    Holds only what the critical kernel reads: the free spectra and
+    signatures, the non-top contact frequencies (0 in the top slot), the
+    non-top rows of M, the three weight rows (m_row, m_row_scaled, ones)
+    and sum(eta).
+    """
+
+    lam: np.ndarray          # (S, n)
+    sigma: np.ndarray        # (S, n)
+    nu_p: np.ndarray         # (S, n-1)
+    m_bar: np.ndarray        # (S, n-1, n-1)
+    rows: np.ndarray         # (S, 3, n-1)
+    eta_sum: np.ndarray      # (S,)
+
+    def take(self, idx) -> _Stack:
+        return _Stack(*(field[idx] for field in self))
 
 
-def _k_ingredients(w_bar, spectra):
-    """Batched pieces of the 2x2 critical system over rows of hyperbolic rates.
+def _stack(pairs) -> _Stack:
+    """Stack spectra of one dimension; each pair's M and eta are its own cached ones."""
+    lam = np.stack([p.lam for p in pairs])
+    lam_prime = np.stack([p.lam_prime for p in pairs])
+    M = np.stack([p.M for p in pairs])
+    nu_p = np.zeros_like(lam_prime)
+    nu_p[:, :-1] = np.sqrt(-lam_prime[:, :-1])
+    m_row = M[:, -1, :]
+    rows = np.stack([m_row, m_row * nu_p / lam[:, -1:], np.ones_like(m_row)], axis=1)
+    return _Stack(
+        lam=lam,
+        sigma=np.stack([p.sigma for p in pairs]),
+        nu_p=nu_p,
+        m_bar=M[:, :-1, :],
+        rows=rows,
+        eta_sum=np.array([float(np.sum(p.eta)) for p in pairs]),
+    )
 
-    ``w_bar`` (T, n-1) holds the rates of the non-top free modes.  Returns
-    (P0, P1, S, r): the first K row is P0 + w_N * P1 plus the rank-one
-    r [1, w_N] term, and the second row is S (independent of w_N), so
+
+def _hyperbolic_rates(taus, stack):
+    """w_i(tau) (S, T, n-1) of the (all-hyperbolic) non-top free modes at taus (S, T)."""
+    nu = np.sqrt(-stack.lam[:, None, :-1])
+    th = np.tanh(nu * taus[:, :, None])
+    return np.where(stack.sigma[:, None, :-1] == 1, -th * nu, -nu / th)
+
+
+def _k_ingredients(w_bar, stack):
+    """Pieces of the 2x2 critical system for stacked rows of hyperbolic rates.
+
+    ``w_bar`` (S, T, n-1) holds the rates of the non-top free modes of each
+    of the S spectra at T taus.  Returns (P0, P1, S, r) with leading axes
+    (S, T): the first K row is P0 + w_N * P1 plus the rank-one r [1, w_N]
+    term, and the second row is S (independent of w_N), so
     det(K + K~) = A + B w_N with A, B affine combinations of these.
     """
-    n = spectra.n
-    lam = spectra.lam
-    lam_bar = lam[:-1]
-    nu_p = np.concatenate([np.sqrt(-spectra.lam_prime[:-1]), [0.0]])
-    M = spectra.M
-    u_bar = M[None, :-1, :] * (
-        1.0 + w_bar[:, :, None] * nu_p[None, None, :] / lam_bar[None, :, None]
+    lam_bar = stack.lam[:, :-1]
+    u_bar = stack.m_bar[:, None] * (
+        1.0 + w_bar[..., None] * stack.nu_p[:, None, None, :] / lam_bar[:, None, :, None]
     )
     det_u = np.linalg.det(u_bar)
     with np.errstate(all="ignore"):
-        adj_u = det_u[:, None, None] * np.linalg.inv(u_bar)
-    weighted = adj_u / (lam_bar ** 2)[None, None, :]
-    ones = np.ones(n - 1)
-    rhs = np.stack([np.broadcast_to(ones, w_bar.shape), w_bar], axis=-1)   # (T, n-1, 2)
-    eta_sum = float(np.sum(spectra.eta))
-    m_row = M[-1, :]
-    m_row_scaled = m_row * nu_p / lam[-1]
-    P0 = np.einsum("j,tjk,tkl->tl", m_row, weighted, rhs)
-    P1 = np.einsum("j,tjk,tkl->tl", m_row_scaled, weighted, rhs)
-    S = eta_sum * np.einsum("j,tjk,tkl->tl", ones, weighted, rhs)
-    r = det_u / lam[-1] ** 2
-    return P0, P1, S, r
+        adj_u = det_u[..., None, None] * np.linalg.inv(u_bar)
+    weighted = adj_u / (lam_bar ** 2)[:, None, None, :]
+    rhs = np.stack([np.ones_like(w_bar), w_bar], axis=-1)          # (S, T, n-1, 2)
+    P = stack.rows[:, None] @ weighted @ rhs                        # (S, T, 3, 2)
+    r = det_u / stack.lam[:, -1:] ** 2
+    return P[..., 0, :], P[..., 1, :], stack.eta_sum[:, None, None] * P[..., 2, :], r
 
 
-def _det_terms(w_bar, spectra):
-    """(A, B, S): det(K + K~) = A + B w_N, and the second K row S, per row of w_bar."""
-    P0, P1, S, r = _k_ingredients(w_bar, spectra)
-    A = (P0[:, 0] + r) * S[:, 1] - P0[:, 1] * S[:, 0]
-    B = P1[:, 0] * S[:, 1] - (P1[:, 1] + r) * S[:, 0]
+def _det_terms(w_bar, stack):
+    """(A, B, S): det(K + K~) = A + B w_N, and the second K row S, per (sample, tau)."""
+    P0, P1, S, r = _k_ingredients(w_bar, stack)
+    A = (P0[..., 0] + r) * S[..., 1] - P0[..., 1] * S[..., 0]
+    B = P1[..., 0] * S[..., 1] - (P1[..., 1] + r) * S[..., 0]
     return A, B, S
 
 
@@ -127,59 +164,112 @@ def critical_matrices(tau: float, spectra: SpectrumPair):
     dropped out in the limit).  det(K + K~) = 0 fixes tau; c0 = -K[1,1]/K[1,0].
     """
     _require_limit(spectra)
-    taus = np.atleast_1d(float(tau))
-    P0, P1, S, r = _k_ingredients(_hyperbolic_rates(taus, spectra), spectra)
+    stack = _stack([spectra])
+    P0, P1, S, r = (
+        v[0, 0] for v in _k_ingredients(_hyperbolic_rates(np.array([[float(tau)]]), stack), stack)
+    )
     w_top = phase_rate(tau, spectra.lam[-1:], spectra.sigma[-1:])[0]
-    K = np.vstack([P0[0] + w_top * P1[0], S[0]])
-    K_tilde = np.array([[r[0], r[0] * w_top], [0.0, 0.0]])
+    K = np.vstack([P0 + w_top * P1, S])
+    K_tilde = np.array([[r, r * w_top], [0.0, 0.0]])
     return K, K_tilde
 
 
-def _depoled_residual(taus, spectra):
-    """det(K + K~) multiplied through by the tan/cot denominator of w_N.
+def _depoled_residual(taus, stack):
+    """det(K + K~) multiplied through by the tan/cot denominator of w_N, at taus (S, T).
 
     The determinant is affine in w_N, so this form is continuous in tau and
     its sign changes bracket genuine roots only (never w_N poles).
     """
-    A, B, _ = _det_terms(_hyperbolic_rates(taus, spectra), spectra)
-    om_top = np.sqrt(spectra.lam[-1])
+    A, B, _ = _det_terms(_hyperbolic_rates(taus, stack), stack)
+    om_top = np.sqrt(stack.lam[:, -1:])
     o_top = om_top * taus
-    if spectra.sigma[-1] == 1:
-        return A * np.cos(o_top) + B * om_top * np.sin(o_top)
-    return A * np.sin(o_top) - B * om_top * np.cos(o_top)
+    cos, sin = np.cos(o_top), np.sin(o_top)
+    return np.where(stack.sigma[:, -1:] == 1, A * cos + B * om_top * sin, A * sin - B * om_top * cos)
 
 
-def _brackets(spectra, o_max):
-    """Ascending tau intervals over which the depoled residual changes sign."""
-    _require_limit(spectra)
-    om_top = np.sqrt(spectra.lam[-1])
-    taus = np.linspace(1e-3 / om_top, o_max / om_top, _SCAN_POINTS)
-    vals = _depoled_residual(taus, spectra)
-    finite = np.isfinite(vals)
-    signs = np.sign(vals)
-    idx = np.nonzero((signs[:-1] * signs[1:] < 0) & finite[:-1] & finite[1:])[0]
-    return [(taus[i], taus[i + 1]) for i in idx]
+def _itp(stack, a, b, fa, fb):
+    """Roots of the depoled residual in the sign-change brackets [a, b], in lockstep.
+
+    The ITP iteration (Oliveira & Takahashi 2020, ACM TOMS 47(1)) with
+    k1 = 0.2 / (b - a), k2 = 2 and n0 = 1: a regula-falsi point, truncated
+    toward the midpoint and projected into a radius that keeps bisection's
+    worst case.  Each bracket stops once it is narrower than
+    _XTOL + _RTOL * a, brentq's test at the same tolerances, and returns the
+    regula-falsi point of its final bracket.  The truncation is at least
+    half that width: once the regula-falsi point has converged, k1 (b - a)^2
+    falls below the rounding of tau and the far end would only move by
+    projection, one bisection step at a time.  One residual evaluation per
+    iteration serves every open bracket.
+    """
+    a, b, fa, fb = (np.array(v, float) for v in (a, b, fa, fb))
+    width_tol = _XTOL + _RTOL * a
+    k1 = 0.2 / (b - a)
+    n_max = np.ceil(np.log2((b - a) / width_tol)) + 1.0
+    open_ = np.nonzero(b - a > width_tol)[0]
+    j = 0
+    while open_.size:
+        lo, hi, f_lo, f_hi = a[open_], b[open_], fa[open_], fb[open_]
+        mid = 0.5 * (lo + hi)
+        radius = np.maximum(0.5 * width_tol[open_] * 2.0 ** (n_max[open_] - j) - 0.5 * (hi - lo), 0.0)
+        delta = np.maximum(k1[open_] * (hi - lo) ** 2, 0.5 * width_tol[open_])
+        x_f = (hi * f_lo - lo * f_hi) / (f_lo - f_hi)
+        side = np.sign(mid - x_f)
+        x_t = np.where(delta <= np.abs(mid - x_f), x_f + side * delta, mid)
+        x = np.where(np.abs(x_t - mid) <= radius, x_t, mid - side * radius)
+        y = _depoled_residual(x[:, None], stack.take(open_))[:, 0]
+        right = y * f_lo > 0        # the root lies right of x
+        a[open_] = np.where(right | (y == 0), x, lo)
+        fa[open_] = np.where(right, y, f_lo)
+        b[open_] = np.where(right, hi, x)
+        fb[open_] = np.where(right, f_hi, y)
+        open_ = open_[b[open_] - a[open_] > width_tol[open_]]
+        j += 1
+    return (b * fa - a * fb) / (fa - fb)
 
 
-def _polish(spectra, lo, hi):
-    """Critical root (tau_c, c0) inside one sign-change bracket."""
-    tau_c = brentq(
-        lambda t: _depoled_residual(np.array([t]), spectra)[0],
-        lo,
-        hi,
-        xtol=1e-13,
-        rtol=8.9e-16,
-    )
-    _, _, S = _det_terms(_hyperbolic_rates(np.array([tau_c]), spectra), spectra)
-    return float(tau_c), float(-S[0, 1] / S[0, 0])
+def _first_roots(stack, o_max):
+    """First critical root (tau_c, c0) of each stacked sample; NaN where none is found.
+
+    Each sample's o_N = omega_N tau runs over the _SCAN_POINTS-point grid on
+    [1e-3, o_max].  The grid is evaluated in ascending blocks of _SCAN_BLOCK
+    intervals for every sample still scanning, and a sample leaves the scan
+    at its first block holding a finite sign change, so the rest of its grid
+    is never evaluated.  All first brackets are then polished together.
+    """
+    om_top = np.sqrt(stack.lam[:, -1])
+    grid = np.linspace(1e-3 / om_top, o_max / om_top, _SCAN_POINTS, axis=-1)
+    bracket = np.full((4, om_top.size), np.nan)        # lo, hi, f(lo), f(hi)
+    active = np.arange(om_top.size)
+    for start in range(0, _SCAN_POINTS - 1, _SCAN_BLOCK):
+        taus = grid[active, start:start + _SCAN_BLOCK + 1]
+        vals = _depoled_residual(taus, stack.take(active))
+        finite = np.isfinite(vals)
+        signs = np.sign(vals)
+        change = (signs[:, :-1] * signs[:, 1:] < 0) & finite[:, :-1] & finite[:, 1:]
+        hit = np.nonzero(change.any(axis=1))[0]
+        i = change[hit].argmax(axis=1)
+        bracket[:, active[hit]] = taus[hit, i], taus[hit, i + 1], vals[hit, i], vals[hit, i + 1]
+        active = np.delete(active, hit)
+        if not active.size:
+            break
+    tau_c = np.full(om_top.size, np.nan)
+    c0 = np.full(om_top.size, np.nan)
+    found = np.nonzero(~np.isnan(bracket[0]))[0]
+    if found.size:
+        sub = stack.take(found)
+        tau_c[found] = _itp(sub, *bracket[:, found])
+        _, _, S = _det_terms(_hyperbolic_rates(tau_c[found, None], sub), sub)
+        c0[found] = -S[:, 0, 1] / S[:, 0, 0]
+    return tau_c, c0
 
 
-def solve_critical(spectra: SpectrumPair, o_max: float = 6 * np.pi):
+def solve_critical(spectra: SpectrumPair, o_max: float = _O_MAX):
     """First critical root: (tau_critical, c0).  Raises NoRootError if none found."""
-    brackets = _brackets(spectra, o_max)
-    if not brackets:
+    _require_limit(spectra)
+    tau_c, c0 = _first_roots(_stack([spectra]), o_max)
+    if np.isnan(tau_c[0]):
         raise NoRootError(f"no critical root with o_N < {o_max:.4g}")
-    return _polish(spectra, *brackets[0])
+    return float(tau_c[0]), float(c0[0])
 
 
 def predicted_contact_phase(c0: float, lam_prime_top: float, sigma_prime_top: int) -> float:
@@ -229,11 +319,11 @@ def large_tau_asymptote(n: int, spectra: SpectrumPair) -> AsymptoticPoint:
         raise InvalidParameterError("top free eigenvalue must be positive")
     limit = critical_limit(spectra)
     nu_bar = np.sqrt(-limit.lam[:-1])
-    A, B, S = _det_terms(-nu_bar[None, :], limit)
-    if B[0] == 0:
+    A, B, S = (v[0, 0] for v in _det_terms(-nu_bar[None, None, :], _stack([limit])))
+    if B == 0:
         raise InvalidParameterError("degenerate asymptotic system")
-    w_top = -A[0] / B[0]
-    c0 = -S[0, 1] / S[0, 0]
+    w_top = -A / B
+    c0 = -S[1] / S[0]
     om_top = np.sqrt(spectra.lam[-1])
     sig_top = spectra.sigma[-1]
     o_n = (n - (1 - sig_top) / 4) * np.pi + np.arctan(w_top / om_top)
@@ -313,16 +403,14 @@ def c0_sampling_study(n_samples: int, n_dof: int, seed: int) -> StudySummary:
     failures = 0
     nonpositive = 0
     min_c0 = np.inf
-    for _ in range(n_samples):
-        spectra = _sample_critical_spectra(n_dof, rng)
-        try:
-            _, c0 = solve_critical(spectra)
-        except NoRootError:
-            failures += 1
-            continue
-        min_c0 = min(min_c0, c0)
-        if c0 <= 0:
-            nonpositive += 1
+    for start in range(0, n_samples, _STUDY_CHUNK):
+        count = min(_STUDY_CHUNK, n_samples - start)
+        pairs = [_sample_critical_spectra(n_dof, rng) for _ in range(count)]
+        tau_c, c0 = _first_roots(_stack(pairs), _O_MAX)
+        c0 = c0[~np.isnan(tau_c)]
+        failures += count - c0.size
+        nonpositive += int(np.count_nonzero(c0 <= 0))
+        min_c0 = min(min_c0, c0.min(initial=np.inf))
     return StudySummary(
         n_dof=n_dof,
         samples=n_samples,

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CollisionlessError, InvalidParameterError
 from .impact import ImpactSolution, ImpactTimes, mode_motion_vec
 from .model import ModelSpec
-from .spectral import SpectralData
+from .spectral import SpectralData, static_offset
 from .svgout import SvgCanvas
 
 __all__ = [
@@ -44,6 +44,10 @@ _PHASE_NAMES = ("unconstrained", "constrained")
 
 # Samples per full phase in ``validate``.
 CHECK_SAMPLES = 2001
+
+# Largest deviation of a solution's model quantity from the given model's,
+# relative to the largest entry of the model's.
+MODEL_RTOL = 1e-9
 
 
 def _free_state(spectral: SpectralData, q, t):
@@ -187,6 +191,21 @@ class ValidationReport:
         }
 
 
+def _check_same_model(spectral: SpectralData, model: ModelSpec):
+    """Raise InvalidParameterError unless the solution's spectral data derive from ``model``."""
+    if model.n != spectral.n:
+        raise InvalidParameterError("model and solution dimensions differ")
+    for name, ours, theirs in (
+        ("mass_matrix", spectral.mass_matrix, model.mass),
+        ("stiffness_matrix", spectral.stiffness_matrix, model.stiffness),
+        ("sigma", spectral.sigma, model.sigma),
+        ("sigma_prime", spectral.sigma_prime, model.sigma_prime),
+        ("static_offset", spectral.static_offset, static_offset(model)),
+    ):
+        if np.abs(ours - theirs).max() > MODEL_RTOL * np.abs(theirs).max():
+            raise InvalidParameterError(f"the solution is not one of this model: {name} differs")
+
+
 def validate(solution: ImpactSolution, model: ModelSpec,
              tolerances: ValidatorTolerances | None = None) -> ValidationReport:
     """Check impact conditions, conservation, clearance and contact force.
@@ -196,11 +215,14 @@ def validate(solution: ImpactSolution, model: ModelSpec,
     from CHECK_SAMPLES analytic samples of each full symmetric phase
     (t in [-tau, tau] and u in [-tau', tau']), where higher-branch roots
     reveal attractive-force stretches invisible on the emitted half cycle.
+
+    Raises InvalidParameterError, naming the quantity, when the solution's
+    derived mass or stiffness matrix, signatures or static offset differ
+    from the model's by more than MODEL_RTOL of its largest entry.
     """
     tol = tolerances or ValidatorTolerances()
     spectral = solution.spectral
-    if model.n != spectral.n:
-        raise InvalidParameterError("model and solution dimensions differ")
+    _check_same_model(spectral, model)
     times = solution.times
     tau, taup = times.tau, times.tau_prime
     q, qp = solution.q, solution.q_prime

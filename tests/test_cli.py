@@ -216,6 +216,46 @@ def test_validate_derives_constrained_modes(tmp_path, capsys, stored):
     assert derived.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("validate_with", ["negated-force", "builtin"])
+def test_validate_rejects_solution_of_another_model(tmp_path, capsys, validate_with):
+    # exported from the biped with doubled matrices and static force; the spectra are the same
+    config = cl.build_armed_biped().to_config()
+    doubled = {**config, "mass": (2 * np.array(config["mass"])).tolist(),
+               "stiffness": (2 * np.array(config["stiffness"])).tolist(),
+               "static_force": 2 * config["static_force"]}
+    source = tmp_path / "doubled.json"
+    source.write_text(json.dumps(doubled))
+    assert main(["trajectory", "--config", str(source), "--out", str(tmp_path / "traj"),
+                 "--samples", "20", "--format", "json"]) == 0
+    if validate_with == "negated-force":
+        other = tmp_path / "negated.json"
+        other.write_text(json.dumps({**doubled, "static_force": -doubled["static_force"]}))
+        model_args, quantity = ["--config", str(other)], "static_offset"
+    else:
+        model_args, quantity = ["--model", "armed-biped"], "mass_matrix"
+    capsys.readouterr()
+    assert main(["validate", *model_args, "--trajectory", str(tmp_path / "traj.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and quantity in err
+    assert main(["validate", "--config", str(source),
+                 "--trajectory", str(tmp_path / "traj.json")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["contour", "--grid-step", "0.1"],
+    ["trajectory", "--samples", "20"],
+    ["analytic2", "--family", "rocker", "--nu1", "1", "--omega2", "2", "--omega1p", "1"],
+    ["critical", "--family", "rocker", "--nu1", "1", "--omega2", "2", "--omega1p", "0.3"],
+], ids=lambda argv: argv[0])
+def test_out_in_missing_directory_exit1(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    assert main([*argv, "--out", str(missing / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert not missing.exists()
+
+
 def test_analytic2_rocker_table(capsys):
     code = main(
         ["analytic2", "--family", "rocker", "--nu1", "1", "--omega2", "2",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import collisionless as cl
+from collisionless import critical
 from helpers import cauchy_inputs, near_critical_spectra
 
 
@@ -65,7 +67,8 @@ def test_critical_root_brackets_det_oracle():
         dets.append(np.linalg.det(K + K_tilde))
     dets = np.array(dets)
     signs = np.sign(dets)
-    crossing = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    # an exact zero of det on the grid counts as a crossing: it can fall on tau_c itself
+    crossing = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
     assert crossing.size >= 1
     lo, hi = taus[crossing[0]], taus[crossing[0] + 1]
     for _ in range(80):  # bisection oracle
@@ -185,3 +188,73 @@ def test_sampling_study_validates_args():
         cl.c0_sampling_study(0, 3, seed=1)
     with pytest.raises(cl.InvalidParameterError):
         cl.c0_sampling_study(10, 1, seed=1)
+
+
+@pytest.mark.parametrize("n_dof", [2, 3, 4, 5, 6])
+def test_study_stacked_path_matches_single_sample_solve(monkeypatch, n_dof):
+    # every sample's root from the study's chunked stacks, bit for bit against a solve alone
+    solved = []
+    first_roots = critical._first_roots
+
+    def recording(stack, o_max):
+        tau_c, c0 = first_roots(stack, o_max)
+        solved.extend(zip(tau_c.tolist(), c0.tolist()))
+        return tau_c, c0
+
+    monkeypatch.setattr(critical, "_first_roots", recording)
+    n_samples = critical._STUDY_CHUNK + 8
+    cl.c0_sampling_study(n_samples, n_dof, seed=3)
+    monkeypatch.undo()
+    assert len(solved) == n_samples
+    rng = np.random.default_rng(3)
+    for tau_c, c0 in solved:
+        spectra = critical._sample_critical_spectra(n_dof, rng)
+        if np.isnan(tau_c):
+            with pytest.raises(cl.NoRootError):
+                cl.solve_critical(spectra)
+        else:
+            assert cl.solve_critical(spectra) == (tau_c, c0)
+
+
+def _reference_root(spectra, o_max=6 * np.pi, points=1200):
+    """First root by a full-grid scan and brentq on det(K + K~) times the w_N denominator."""
+    om_top = np.sqrt(spectra.lam[-1])
+    depole = np.cos if spectra.sigma[-1] == 1 else np.sin
+
+    def residual(tau):
+        K, K_tilde = cl.critical_matrices(tau, spectra)
+        return np.linalg.det(K + K_tilde) * depole(om_top * tau)
+
+    # the grid scan is the library's own residual, one call over the whole grid
+    taus = np.linspace(1e-3 / om_top, o_max / om_top, points)
+    vals = critical._depoled_residual(taus[None, :], critical._stack([spectra]))[0]
+    finite = np.isfinite(vals)
+    signs = np.sign(vals)
+    first = np.nonzero((signs[:-1] * signs[1:] < 0) & finite[:-1] & finite[1:])[0][0]
+    tau_c = brentq(residual, taus[first], taus[first + 1], xtol=1e-13, rtol=8.9e-16)
+    K, _ = cl.critical_matrices(tau_c, spectra)
+    return tau_c, -K[1, 1] / K[1, 0]
+
+
+@pytest.mark.parametrize("n_dof", [2, 3, 4, 5, 6])
+def test_first_root_matches_full_scan_and_brentq(n_dof):
+    # the early-exit scan never skips to a later bracket, and ITP matches brentq
+    rng = np.random.default_rng(40 + n_dof)
+    for _ in range(30):
+        spectra = critical._sample_critical_spectra(n_dof, rng)
+        tau_ref, c0_ref = _reference_root(spectra)
+        tau_c, c0 = cl.solve_critical(spectra)
+        assert tau_c == pytest.approx(tau_ref, rel=1e-12, abs=0)
+        assert c0 == pytest.approx(c0_ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n_dof, min_c0", [
+    (2, 0.16674372418747277),
+    (3, 0.025195390533708627),
+    (5, 0.011321270128321027),
+])
+def test_sampling_study_golden_min_c0(n_dof, min_c0):
+    # min_c0 of c0_sampling_study(1000, N, 42) as computed by per-sample brentq polishing
+    summary = cl.c0_sampling_study(1000, n_dof, seed=42)
+    assert (summary.failures, summary.nonpositive) == (0, 0)
+    assert summary.min_c0 == pytest.approx(min_c0, rel=1e-12, abs=0)
