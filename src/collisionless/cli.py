@@ -28,7 +28,7 @@ from .errors import (
     ValidationFailedError,
 )
 from .impact import GridSpec, scan_contour
-from .model import BUILTIN_MODELS, builtin_model, load_model, n2_spectrum
+from .model import BUILTIN_MODELS, _check_positive, builtin_model, load_model, n2_spectrum
 from .pipeline import pick_records, solve_model
 from .reference import REFERENCE, TOLERANCES, compare_reference
 from .spectral import analyze
@@ -63,8 +63,11 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _write_manifest(args, config, outputs, seed=None, inputs=()):
-    """Write ``{args.out}.manifest.json``; ``main`` stores argv and the start time on args."""
+def _write_manifest(args, config, outputs, seed=None, inputs=(), timings=None):
+    """Write ``{args.out}.manifest.json``; ``main`` stores argv and the start time on args.
+
+    ``timings``, when given, are the stage wall times of a solve.
+    """
     manifest = {
         "command": args.command,
         "argv": args.argv,
@@ -75,6 +78,8 @@ def _write_manifest(args, config, outputs, seed=None, inputs=()):
         "outputs": [str(p) for p in outputs],
         "wall_time_s": time.perf_counter() - args.started,
     }
+    if timings is not None:
+        manifest["timings"] = timings
     path = f"{args.out}.manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -113,6 +118,7 @@ def _grid_from_args(args):
 
 def _tolerances_from_args(args):
     factor = getattr(args, "tol", 1.0)
+    _check_positive(tol=factor)
     if factor == 1.0:
         return None
     base = ValidatorTolerances()
@@ -187,11 +193,14 @@ def _cmd_solve(args):
         "solutions": [_record_to_dict(r) for r in picked],
         "spurious_roots": run.spurious_roots,
         "failed_seeds": run.failed_seeds,
+        "timings": run.timings,
     }
     outputs = []
     _emit(payload, args, outputs, args.out)
     if args.out:
-        outputs.append(_write_manifest(args, model.to_config(), outputs, inputs=inputs))
+        outputs.append(
+            _write_manifest(args, model.to_config(), outputs, inputs=inputs, timings=run.timings)
+        )
 
 
 def _cmd_contour(args):

@@ -251,9 +251,15 @@ class GridSpec:
 
 
 def _sign_change_cells(Z):
-    """Mask of the grid cells whose four corner values of Z do not share one sign."""
+    """Mask of the grid cells whose four finite corner values of Z do not share one sign.
+
+    A cell with a non-finite corner is never a sign change: NaN compares
+    unequal to every sign, and an overflowed corner locates no crossing.
+    """
     s = np.sign(Z)
-    return (
+    f = np.isfinite(Z)
+    finite = f[:-1, :-1] & f[1:, :-1] & f[:-1, 1:] & f[1:, 1:]
+    return finite & (
         (s[:-1, :-1] != s[1:, :-1])
         | (s[:-1, :-1] != s[:-1, 1:])
         | (s[1:, 1:] != s[1:, :-1])
@@ -424,7 +430,9 @@ def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> Contour
     grid = grid or GridSpec()
     o_n_axis, o_p_axis = grid.axes()
     taus, taups = spectra.from_phase(o_n_axis[:, None], o_p_axis[None, :])
-    det_a, det_b = _minor_dets(contact_matrix(taus, taups, spectra, spectra.M, spectra.eta))
+    # stiff hyperbolic modes can overflow on the grid; _sign_change_cells skips those cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_a, det_b = _minor_dets(contact_matrix(taus, taups, spectra, spectra.M, spectra.eta))
     both = _sign_change_cells(det_a) & _sign_change_cells(det_b)
     return ContourField(
         o_n_axis=o_n_axis,
@@ -455,22 +463,35 @@ def refine_root(seed, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> Imp
 
     The residual is the pair of normalized determinants; the Jacobian is
     forward finite differences with step ``REFINE_FD_STEP``, taken from the
-    same batched residual evaluation as F.  Steps that leave the positive
-    quadrant or increase the residual norm are halved.  Convergence requires
-    both residuals below ``REFINE_TOL_RESIDUAL`` and the last full Newton step
-    below ``REFINE_TOL_STEP``.
+    same batched residual evaluation as F.  The line search takes the first
+    of the step scalings 1, 1/2, ..., 2**-39 that stays in the positive
+    quadrant and does not increase the residual norm.  The full step is
+    evaluated alone; only if it fails are all remaining scalings evaluated in
+    one batched call, so an iteration costs at most two residual calls.
+    Convergence requires both residuals below ``REFINE_TOL_RESIDUAL`` and the
+    last full Newton step below ``REFINE_TOL_STEP``.
     """
-    o = np.asarray(seed, float).copy()
-    if o.shape != (2,) or o.min() <= 0:
-        raise InvalidParameterError(f"seed must be two positive phases, got {seed!r}")
+    try:
+        o = np.array(seed, float)
+        valid = o.shape == (2,) and np.isfinite(o).all() and o.min() > 0
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise InvalidParameterError(f"seed must be two finite positive phases, got {seed!r}")
+    if isinstance(max_iter, bool) or not (
+        isinstance(max_iter, (int, np.integer)) and max_iter >= 1
+    ):
+        raise InvalidParameterError(f"max_iter must be a positive integer, got {max_iter!r}")
     probes = np.array([[0.0, REFINE_FD_STEP, 0.0], [0.0, 0.0, REFINE_FD_STEP]])
+    scalings = np.ldexp(1.0, -np.arange(40))[:, None]
 
-    def evaluate(pt):
-        # one call on pt, pt + h e0 and pt + h e1
-        R = impact_residual(pt[:, None] + probes, spectra, M, eta_vec)
-        return R[:, 0], (R[:, 1:] - R[:, :1]) / REFINE_FD_STEP
+    def evaluate(pts):
+        # one call on pt, pt + h e0 and pt + h e1 for each of the k rows of pts:
+        # F has shape (k, 2) and J shape (k, 2, 2)
+        R = impact_residual(pts.T[:, :, None] + probes[:, None, :], spectra, M, eta_vec)
+        return R[:, :, 0].T, ((R[:, :, 1:] - R[:, :, :1]) / REFINE_FD_STEP).transpose(1, 0, 2)
 
-    F, J = evaluate(o)
+    F, J = (a[0] for a in evaluate(o[None, :]))
     for iteration in range(1, max_iter + 1):
         try:
             step = np.linalg.solve(J, -F)
@@ -487,18 +508,21 @@ def refine_root(seed, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> Imp
                 residual=(float(F[0]), float(F[1])),
                 iterations=iteration,
             )
-        damping = 1.0
-        for _ in range(40):
-            cand = o + damping * step
-            if cand.min() > 0:
-                F_cand, J_cand = evaluate(cand)
-                if np.abs(F_cand).max() <= np.abs(F).max():
-                    o, F, J = cand, F_cand, J_cand
-                    break
-            damping *= 0.5
+        cands = o + scalings * step
+        cands = cands[cands.min(axis=1) > 0]
+        bound = np.abs(F).max()
+        for batch in (cands[:1], cands[1:]):
+            if not batch.size:
+                continue
+            F_cand, J_cand = evaluate(batch)
+            accepted = np.flatnonzero(np.abs(F_cand).max(axis=1) <= bound)
+            if accepted.size:
+                k = accepted[0]
+                o, F, J = batch[k], F_cand[k], J_cand[k]
+                break
         else:
             raise ConvergenceError(
-                f"refinement stalled at o = {o.tolist()} (residual {np.abs(F).max():.2e})"
+                f"refinement stalled at o = {o.tolist()} (residual {bound:.2e})"
             )
     raise ConvergenceError(f"no convergence after {max_iter} iterations from seed {seed!r}")
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -30,6 +31,8 @@ __all__ = ["RootRecord", "SolveRun", "solve_model", "pick_records", "RANK_GAP_MA
 RANK_GAP_MAX = 1e-6
 ROOT_MERGE_ATOL = 1e-6
 ROW_CLUSTER_GAP = np.pi / 2
+# Stages of ``solve_model`` timed in ``SolveRun.timings``, in run order.
+STAGES = ("analyze", "gate", "scan", "refine", "certify", "validate")
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +51,10 @@ class RootRecord:
 
 @dataclass(eq=False)
 class SolveRun:
-    """Everything produced by one full solve of a model."""
+    """Everything produced by one full solve of a model.
+
+    ``timings`` maps each name in ``STAGES`` to its wall time in seconds.
+    """
 
     model: ModelSpec
     spectral: SpectralData
@@ -56,6 +62,7 @@ class SolveRun:
     records: list
     spurious_roots: int = 0
     failed_seeds: int = 0
+    timings: dict = field(default_factory=dict)
 
 
 def _cluster_rows(values, gap):
@@ -81,12 +88,16 @@ def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
     Roots whose matching matrix keeps full rank (spurious curve crossings,
     e.g. from kernel zeros) are dropped and counted.
     """
+    marks = [perf_counter()]   # one mark after each stage
     spectral = analyze(model)
+    marks.append(perf_counter())
     if not existence_gate(spectral.lam_prime):
         raise NoExistenceError(
             f"largest contact eigenvalue {spectral.lam_prime[-1]:.6g} is not positive"
         )
+    marks.append(perf_counter())
     contour = scan_contour(spectral, grid)
+    marks.append(perf_counter())
     roots = []
     failed = 0
     for seed in contour.seeds:
@@ -102,6 +113,7 @@ def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
         ):
             continue
         roots.append(times)
+    marks.append(perf_counter())
     spurious = 0
     solutions = []
     for times in roots:
@@ -116,6 +128,7 @@ def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
         solutions.append(solution)
     if not solutions:
         raise ConvergenceError("no certified impact-time root in the scan window")
+    marks.append(perf_counter())
     o_primes = [s.times.o_prime for s in solutions]
     rows = _cluster_rows(o_primes, ROW_CLUSTER_GAP)
     records = []
@@ -127,6 +140,7 @@ def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
             records.append(
                 RootRecord(solution=solution, report=report, row=row_idx, col=col_idx)
             )
+    marks.append(perf_counter())
     return SolveRun(
         model=model,
         spectral=spectral,
@@ -134,6 +148,7 @@ def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
         records=records,
         spurious_roots=spurious,
         failed_seeds=failed,
+        timings={stage: b - a for stage, a, b in zip(STAGES, marks, marks[1:])},
     )
 
 

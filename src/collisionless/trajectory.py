@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CollisionlessError, InvalidParameterError
 from .impact import ImpactSolution, ImpactTimes, mode_motion_vec
-from .model import ModelSpec
+from .model import ModelSpec, _check_positive
 from .spectral import SpectralData, static_offset
 from .svgout import SvgCanvas
 
@@ -156,6 +156,9 @@ class ValidatorTolerances:
     continuity: float = 1e-10
     energy: float = 1e-9
     contact: float = 1e-8
+
+    def __post_init__(self):
+        _check_positive(**{f.name: getattr(self, f.name) for f in fields(self)})
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,29 @@ def test_solve_tol_scaling(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("tol", ["inf", "0", "-1", "nan"])
+def test_bad_tol_rejected_exit1(tmp_path, capsys, tol):
+    # --tol inf used to certify roots that fail validation at --tol 1
+    assert main(["trajectory", "--out", str(tmp_path / "traj"), "--samples", "50"]) == 0
+    capsys.readouterr()
+    for argv in (["solve", "--pick", "all", "--json"],
+                 ["trajectory", "--out", str(tmp_path / "again")],
+                 ["validate", "--trajectory", str(tmp_path / "traj.json")]):
+        assert main([*argv, "--tol", tol]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "tol" in captured.err
+        assert captured.out == ""
+
+
+def test_solve_json_reports_stage_timings(tmp_path, capsys):
+    prefix = tmp_path / "run"
+    assert main(["solve", "--json", "--out", str(prefix)]) == 0
+    printed = json.loads(capsys.readouterr().out)["timings"]
+    assert sorted(printed) == sorted(cl.pipeline.STAGES)
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert manifest["timings"] == printed
+
+
 def test_contour_csv_only(tmp_path, capsys):
     prefix = tmp_path / "field"
     code = main(

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 import collisionless as cl
 from collisionless.impact import _component_seeds
-from helpers import cauchy_inputs, non_pole_times, random_rocker_freqs
+from helpers import cauchy_inputs, non_pole_times, random_rocker_freqs, random_spd_model
 
 
 # ------------------------------------------------------------------- kernels
@@ -366,6 +366,23 @@ def test_scan_empty_window_no_existence():
     assert field.seeds.shape[0] == 0
 
 
+def test_scan_skips_cells_with_non_finite_corners():
+    # cosh/sinh of the lam ~ -1e4 mode overflow on much of the default grid;
+    # the scan must neither warn nor seed a cell it cannot evaluate
+    model = cl.ModelSpec(
+        name="stiff-hyperbolic", n=3, mass=np.eye(3),
+        stiffness=[[-1e4, 1, 1], [1, 4, 0.5], [1, 0.5, -1]],
+        sigma=(1, -1, -1), sigma_prime=(1, -1), static_force=1, contact_sign=1,
+    )
+    spectral = cl.analyze(model)
+    field = cl.scan_contour(spectral)
+    assert not np.isfinite(field.det_a).all()
+    assert field.seeds.shape == (4, 2)
+    with np.errstate(over="ignore"):   # the row norms at a seed may still overflow
+        for seed in field.seeds:
+            assert np.isfinite(cl.impact_residual(seed, spectral, spectral.M, spectral.eta)).all()
+
+
 def test_scan_grid_validation(biped_spectral):
     with pytest.raises(cl.InvalidParameterError):
         cl.scan_contour(biped_spectral.spectra, cl.GridSpec(o_n_max=0.01, o_p_max=0.01))
@@ -423,6 +440,18 @@ def test_refine_root_bad_seed_errors(biped_spectral, biped_cauchy):
         cl.refine_root((0.3, 0.3), biped_spectral.spectra, M, eta_vec, max_iter=25)
 
 
+@pytest.mark.parametrize(
+    "seed, max_iter",
+    [((np.nan, 1.0), 40), ((np.inf, 1.0), 40), ((3.8, np.nan), 40), ((3.8, "x"), 40),
+     ((3.8, 0.93), 2.5), ((3.8, 0.93), None), ((3.8, 0.93), 0), ((3.8, 0.93), -3),
+     ((3.8, 0.93), True)],
+)
+def test_refine_root_rejects_bad_input(biped_spectral, biped_cauchy, seed, max_iter):
+    M, eta_vec = biped_cauchy
+    with pytest.raises(cl.InvalidParameterError):
+        cl.refine_root(seed, biped_spectral.spectra, M, eta_vec, max_iter=max_iter)
+
+
 def test_refine_root_one_residual_call_per_trial_point(biped_spectral, biped_cauchy, monkeypatch):
     # F and the forward-difference Jacobian come from one batched call; the
     # biped seed accepts every full step, so there is one call per iteration
@@ -446,6 +475,111 @@ def test_refine_root_stalls_when_no_halving_helps():
     M, eta_vec = cauchy_inputs(pair)
     with pytest.raises(cl.ConvergenceError, match="stalled"):
         cl.refine_root((0.9, 1.23), pair, M, eta_vec, max_iter=40)
+
+
+def _refine_root_loop(seed, spectra, M, eta_vec, *, max_iter=100):
+    """Reference for refine_root: one residual call per line-search candidate."""
+    h = cl.impact.REFINE_FD_STEP
+    o = np.asarray(seed, float).copy()
+    probes = np.array([[0.0, h, 0.0], [0.0, 0.0, h]])
+
+    def evaluate(pt):
+        R = cl.impact_residual(pt[:, None] + probes, spectra, M, eta_vec)
+        return R[:, 0], (R[:, 1:] - R[:, :1]) / h
+
+    F, J = evaluate(o)
+    for iteration in range(1, max_iter + 1):
+        try:
+            step = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            raise cl.ConvergenceError("singular Jacobian during refinement") from None
+        if (np.abs(F).max() < cl.impact.REFINE_TOL_RESIDUAL
+                and np.abs(step).max() < cl.impact.REFINE_TOL_STEP):
+            tau, tau_prime = spectra.from_phase(o[0], o[1])
+            return cl.ImpactTimes(
+                tau=tau, tau_prime=tau_prime, o_n=float(o[0]), o_prime=float(o[1]),
+                mu=tau / tau_prime, residual=(float(F[0]), float(F[1])),
+                iterations=iteration,
+            )
+        damping = 1.0
+        for _ in range(40):
+            cand = o + damping * step
+            if cand.min() > 0:
+                F_cand, J_cand = evaluate(cand)
+                if np.abs(F_cand).max() <= np.abs(F).max():
+                    o, F, J = cand, F_cand, J_cand
+                    break
+            damping *= 0.5
+        else:
+            raise cl.ConvergenceError(
+                f"refinement stalled at o = {o.tolist()} (residual {np.abs(F).max():.2e})"
+            )
+    raise cl.ConvergenceError(f"no convergence after {max_iter} iterations from seed {seed!r}")
+
+
+def _outcome(refine, seed, spectra, M, eta_vec, max_iter):
+    try:
+        return refine(seed, spectra, M, eta_vec, max_iter=max_iter)
+    except cl.ConvergenceError as exc:
+        return str(exc)
+
+
+def _refine_cases():
+    """(spectra, seeds, max_iter) of 10 rocker and 10 rimless criterion-2 spectra,
+    the armed biped and one random model for each N = 3..6."""
+    rng = np.random.default_rng(2024)
+    grid = cl.GridSpec(o_n_max=4 * np.pi, o_p_max=1.75, step=0.04, o_p_min=0.01)
+    for family in ("rocker", "rimless"):
+        for _ in range(10):
+            nu1, om2, om1p = random_rocker_freqs(rng)
+            pair = cl.n2_spectrum(family, nu1=nu1, omega2=om2, omega1p=om1p)
+            yield pair, cl.scan_contour(pair, grid).seeds, 40
+    spectral = cl.analyze(cl.build_armed_biped())
+    yield spectral, cl.scan_contour(spectral).seeds, 100
+    rng = np.random.default_rng(1)
+    for n in range(3, 7):
+        _, spectral = random_spd_model(n, rng)
+        yield spectral, cl.scan_contour(spectral).seeds, 100
+
+
+def test_refine_root_matches_candidate_loop():
+    converged = failed = 0
+    for spectra, seeds, max_iter in _refine_cases():
+        M, eta_vec = cauchy_inputs(spectra)
+        for seed in seeds:
+            expected = _outcome(_refine_root_loop, seed, spectra, M, eta_vec, max_iter)
+            got = _outcome(cl.refine_root, seed, spectra, M, eta_vec, max_iter)
+            assert got == expected, f"seed {seed.tolist()}"
+            converged += isinstance(expected, cl.ImpactTimes)
+            failed += isinstance(expected, str)
+    assert converged > 100 and failed > 20
+
+
+def test_refine_root_at_most_two_residual_calls_per_iteration(monkeypatch):
+    # the stalled rocker seed backtracks deeply; the candidate loop pays one
+    # call per halving (173 calls), the library one call for the full step and
+    # one for all remaining halvings
+    pair = cl.n2_spectrum("rocker", nu1=1.5, omega2=2.5, omega1p=1.0)
+    M, eta_vec = cauchy_inputs(pair)
+    seed = (0.9, 1.23)
+    expected = _outcome(_refine_root_loop, seed, pair, M, eta_vec, 40)
+    assert "stalled" in expected
+    # the stall happens in iteration 15: with 14 it runs out of iterations first
+    stall = 15
+    assert "no convergence" in _outcome(cl.refine_root, seed, pair, M, eta_vec, stall - 1)
+    calls = []
+    residual = cl.impact_residual
+
+    def counting(o, *args):
+        calls.append(np.shape(o)[1])
+        return residual(o, *args)
+
+    monkeypatch.setattr("collisionless.impact.impact_residual", counting)
+    assert _outcome(cl.refine_root, seed, pair, M, eta_vec, 40) == expected
+    assert len(calls) <= 1 + 2 * stall
+    # calls[i] is the number of points of call i: every batch of halvings
+    # follows a call on the full step alone
+    assert calls[0] == 1 and all(prev == 1 for prev, n in zip(calls, calls[1:]) if n > 1)
 
 
 # --------------------------------------------------- matching matrix, weights

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import collisionless as cl
@@ -113,3 +115,12 @@ def test_solve_builds_cauchy_matrix_once(biped, monkeypatch):
     monkeypatch.setattr("collisionless.model.cauchy_matrix", counting)
     cl.solve_model(cl.build_armed_biped())
     assert len(calls) == 1
+
+
+def test_solve_model_times_every_stage(biped):
+    start = time.perf_counter()
+    run = cl.solve_model(biped)
+    wall = time.perf_counter() - start
+    assert list(run.timings) == list(cl.pipeline.STAGES)
+    assert all(t >= 0 for t in run.timings.values())
+    assert sum(run.timings.values()) <= wall

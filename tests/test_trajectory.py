@@ -110,6 +110,13 @@ def test_second_row_root_fails_contact_force(biped_run):
         assert record.report.penetration_violation > -1e-8
 
 
+@pytest.mark.parametrize("name", ["velocity", "acceleration", "continuity", "energy", "contact"])
+@pytest.mark.parametrize("value", [0.0, -1e-8, np.nan, np.inf, "1e-8"])
+def test_tolerances_must_be_positive_and_finite(name, value):
+    with pytest.raises(cl.InvalidParameterError, match=name):
+        cl.ValidatorTolerances(**{name: value})
+
+
 def test_validate_rejects_dimension_mismatch(biped_solution, rocker_model):
     with pytest.raises(cl.InvalidParameterError):
         cl.validate(biped_solution, rocker_model)
