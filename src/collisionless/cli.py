@@ -129,10 +129,10 @@ def _parse_pick(text):
     if text in ("lowest-row", "all"):
         return text
     if text.startswith("nearest="):
-        parts = text[len("nearest=") :].split(",")
-        if len(parts) != 2:
-            raise argparse.ArgumentTypeError("nearest expects nearest=O_N,O_PRIME")
-        return ("nearest", (float(parts[0]), float(parts[1])))
+        point = tuple(float(part) for part in text[len("nearest=") :].split(","))
+        if len(point) != 2 or not np.all(np.isfinite(point)):
+            raise argparse.ArgumentTypeError("nearest expects nearest=O_N,O_PRIME with finite phases")
+        return ("nearest", point)
     raise argparse.ArgumentTypeError(f"unknown pick strategy {text!r}")
 
 
@@ -145,6 +145,13 @@ def _parse_branches(text):
     if not branches or branches[0] < 1:
         raise argparse.ArgumentTypeError(f"expected a non-empty range of positive branches, got {text!r}")
     return branches
+
+
+def _reject_options(args, names, mode):
+    """Raise InvalidParameterError if any of the named options was given to a mode that ignores it."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise InvalidParameterError(f"{mode} takes no {', '.join(given)} option")
 
 
 def _record_to_dict(record):
@@ -264,27 +271,19 @@ def _cmd_validate(args):
 
 
 def _cmd_analytic2(args):
-    solver = SOLVERS[args.family]
+    kwargs = {"omega2": args.omega2, "omega1p": args.omega1p}
+    if args.family in ("rimless", "rocker"):
+        kwargs["nu1"] = args.nu1
+    else:
+        _reject_options(args, ("nu1",), args.family)
     rows = []
     for n in args.n:
-        kwargs = {"omega2": args.omega2, "omega1p": args.omega1p, "n": n}
-        if args.family in ("rimless", "rocker"):
-            kwargs["nu1"] = args.nu1
         try:
-            sol = solver(**kwargs)
+            sol = SOLVERS[args.family](**kwargs, n=n)
         except NoRootError as exc:
             rows.append({"n": n, "error": str(exc)})
             continue
-        rows.append(
-            {
-                "n": n,
-                "o_2": sol.o_2,
-                "o_prime_1": sol.o_prime_1,
-                "tau": sol.tau,
-                "tau_prime": sol.tau_prime,
-                "mu": sol.mu,
-            }
-        )
+        rows.append({"n": n, **{k: getattr(sol, k) for k in ("o_2", "o_prime_1", "tau", "tau_prime", "mu")}})
     payload = {"family": args.family, "branches": rows}
     outputs = []
     _emit(payload, args, outputs, args.out)
@@ -294,33 +293,30 @@ def _cmd_analytic2(args):
 
 
 def _cmd_critical(args):
+    inputs, seed = [], None
     if args.study_c0:
-        summary = c0_sampling_study(args.samples, args.n_dof, args.seed)
-        payload = summary.to_dict()
-        outputs = []
-        _emit(payload, args, outputs, args.out)
-        if args.out:
-            _write_manifest(args, payload, outputs, seed=args.seed)
-        return
-    if args.family:
-        spectra = n2_spectrum(args.family, nu1=args.nu1, omega2=args.omega2, omega1p=args.omega1p)
-        inputs = []
+        _reject_options(args, ("nu1", "omega2", "omega1p", "branches"), "--study-c0")
+        payload = c0_sampling_study(args.samples, args.n_dof, args.seed).to_dict()
+        seed = args.seed
     else:
-        model, inputs = _resolve_model(args)
-        spectra = analyze(model)
-    limit = critical_limit(spectra)
-    tau_c, c0 = solve_critical(limit)
-    payload = {"tau_critical": tau_c, "c0": c0}
-    if args.branches:
-        pts = asymptotic_grid(spectra, args.branches)
-        payload["asymptotic_grid"] = [
-            {"n": n, "o_n": float(p[0]), "o_prime": float(p[1])}
-            for n, p in zip(args.branches, pts)
-        ]
+        if args.family:
+            spectra = n2_spectrum(args.family, nu1=args.nu1, omega2=args.omega2, omega1p=args.omega1p)
+        else:
+            _reject_options(args, ("nu1", "omega2", "omega1p"), "--model/--config")
+            model, inputs = _resolve_model(args)
+            spectra = analyze(model)
+        tau_c, c0 = solve_critical(critical_limit(spectra))
+        payload = {"tau_critical": tau_c, "c0": c0}
+        if args.branches:
+            pts = asymptotic_grid(spectra, args.branches)
+            payload["asymptotic_grid"] = [
+                {"n": n, "o_n": float(p[0]), "o_prime": float(p[1])}
+                for n, p in zip(args.branches, pts)
+            ]
     outputs = []
     _emit(payload, args, outputs, args.out)
     if args.out:
-        _write_manifest(args, payload, outputs, inputs=inputs)
+        _write_manifest(args, payload, outputs, seed=seed, inputs=inputs)
 
 
 def _load_fixtures(path, computed):
@@ -448,7 +444,6 @@ def build_parser():
     p.set_defaults(func=_cmd_critical)
 
     p = sub.add_parser("reproduce", help="recompute the golden armed-biped values")
-    p.add_argument("--target", choices=("armed-biped",), default="armed-biped")
     p.add_argument("--json", action="store_true")
     p.add_argument("--fixtures", default=None, help="override the golden table (JSON)")
     p.set_defaults(func=_cmd_reproduce)

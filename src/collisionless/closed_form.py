@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidParameterError, NoRootError
 from .model import _check_branch_index, _check_positive
@@ -29,14 +28,17 @@ __all__ = [
 _SCAN_POINTS = 4096
 
 
-def _branch_root(f, n: int):
+def _branch_root(f, df, n: int):
     """First positive root of f in [(n-1) pi, n pi) from a dense scan, or None.
 
-    The first sign change between neighbouring scan points is polished with
-    Brent's method; without one, the first scan point where f is exactly zero
-    counts as the root.  The scan skips y = 0, which is not a positive root.
+    The first sign change between neighbouring scan points is located by
+    regula falsi and polished with three Newton steps on the derivative df;
+    without one, the first scan point where f is exactly zero counts as the
+    root.  The scan skips y = 0, which is not a positive root.  Raises
+    NoRootError when the polished root leaves the scanned interval.
     """
-    ys = np.linspace((n - 1) * np.pi, n * np.pi, _SCAN_POINTS)
+    lo, hi = (n - 1) * np.pi, n * np.pi
+    ys = np.linspace(lo, hi, _SCAN_POINTS)
     if n == 1:
         ys = ys[1:]
     vals = f(ys)
@@ -44,19 +46,29 @@ def _branch_root(f, n: int):
     crossings = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     if crossings.size:
         i = crossings[0]
-        return brentq(f, ys[i], ys[i + 1], xtol=1e-14, rtol=8.9e-16)
-    exact = ys[np.nonzero(vals == 0.0)[0]]
-    return float(exact[0]) if exact.size else None
+        root = ys[i] - vals[i] * (ys[i + 1] - ys[i]) / (vals[i + 1] - vals[i])
+    elif (vals == 0.0).any():
+        root = ys[np.argmax(vals == 0.0)]
+    else:
+        return None
+    for _ in range(3):
+        slope = df(root)
+        if slope == 0:
+            break
+        root -= f(root) / slope
+    if not ys[0] <= root < hi:
+        raise NoRootError(f"root polishing left the interval [{lo:.6g}, {hi:.6g})")
+    return float(root)
 
 
 def y_root(a: float, b: float, n: int) -> float:
     """Root of tan(y) = a * tanh(b * y) inside [(n-1) pi, n pi).
 
-    The search uses the pole-free form sin(y) - a tanh(b y) cos(y), bracketing
-    on a dense scan and polishing with Brent's method and then Newton.  For
-    a = 0 the root is exactly (n-1) pi.  Raises NoRootError when the interval
-    contains no root (e.g. the n = 1 interval of the hopper/rocker families,
-    where tan(y) > a tanh(b y) throughout (0, pi)).
+    The search uses the pole-free form sin(y) - a tanh(b y) cos(y): the first
+    sign change on a dense scan, regula falsi inside it, then three Newton
+    steps.  For a = 0 the root is exactly (n-1) pi.  Raises NoRootError when
+    the interval contains no root (e.g. the n = 1 interval of the
+    hopper/rocker families, where tan(y) > a tanh(b y) throughout (0, pi)).
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise InvalidParameterError("a and b must be finite")
@@ -69,27 +81,22 @@ def y_root(a: float, b: float, n: int) -> float:
     def f(y):
         return np.sin(y) - a * np.tanh(b * y) * np.cos(y)
 
-    lo = (n - 1) * np.pi
-    hi = n * np.pi
-    root = _branch_root(f, n)
+    def df(y):
+        t = np.tanh(b * y)
+        return np.cos(y) + a * (t * np.sin(y) - b * np.cos(y) * (1.0 - t * t))
+
+    root = _branch_root(f, df, n)
     if root is None:
-        raise NoRootError(f"no root of tan y = {a} tanh({b} y) in [{lo:.6g}, {hi:.6g})")
-    # Newton polish on the pole-free form
-    for _ in range(3):
-        df = np.cos(root) + a * (np.tanh(b * root) * np.sin(root)
-                                 - b * np.cos(root) / np.cosh(b * root) ** 2)
-        if df == 0:
-            break
-        root -= f(root) / df
-    if not lo <= root < hi:
-        raise NoRootError(f"root polishing left the interval [{lo:.6g}, {hi:.6g})")
-    return float(root)
+        raise NoRootError(
+            f"no root of tan y = {a} tanh({b} y) in [{(n - 1) * np.pi:.6g}, {n * np.pi:.6g})"
+        )
+    return root
 
 
 def _alpha(n: int) -> float:
     """Positive roots of tan y = y (the a b -> 1, b -> 0 limit family)."""
     _check_branch_index(n)
-    root = _branch_root(lambda y: np.sin(y) - y * np.cos(y), n)
+    root = _branch_root(lambda y: np.sin(y) - y * np.cos(y), lambda y: y * np.sin(y), n)
     if root is None:
         raise NoRootError(
             f"tan y = y has no root in [{(n - 1) * np.pi:.6g}, {n * np.pi:.6g}) "

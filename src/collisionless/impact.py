@@ -111,27 +111,26 @@ def mode_motion_vec(t, lam, sigma):
     return np.where(even, c, s), np.where(even, np.where(pos, -om, om) * s, om * c)
 
 
-def phase_rate(tau, lam, sigma, zero_mode: str = "raise"):
+def phase_rate(tau, lam, sigma):
     """Frequency-scaled kernel tangent w(tau) = lam * g(tau) / gdot(tau).
 
     Evaluates sigma * tan(om tau)^sigma * om for lam > 0 and
-    -tanh(nu tau)^sigma * nu for lam < 0.  With ``zero_mode="limit"`` the
-    lam -> 0 limits are returned instead of raising: -1/tau for sigma = -1
-    (the even kernel) and 0 for sigma = +1.
+    -tanh(nu tau)^sigma * nu for lam < 0.
 
-    Raises PoleError when an oscillatory mode sits within POLE_ATOL (in phase
-    units) of a tan/cot pole.  Errors are raised for the first offending mode.
+    Raises ZeroModeError for a zero eigenvalue, and PoleError when an
+    oscillatory mode sits within POLE_ATOL (in phase units) of a tan/cot
+    pole.  Errors are raised for the first offending mode.
     """
     lam = np.atleast_1d(np.asarray(lam, float))
     even = np.broadcast_to(np.asarray(sigma), lam.shape) == -1
     scale = np.abs(lam).max() if lam.size else 1.0
     zero = np.abs(lam) <= ZERO_EIGENVALUE_ATOL * max(scale, 1.0)
-    osc = (lam > 0) & ~zero
+    osc = lam > 0
     om = np.sqrt(np.abs(lam))
     o = om * tau
     # poles: sin(o)=0 for sigma=-1 (cot), cos(o)=0 for sigma=+1 (tan)
     dist = np.abs((o - np.where(even, 0.0, np.pi / 2) + np.pi / 2) % np.pi - np.pi / 2)
-    bad = (osc & (dist < POLE_ATOL)) | (zero & (zero_mode != "limit"))
+    bad = (osc & (dist < POLE_ATOL)) | zero
     if bad.any():
         i = int(np.argmax(bad))
         if zero[i]:
@@ -142,8 +141,7 @@ def phase_rate(tau, lam, sigma, zero_mode: str = "raise"):
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         tan = np.where(osc, np.tan(o), np.tanh(o))
-        out = np.where(even, -om / tan, np.where(osc, tan, -tan) * om)
-        return np.where(zero, np.where(even, -1.0 / tau, 0.0), out)
+        return np.where(even, -om / tan, np.where(osc, tan, -tan) * om)
 
 
 def _require_nonzero_spectra(spectra: SpectrumPair):
@@ -400,7 +398,7 @@ class ContourField:
                          f"{self.det_b[i, j]:.12e}", f"{phi_row[j]:.12e}"]
                     )
 
-    def to_svg(self, path, asymptotes=None, marked=None):
+    def to_svg(self, path, asymptotes=None):
         canvas = SvgCanvas(
             (self.o_n_axis[0], self.o_n_axis[-1]),
             (self.o_p_axis[0], self.o_p_axis[-1]),
@@ -415,8 +413,6 @@ class ContourField:
         if asymptotes is not None:
             for o_n, o_p in np.atleast_2d(np.asarray(asymptotes, float)):
                 canvas.cross(o_n, o_p)
-        if marked is not None:
-            canvas.circle(marked[0], marked[1], r=6.0, color="#d22")
         canvas.write(path)
 
 

@@ -11,6 +11,7 @@ direction in which the contact coordinate is free to separate.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -112,7 +113,7 @@ class ModelSpec:
         svals = np.linalg.svd(stiffness, compute_uv=False)
         if svals[-1] <= 1e-12 * svals[0]:
             raise InvalidModelError("singular stiffness matrix")
-        if self.contact_sign not in (-1, 1):
+        if isinstance(self.contact_sign, (bool, np.bool_)) or self.contact_sign not in (-1, 1):
             raise InvalidModelError("contact_sign must be +1 or -1")
         if not np.isfinite(self.static_force):
             raise InvalidModelError("static_force must be finite")
@@ -309,6 +310,16 @@ _REQUIRED_KEYS = {
 }
 
 
+def _config_number(config, key, integral=False):
+    """config[key] as a float, or an int if ``integral``; bools, strings and fractions raise."""
+    value = config[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+        integral and not isinstance(value, numbers.Integral) and not float(value).is_integer()
+    ):
+        raise InvalidModelError(f"{key} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def load_model(source) -> ModelSpec:
     """Load and validate a model from a JSON file path, file object, or dict."""
     if isinstance(source, dict):
@@ -329,15 +340,15 @@ def load_model(source) -> ModelSpec:
     try:
         return ModelSpec(
             name=str(config["name"]),
-            n=int(config["n"]),
+            n=_config_number(config, "n", integral=True),
             mass=config["mass"],
             stiffness=config["stiffness"],
             sigma=config["sigma"],
             sigma_prime=config["sigma_prime"],
-            static_force=float(config["static_force"]),
-            contact_sign=int(config["contact_sign"]),
+            static_force=_config_number(config, "static_force"),
+            contact_sign=_config_number(config, "contact_sign", integral=True),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, InvalidModelError):
             raise
         raise InvalidModelError(f"malformed model file: {exc}") from exc

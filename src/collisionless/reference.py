@@ -70,11 +70,8 @@ class ReferenceRow:
     passed: bool
 
 
-def compare_reference(computed: dict, reference: dict | None = None,
-                      tolerances: dict | None = None) -> list:
-    """Diff computed quantities against the golden table, row per quantity."""
-    reference = REFERENCE if reference is None else reference
-    tolerances = TOLERANCES if tolerances is None else tolerances
+def compare_reference(computed: dict, reference: dict, tolerances: dict) -> list:
+    """Diff computed quantities against a reference table, row per quantity."""
     rows = []
     for name, ref in reference.items():
         tol, mode = tolerances[name]

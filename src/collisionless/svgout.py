@@ -10,16 +10,15 @@ __all__ = ["SvgCanvas"]
 class SvgCanvas:
     """Fixed-size SVG canvas mapping a data rectangle onto a plot area."""
 
-    def __init__(self, x_range, y_range, width=640, height=480, margin=48, title=""):
+    width, height, margin = 640, 480, 48
+
+    def __init__(self, x_range, y_range, title=""):
         self.x0, self.x1 = float(x_range[0]), float(x_range[1])
         self.y0, self.y1 = float(y_range[0]), float(y_range[1])
         if self.x1 <= self.x0:
             self.x1 = self.x0 + 1.0
         if self.y1 <= self.y0:
             self.y1 = self.y0 + 1.0
-        self.width = width
-        self.height = height
-        self.margin = margin
         self.title = title
         self._body: list[str] = []
 
@@ -44,10 +43,10 @@ class SvgCanvas:
             f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{dash_attr} points="{pts}"/>'
         )
 
-    def circle(self, x, y, r=3.5, color="#d22", fill="none"):
+    def circle(self, x, y, color="#d22"):
         self._body.append(
-            f'<circle cx="{self._px(x):.2f}" cy="{self._py(y):.2f}" r="{r}" '
-            f'stroke="{color}" fill="{fill}" stroke-width="1.4"/>'
+            f'<circle cx="{self._px(x):.2f}" cy="{self._py(y):.2f}" r="3.5" '
+            f'stroke="{color}" fill="none" stroke-width="1.4"/>'
         )
 
     def cross(self, x, y, size=4.0, color="#222"):
@@ -63,12 +62,6 @@ class SvgCanvas:
         self._body.append(
             f'<line x1="{self._px(x):.2f}" y1="{self.margin}" x2="{self._px(x):.2f}" '
             f'y2="{self.height - self.margin}"{dash_attr} stroke="{color}" stroke-width="{width}"/>'
-        )
-
-    def text(self, x, y, s, color="#333", size=11, anchor="start"):
-        self._body.append(
-            f'<text x="{self._px(x):.2f}" y="{self._py(y):.2f}" font-size="{size}" '
-            f'fill="{color}" text-anchor="{anchor}" font-family="sans-serif">{s}</text>'
         )
 
     def _frame(self):

@@ -389,3 +389,36 @@ def test_usage_error_exit64():
 
 def test_unknown_builtin_model_reported():
     assert main(["solve", "--model", "teapot"]) == 1
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["analytic2", "--family", "hopper", "--nu1", "1", "--omega2", "2", "--omega1p", "1"], "--nu1"),
+    (["analytic2", "--family", "juggler", "--nu1", "1", "--omega2", "2", "--omega1p", "1"], "--nu1"),
+    (["critical", "--study-c0", "--samples", "2", "--branches", "3..4"], "--branches"),
+    (["critical", "--study-c0", "--samples", "2", "--nu1", "1"], "--nu1"),
+    (["critical", "--study-c0", "--samples", "2", "--omega2", "2"], "--omega2"),
+    (["critical", "--study-c0", "--samples", "2", "--omega1p", "1"], "--omega1p"),
+    (["critical", "--model", "armed-biped", "--nu1", "1"], "--nu1"),
+    (["critical", "--model", "armed-biped", "--omega2", "2"], "--omega2"),
+    (["critical", "--config", "unread.json", "--omega1p", "1"], "--omega1p"),
+])
+def test_options_unused_by_the_mode_exit1(capsys, argv, option):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err
+
+
+@pytest.mark.parametrize("phase", ["nan,nan", "inf,1", "1,-inf"])
+def test_pick_nearest_rejects_nonfinite_phases(capsys, phase):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--pick", f"nearest={phase}"])
+    assert info.value.code == 64
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_solve_config_with_fractional_n_exit1(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**cl.build_armed_biped().to_config(), "n": 3.7}))
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n must be an integer" in err

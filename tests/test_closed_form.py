@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import collisionless as cl
+from collisionless.closed_form import SOLVERS, _branch_root
 from helpers import cauchy_inputs, random_rocker_freqs
 
 
@@ -182,3 +183,155 @@ def test_invalid_frequencies():
         cl.solve_rocker(-1.0, 2.0, 1.0, 2)
     with pytest.raises(cl.InvalidParameterError):
         cl.solve_hopper(0.0, 1.0, 2)
+
+
+# Roots recorded when the closed forms were polished by Brent's method; the
+# regula-falsi/Newton polish must reproduce them.  None marks NoRootError.
+# Keys: (family, (nu1, omega2, omega1p)) or ("hopper", (omega2, omega1p)),
+# values for n = 1..6; GOLDEN_Y keys are (a, b) of y_root.
+GOLDEN_N2 = {
+    ('rocker', (1.0, 2.0, 1.0)): [
+        None,
+        (4.237081035390633, 0.7998468663846997),
+        (7.389839846050267, 0.7860156581587932),
+        (10.531905340816365, 0.7854248351544906),
+        (13.673518410098547, 0.7853993159650472),
+        (16.81511194589752, 0.7853982132043674),
+    ],
+    ('rocker', (0.3, 1.5, 0.7)): [
+        None,
+        (4.437885334940192, 0.5429568374283672),
+        (7.637641123065361, 0.4401446721819552),
+        (10.792985120337656, 0.41463914978378047),
+        (13.938308475759774, 0.40764363613941373),
+        (17.08094889509147, 0.405673197338755),
+    ],
+    ('rocker', (2.5, 0.8, 1.9)): [
+        None,
+        (3.45129559788345, 0.9209258777958592),
+        (6.592888251722043, 0.9209258773829492),
+        (9.734480905311836, 0.9209258773829494),
+        (12.876073558901629, 0.9209258773829495),
+        (16.017666212491424, 0.9209258773829468),
+    ],
+    ('rimless', (1.0, 2.0, 1.0)): [
+        (2.7282003368516987, 0.7201541297859504),
+        (5.821903060476725, 0.7824362090762824),
+        (8.961232974253399, 0.7852698754177468),
+        (12.102727440840138, 0.785392619026791),
+        (15.24431585062413, 0.7853979238024519),
+        (18.385908320821027, 0.7853981530436058),
+    ],
+    ('rimless', (0.3, 1.5, 0.7)): [
+        (3.0336496334650276, 0.228165434922213),
+        (6.116616730949504, 0.3457952532097939),
+        (9.236727385646919, 0.3871984098155637),
+        (12.371685305905185, 0.39978066203182516),
+        (15.511343278296762, 0.40343088792381687),
+        (18.65238143973579, 0.404475493849094),
+    ],
+    ('rimless', (2.5, 0.8, 1.9)): [
+        (1.8805038371259857, 0.9209182999891724),
+        (5.022091924927159, 0.920925877382927),
+        (8.16368457851694, 0.9209258773829493),
+        (11.305277232106732, 0.9209258773829495),
+        (14.446869885696525, 0.9209258773829497),
+        (17.58846253928632, 0.9209258773829498),
+    ],
+    ('hopper', (2.0, 1.0)): [
+        None,
+        (4.493409457909064, 1.9895648717520715),
+        (7.725251836937707, 1.8241255481249994),
+        (10.9041216594289, 1.7521969321974098),
+        (14.066193912831473, 1.7120344953636706),
+        (17.22075527193077, 1.6864172668350972),
+    ],
+    ('hopper', (1.5, 0.7)): [
+        None,
+        (4.493409457909064, 2.0157847163920515),
+        (7.725251836937707, 1.8413770754890812),
+        (10.9041216594289, 1.76484166382608),
+        (14.066193912831473, 1.7219749081573121),
+        (17.22075527193077, 1.69459454388573),
+    ],
+    ('hopper', (0.8, 1.9)): [
+        None,
+        (4.493409457909064, 1.6642279920540735),
+        (7.725251836937707, 1.625245871291493),
+        (10.9041216594289, 1.6093912326441222),
+        (14.066193912831473, 1.600721048721769),
+        (17.22075527193077, 1.5952417562113443),
+    ],
+}
+GOLDEN_Y = {
+    (-1.3, 0.6): [
+        2.289401764544954,
+        5.3696227645464685,
+        8.509712770946141,
+        11.651270732500663,
+        14.792862586269901,
+        17.934455221420528,
+    ],
+    (0.5, 0.8): [
+        None,
+        3.602735102024241,
+        6.746816513442215,
+        9.888425462146424,
+        13.030018222653814,
+        16.171610876945138,
+    ],
+    (2.0, 1.5): [
+        1.0745315308095817,
+        4.24873904072355,
+        7.390334024785595,
+        10.531926678563455,
+        13.673519332153264,
+        16.815111985743055,
+    ],
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_N2))
+def test_closed_form_golden_roots(key):
+    family, params = key
+    for n, expected in enumerate(GOLDEN_N2[key], start=1):
+        if expected is None:
+            with pytest.raises(cl.NoRootError):
+                SOLVERS[family](*params, n)
+            continue
+        sol = SOLVERS[family](*params, n)
+        assert abs(sol.o_2 - expected[0]) <= 1e-13
+        assert abs(sol.o_prime_1 - expected[1]) <= 1e-13
+
+
+@pytest.mark.parametrize("ab", sorted(GOLDEN_Y))
+def test_y_root_golden_roots(ab):
+    for n, expected in enumerate(GOLDEN_Y[ab], start=1):
+        if expected is None:
+            with pytest.raises(cl.NoRootError):
+                cl.y_root(*ab, n)
+            continue
+        assert abs(cl.y_root(*ab, n) - expected) <= 1e-13
+
+
+def test_branch_root_never_leaves_the_scan_interval():
+    def f(y):
+        return np.sin(y) - y * np.cos(y)
+
+    # a vanishing derivative sends the first Newton step far out of [pi, 2 pi)
+    with pytest.raises(cl.NoRootError):
+        _branch_root(f, lambda y: 1e-30, 2)
+    for slope in (-1e3, -1.0, -1e-3, 1e-3, 1.0, 1e3):
+        try:
+            root = _branch_root(f, lambda y: slope, 2)
+        except cl.NoRootError:
+            continue
+        assert np.pi <= root < 2 * np.pi
+
+
+def test_y_root_large_b_polishes_without_overflow():
+    # cosh(b y) overflows for b y > 710; the Newton slope uses 1 - tanh^2 instead
+    a, b = 0.02, 50.0
+    for n in (2, 3, 6):
+        y = cl.y_root(a, b, n)
+        assert y == pytest.approx((n - 1) * np.pi + np.arctan(a), abs=1e-14)

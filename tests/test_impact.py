@@ -91,10 +91,6 @@ def test_phase_rate_values():
 
 def test_phase_rate_zero_limits():
     tau = 0.7
-    w = cl.phase_rate(tau, [0.0], [-1], zero_mode="limit")
-    assert w[0] == pytest.approx(-1.0 / tau, rel=1e-14)
-    w = cl.phase_rate(tau, [0.0], [1], zero_mode="limit")
-    assert w[0] == 0.0
     # continuity: small eigenvalues of either sign approach the limit
     for lam in (1e-9, -1e-9):
         w = cl.phase_rate(tau, [lam], [-1])
@@ -112,16 +108,13 @@ def test_phase_rate_pole_error():
     assert info.value.distance is not None and info.value.distance < 1e-9
 
 
-def _phase_rate_loop(tau, lam, sigma, zero_mode):
+def _phase_rate_loop(tau, lam, sigma):
     """Per-mode reference for phase_rate: (value, None) or (None, error type)."""
     scale = max(np.abs(lam).max(), 1.0)
     out = np.empty(len(lam))
     for i, (lv, sv) in enumerate(zip(lam, sigma)):
         if abs(lv) <= cl.impact.ZERO_EIGENVALUE_ATOL * scale:
-            if zero_mode != "limit":
-                return None, cl.ZeroModeError
-            out[i] = -1.0 / tau if sv == -1 else 0.0
-            continue
+            return None, cl.ZeroModeError
         om = np.sqrt(abs(lv))
         o = om * tau
         if lv > 0:
@@ -148,13 +141,12 @@ def test_phase_rate_matches_per_mode_loop():
             i = rng.integers(n)
             lam[i] = abs(lam[i]) + 0.5
             tau = (np.pi * int(rng.integers(1, 4)) + (sigma[i] == 1) * np.pi / 2) / np.sqrt(lam[i])
-        zero_mode = "limit" if rng.random() < 0.5 else "raise"
-        ref, error = _phase_rate_loop(tau, lam, sigma, zero_mode)
+        ref, error = _phase_rate_loop(tau, lam, sigma)
         if error is not None:
             with pytest.raises(error):
-                cl.phase_rate(tau, lam, sigma, zero_mode=zero_mode)
+                cl.phase_rate(tau, lam, sigma)
         else:
-            np.testing.assert_array_equal(cl.phase_rate(tau, lam, sigma, zero_mode=zero_mode), ref)
+            np.testing.assert_array_equal(cl.phase_rate(tau, lam, sigma), ref)
 
 
 # ------------------------------------------------------------ kernel ratios

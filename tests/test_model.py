@@ -90,6 +90,28 @@ def test_load_model_missing_key(biped):
         cl.load_model(config)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", 3.7), ("n", "3"), ("n", None),
+    ("contact_sign", 1.9), ("contact_sign", True), ("contact_sign", "1"),
+    ("static_force", "5"), ("static_force", True),
+])
+def test_load_model_rejects_uncoerced_numbers(biped, key, value):
+    config = {**biped.to_config(), key: value}
+    with pytest.raises(cl.InvalidModelError, match=key):
+        cl.load_model(config)
+
+
+def test_load_model_accepts_integral_floats(biped):
+    clone = cl.load_model({**biped.to_config(), "n": 3.0, "contact_sign": 1.0})
+    assert (clone.n, clone.contact_sign) == (3, 1)
+    assert type(clone.n) is int and type(clone.contact_sign) is int
+
+
+def test_model_spec_rejects_boolean_contact_sign(biped):
+    with pytest.raises(cl.InvalidModelError, match="contact_sign"):
+        cl.ModelSpec(**{**biped.to_config(), "contact_sign": True})
+
+
 def test_load_model_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
