@@ -33,7 +33,9 @@ from .pipeline import pick_records, solve_model
 from .reference import REFERENCE, TOLERANCES, compare_reference
 from .spectral import analyze
 from .trajectory import (
+    SAMPLES,
     ValidatorTolerances,
+    _agrees,
     synthesize,
     to_csv,
     to_json,
@@ -43,9 +45,6 @@ from .trajectory import (
 )
 
 EXIT_USAGE = 64
-
-# Largest relative deviation of a stored trajectory sample from its re-synthesis.
-SAMPLE_RTOL = 1e-12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -255,14 +254,10 @@ def _cmd_trajectory(args):
 def _cmd_validate(args):
     model, _ = _resolve_model(args)
     traj = trajectory_from_json(args.trajectory)
-    # the samples must be those of the stored solution, to SAMPLE_RTOL of each array's scale
+    # the samples must be those of the stored solution
     fresh = synthesize(traj.meta, (traj.t.size - 1) // 2)
-    for name in ("t", "x", "xdot", "xddot", "energy", "constraint_force"):
-        stored, expected = getattr(traj, name), getattr(fresh, name)
-        atol = SAMPLE_RTOL * np.nanmax(np.abs(expected))
-        if stored.shape != expected.shape or not np.allclose(
-            stored, expected, rtol=0.0, atol=atol, equal_nan=True
-        ):
+    for name in SAMPLES:
+        if not _agrees(getattr(traj, name), getattr(fresh, name)):
             raise ValidationFailedError(f"trajectory samples disagree with their solution: {name}")
     report = validate(traj.meta, model, tolerances=_tolerances_from_args(args))
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -296,13 +291,17 @@ def _cmd_critical(args):
     inputs, seed = [], None
     if args.study_c0:
         _reject_options(args, ("nu1", "omega2", "omega1p", "branches"), "--study-c0")
-        payload = c0_sampling_study(args.samples, args.n_dof, args.seed).to_dict()
-        seed = args.seed
+        n_dof = 3 if args.n is None else args.n
+        samples = 1000 if args.samples is None else args.samples
+        seed = 0 if args.seed is None else args.seed
+        payload = c0_sampling_study(samples, n_dof, seed).to_dict()
     else:
+        mode = "--family" if args.family else "--model/--config"
+        _reject_options(args, ("n", "samples", "seed"), mode)
         if args.family:
             spectra = n2_spectrum(args.family, nu1=args.nu1, omega2=args.omega2, omega1p=args.omega1p)
         else:
-            _reject_options(args, ("nu1", "omega2", "omega1p"), "--model/--config")
+            _reject_options(args, ("nu1", "omega2", "omega1p"), mode)
             model, inputs = _resolve_model(args)
             spectra = analyze(model)
         tau_c, c0 = solve_critical(critical_limit(spectra))
@@ -436,9 +435,9 @@ def build_parser():
     p.add_argument("--omega2", type=float, default=None)
     p.add_argument("--omega1p", type=float, default=None)
     p.add_argument("--branches", type=_parse_branches, default=None, help="asymptotic branches, e.g. 3..6")
-    p.add_argument("--n", dest="n_dof", type=int, default=3)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, default=None, help="study dimension (default 3)")
+    p.add_argument("--samples", type=int, default=None, help="study samples (default 1000)")
+    p.add_argument("--seed", type=int, default=None, help="study seed (default 0)")
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_critical)

@@ -11,14 +11,13 @@ asymptotic grid of roots with vertical spacing pi.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError, NoRootError
-from .impact import phase_rate
+from .impact import existence_gate, phase_rate
 from .model import SpectrumPair, _check_branch_index
 
 __all__ = [
@@ -45,11 +44,6 @@ _XTOL = 1e-13
 _RTOL = 8.9e-16
 # Samples a c0 study draws and solves at once.
 _STUDY_CHUNK = 128
-
-
-def existence_gate(lam_prime) -> bool:
-    """True iff the largest contact eigenvalue is strictly positive."""
-    return bool(np.asarray(lam_prime, float)[-1] > 0)
 
 
 def critical_limit(spectra: SpectrumPair) -> SpectrumPair:
@@ -362,9 +356,6 @@ class StudySummary:
             "minC0": self.min_c0,
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _sample_critical_spectra(n_dof, rng):

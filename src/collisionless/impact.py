@@ -29,10 +29,11 @@ from .errors import (
     ConvergenceError,
     DegenerateSolutionError,
     InvalidParameterError,
+    NoExistenceError,
     PoleError,
     ZeroModeError,
 )
-from .model import SpectrumPair, _check_positive
+from .model import SpectrumPair, _as_dict, _check_positive
 from .spectral import SpectralData
 from .svgout import SvgCanvas
 
@@ -41,6 +42,7 @@ __all__ = [
     "mode_motion_vec",
     "phase_rate",
     "kernel_ratio",
+    "existence_gate",
     "contact_matrix",
     "impact_residual",
     "phi",
@@ -144,6 +146,11 @@ def phase_rate(tau, lam, sigma):
         return np.where(even, -om / tan, np.where(osc, tan, -tan) * om)
 
 
+def existence_gate(lam_prime) -> bool:
+    """True iff the largest contact eigenvalue is strictly positive."""
+    return bool(np.asarray(lam_prime, float)[-1] > 0)
+
+
 def _require_nonzero_spectra(spectra: SpectrumPair):
     scale = max(np.abs(spectra.lam).max(), np.abs(spectra.lam_prime).max())
     if np.abs(spectra.lam).min() <= ZERO_EIGENVALUE_ATOL * scale:
@@ -192,29 +199,50 @@ def contact_matrix(tau, tau_prime, spectra: SpectrumPair, M, eta_vec) -> np.ndar
     return out
 
 
-def _minor_dets(bc: np.ndarray) -> np.ndarray:
+def _norms(a: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norms of ``a`` along ``axis``, kept as a length-1 axis.
+
+    Where squares overflow (a stiff hyperbolic kernel), it is the largest
+    magnitude times the norm of the entries divided by it; elsewhere it is
+    the plain norm.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a, axis=axis, keepdims=True)
+    huge = ~np.isfinite(norms)
+    if huge.any():
+        peak = np.where(huge, np.abs(a).max(axis=axis, keepdims=True), 1.0)
+        norms = np.where(huge, peak * np.linalg.norm(a / peak, axis=axis, keepdims=True), norms)
+    return norms
+
+
+def _minor_dets(bc: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Determinants of the two maximal minors of (..., N+1, N) contact matrices.
 
-    Each minor is row-normalized to O(1) first.  The result has shape
-    (2, ...): the top-mode row dropped, then the amplitude-sum row dropped.
+    Every row is first divided by its entry of ``norms`` (floored at 1e-300),
+    so each minor is O(1); a row norm does not depend on which row a minor
+    drops.  The result has shape (2, ...): the top-mode row dropped, then the
+    amplitude-sum row dropped.
     """
     n = bc.shape[-1]
-    dets = []
-    for drop in (n - 1, n):
-        sub = np.delete(bc, drop, axis=-2)
-        norms = np.maximum(np.linalg.norm(sub, axis=-1, keepdims=True), 1e-300)
-        dets.append(np.linalg.det(sub / norms))
-    return np.array(dets)
+    bc = bc / np.maximum(norms, 1e-300)
+    return np.array([np.linalg.det(np.delete(bc, drop, axis=-2)) for drop in (n - 1, n)])
 
 
 def impact_residual(o, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
     """Two normalized determinants at impact phases o = (o_N, o'_{N-1}).
 
     The first drops the top-mode row, the second drops the amplitude-sum row;
-    both vanish simultaneously exactly at impact-time solutions.
+    both vanish simultaneously exactly at impact-time solutions.  Spectra
+    whose top contact eigenvalue is not positive (``existence_gate``) have no
+    solution and raise NoExistenceError.
     """
+    if not existence_gate(spectra.lam_prime):
+        raise NoExistenceError(
+            f"largest contact eigenvalue {spectra.lam_prime[-1]:.6g} is not positive"
+        )
     tau, tau_prime = spectra.from_phase(o[0], o[1])
-    return _minor_dets(contact_matrix(tau, tau_prime, spectra, M, eta_vec))
+    bc = contact_matrix(tau, tau_prime, spectra, M, eta_vec)
+    return _minor_dets(bc, _norms(bc, -1))
 
 
 def phi(o_n, o_prime, spectra: SpectrumPair, M, eta_vec) -> float:
@@ -421,15 +449,20 @@ def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> Contour
 
     Seeds are centroids of connected runs of grid cells in which both
     determinants change sign, i.e. candidate curve intersections to be
-    refined by ``refine_root``.
+    refined by ``refine_root``.  Spectra that fail ``existence_gate`` have
+    no solution, so their scan has no seeds.
     """
     grid = grid or GridSpec()
     o_n_axis, o_p_axis = grid.axes()
-    taus, taups = spectra.from_phase(o_n_axis[:, None], o_p_axis[None, :])
-    # stiff hyperbolic modes can overflow on the grid; _sign_change_cells skips those cells
-    with np.errstate(over="ignore", invalid="ignore"):
-        det_a, det_b = _minor_dets(contact_matrix(taus, taups, spectra, spectra.M, spectra.eta))
+    # stiff hyperbolic modes can overflow on the grid; _sign_change_cells skips those cells,
+    # and a zero top contact eigenvalue makes every contact time infinite.  Plain row norms
+    # keep the grid's cells and seeds where squares overflow (such a row becomes zero).
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        taus, taups = spectra.from_phase(o_n_axis[:, None], o_p_axis[None, :])
+        bc = contact_matrix(taus, taups, spectra, spectra.M, spectra.eta)
+        det_a, det_b = _minor_dets(bc, np.linalg.norm(bc, axis=-1, keepdims=True))
     both = _sign_change_cells(det_a) & _sign_change_cells(det_b)
+    both &= existence_gate(spectra.lam_prime)
     return ContourField(
         o_n_axis=o_n_axis,
         o_p_axis=o_p_axis,
@@ -449,9 +482,13 @@ class ImpactTimes:
     tau_prime: float
     o_n: float
     o_prime: float
-    mu: float
     residual: tuple
     iterations: int = 0
+
+    @property
+    def mu(self) -> float:
+        """Time ratio tau / tau'."""
+        return self.tau / self.tau_prime
 
 
 def refine_root(seed, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> ImpactTimes:
@@ -500,7 +537,6 @@ def refine_root(seed, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> Imp
                 tau_prime=tau_prime,
                 o_n=float(o[0]),
                 o_prime=float(o[1]),
-                mu=tau / tau_prime,
                 residual=(float(F[0]), float(F[1])),
                 iterations=iteration,
             )
@@ -546,8 +582,7 @@ def assemble_impact_matrix(spectral: SpectralData, tau: float, tau_prime: float)
     A[n : 2 * n, :n] = X * gd[None, :]
     A[n : 2 * n, n : 2 * n - 1] = -Xp * gpd[None, :]
     A[2 * n, :n] = X[-1, :] * (-spectral.lam * g)
-    col_norms = np.linalg.norm(A, axis=0)
-    sv = np.linalg.svd(A / col_norms[None, :], compute_uv=False)
+    sv = np.linalg.svd(A / _norms(A, 0), compute_uv=False)
     return A, float(sv[-1] / sv[0])
 
 
@@ -658,18 +693,11 @@ class ImpactSolution:
     weight_residual: float
 
     def to_dict(self) -> dict:
+        """The impact times with ``mu``, then the other fields except ``spectral``."""
         return {
-            "tau": self.times.tau,
-            "tau_prime": self.times.tau_prime,
-            "o_n": self.times.o_n,
-            "o_prime": self.times.o_prime,
+            **_as_dict(self.times),
             "mu": self.times.mu,
-            "residual": list(self.times.residual),
-            "iterations": self.times.iterations,
-            "q": self.q.tolist(),
-            "q_prime": self.q_prime.tolist(),
-            "rank_gap": self.rank_gap,
-            "weight_residual": self.weight_residual,
+            **_as_dict(self, skip=("times", "spectral")),
         }
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -54,8 +54,25 @@ def _frozen(values, dtype=float):
     return out
 
 
+def _as_dict(record, skip=()) -> dict:
+    """The fields of a dataclass record, except ``skip``, with arrays and tuples as lists."""
+    values = {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
+    return {
+        name: v.tolist() if isinstance(v, np.ndarray) else list(v) if isinstance(v, tuple) else v
+        for name, v in values.items()
+    }
+
+
+def _numeric(values, label, dtype=None):
+    """``values`` as an array of ``dtype``; bool and string entries raise InvalidModelError."""
+    if not isinstance(values, np.ndarray) or values.dtype.kind not in "iuf":
+        if any(isinstance(v, (bool, np.bool_, str, bytes)) for v in np.asarray(values, object).flat):
+            raise InvalidModelError(f"{label} entries must be numbers")
+    return np.asarray(values, dtype)
+
+
 def _check_signature(sig, length, label):
-    arr = np.asarray(sig)
+    arr = _numeric(sig, label)
     if arr.shape != (length,):
         raise InvalidModelError(f"{label} must have length {length}, got shape {arr.shape}")
     if not np.all((arr == 1) | (arr == -1)):
@@ -95,8 +112,8 @@ class ModelSpec:
         n = self.n
         if not isinstance(n, (int, np.integer)) or n < 2:
             raise InvalidModelError(f"n must be an integer >= 2, got {self.n!r}")
-        mass = np.asarray(self.mass, float)
-        stiffness = np.asarray(self.stiffness, float)
+        mass = _numeric(self.mass, "mass", float)
+        stiffness = _numeric(self.stiffness, "stiffness", float)
         for label, mat in (("mass", mass), ("stiffness", stiffness)):
             if mat.shape != (n, n):
                 raise InvalidModelError(f"{label} must be {n}x{n}, got {mat.shape}")
@@ -127,16 +144,7 @@ class ModelSpec:
 
     def to_config(self) -> dict:
         """Plain-dict form matching the JSON model-file schema."""
-        return {
-            "name": self.name,
-            "n": self.n,
-            "mass": self.mass.tolist(),
-            "stiffness": self.stiffness.tolist(),
-            "sigma": self.sigma.tolist(),
-            "sigma_prime": self.sigma_prime.tolist(),
-            "static_force": self.static_force,
-            "contact_sign": self.contact_sign,
-        }
+        return _as_dict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,11 +313,6 @@ def n2_spectrum(family: str, *, nu1: float | None = None, omega2: float,
     raise InvalidParameterError(f"unknown family {family!r}")
 
 
-_REQUIRED_KEYS = {
-    "name", "n", "mass", "stiffness", "sigma", "sigma_prime", "static_force", "contact_sign",
-}
-
-
 def _config_number(config, key, integral=False):
     """config[key] as a float, or an int if ``integral``; bools, strings and fractions raise."""
     value = config[key]
@@ -321,33 +324,27 @@ def _config_number(config, key, integral=False):
 
 
 def load_model(source) -> ModelSpec:
-    """Load and validate a model from a JSON file path, file object, or dict."""
+    """Load and validate a model from a JSON file path or a dict."""
     if isinstance(source, dict):
         config = source
     else:
         try:
-            if hasattr(source, "read"):
-                config = json.load(source)
-            else:
-                config = json.loads(Path(source).read_text())
+            config = json.loads(Path(source).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidModelError(f"cannot parse model file: {exc}") from exc
     if not isinstance(config, dict):
         raise InvalidModelError("model file must contain a JSON object")
-    missing = _REQUIRED_KEYS - config.keys()
+    missing = {f.name for f in fields(ModelSpec)} - config.keys()
     if missing:
         raise InvalidModelError(f"model file missing keys: {sorted(missing)}")
     try:
-        return ModelSpec(
-            name=str(config["name"]),
-            n=_config_number(config, "n", integral=True),
-            mass=config["mass"],
-            stiffness=config["stiffness"],
-            sigma=config["sigma"],
-            sigma_prime=config["sigma_prime"],
-            static_force=_config_number(config, "static_force"),
-            contact_sign=_config_number(config, "contact_sign", integral=True),
-        )
+        return ModelSpec(**{
+            **{f.name: config[f.name] for f in fields(ModelSpec)},
+            "name": str(config["name"]),
+            "n": _config_number(config, "n", integral=True),
+            "static_force": _config_number(config, "static_force"),
+            "contact_sign": _config_number(config, "contact_sign", integral=True),
+        })
     except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, InvalidModelError):
             raise

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import CollisionlessError, InvalidParameterError
-from .impact import ImpactSolution, ImpactTimes, mode_motion_vec
-from .model import ModelSpec, _check_positive
+from .impact import ImpactSolution, ImpactTimes, build_solution, mode_motion_vec
+from .model import ModelSpec, _as_dict, _check_positive
 from .spectral import SpectralData, static_offset
 from .svgout import SvgCanvas
 
@@ -48,6 +48,10 @@ CHECK_SAMPLES = 2001
 # Largest deviation of a solution's model quantity from the given model's,
 # relative to the largest entry of the model's.
 MODEL_RTOL = 1e-9
+
+# Largest deviation of a stored trajectory value (sample or solution number)
+# from the one derived again, relative to the derived value's largest magnitude.
+SAMPLE_RTOL = 1e-12
 
 
 def _free_state(spectral: SpectralData, q, t):
@@ -112,6 +116,18 @@ class Trajectory:
     def phase(self) -> np.ndarray:
         """Per-sample phase: 0 up to and including the impact sample, 1 after it."""
         return (np.arange(self.t.size) > self.t.size // 2).astype(int)
+
+
+# Names of the sample arrays of a Trajectory.
+SAMPLES = tuple(f.name for f in fields(Trajectory) if f.name != "meta")
+
+
+def _agrees(stored, derived) -> bool:
+    """True if ``stored`` has the shape of ``derived`` and lies within SAMPLE_RTOL of it."""
+    atol = SAMPLE_RTOL * np.nanmax(np.abs(derived))
+    return stored.shape == derived.shape and np.allclose(
+        stored, derived, rtol=0.0, atol=atol, equal_nan=True
+    )
 
 
 def synthesize(solution: ImpactSolution, samples_per_phase: int = 500) -> Trajectory:
@@ -183,15 +199,7 @@ class ValidationReport:
     tolerances: ValidatorTolerances = field(default_factory=ValidatorTolerances)
 
     def to_dict(self) -> dict:
-        return {
-            "impact_velocity_residual": self.impact_velocity_residual,
-            "impact_accel_residual": self.impact_accel_residual,
-            "continuity_residual": self.continuity_residual,
-            "energy_variation": self.energy_variation,
-            "penetration_violation": self.penetration_violation,
-            "contact_force_violation": self.contact_force_violation,
-            "passed": self.passed,
-        }
+        return _as_dict(self, skip=("tolerances",))
 
 
 def _check_same_model(spectral: SpectralData, model: ModelSpec):
@@ -297,75 +305,50 @@ def to_csv(traj: Trajectory, path):
             writer.writerow(row)
 
 
-def _spectral_to_dict(spectral: SpectralData) -> dict:
-    return {f.name: np.asarray(getattr(spectral, f.name)).tolist() for f in fields(SpectralData)}
-
-
-def _spectral_from_dict(data: dict) -> SpectralData:
-    return SpectralData(**{f.name: data[f.name] for f in fields(SpectralData)})
-
-
 def to_json(traj: Trajectory, path):
-    """Serialize the trajectory with its full solution metadata (lossless)."""
-    sol = traj.meta
-    payload = {
-        "t": traj.t.tolist(),
-        "x": traj.x.tolist(),
-        "xdot": traj.xdot.tolist(),
-        "xddot": traj.xddot.tolist(),
-        "energy": traj.energy.tolist(),
-        "constraint_force": [None if np.isnan(v) else v for v in traj.constraint_force],
-        "solution": {
-            **sol.to_dict(),
-            "spectral": _spectral_to_dict(sol.spectral),
-        },
-    }
+    """Serialize the samples, the solution and its spectral data (lossless)."""
+    payload = {name: getattr(traj, name).tolist() for name in SAMPLES}
+    payload["constraint_force"] = [None if np.isnan(v) else v for v in payload["constraint_force"]]
+    payload["solution"] = {**traj.meta.to_dict(), "spectral": _as_dict(traj.meta.spectral)}
     with open(path, "w") as fh:
         json.dump(payload, fh)
 
 
 def trajectory_from_json(path) -> Trajectory:
-    """Read a trajectory written by ``to_json``.
+    """Read a trajectory written by ``to_json``, rebuilding its solution.
 
-    A file that cannot be opened, is not JSON, lacks a field, or stores
-    spectra that fail ``SpectrumPair``'s checks raises InvalidParameterError
-    naming the file and the fault.  Stored ``phase``, ``tau_mark`` and
-    ``mode_matrix_prime`` keys are ignored: those values are derived from
-    the solution.
+    The solution is built again, as ``solve_model`` builds it, from the
+    stored spectral data, the impact phases ``o_n`` and ``o_prime``, and the
+    refinement's ``residual`` and ``iterations``.  The stored ``tau``,
+    ``tau_prime``, ``mu``, ``q`` and ``q_prime`` must agree with the rebuilt
+    ones to SAMPLE_RTOL of each one's largest magnitude.  ``rank_gap``,
+    ``weight_residual``, ``phase``, ``tau_mark`` and ``mode_matrix_prime``
+    are derived, and stored values of them are ignored.
+
+    A file that cannot be opened, is not JSON, lacks a field, stores spectra
+    that fail ``SpectrumPair``'s checks, or stores a solution number that
+    disagrees with the rebuilt one raises InvalidParameterError naming the
+    file and the fault.
     """
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        sol_data = payload["solution"]
-        spectral = _spectral_from_dict(sol_data["spectral"])
+        stored = payload["solution"]
+        spectral = SpectralData(**{f.name: stored["spectral"][f.name] for f in fields(SpectralData)})
+        o_n, o_prime = stored["o_n"], stored["o_prime"]
         times = ImpactTimes(
-            tau=sol_data["tau"],
-            tau_prime=sol_data["tau_prime"],
-            o_n=sol_data["o_n"],
-            o_prime=sol_data["o_prime"],
-            mu=sol_data["mu"],
-            residual=tuple(sol_data["residual"]),
-            iterations=sol_data["iterations"],
+            *spectral.from_phase(o_n, o_prime), o_n, o_prime,
+            tuple(stored["residual"]), stored["iterations"],
         )
-        solution = ImpactSolution(
-            times=times,
-            q=np.array(sol_data["q"]),
-            q_prime=np.array(sol_data["q_prime"]),
-            spectral=spectral,
-            rank_gap=sol_data["rank_gap"],
-            weight_residual=sol_data["weight_residual"],
-        )
-        force = np.array(
-            [np.nan if v is None else v for v in payload["constraint_force"]], dtype=float
-        )
+        solution = build_solution(spectral, times)
+        rebuilt = solution.to_dict()
+        for key in ("tau", "tau_prime", "mu", "q", "q_prime"):
+            if not _agrees(np.asarray(stored[key], float), np.asarray(rebuilt[key])):
+                raise InvalidParameterError(
+                    f"stored {key} disagrees with the solution rebuilt from o_n and o_prime"
+                )
         return Trajectory(
-            t=np.array(payload["t"]),
-            x=np.array(payload["x"]),
-            xdot=np.array(payload["xdot"]),
-            xddot=np.array(payload["xddot"]),
-            energy=np.array(payload["energy"]),
-            constraint_force=force,
-            meta=solution,
+            **{name: np.array(payload[name], float) for name in SAMPLES}, meta=solution
         )
     except (OSError, ValueError, KeyError, TypeError, CollisionlessError) as exc:
         raise InvalidParameterError(

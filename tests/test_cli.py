@@ -239,6 +239,39 @@ def test_validate_derives_constrained_modes(tmp_path, capsys, stored):
     assert derived.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("key, named", [
+    ("tau", "tau"), ("tau_prime", "tau_prime"), ("mu", "mu"), ("o_n", "tau"),
+    ("q", "q"), ("q_prime", "q_prime"),
+])
+def test_validate_rejects_edited_solution(tmp_path, capsys, key, named):
+    # the solution is rebuilt from the spectra and impact phases; an edited o_n moves tau
+    assert main(["trajectory", "--out", str(tmp_path / "traj"), "--samples", "20",
+                 "--format", "json"]) == 0
+    path = tmp_path / "traj.json"
+    payload = json.loads(path.read_text())
+    values = np.array(payload["solution"][key])
+    values.flat[np.argmax(np.abs(values))] *= 1 + 1e-9
+    payload["solution"][key] = values.tolist()
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["validate", "--trajectory", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"stored {named} disagrees" in err
+
+
+@pytest.mark.parametrize("key", ["rank_gap", "weight_residual"])
+def test_validate_derives_certificates(tmp_path, capsys, key):
+    assert main(["trajectory", "--out", str(tmp_path / "traj"), "--samples", "20",
+                 "--format", "json"]) == 0
+    path = tmp_path / "traj.json"
+    payload = json.loads(path.read_text())
+    stored = payload["solution"][key]
+    payload["solution"][key] = 0.5
+    path.write_text(json.dumps(payload))
+    assert main(["validate", "--trajectory", str(path)]) == 0
+    assert getattr(cl.trajectory_from_json(path).meta, key) == stored
+
+
 @pytest.mark.parametrize("validate_with", ["negated-force", "builtin"])
 def test_validate_rejects_solution_of_another_model(tmp_path, capsys, validate_with):
     # exported from the biped with doubled matrices and static force; the spectra are the same
@@ -325,6 +358,12 @@ def test_critical_study_deterministic(capsys):
     assert payload["minC0"] > 0
 
 
+def test_critical_study_defaults(tmp_path, capsys):
+    assert main(["critical", "--study-c0", "--samples", "3", "--out", str(tmp_path / "s")]) == 0
+    assert json.loads((tmp_path / "s.json").read_text())["N"] == 3
+    assert json.loads((tmp_path / "s.manifest.json").read_text())["seed"] == 0
+
+
 def test_critical_family_report(capsys):
     code = main(
         ["critical", "--family", "rocker", "--nu1", "1", "--omega2", "2",
@@ -401,6 +440,11 @@ def test_unknown_builtin_model_reported():
     (["critical", "--model", "armed-biped", "--nu1", "1"], "--nu1"),
     (["critical", "--model", "armed-biped", "--omega2", "2"], "--omega2"),
     (["critical", "--config", "unread.json", "--omega1p", "1"], "--omega1p"),
+    (["critical", "--family", "rocker", "--nu1", "1", "--omega2", "2", "--omega1p", "0.3",
+      "--n", "4"], "--n"),
+    (["critical", "--family", "rocker", "--nu1", "1", "--omega2", "2", "--omega1p", "0.3",
+      "--samples", "5"], "--samples"),
+    (["critical", "--config", "unread.json", "--seed", "3"], "--seed"),
 ])
 def test_options_unused_by_the_mode_exit1(capsys, argv, option):
     assert main(argv) == 1

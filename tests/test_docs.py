@@ -1,8 +1,12 @@
 import itertools
+import json
 import re
+import shlex
 from pathlib import Path
 
+import collisionless as cl
 from collisionless import errors
+from collisionless.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,6 +17,19 @@ def test_readme_library_sketch_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(code, str(README), "exec"), {})
     assert (tmp_path / "trajectory.csv").stat().st_size > 0
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    block = re.search(r"```sh\n(.*?)```", README.read_text().split("## CLI", 1)[1], re.S).group(1)
+    commands = [
+        shlex.split(line)[1:] for line in block.splitlines() if line.startswith("collisionless ")
+    ]
+    assert len(commands) >= 8
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_model.json").write_text(json.dumps(cl.build_armed_biped().to_config()))
+    (tmp_path / "results").mkdir()
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def test_readme_exit_code_table_matches_error_classes():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -375,6 +377,35 @@ def test_scan_skips_cells_with_non_finite_corners():
             assert np.isfinite(cl.impact_residual(seed, spectral, spectral.M, spectral.eta)).all()
 
 
+@pytest.mark.parametrize("lamp_top", [0.0, -0.5])
+def test_impact_layer_rejects_spectra_without_existence(lamp_top):
+    spectra = cl.SpectrumPair([-2.0, 1.0], [lamp_top], [1, 1], [1])
+    assert cl.scan_contour(spectra).seeds.shape == (0, 2)
+    with pytest.raises(cl.NoExistenceError):
+        cl.impact_residual((1.0, 1.0), spectra, spectra.M, spectra.eta)
+    with pytest.raises(cl.NoExistenceError):
+        cl.refine_root((1.0, 1.0), spectra, spectra.M, spectra.eta)
+
+
+def test_stiff_hyperbolic_model_refines_without_overflow():
+    # the squares of the lam ~ -1e4 kernels overflow the plain row and column norms
+    model = cl.ModelSpec(
+        name="stiff-hyperbolic", n=3, mass=np.eye(3),
+        stiffness=[[-1e4, 1, 1], [1, 4, 0.5], [1, 0.5, -1]],
+        sigma=(1, -1, -1), sigma_prime=(1, -1), static_force=1, contact_sign=1,
+    )
+    spectral = cl.analyze(model)
+    for seed in cl.scan_contour(spectral).seeds:
+        with pytest.raises(cl.ConvergenceError):
+            cl.refine_root(seed, spectral, spectral.M, spectral.eta)
+    times = cl.refine_root((7.4, 2.025), spectral, spectral.M, spectral.eta)
+    assert max(abs(r) for r in times.residual) < 1e-11
+    with pytest.raises(cl.DegenerateSolutionError):
+        cl.build_solution(spectral, times)
+    with pytest.raises(cl.ConvergenceError):
+        cl.solve_model(model)
+
+
 def test_scan_grid_validation(biped_spectral):
     with pytest.raises(cl.InvalidParameterError):
         cl.scan_contour(biped_spectral.spectra, cl.GridSpec(o_n_max=0.01, o_p_max=0.01))
@@ -400,6 +431,11 @@ def test_refine_root_matches_published_values(biped_root):
     assert biped_root.tau_prime == pytest.approx(0.77785, abs=5e-5)
     assert max(abs(r) for r in biped_root.residual) < 1e-11
     assert biped_root.mu == pytest.approx(biped_root.tau / biped_root.tau_prime)
+
+
+def test_mu_is_derived_from_the_times(biped_root):
+    assert "mu" not in {f.name for f in dataclasses.fields(cl.ImpactTimes)}
+    assert biped_root.mu == biped_root.tau / biped_root.tau_prime
 
 
 def test_refine_root_idempotent(biped_spectral, biped_cauchy, biped_root):
@@ -490,7 +526,7 @@ def _refine_root_loop(seed, spectra, M, eta_vec, *, max_iter=100):
             tau, tau_prime = spectra.from_phase(o[0], o[1])
             return cl.ImpactTimes(
                 tau=tau, tau_prime=tau_prime, o_n=float(o[0]), o_prime=float(o[1]),
-                mu=tau / tau_prime, residual=(float(F[0]), float(F[1])),
+                residual=(float(F[0]), float(F[1])),
                 iterations=iteration,
             )
         damping = 1.0

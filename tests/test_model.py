@@ -101,6 +101,24 @@ def test_load_model_rejects_uncoerced_numbers(biped, key, value):
         cl.load_model(config)
 
 
+@pytest.mark.parametrize("key, entry", [
+    ("mass", "1"), ("mass", True), ("stiffness", "1"), ("stiffness", True),
+    ("sigma", "-1"), ("sigma", True), ("sigma_prime", "1"), ("sigma_prime", True),
+])
+def test_load_model_rejects_string_and_boolean_entries(biped, key, entry):
+    # each entry stands for the value it replaces (or a valid signature): only its type is wrong
+    config = biped.to_config()
+    values = np.array(config[key], dtype=object)
+    values.flat[0] = entry
+    with pytest.raises(cl.InvalidModelError, match=f"{key} entries must be numbers"):
+        cl.load_model({**config, key: values.tolist()})
+
+
+def test_spectrum_pair_rejects_boolean_signature():
+    with pytest.raises(cl.InvalidModelError, match="sigma entries must be numbers"):
+        cl.SpectrumPair([-1.0, 2.0], [1.0], [True, -1], [1])
+
+
 def test_load_model_accepts_integral_floats(biped):
     clone = cl.load_model({**biped.to_config(), "n": 3.0, "contact_sign": 1.0})
     assert (clone.n, clone.contact_sign) == (3, 1)

@@ -90,7 +90,6 @@ def test_validation_fails_on_detuned_root(biped_spectral, biped_solution, biped)
         tau_prime=times.tau_prime,
         o_n=times.o_n + 1e-3 * biped_spectral.spectra.omega_top,
         o_prime=times.o_prime,
-        mu=(times.tau + 1e-3) / times.tau_prime,
         residual=(np.nan, np.nan),
     )
     solution = cl.build_solution(biped_spectral, detuned)
