@@ -5,6 +5,10 @@ spectra.  Because its nodes interlace, its square submatrices admit explicit
 product formulas for the determinant and inverse (O(N^2) arithmetic), and the
 squared contact-row amplitudes eta of the free modes follow from the null
 relation eta^T M = 0 in closed form.
+
+``cauchy_matrix`` and ``eta`` also take stacked node sets: arrays of shapes
+(..., n) and (..., m) with equal leading axes, one node set per row.  Each
+row is checked on its own, and 1-d node sets give the same results as ever.
 """
 
 from __future__ import annotations
@@ -23,24 +27,39 @@ DENSE_FALLBACK_RTOL = 1e-6
 
 
 def _diffs(x, y):
+    """x[..., i] - y[..., j] for node sets stacked on equal leading axes."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    if x.ndim != 1 or y.ndim != 1:
-        raise InvalidParameterError("node sets must be 1-d")
-    return x[:, None] - y[None, :]
+    if min(x.ndim, y.ndim) < 1 or x.shape[:-1] != y.shape[:-1]:
+        raise InvalidParameterError("node sets must be 1-d, or stacked on equal leading axes")
+    return x[..., :, None] - y[..., None, :]
 
 
 def _spread(x, y):
-    lo = min(x.min(), y.min())
-    hi = max(x.max(), y.max())
-    return max(hi - lo, 1e-300)
+    lo = np.minimum(x.min(axis=-1), y.min(axis=-1))
+    hi = np.maximum(x.max(axis=-1), y.max(axis=-1))
+    return np.maximum(hi - lo, 1e-300)
+
+
+def _checked_diffs(x, y, message):
+    """Stacked differences x - y; InterlacingError(message) if a row has near-coincident nodes."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    d = _diffs(x, y)
+    if np.any(np.abs(d).min(axis=(-2, -1)) < NEAR_SINGULAR_RTOL * _spread(x, y)):
+        raise InterlacingError(message)
+    return d
 
 
 def cauchy_matrix(lam, lam_prime) -> np.ndarray:
-    """M[i, j] = 1 / (lam[i] - lam_prime[j]); errors on near-coincident nodes."""
-    d = _diffs(lam, lam_prime)
-    if np.abs(d).min() < NEAR_SINGULAR_RTOL * _spread(np.asarray(lam), np.asarray(lam_prime)):
-        raise InterlacingError("near-singular spectrum: lam and lam_prime nodes nearly coincide")
+    """M[..., i, j] = 1 / (lam[..., i] - lam_prime[..., j]); errors on near-coincident nodes.
+
+    Stacked node sets give one matrix per row, and the near-coincidence test
+    uses each row's own spread.
+    """
+    d = _checked_diffs(
+        lam, lam_prime, "near-singular spectrum: lam and lam_prime nodes nearly coincide"
+    )
     return 1.0 / d
 
 
@@ -49,7 +68,7 @@ def cauchy_det(x, y) -> float:
     d = _diffs(x, y)
     n = d.shape[0]
     if d.shape != (n, n):
-        raise InvalidParameterError("cauchy_det needs equally sized node sets")
+        raise InvalidParameterError("cauchy_det needs two 1-d node sets of equal size")
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     num = 1.0
@@ -73,7 +92,7 @@ def cauchy_inverse(x, y) -> np.ndarray:
     d = _diffs(x, y)
     n = d.shape[0]
     if d.shape != (n, n):
-        raise InvalidParameterError("cauchy_inverse needs equally sized node sets")
+        raise InvalidParameterError("cauchy_inverse needs two 1-d node sets of equal size")
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     spread = _spread(x, y)
@@ -105,20 +124,21 @@ def eta(lam, lam_prime) -> np.ndarray:
         eta_i = prod_j (lam_i - lam'_j) / prod_{k != i} (lam_i - lam_k),
 
     normalized by the i = N value.  All entries are positive for strictly
-    interlaced spectra.
+    interlaced spectra.  Stacked spectra, of shapes (..., N) and (..., N-1),
+    give one normalized eta per row; any row with near-coincident nodes or a
+    non-positive entry raises InterlacingError.
     """
     lam = np.asarray(lam, float)
     lamp = np.asarray(lam_prime, float)
-    n = lam.shape[0]
-    if lamp.shape != (n - 1,):
+    n = lam.shape[-1] if lam.ndim else 0
+    if lamp.shape != lam.shape[:-1] + (n - 1,):
         raise InvalidParameterError("lam_prime must have one entry fewer than lam")
-    d = _diffs(lam, lamp)
-    if np.abs(d).min() < NEAR_SINGULAR_RTOL * _spread(lam, lamp):
-        raise InterlacingError("near-singular spectrum in eta")
-    dl = lam[:, None] - lam[None, :]
-    np.fill_diagonal(dl, 1.0)
-    out = np.prod(d, axis=1) / np.prod(dl, axis=1)
-    out = out / out[-1]
+    d = _checked_diffs(lam, lamp, "near-singular spectrum in eta")
+    dl = lam[..., :, None] - lam[..., None, :]
+    diag = np.arange(n)
+    dl[..., diag, diag] = 1.0
+    out = np.prod(d, axis=-1) / np.prod(dl, axis=-1)
+    out = out / out[..., -1:]
     if not np.all(out > 0):
         raise InterlacingError("eta has non-positive entries; spectra are not interlaced")
     return out

@@ -11,14 +11,18 @@ asymptotic grid of roots with vertical spacing pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
+from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
 
+from .cauchy import cauchy_matrix, eta
 from .errors import InvalidParameterError, NoRootError
 from .impact import existence_gate, phase_rate
-from .model import SpectrumPair, _check_branch_index
+from .model import SpectrumPair, _check_branch_index, _check_integer, _check_spectra
 
 __all__ = [
     "existence_gate",
@@ -29,6 +33,7 @@ __all__ = [
     "AsymptoticPoint",
     "large_tau_asymptote",
     "asymptotic_grid",
+    "STUDY_STAGES",
     "StudySummary",
     "c0_sampling_study",
 ]
@@ -44,6 +49,8 @@ _XTOL = 1e-13
 _RTOL = 8.9e-16
 # Samples a c0 study draws and solves at once.
 _STUDY_CHUNK = 128
+# Stages of ``c0_sampling_study`` timed in ``StudySummary.timings``, in run order.
+STUDY_STAGES = ("sample", "scan", "polish")
 
 
 def critical_limit(spectra: SpectrumPair) -> SpectrumPair:
@@ -91,26 +98,31 @@ class _Stack(NamedTuple):
     eta_sum: np.ndarray      # (S,)
 
     def take(self, idx) -> _Stack:
-        return _Stack(*(field[idx] for field in self))
+        return _Stack(*(values[idx] for values in self))
 
 
-def _stack(pairs) -> _Stack:
-    """Stack spectra of one dimension; each pair's M and eta are its own cached ones."""
-    lam = np.stack([p.lam for p in pairs])
-    lam_prime = np.stack([p.lam_prime for p in pairs])
-    M = np.stack([p.M for p in pairs])
+def _stack(lam, lam_prime, sigma, sigma_prime) -> _Stack:
+    """Stack S spectra of one dimension, given with sample axis 0, after SpectrumPair's checks."""
+    lam, lam_prime, sigma, _ = _check_spectra(lam, lam_prime, sigma, sigma_prime, ndim=2)
+    M = cauchy_matrix(lam, lam_prime)
     nu_p = np.zeros_like(lam_prime)
     nu_p[:, :-1] = np.sqrt(-lam_prime[:, :-1])
     m_row = M[:, -1, :]
     rows = np.stack([m_row, m_row * nu_p / lam[:, -1:], np.ones_like(m_row)], axis=1)
     return _Stack(
         lam=lam,
-        sigma=np.stack([p.sigma for p in pairs]),
+        sigma=sigma,
         nu_p=nu_p,
         m_bar=M[:, :-1, :],
         rows=rows,
-        eta_sum=np.array([float(np.sum(p.eta)) for p in pairs]),
+        eta_sum=np.sum(eta(lam, lam_prime), axis=-1),
     )
+
+
+def _stack_one(spectra: SpectrumPair) -> _Stack:
+    """One spectrum pair as a stack of length 1."""
+    fields = (spectra.lam, spectra.lam_prime, spectra.sigma, spectra.sigma_prime)
+    return _stack(*(values[None] for values in fields))
 
 
 def _hyperbolic_rates(taus, stack):
@@ -158,7 +170,7 @@ def critical_matrices(tau: float, spectra: SpectrumPair):
     dropped out in the limit).  det(K + K~) = 0 fixes tau; c0 = -K[1,1]/K[1,0].
     """
     _require_limit(spectra)
-    stack = _stack([spectra])
+    stack = _stack_one(spectra)
     P0, P1, S, r = (
         v[0, 0] for v in _k_ingredients(_hyperbolic_rates(np.array([[float(tau)]]), stack), stack)
     )
@@ -221,14 +233,32 @@ def _itp(stack, a, b, fa, fb):
     return (b * fa - a * fb) / (fa - fb)
 
 
-def _first_roots(stack, o_max):
-    """First critical root (tau_c, c0) of each stacked sample; NaN where none is found.
+# Seconds per STUDY_STAGES name of the c0 study running in this context, if any.
+# A context variable, not an argument, because _first_roots keeps its
+# (stack, o_max) signature and each study's clock stays its own.
+_study_timings: ContextVar = ContextVar("study_timings", default=None)
+
+
+@contextmanager
+def _stage(name):
+    """Add the seconds spent in the block to the running study's ``name`` stage."""
+    start = perf_counter()
+    try:
+        yield
+    finally:
+        timings = _study_timings.get()
+        if timings is not None:
+            timings[name] += perf_counter() - start
+
+
+def _scan(stack, o_max):
+    """First finite sign-change bracket (lo, hi, f(lo), f(hi)) of each sample; NaN where none.
 
     Each sample's o_N = omega_N tau runs over the _SCAN_POINTS-point grid on
     [1e-3, o_max].  The grid is evaluated in ascending blocks of _SCAN_BLOCK
     intervals for every sample still scanning, and a sample leaves the scan
     at its first block holding a finite sign change, so the rest of its grid
-    is never evaluated.  All first brackets are then polished together.
+    is never evaluated.
     """
     om_top = np.sqrt(stack.lam[:, -1])
     grid = np.linspace(1e-3 / om_top, o_max / om_top, _SCAN_POINTS, axis=-1)
@@ -246,8 +276,13 @@ def _first_roots(stack, o_max):
         active = np.delete(active, hit)
         if not active.size:
             break
-    tau_c = np.full(om_top.size, np.nan)
-    c0 = np.full(om_top.size, np.nan)
+    return bracket
+
+
+def _polish(stack, bracket):
+    """(tau_c, c0) of each sample from its ``_scan`` bracket, polished together; NaN where none."""
+    tau_c = np.full(stack.lam.shape[0], np.nan)
+    c0 = np.full(stack.lam.shape[0], np.nan)
     found = np.nonzero(~np.isnan(bracket[0]))[0]
     if found.size:
         sub = stack.take(found)
@@ -257,10 +292,18 @@ def _first_roots(stack, o_max):
     return tau_c, c0
 
 
+def _first_roots(stack, o_max):
+    """First critical root (tau_c, c0) of each stacked sample; NaN where none is found."""
+    with _stage("scan"):
+        bracket = _scan(stack, o_max)
+    with _stage("polish"):
+        return _polish(stack, bracket)
+
+
 def solve_critical(spectra: SpectrumPair, o_max: float = _O_MAX):
     """First critical root: (tau_critical, c0).  Raises NoRootError if none found."""
     _require_limit(spectra)
-    tau_c, c0 = _first_roots(_stack([spectra]), o_max)
+    tau_c, c0 = _first_roots(_stack_one(spectra), o_max)
     if np.isnan(tau_c[0]):
         raise NoRootError(f"no critical root with o_N < {o_max:.4g}")
     return float(tau_c[0]), float(c0[0])
@@ -313,7 +356,7 @@ def large_tau_asymptote(n: int, spectra: SpectrumPair) -> AsymptoticPoint:
         raise InvalidParameterError("top free eigenvalue must be positive")
     limit = critical_limit(spectra)
     nu_bar = np.sqrt(-limit.lam[:-1])
-    A, B, S = (v[0, 0] for v in _det_terms(-nu_bar[None, None, :], _stack([limit])))
+    A, B, S = (v[0, 0] for v in _det_terms(-nu_bar[None, None, :], _stack_one(limit)))
     if B == 0:
         raise InvalidParameterError("degenerate asymptotic system")
     w_top = -A / B
@@ -338,7 +381,12 @@ def asymptotic_grid(spectra: SpectrumPair, branches) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StudySummary:
-    """Outcome of a randomized c0-positivity study."""
+    """Outcome of a randomized c0-positivity study.
+
+    ``timings`` maps each name in ``STUDY_STAGES`` to its wall time in
+    seconds, summed over chunks; it is left out of comparisons and of
+    ``to_dict``, so equal studies compare equal.
+    """
 
     n_dof: int
     samples: int
@@ -346,6 +394,7 @@ class StudySummary:
     nonpositive: int
     min_c0: float
     seed: int
+    timings: dict = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -358,25 +407,37 @@ class StudySummary:
         }
 
 
-def _sample_critical_spectra(n_dof, rng):
-    """Interlaced spectra in the critical limit: uniform gaps, max |lam| rescaled to 1.
+def _sample_chunk(n_dof, count, rng):
+    """``count`` interlaced spectra in the critical limit, stacked on axis 0.
 
-    The top contact eigenvalue is pinned at 0; the free/contact values below
-    alternate downward with gaps drawn from Uniform(0.1, 1); the top free
-    eigenvalue sits one gap above zero.  Signatures are drawn uniformly.
+    Returns (lam, lam_prime, sigma, sigma_prime).  The top contact eigenvalue
+    is pinned at 0; the top free eigenvalue sits one gap above zero and the
+    free/contact values below alternate downward, with gaps drawn from
+    Uniform(0.1, 1); then max |lam| is rescaled to 1.  Signatures are drawn
+    uniformly.  Each sample makes its three draws from ``rng`` in turn (its
+    2N - 2 gaps, its N free and its N - 1 contact signatures), so a chunk
+    continues the stream exactly where the previous one stopped.
     """
-    lam = np.empty(n_dof)
-    lamp = np.empty(n_dof - 1)
-    lamp[-1] = 0.0
-    lam[-1] = rng.uniform(0.1, 1.0)
-    downs = -np.cumsum(rng.uniform(0.1, 1.0, 2 * n_dof - 3))
-    lam[: n_dof - 1] = downs[0::2][::-1]
-    if n_dof > 2:
-        lamp[: n_dof - 2] = downs[1::2][::-1]
-    scale = np.abs(lam).max()
-    sigma = rng.choice([-1, 1], n_dof)
-    sigma_prime = rng.choice([-1, 1], n_dof - 1)
-    return SpectrumPair(lam / scale, lamp / scale, sigma, sigma_prime)
+    gaps = np.empty((count, 2 * n_dof - 2))
+    bits = np.empty((count, 2 * n_dof - 1), dtype=np.int64)
+    for k in range(count):
+        gaps[k] = rng.uniform(0.1, 1.0, 2 * n_dof - 2)
+        bits[k, :n_dof] = rng.integers(0, 2, n_dof)
+        bits[k, n_dof:] = rng.integers(0, 2, n_dof - 1)
+    lam = np.empty((count, n_dof))
+    lamp = np.zeros((count, n_dof - 1))
+    lam[:, -1] = gaps[:, 0]
+    downs = -np.cumsum(gaps[:, 1:], axis=1)
+    lam[:, :-1] = downs[:, 0::2][:, ::-1]
+    lamp[:, :-1] = downs[:, 1::2][:, ::-1]
+    scale = np.abs(lam).max(axis=1, keepdims=True)
+    signs = 2 * bits - 1
+    return lam / scale, lamp / scale, signs[:, :n_dof], signs[:, n_dof:]
+
+
+def _sample_critical_spectra(n_dof, rng) -> SpectrumPair:
+    """One sample of ``_sample_chunk`` as a ``SpectrumPair``."""
+    return SpectrumPair(*(v[0] for v in _sample_chunk(n_dof, 1, rng)))
 
 
 def c0_sampling_study(n_samples: int, n_dof: int, seed: int) -> StudySummary:
@@ -384,24 +445,30 @@ def c0_sampling_study(n_samples: int, n_dof: int, seed: int) -> StudySummary:
 
     Individual samples that yield no root in the scan window are counted as
     failures, never raised; any non-positive c0 is counted and reflected in
-    ``min_c0``.  Deterministic for a fixed seed.
+    ``min_c0``.  Deterministic for a fixed seed.  ``n_samples`` >= 1,
+    ``n_dof`` >= 2 and ``seed`` >= 0 must be integers.
     """
-    if n_samples < 1:
-        raise InvalidParameterError("need at least one sample")
-    if n_dof < 2:
-        raise InvalidParameterError("need at least 2 degrees of freedom")
+    _check_integer("n_samples", n_samples, 1)
+    _check_integer("n_dof", n_dof, 2)
+    _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     failures = 0
     nonpositive = 0
     min_c0 = np.inf
-    for start in range(0, n_samples, _STUDY_CHUNK):
-        count = min(_STUDY_CHUNK, n_samples - start)
-        pairs = [_sample_critical_spectra(n_dof, rng) for _ in range(count)]
-        tau_c, c0 = _first_roots(_stack(pairs), _O_MAX)
-        c0 = c0[~np.isnan(tau_c)]
-        failures += count - c0.size
-        nonpositive += int(np.count_nonzero(c0 <= 0))
-        min_c0 = min(min_c0, c0.min(initial=np.inf))
+    timings = dict.fromkeys(STUDY_STAGES, 0.0)
+    token = _study_timings.set(timings)
+    try:
+        for start in range(0, n_samples, _STUDY_CHUNK):
+            count = min(_STUDY_CHUNK, n_samples - start)
+            with _stage("sample"):
+                stack = _stack(*_sample_chunk(n_dof, count, rng))
+            tau_c, c0 = _first_roots(stack, _O_MAX)
+            c0 = c0[~np.isnan(tau_c)]
+            failures += count - c0.size
+            nonpositive += int(np.count_nonzero(c0 <= 0))
+            min_c0 = min(min_c0, c0.min(initial=np.inf))
+    finally:
+        _study_timings.reset(token)
     return StudySummary(
         n_dof=n_dof,
         samples=n_samples,
@@ -409,4 +476,5 @@ def c0_sampling_study(n_samples: int, n_dof: int, seed: int) -> StudySummary:
         nonpositive=nonpositive,
         min_c0=float(min_c0),
         seed=seed,
+        timings=timings,
     )

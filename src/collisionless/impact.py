@@ -33,7 +33,7 @@ from .errors import (
     PoleError,
     ZeroModeError,
 )
-from .model import SpectrumPair, _as_dict, _check_positive
+from .model import SpectrumPair, _as_dict, _check_integer, _check_positive
 from .spectral import SpectralData
 from .svgout import SvgCanvas
 
@@ -511,10 +511,7 @@ def refine_root(seed, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> Imp
         valid = False
     if not valid:
         raise InvalidParameterError(f"seed must be two finite positive phases, got {seed!r}")
-    if isinstance(max_iter, bool) or not (
-        isinstance(max_iter, (int, np.integer)) and max_iter >= 1
-    ):
-        raise InvalidParameterError(f"max_iter must be a positive integer, got {max_iter!r}")
+    _check_integer("max_iter", max_iter, 1)
     probes = np.array([[0.0, REFINE_FD_STEP, 0.0], [0.0, 0.0, REFINE_FD_STEP]])
     scalings = np.ldexp(1.0, -np.arange(40))[:, None]
 

@@ -48,6 +48,12 @@ def _check_branch_index(n):
         raise InvalidParameterError(f"branch index must be a positive integer, got {n!r}")
 
 
+def _check_integer(label, value, minimum):
+    """Raise InvalidParameterError unless value is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= minimum):
+        raise InvalidParameterError(f"{label} must be an integer >= {minimum}, got {value!r}")
+
+
 def _frozen(values, dtype=float):
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
@@ -71,10 +77,10 @@ def _numeric(values, label, dtype=None):
     return np.asarray(values, dtype)
 
 
-def _check_signature(sig, length, label):
+def _check_signature(sig, shape, label):
     arr = _numeric(sig, label)
-    if arr.shape != (length,):
-        raise InvalidModelError(f"{label} must have length {length}, got shape {arr.shape}")
+    if arr.shape != shape:
+        raise InvalidModelError(f"{label} must have shape {shape}, got shape {arr.shape}")
     if not np.all((arr == 1) | (arr == -1)):
         raise InvalidModelError(f"{label} entries must be +1 or -1")
     return _frozen(arr, int)
@@ -137,14 +143,49 @@ class ModelSpec:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "mass", _frozen(mass))
         object.__setattr__(self, "stiffness", _frozen(stiffness))
-        object.__setattr__(self, "sigma", _check_signature(self.sigma, n, "sigma"))
-        object.__setattr__(self, "sigma_prime", _check_signature(self.sigma_prime, n - 1, "sigma_prime"))
+        object.__setattr__(self, "sigma", _check_signature(self.sigma, (n,), "sigma"))
+        object.__setattr__(self, "sigma_prime", _check_signature(self.sigma_prime, (n - 1,), "sigma_prime"))
         object.__setattr__(self, "static_force", float(self.static_force))
         object.__setattr__(self, "contact_sign", int(self.contact_sign))
 
     def to_config(self) -> dict:
         """Plain-dict form matching the JSON model-file schema."""
         return _as_dict(self)
+
+
+def _check_spectra(lam, lam_prime, sigma, sigma_prime, ndim=1):
+    """Read-only (lam, lam_prime, sigma, sigma_prime) after ``SpectrumPair``'s checks.
+
+    ``lam`` has ``ndim`` axes, the last of length n >= 2; the others stack
+    spectra, which are checked row by row.  ``lam_prime`` has one entry fewer
+    per row, the signatures match the spectra's shapes, every row is finite
+    and strictly interlaced, and every signature is +1 or -1.
+    """
+    lam = np.asarray(lam, float)
+    lamp = np.asarray(lam_prime, float)
+    n = lam.shape[-1] if lam.ndim == ndim else 0
+    if n < 2 or lamp.shape != lam.shape[:-1] + (n - 1,):
+        raise InvalidParameterError(
+            f"need ascending spectra of lengths n and n-1, got {lam.shape} and {lamp.shape}"
+        )
+    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(lamp))):
+        raise InvalidParameterError("spectra must be finite")
+    merged = np.empty(lam.shape[:-1] + (2 * n - 1,))
+    merged[..., 0::2] = lam
+    merged[..., 1::2] = lamp
+    crossed = ~np.all(np.diff(merged, axis=-1) > 0, axis=-1)
+    if np.any(crossed):
+        row = tuple(np.argwhere(crossed)[0])
+        raise InterlacingError(
+            "spectra do not strictly interlace: "
+            f"lam={lam[row].tolist()}, lam_prime={lamp[row].tolist()}"
+        )
+    return (
+        _frozen(lam),
+        _frozen(lamp),
+        _check_signature(sigma, lam.shape, "sigma"),
+        _check_signature(sigma_prime, lamp.shape, "sigma_prime"),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,26 +202,9 @@ class SpectrumPair:
     sigma_prime: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.lam, float)
-        lamp = np.asarray(self.lam_prime, float)
-        n = lam.shape[0] if lam.ndim == 1 else 0
-        if n < 2 or lamp.shape != (n - 1,):
-            raise InvalidParameterError(
-                f"need ascending spectra of lengths n and n-1, got {lam.shape} and {lamp.shape}"
-            )
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(lamp))):
-            raise InvalidParameterError("spectra must be finite")
-        merged = np.empty(2 * n - 1)
-        merged[0::2] = lam
-        merged[1::2] = lamp
-        if not np.all(np.diff(merged) > 0):
-            raise InterlacingError(
-                f"spectra do not strictly interlace: lam={lam.tolist()}, lam_prime={lamp.tolist()}"
-            )
-        object.__setattr__(self, "lam", _frozen(lam))
-        object.__setattr__(self, "lam_prime", _frozen(lamp))
-        object.__setattr__(self, "sigma", _check_signature(self.sigma, n, "sigma"))
-        object.__setattr__(self, "sigma_prime", _check_signature(self.sigma_prime, n - 1, "sigma_prime"))
+        checked = _check_spectra(self.lam, self.lam_prime, self.sigma, self.sigma_prime)
+        for name, value in zip(("lam", "lam_prime", "sigma", "sigma_prime"), checked):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:

@@ -326,9 +326,10 @@ def trajectory_from_json(path) -> Trajectory:
     are derived, and stored values of them are ignored.
 
     A file that cannot be opened, is not JSON, lacks a field, stores spectra
-    that fail ``SpectrumPair``'s checks, or stores a solution number that
-    disagrees with the rebuilt one raises InvalidParameterError naming the
-    file and the fault.
+    that fail ``SpectrumPair``'s checks, stores impact phases from which no
+    solution can be built, or stores a solution number that disagrees with
+    the rebuilt one raises InvalidParameterError naming the file and the
+    fault.
     """
     try:
         with open(path) as fh:
@@ -340,7 +341,12 @@ def trajectory_from_json(path) -> Trajectory:
             *spectral.from_phase(o_n, o_prime), o_n, o_prime,
             tuple(stored["residual"]), stored["iterations"],
         )
-        solution = build_solution(spectral, times)
+        try:
+            solution = build_solution(spectral, times)
+        except CollisionlessError as exc:
+            raise InvalidParameterError(
+                f"stored o_n and o_prime give no solution: {type(exc).__name__}: {exc}"
+            ) from exc
         rebuilt = solution.to_dict()
         for key in ("tau", "tau_prime", "mu", "q", "q_prime"):
             if not _agrees(np.asarray(stored[key], float), np.asarray(rebuilt[key])):

@@ -39,6 +39,42 @@ def test_near_singular_error():
         cl.cauchy_matrix([0.0, 1.0], [1e-16])
 
 
+def test_stacked_node_sets_match_row_by_row():
+    rng = np.random.default_rng(43)
+    for n in (2, 3, 6):
+        rows = [random_interlaced_nodes(n, rng) for _ in range(12)]
+        x, y = (np.stack(nodes) for nodes in zip(*rows))
+        scale = rng.uniform(1e-3, 1e3, (12, 1))
+        lam, lamp = x * scale, y * scale
+        M, eta_vec = cl.cauchy_matrix(lam, lamp), cl.eta(lam, lamp)
+        assert M.shape == (12, n, n - 1) and eta_vec.shape == (12, n)
+        for k in range(12):
+            assert M[k].tobytes() == cl.cauchy_matrix(lam[k], lamp[k]).tobytes()
+            assert eta_vec[k].tobytes() == cl.eta(lam[k], lamp[k]).tobytes()
+        grid = cl.cauchy_matrix(lam.reshape(3, 4, n), lamp.reshape(3, 4, n - 1))
+        assert grid.tobytes() == M.tobytes()
+
+
+def test_stacked_node_sets_checked_row_by_row():
+    # each row against its own spread: a small, well-separated row beside a wide one is fine
+    lam = np.array([[-1e6, 1e6], [-1e-6, 1e-6]])
+    lamp = np.array([[0.0], [5e-7]])
+    cl.cauchy_matrix(lam, lamp)
+    cl.eta(lam, lamp)
+    near = np.array([[-1.0, 1.0], [0.0, 1.0]]), np.array([[0.0], [1e-16]])
+    with pytest.raises(cl.InterlacingError):
+        cl.cauchy_matrix(*near)
+    with pytest.raises(cl.InterlacingError):
+        cl.eta(*near)
+    crossed = np.array([[-1.0, 1.0], [-1.0, 1.0]]), np.array([[0.0], [2.0]])
+    with pytest.raises(cl.InterlacingError):
+        cl.eta(*crossed)
+    with pytest.raises(cl.InvalidParameterError):
+        cl.cauchy_matrix(np.zeros((2, 3)), np.ones((3, 2)))
+    with pytest.raises(cl.InvalidParameterError):
+        cl.cauchy_det(np.zeros((2, 3)), np.ones((2, 3)))
+
+
 def test_inverse_residual_biped(biped_spectral):
     lam_bar = biped_spectral.lam[:-1]
     lamp = biped_spectral.lam_prime

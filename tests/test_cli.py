@@ -259,6 +259,21 @@ def test_validate_rejects_edited_solution(tmp_path, capsys, key, named):
     assert err.startswith("error: ") and f"stored {named} disagrees" in err
 
 
+def test_validate_rejects_phases_without_solution(tmp_path, capsys):
+    # o_n = 42 is far from any root: the rebuild fails, and the message names the phases
+    assert main(["trajectory", "--out", str(tmp_path / "traj"), "--samples", "20",
+                 "--format", "json"]) == 0
+    path = tmp_path / "traj.json"
+    payload = json.loads(path.read_text())
+    payload["solution"]["o_n"] = 42
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["validate", "--trajectory", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "o_n and o_prime give no solution" in err and "DegenerateSolutionError" in err
+
+
 @pytest.mark.parametrize("key", ["rank_gap", "weight_residual"])
 def test_validate_derives_certificates(tmp_path, capsys, key):
     assert main(["trajectory", "--out", str(tmp_path / "traj"), "--samples", "20",
@@ -362,6 +377,12 @@ def test_critical_study_defaults(tmp_path, capsys):
     assert main(["critical", "--study-c0", "--samples", "3", "--out", str(tmp_path / "s")]) == 0
     assert json.loads((tmp_path / "s.json").read_text())["N"] == 3
     assert json.loads((tmp_path / "s.manifest.json").read_text())["seed"] == 0
+
+
+def test_critical_study_negative_seed_exit1(capsys):
+    assert main(["critical", "--study-c0", "--samples", "3", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err
 
 
 def test_critical_family_report(capsys):

@@ -188,6 +188,97 @@ def test_sampling_study_validates_args():
         cl.c0_sampling_study(0, 3, seed=1)
     with pytest.raises(cl.InvalidParameterError):
         cl.c0_sampling_study(10, 1, seed=1)
+    for args, name in [
+        ((10.5, 3, 1), "n_samples"), ((True, 3, 1), "n_samples"),
+        ((100, 3.0, 1), "n_dof"), ((10, True, 1), "n_dof"),
+        ((10, 3, -1), "seed"), ((10, 3, 1.0), "seed"), ((10, 3, True), "seed"),
+    ]:
+        with pytest.raises(cl.InvalidParameterError, match=name):
+            cl.c0_sampling_study(*args)
+
+
+def test_sampling_study_reports_stage_timings():
+    summary = cl.c0_sampling_study(critical._STUDY_CHUNK + 8, 3, seed=7)
+    assert tuple(summary.timings) == critical.STUDY_STAGES
+    assert all(seconds >= 0 for seconds in summary.timings.values())
+    assert "timings" not in summary.to_dict()
+
+
+def test_sampling_study_builds_no_spectrum_pair(monkeypatch):
+    # the study draws, checks and stacks each chunk as arrays
+    built = []
+    post_init = cl.SpectrumPair.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(cl.SpectrumPair, "__post_init__", counting)
+    summary = cl.c0_sampling_study(300, 3, seed=5)
+    assert summary.samples == 300 and not built
+
+
+def _sample_pair(n_dof, rng):
+    """One study sample drawn as the per-sample sampler drew it: a validated SpectrumPair."""
+    lam = np.empty(n_dof)
+    lamp = np.empty(n_dof - 1)
+    lamp[-1] = 0.0
+    lam[-1] = rng.uniform(0.1, 1.0)
+    downs = -np.cumsum(rng.uniform(0.1, 1.0, 2 * n_dof - 3))
+    lam[: n_dof - 1] = downs[0::2][::-1]
+    if n_dof > 2:
+        lamp[: n_dof - 2] = downs[1::2][::-1]
+    scale = np.abs(lam).max()
+    sigma = rng.choice([-1, 1], n_dof)
+    sigma_prime = rng.choice([-1, 1], n_dof - 1)
+    return cl.SpectrumPair(lam / scale, lamp / scale, sigma, sigma_prime)
+
+
+def _stack_pairs(pairs):
+    """The critical stack built pair by pair, from each pair's own cached M and eta."""
+    lam = np.stack([p.lam for p in pairs])
+    lam_prime = np.stack([p.lam_prime for p in pairs])
+    M = np.stack([p.M for p in pairs])
+    nu_p = np.zeros_like(lam_prime)
+    nu_p[:, :-1] = np.sqrt(-lam_prime[:, :-1])
+    m_row = M[:, -1, :]
+    return critical._Stack(
+        lam=lam,
+        sigma=np.stack([p.sigma for p in pairs]),
+        nu_p=nu_p,
+        m_bar=M[:, :-1, :],
+        rows=np.stack([m_row, m_row * nu_p / lam[:, -1:], np.ones_like(m_row)], axis=1),
+        eta_sum=np.array([float(np.sum(p.eta)) for p in pairs]),
+    )
+
+
+@pytest.mark.parametrize("count", [1, 7, 128])
+@pytest.mark.parametrize("n_dof", [2, 3, 4, 5, 6, 7, 8])
+def test_chunk_stack_matches_per_pair_stack(n_dof, count):
+    # same rng stream, same numbers: every field bit for bit, in two successive chunks
+    chunked, per_pair = np.random.default_rng(n_dof + count), np.random.default_rng(n_dof + count)
+    for _ in range(2):
+        stack = critical._stack(*critical._sample_chunk(n_dof, count, chunked))
+        reference = _stack_pairs([_sample_pair(n_dof, per_pair) for _ in range(count)])
+        for name, got, want in zip(stack._fields, stack, reference):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert chunked.bit_generator.state == per_pair.bit_generator.state
+
+
+def test_stack_checks_every_sample_like_spectrum_pair():
+    lam, lam_prime, sigma, sigma_prime = critical._sample_chunk(3, 5, np.random.default_rng(9))
+    crossed = lam.copy()
+    crossed[3, 0] = lam_prime[3, 0] + 0.01
+    with pytest.raises(cl.InterlacingError):
+        critical._stack(crossed, lam_prime, sigma, sigma_prime)
+    infinite = lam.copy()
+    infinite[2, 1] = np.inf
+    with pytest.raises(cl.InvalidParameterError, match="finite"):
+        critical._stack(infinite, lam_prime, sigma, sigma_prime)
+    zero_sign = sigma_prime.copy()
+    zero_sign[4, 1] = 0
+    with pytest.raises(cl.InvalidModelError, match="sigma_prime"):
+        critical._stack(lam, lam_prime, sigma, zero_sign)
 
 
 @pytest.mark.parametrize("n_dof", [2, 3, 4, 5, 6])
@@ -227,7 +318,7 @@ def _reference_root(spectra, o_max=6 * np.pi, points=1200):
 
     # the grid scan is the library's own residual, one call over the whole grid
     taus = np.linspace(1e-3 / om_top, o_max / om_top, points)
-    vals = critical._depoled_residual(taus[None, :], critical._stack([spectra]))[0]
+    vals = critical._depoled_residual(taus[None, :], critical._stack_one(spectra))[0]
     finite = np.isfinite(vals)
     signs = np.sign(vals)
     first = np.nonzero((signs[:-1] * signs[1:] < 0) & finite[:-1] & finite[1:])[0][0]
