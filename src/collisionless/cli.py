@@ -229,7 +229,7 @@ def _cmd_contour(args):
         field.to_svg(path, asymptotes=crosses)
         outputs.append(path)
     outputs.append(_write_manifest(args, model.to_config(), outputs, inputs=inputs))
-    print(f"{field.seeds.shape[0]} seed cells; wrote {', '.join(outputs)}")
+    print(f"{field.seeds.shape[0]} seeds; wrote {', '.join(outputs)}")
 
 
 def _cmd_trajectory(args):

@@ -104,7 +104,17 @@ class _Stack(NamedTuple):
 def _stack(lam, lam_prime, sigma, sigma_prime) -> _Stack:
     """Stack S spectra of one dimension, given with sample axis 0, after SpectrumPair's checks."""
     lam, lam_prime, sigma, _ = _check_spectra(lam, lam_prime, sigma, sigma_prime, ndim=2)
-    M = cauchy_matrix(lam, lam_prime)
+    return _stacked(lam, lam_prime, sigma, cauchy_matrix(lam, lam_prime), eta(lam, lam_prime))
+
+
+def _stack_one(spectra: SpectrumPair) -> _Stack:
+    """One spectrum pair as a stack of length 1, from its checked arrays and cached M and eta."""
+    fields = (spectra.lam, spectra.lam_prime, spectra.sigma, spectra.M, spectra.eta)
+    return _stacked(*(values[None] for values in fields))
+
+
+def _stacked(lam, lam_prime, sigma, M, eta_vec) -> _Stack:
+    """The stack of checked spectra with their Cauchy matrices and eta vectors."""
     nu_p = np.zeros_like(lam_prime)
     nu_p[:, :-1] = np.sqrt(-lam_prime[:, :-1])
     m_row = M[:, -1, :]
@@ -115,14 +125,8 @@ def _stack(lam, lam_prime, sigma, sigma_prime) -> _Stack:
         nu_p=nu_p,
         m_bar=M[:, :-1, :],
         rows=rows,
-        eta_sum=np.sum(eta(lam, lam_prime), axis=-1),
+        eta_sum=np.sum(eta_vec, axis=-1),
     )
-
-
-def _stack_one(spectra: SpectrumPair) -> _Stack:
-    """One spectrum pair as a stack of length 1."""
-    fields = (spectra.lam, spectra.lam_prime, spectra.sigma, spectra.sigma_prime)
-    return _stack(*(values[None] for values in fields))
 
 
 def _hyperbolic_rates(taus, stack):

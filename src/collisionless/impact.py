@@ -19,7 +19,6 @@ model only through its spectra and symmetry signatures.
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -255,7 +254,13 @@ def phi(o_n, o_prime, spectra: SpectrumPair, M, eta_vec) -> float:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular scan window in impact-phase coordinates."""
+    """Rectangular scan window in impact-phase coordinates.
+
+    Each axis steps by ``step`` from its minimum (from ``step`` if that is 0)
+    to within half a step of its maximum, so it can end up to half a step
+    below it.  Seeds are crossings inside this grid; Newton may take one to a
+    root outside the window.
+    """
 
     o_n_max: float = 4 * np.pi
     o_p_max: float = 2 * np.pi
@@ -293,109 +298,86 @@ def _sign_change_cells(Z):
     )
 
 
-def _cell_crossings(xa, ya, Z):
-    """Zero-crossing segments of Z by cell-edge linear interpolation."""
-    segments = []
-    for i, j in zip(*np.nonzero(_sign_change_cells(Z))):
-        x0, x1 = xa[i], xa[i + 1]
-        y0, y1 = ya[j], ya[j + 1]
-        v00, v10 = Z[i, j], Z[i + 1, j]
-        v01, v11 = Z[i, j + 1], Z[i + 1, j + 1]
-        pts = []
-        if v00 * v10 < 0:
-            pts.append((x0 + (x1 - x0) * v00 / (v00 - v10), y0))
-        if v01 * v11 < 0:
-            pts.append((x0 + (x1 - x0) * v01 / (v01 - v11), y1))
-        if v00 * v01 < 0:
-            pts.append((x0, y0 + (y1 - y0) * v00 / (v00 - v01)))
-        if v10 * v11 < 0:
-            pts.append((x1, y0 + (y1 - y0) * v10 / (v10 - v11)))
-        if len(pts) == 2:
-            segments.append((pts[0], pts[1]))
-        elif len(pts) == 4:
-            # saddle cell: pair crossings by the sign of the center value
-            center = 0.25 * (v00 + v10 + v01 + v11)
-            if (v00 > 0) == (center > 0):
-                segments.append((pts[0], pts[2]))
-                segments.append((pts[1], pts[3]))
-            else:
-                segments.append((pts[0], pts[3]))
-                segments.append((pts[1], pts[2]))
-    return segments
+def _segments(xa, ya, Z, cells):
+    """Marching-squares zero segments of Z in the masked cells, in raster order.
+
+    Returns ``(segs, kept)``: ``segs[c, k]`` is the k-th segment (two points)
+    of the c-th masked cell and ``kept[c, k]`` says whether it exists.  An
+    edge is crossed where its two corners have strictly opposite signs (so an
+    exactly-zero corner gives no crossing), at the linearly interpolated
+    point; crossings are taken bottom, top, left, right.  Two crossings make
+    one segment; four (a saddle cell) make two, paired by the sign of the
+    centre value.
+    """
+    i, j = np.nonzero(cells)
+    x0, x1, y0, y1 = xa[i], xa[i + 1], ya[j], ya[j + 1]
+    v00, v10, v01, v11 = Z[i, j], Z[i + 1, j], Z[i, j + 1], Z[i + 1, j + 1]
+    s00, s10, s01, s11 = (np.sign(v) for v in (v00, v10, v01, v11))
+    hit = np.stack([s00 * s10 < 0, s01 * s11 < 0, s00 * s01 < 0, s10 * s11 < 0], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = [x0 + (x1 - x0) * v00 / (v00 - v10), x0 + (x1 - x0) * v01 / (v01 - v11), x0, x1]
+        ys = [y0, y1, y0 + (y1 - y0) * v00 / (v00 - v01), y0 + (y1 - y0) * v10 / (v10 - v11)]
+    pts = np.stack([np.stack(xs, axis=1), np.stack(ys, axis=1)], axis=-1)
+    count = hit.sum(axis=1)
+    centre = 0.25 * (v00 + v10 + v01 + v11)
+    ends = np.where(((v00 > 0) == (centre > 0))[:, None, None], [[0, 2], [1, 3]], [[0, 3], [1, 2]])
+    ends[count == 2, 0] = np.argsort(~hit[count == 2], axis=1, kind="stable")[:, :2]
+    segs = pts[np.arange(i.size)[:, None, None], ends]
+    return segs, np.stack([(count == 2) | (count == 4), count == 4], axis=1)
 
 
 def _chain_segments(segments, digits=9):
-    """Join shared-endpoint segments into polylines (greedy adjacency walk)."""
-    key = lambda p: (round(p[0], digits), round(p[1], digits))
+    """Join shared-endpoint segments (k, 2, 2) into polylines (greedy adjacency walk)."""
+    points = segments.tolist()
+    keys = [[tuple(p) for p in ends] for ends in np.round(segments, digits).tolist()]
     adjacency: dict = {}
-    for idx, (a, b) in enumerate(segments):
-        adjacency.setdefault(key(a), []).append(idx)
-        adjacency.setdefault(key(b), []).append(idx)
-    used = [False] * len(segments)
+    for idx, ends in enumerate(keys):
+        for k in ends:
+            adjacency.setdefault(k, []).append(idx)
+    used = [False] * len(points)
     polylines = []
-    for start, (a, b) in enumerate(segments):
+    for start, (a, b) in enumerate(points):
         if used[start]:
             continue
         used[start] = True
-        chain = deque([a, b])
-        for grow_tail in (True, False):
-            while True:
-                tip = chain[-1] if grow_tail else chain[0]
-                tip_key = key(tip)
-                nxt = next(
-                    (i for i in adjacency.get(tip_key, ()) if not used[i]), None
-                )
-                if nxt is None:
-                    break
+        tail, head = [], []
+        for tip, grown in ((keys[start][1], tail), (keys[start][0], head)):
+            while (nxt := next((i for i in adjacency[tip] if not used[i]), None)) is not None:
                 used[nxt] = True
-                ca, cb = segments[nxt]
-                other = cb if key(ca) == tip_key else ca
-                if grow_tail:
-                    chain.append(other)
-                else:
-                    chain.appendleft(other)
-        polylines.append(np.array(chain))
+                far = int(keys[nxt][0] == tip)   # the end of segment nxt away from the tip
+                tip = keys[nxt][far]
+                grown.append(points[nxt][far])
+        polylines.append(np.array(head[::-1] + [a, b] + tail))
     return polylines
 
 
-def _component_seeds(cells, o_n_axis, o_p_axis):
-    """Centroids of the 8-connected components of a cell mask, one seed each.
+def _crossing_seeds(xa, ya, det_a, det_b, cells):
+    """Points where a zero segment of det_a meets one of det_b in the same masked cell.
 
-    A curve crossing typically flags a couple of neighbouring cells; refining
-    one representative per component is enough (roots are deduplicated again
-    after refinement).  Each component is labelled by its first cell in
-    raster order: every cell repeatedly takes the least label in its 3x3
-    neighbourhood and then that label's own label.  Seeds come in raster
-    order of the components' first cells.
+    Seeds come in raster order of the cells, then by segment of det_a, then
+    of det_b.  Segments that are parallel or do not reach each other give none.
     """
-    ii, jj = np.nonzero(cells)
-    k = ii.size
-    index = np.full((cells.shape[0] + 2, cells.shape[1] + 2), k)
-    index[ii + 1, jj + 1] = np.arange(k)
-    neighbours = np.stack(
-        [index[ii + 1 + di, jj + 1 + dj] for di in (-1, 0, 1) for dj in (-1, 0, 1)]
-    )
-    label = np.arange(k + 1)   # label[k] marks cells outside the mask
-    while True:
-        new = label[label[neighbours].min(axis=0)]
-        if np.array_equal(new, label[:k]):
-            break
-        label[:k] = new
-    _, component = np.unique(label[:k], return_inverse=True)
-    counts = np.bincount(component)
-    centers_n = 0.5 * (o_n_axis[ii] + o_n_axis[ii + 1])
-    centers_p = 0.5 * (o_p_axis[jj] + o_p_axis[jj + 1])
-    return np.column_stack(
-        [np.bincount(component, centers_n) / counts, np.bincount(component, centers_p) / counts]
-    )
+    (a, kept_a), (b, kept_b) = (_segments(xa, ya, Z, cells) for Z in (det_a, det_b))
+    # each a-segment p + t r of a cell against each b-segment q + u w of the same cell
+    p, r = a[:, :, None, 0], a[:, :, None, 1] - a[:, :, None, 0]
+    q, w = b[:, None, :, 0], b[:, None, :, 1] - b[:, None, :, 0]
+    cross = lambda v1, v2: v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = cross(r, w)
+        t, u = cross(q - p, w) / d, cross(q - p, r) / d
+        crossings = p + t[..., None] * r
+    meet = kept_a[:, :, None] & kept_b[:, None, :] & (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)
+    return crossings[meet]
 
 
 @dataclass(eq=False)
 class ContourField:
     """Gridded determinant values with crossing seeds.
 
-    The zero curves ``curves_a``/``curves_b`` serve export only, so they are
-    built on first access.
+    ``seeds`` are where a marching-squares zero segment of ``det_a`` crosses
+    one of ``det_b`` in the same grid cell.  The zero curves
+    ``curves_a``/``curves_b`` chain the same segments; they serve export
+    only, so they are built on first access.
     """
 
     o_n_axis: np.ndarray
@@ -407,12 +389,16 @@ class ContourField:
     @cached_property
     def curves_a(self) -> list:
         """Zero polylines of ``det_a``."""
-        return _chain_segments(_cell_crossings(self.o_n_axis, self.o_p_axis, self.det_a))
+        return self._curves(self.det_a)
 
     @cached_property
     def curves_b(self) -> list:
         """Zero polylines of ``det_b``."""
-        return _chain_segments(_cell_crossings(self.o_n_axis, self.o_p_axis, self.det_b))
+        return self._curves(self.det_b)
+
+    def _curves(self, Z) -> list:
+        segs, kept = _segments(self.o_n_axis, self.o_p_axis, Z, _sign_change_cells(Z))
+        return _chain_segments(segs[kept])
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -445,18 +431,21 @@ class ContourField:
 
 
 def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> ContourField:
-    """Evaluate both determinants on a grid and extract crossing seeds.
+    """Evaluate both determinants on a grid and seed at their zero-curve crossings.
 
-    Seeds are centroids of connected runs of grid cells in which both
-    determinants change sign, i.e. candidate curve intersections to be
-    refined by ``refine_root``.  Spectra that fail ``existence_gate`` have
-    no solution, so their scan has no seeds.
+    Each intersection of a cell's zero segments of ``det_a`` and ``det_b``
+    is a seed for ``refine_root``; a cell with a non-finite corner is
+    skipped, and a corner that is exactly 0 gives no crossing.  Seeds lie
+    inside the grid (see ``GridSpec``), whose last point can be up to half a
+    step below ``o_n_max``/``o_p_max``.  Newton may take a seed to a root
+    outside the window, and which out-of-window roots appear depends on the step.
+    Spectra that fail ``existence_gate`` have no solution and no seeds.
     """
     grid = grid or GridSpec()
     o_n_axis, o_p_axis = grid.axes()
     # stiff hyperbolic modes can overflow on the grid; _sign_change_cells skips those cells,
     # and a zero top contact eigenvalue makes every contact time infinite.  Plain row norms
-    # keep the grid's cells and seeds where squares overflow (such a row becomes zero).
+    # turn a row whose squares overflow into zeros, and a zero corner gives no crossing.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         taus, taups = spectra.from_phase(o_n_axis[:, None], o_p_axis[None, :])
         bc = contact_matrix(taus, taups, spectra, spectra.M, spectra.eta)
@@ -468,7 +457,7 @@ def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> Contour
         o_p_axis=o_p_axis,
         det_a=det_a,
         det_b=det_b,
-        seeds=_component_seeds(both, o_n_axis, o_p_axis),
+        seeds=_crossing_seeds(o_n_axis, o_p_axis, det_a, det_b, both),
     )
 
 

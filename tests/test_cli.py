@@ -156,6 +156,10 @@ def test_contour_csv_only(tmp_path, capsys):
     assert (tmp_path / "field.csv").exists()
     assert not (tmp_path / "field.svg").exists()
     assert (tmp_path / "field.manifest.json").exists()
+    seeds = cl.scan_contour(cl.analyze(cl.build_armed_biped()), cl.GridSpec(step=0.1)).seeds
+    assert capsys.readouterr().out == (
+        f"{seeds.shape[0]} seeds; wrote {prefix}.csv, {prefix}.manifest.json\n"
+    )
 
 
 def test_contour_with_asymptotes(tmp_path):

@@ -265,6 +265,34 @@ def test_chunk_stack_matches_per_pair_stack(n_dof, count):
     assert chunked.bit_generator.state == per_pair.bit_generator.state
 
 
+@pytest.mark.parametrize("n_dof", [2, 3, 4, 5, 6, 7, 8])
+def test_pair_stack_matches_checked_stack(n_dof):
+    # a pair's own arrays and cached M and eta stack to the bits the checked study path builds
+    rng = np.random.default_rng(n_dof)
+    for _ in range(50):
+        pair = _sample_pair(n_dof, rng)
+        one = critical._stack_one(pair)
+        fields = (pair.lam, pair.lam_prime, pair.sigma, pair.sigma_prime)
+        checked = critical._stack(*(values[None] for values in fields))
+        for name, got, want in zip(one._fields, one, checked):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def test_critical_matrices_builds_no_cauchy_matrix(monkeypatch):
+    spectra = near_critical_spectra(4, 0.0, np.random.default_rng(2))
+    K, K_tilde = cl.critical_matrices(1.3, spectra)   # the pair builds its M and eta once
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("critical_matrices rebuilt or rechecked the pair's arrays")
+
+    for module, name in [(critical, "cauchy_matrix"), (critical, "eta"),
+                         (critical, "_check_spectra"), (cl.model, "cauchy_matrix"),
+                         (cl.model, "cauchy_eta")]:
+        monkeypatch.setattr(module, name, forbidden)
+    again, again_tilde = cl.critical_matrices(1.3, spectra)
+    assert again.tobytes() == K.tobytes() and again_tilde.tobytes() == K_tilde.tobytes()
+
+
 def test_stack_checks_every_sample_like_spectrum_pair():
     lam, lam_prime, sigma, sigma_prime = critical._sample_chunk(3, 5, np.random.default_rng(9))
     crossed = lam.copy()

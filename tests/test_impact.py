@@ -1,13 +1,15 @@
 import dataclasses
+import warnings
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import collisionless as cl
-from collisionless.impact import _component_seeds
+from collisionless.impact import _crossing_seeds, _segments, _sign_change_cells
 from helpers import cauchy_inputs, non_pole_times, random_rocker_freqs, random_spd_model
 
 
@@ -289,38 +291,154 @@ def test_scan_grid_is_impact_residual_bit_for_bit(family, biped_spectral):
             assert field.det_a[i, j] == d[0] and field.det_b[i, j] == d[1]
 
 
-def _flood_fill_seeds(mask, xa, ya):
-    """Reference: centroids of 8-connected components, found by flood fill in raster order."""
-    seen = np.zeros_like(mask)
-    seeds = []
-    for i in range(mask.shape[0]):
-        for j in range(mask.shape[1]):
-            if not mask[i, j] or seen[i, j]:
-                continue
-            seen[i, j] = True
-            stack, members = [(i, j)], []
-            while stack:
-                a, b = stack.pop()
-                members.append((a, b))
-                for p in range(max(a - 1, 0), min(a + 2, mask.shape[0])):
-                    for q in range(max(b - 1, 0), min(b + 2, mask.shape[1])):
-                        if mask[p, q] and not seen[p, q]:
-                            seen[p, q] = True
-                            stack.append((p, q))
-            seeds.append([np.mean([0.5 * (xa[a] + xa[a + 1]) for a, _ in members]),
-                          np.mean([0.5 * (ya[b] + ya[b + 1]) for _, b in members])])
-    return np.array(seeds).reshape(-1, 2)
+def _cell_crossings_reference(xa, ya, Z):
+    """Reference: zero-crossing segments of Z, built cell by cell in raster order."""
+    segments = []
+    for i, j in zip(*np.nonzero(_sign_change_cells(Z))):
+        x0, x1 = xa[i], xa[i + 1]
+        y0, y1 = ya[j], ya[j + 1]
+        v00, v10 = Z[i, j], Z[i + 1, j]
+        v01, v11 = Z[i, j + 1], Z[i + 1, j + 1]
+        pts = []
+        if v00 * v10 < 0:
+            pts.append((x0 + (x1 - x0) * v00 / (v00 - v10), y0))
+        if v01 * v11 < 0:
+            pts.append((x0 + (x1 - x0) * v01 / (v01 - v11), y1))
+        if v00 * v01 < 0:
+            pts.append((x0, y0 + (y1 - y0) * v00 / (v00 - v01)))
+        if v10 * v11 < 0:
+            pts.append((x1, y0 + (y1 - y0) * v10 / (v10 - v11)))
+        if len(pts) == 2:
+            segments.append((pts[0], pts[1]))
+        elif len(pts) == 4:
+            # saddle cell: pair crossings by the sign of the center value
+            center = 0.25 * (v00 + v10 + v01 + v11)
+            if (v00 > 0) == (center > 0):
+                segments.append((pts[0], pts[2]))
+                segments.append((pts[1], pts[3]))
+            else:
+                segments.append((pts[0], pts[3]))
+                segments.append((pts[1], pts[2]))
+    return segments
+
+
+def _chain_reference(segments, digits=9):
+    """Reference: join shared-endpoint segments into polylines (greedy adjacency walk)."""
+    key = lambda p: (round(p[0], digits), round(p[1], digits))
+    adjacency: dict = {}
+    for idx, (a, b) in enumerate(segments):
+        adjacency.setdefault(key(a), []).append(idx)
+        adjacency.setdefault(key(b), []).append(idx)
+    used = [False] * len(segments)
+    polylines = []
+    for start, (a, b) in enumerate(segments):
+        if used[start]:
+            continue
+        used[start] = True
+        chain = deque([a, b])
+        for grow_tail in (True, False):
+            while True:
+                tip = chain[-1] if grow_tail else chain[0]
+                tip_key = key(tip)
+                nxt = next((i for i in adjacency.get(tip_key, ()) if not used[i]), None)
+                if nxt is None:
+                    break
+                used[nxt] = True
+                ca, cb = segments[nxt]
+                other = cb if key(ca) == tip_key else ca
+                if grow_tail:
+                    chain.append(other)
+                else:
+                    chain.appendleft(other)
+        polylines.append(np.array(chain))
+    return polylines
 
 
 @settings(max_examples=200, deadline=None)
-@given(arrays(bool, st.tuples(st.integers(1, 14), st.integers(1, 14))))
-def test_component_seeds_match_flood_fill(mask):
-    xa = 0.3 + 0.05 * np.arange(mask.shape[0] + 1)
-    ya = 0.01 + 0.04 * np.arange(mask.shape[1] + 1)
-    got = _component_seeds(mask, xa, ya)
-    expected = _flood_fill_seeds(mask, xa, ya)
-    assert got.shape == expected.shape
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+@given(arrays(float, st.tuples(st.integers(2, 9), st.integers(2, 9)),
+              elements=st.integers(-3, 3).map(float) | st.sampled_from([0.5, np.nan, np.inf])))
+def test_segments_match_per_cell_loop(Z):
+    # zeros, ties, saddles and non-finite corners: same segments, same order, same bits
+    xa = 0.3 + 0.05 * np.arange(Z.shape[0])
+    ya = 0.01 + 0.04 * np.arange(Z.shape[1])
+    segs, kept = _segments(xa, ya, Z, _sign_change_cells(Z))
+    expected = np.array(_cell_crossings_reference(xa, ya, Z), float).reshape(-1, 2, 2)
+    assert segs[kept].shape == expected.shape
+    assert segs[kept].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("v11, pairs", [(2.0, [(0, 2), (1, 3)]), (0.5, [(0, 3), (1, 2)])])
+def test_saddle_cell_pairs_crossings_by_centre_sign(v11, pairs):
+    # Z[i, j] with i along o_N: corners 1, -1 on the bottom edge and -1, v11 on the top
+    Z = np.array([[1.0, -1.0], [-1.0, v11]])
+    segs, kept = _segments(np.array([0.0, 1.0]), np.array([0.0, 1.0]), Z, np.ones((1, 1), bool))
+    cross = 1.0 / (1.0 + v11)
+    bottom, top, left, right = (0.5, 0.0), (cross, 1.0), (0.0, 0.5), (1.0, cross)
+    crossings = (bottom, top, left, right)
+    assert kept.tolist() == [[True, True]]
+    np.testing.assert_allclose(segs[0], [[crossings[a], crossings[b]] for a, b in pairs],
+                               rtol=0, atol=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps_x=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=10),
+    steps_y=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=10),
+    origin=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+    a=st.tuples(st.floats(-3, 3), st.floats(-1, 1), st.floats(-1, 1)),
+    b=st.tuples(st.floats(-3, 3), st.floats(-1, 1), st.floats(-1, 1)),
+)
+def test_linear_fields_seed_once_at_their_intersection(steps_x, steps_y, origin, a, b):
+    xa = origin[0] + np.concatenate([[0.0], np.cumsum(steps_x)])
+    ya = origin[1] + np.concatenate([[0.0], np.cumsum(steps_y)])
+    X, Y = np.meshgrid(xa, ya, indexing="ij")
+    fields = [c[0] + c[1] * X + c[2] * Y for c in (a, b)]
+    det = a[1] * b[2] - a[2] * b[1]
+    assume(abs(det) > 0.1)
+    x_star = (a[2] * b[0] - a[0] * b[2]) / det
+    y_star = (a[0] * b[1] - a[1] * b[0]) / det
+    # generic position: no corner on a zero line, and the intersection on no grid line
+    assume(min(np.abs(Z).min() for Z in fields) > 1e-9)
+    assume(np.abs(xa - x_star).min() > 1e-9 and np.abs(ya - y_star).min() > 1e-9)
+    for Z, c in zip(fields, (a, b)):
+        segs, kept = _segments(xa, ya, Z, _sign_change_cells(Z))
+        ends = segs[kept].reshape(-1, 2)
+        assert np.abs(c[0] + c[1] * ends[:, 0] + c[2] * ends[:, 1]).max(initial=0.0) <= 1e-12
+    both = _sign_change_cells(fields[0]) & _sign_change_cells(fields[1])
+    seeds = _crossing_seeds(xa, ya, *fields, both)
+    if xa[0] < x_star < xa[-1] and ya[0] < y_star < ya[-1]:
+        assert seeds.shape == (1, 2)
+        np.testing.assert_allclose(seeds[0], [x_star, y_star], rtol=0, atol=1e-12)
+    else:
+        assert seeds.shape == (0, 2)
+
+
+def test_zero_row_plateau_gives_no_seed():
+    # both determinants exactly 0 on one grid row (as where the row norms overflow): the
+    # cells next to it change sign in both, but an exactly zero corner crosses nothing
+    xa = 0.1 * np.arange(1, 9)
+    ya = 0.1 * np.arange(1, 7)
+    X, Y = np.meshgrid(xa, ya, indexing="ij")
+    det_a, det_b = 1.0 + X - Y, 2.0 - X + 0.5 * Y
+    det_a[3] = det_b[3] = 0.0
+    both = _sign_change_cells(det_a) & _sign_change_cells(det_b)
+    assert both[2:4].all() and both.sum() == 2 * both.shape[1]
+    assert _crossing_seeds(xa, ya, det_a, det_b, both).shape == (0, 2)
+
+
+@pytest.mark.parametrize("family", ["biped", "rocker"])
+def test_curves_match_per_cell_loop(family, biped_spectral):
+    if family == "biped":
+        spectra, grid = biped_spectral.spectra, cl.GridSpec()
+    else:
+        spectra = cl.n2_spectrum("rocker", nu1=1.0, omega2=2.0, omega1p=1.0)
+        grid = cl.GridSpec(o_n_max=4 * np.pi, o_p_max=1.75, step=0.04, o_p_min=0.01)
+    field = cl.scan_contour(spectra, grid)
+    for curves, Z in ((field.curves_a, field.det_a), (field.curves_b, field.det_b)):
+        expected = _chain_reference(_cell_crossings_reference(field.o_n_axis, field.o_p_axis, Z))
+        assert len(curves) == len(expected) > 0
+        for got, want in zip(curves, expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_scan_rejects_zero_modes():
@@ -369,12 +487,16 @@ def test_scan_skips_cells_with_non_finite_corners():
         sigma=(1, -1, -1), sigma_prime=(1, -1), static_force=1, contact_sign=1,
     )
     spectral = cl.analyze(model)
-    field = cl.scan_contour(spectral)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = cl.scan_contour(spectral)
     assert not np.isfinite(field.det_a).all()
-    assert field.seeds.shape == (4, 2)
+    # the one crossing of the two curves; rows of exact zeros next to it cross nothing
+    assert field.seeds.shape == (1, 2)
+    np.testing.assert_allclose(field.seeds[0], [4.2017, 2.0974], rtol=0, atol=1e-4)
     with np.errstate(over="ignore"):   # the row norms at a seed may still overflow
-        for seed in field.seeds:
-            assert np.isfinite(cl.impact_residual(seed, spectral, spectral.M, spectral.eta)).all()
+        residual = cl.impact_residual(field.seeds[0], spectral, spectral.M, spectral.eta)
+    assert np.isfinite(residual).all() and np.all(residual != 0)
 
 
 @pytest.mark.parametrize("lamp_top", [0.0, -0.5])
