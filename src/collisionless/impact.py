@@ -7,7 +7,9 @@ equations in the impact times (tau, tau').  This module provides:
 * the continuous contact matrix whose two maximal-minor determinants vanish
   exactly at solutions,
 * a marching-squares contour scan of the two determinant zero sets in impact
-  phase coordinates (o_N, o'_{N-1}) and seed extraction at curve crossings,
+  phase coordinates (o_N, o'_{N-1}) and seed extraction at curve crossings
+  (det_b on the whole grid, det_a only at the corners of det_b's sign-change
+  cells; the full det_a grid is built on first access, for export),
 * damped-Newton refinement of seeds,
 * assembly of the full (2N+1) x 2N matching matrix with its rank test, and
 * the linear solve for the mode weights.
@@ -32,7 +34,14 @@ from .errors import (
     PoleError,
     ZeroModeError,
 )
-from .model import SpectrumPair, _as_dict, _check_integer, _check_positive
+from .model import (
+    ZERO_EIGENVALUE_ATOL,
+    SpectrumPair,
+    _as_dict,
+    _check_integer,
+    _check_positive,
+    _kernel_constants,
+)
 from .spectral import SpectralData
 from .svgout import SvgCanvas
 
@@ -58,7 +67,6 @@ __all__ = [
     "build_solution",
 ]
 
-ZERO_EIGENVALUE_ATOL = 1e-14
 POLE_ATOL = 1e-9
 
 # Newton refinement: convergence tolerances and forward-difference step.
@@ -97,19 +105,22 @@ def mode_motion_vec(t, lam, sigma):
     sigma uses the signature convention sigma = 1 - 2 s (so sigma = -1 is the
     even kernel).  Returns arrays of shape broadcast(t, lam).
     """
-    lam = np.asarray(lam, float)
-    sigma = np.asarray(sigma)
+    return _mode_kernels(t, *_kernel_constants(np.asarray(lam, float), np.asarray(sigma)))
+
+
+def _mode_kernels(t, om, osc, even, rate):
+    """``mode_motion_vec`` from a spectrum's kernel constants (``SpectrumPair.kernels``).
+
+    Calls each circular and hyperbolic function once.
+    """
     t = np.asarray(t, float)
     if t.ndim:
         t = t[..., None]
-    om = np.sqrt(np.abs(lam))
     arg = om * t
-    even = sigma == -1
-    pos = lam > 0
-    c = np.where(pos, np.cos(arg), np.cosh(arg))
-    s = np.where(pos, np.sin(arg), np.sinh(arg))
-    # d/dt cos = -om sin, d/dt cosh = om sinh, d/dt sin(h) = om cos(h)
-    return np.where(even, c, s), np.where(even, np.where(pos, -om, om) * s, om * c)
+    c = np.where(osc, np.cos(arg), np.cosh(arg))
+    s = np.where(osc, np.sin(arg), np.sinh(arg))
+    # d/dt sin(h) = om cos(h)
+    return np.where(even, c, s), np.where(even, rate * s, om * c)
 
 
 def phase_rate(tau, lam, sigma):
@@ -150,15 +161,6 @@ def existence_gate(lam_prime) -> bool:
     return bool(np.asarray(lam_prime, float)[-1] > 0)
 
 
-def _require_nonzero_spectra(spectra: SpectrumPair):
-    scale = max(np.abs(spectra.lam).max(), np.abs(spectra.lam_prime).max())
-    if np.abs(spectra.lam).min() <= ZERO_EIGENVALUE_ATOL * scale:
-        raise ZeroModeError(
-            "the generic solver requires non-zero free eigenvalues "
-            "(zero-frequency families are handled by the closed forms)"
-        )
-
-
 def kernel_ratio(tau: float, tau_prime: float, spectra: SpectrumPair) -> np.ndarray:
     """Cross-phase kernel ratio matrix G[i, j] = -(w_i/lam_i) / (w'_j/lam'_j)."""
     w = phase_rate(tau, spectra.lam, spectra.sigma)
@@ -181,12 +183,14 @@ def contact_matrix(tau, tau_prime, spectra: SpectrumPair, M, eta_vec) -> np.ndar
     -tau_prime (the contact symmetry point lies after the impact).  Entries
     are entire functions of the times, so zero contours can be traced without
     pole gaps.  The times may be arrays; their broadcast shape leads the
-    result, which then has shape (..., N+1, N).
+    result, which then has shape (..., N+1, N).  The kernels come from the
+    pair's cached constants (``SpectrumPair.kernels``), which raise
+    ZeroModeError for a zero free eigenvalue.
     """
     n = spectra.n
-    _require_nonzero_spectra(spectra)
-    g, gd = mode_motion_vec(tau, spectra.lam, spectra.sigma)
-    gp, gpd = mode_motion_vec(-tau_prime, spectra.lam_prime, spectra.sigma_prime)
+    free, contact = spectra.kernels
+    g, gd = _mode_kernels(tau, *free)
+    gp, gpd = _mode_kernels(-tau_prime, *contact)
     eta_sum = float(np.sum(eta_vec))
     out = np.empty(np.broadcast_shapes(g.shape[:-1], gp.shape[:-1]) + (n + 1, n))
     out[..., :n, : n - 1] = (
@@ -214,17 +218,34 @@ def _norms(a: np.ndarray, axis: int) -> np.ndarray:
     return norms
 
 
-def _minor_dets(bc: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Determinants of the two maximal minors of (..., N+1, N) contact matrices.
+def _normalized(bc: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``bc`` with every row divided by its entry of ``norms`` (floored at 1e-300), in place.
 
-    Every row is first divided by its entry of ``norms`` (floored at 1e-300),
-    so each minor is O(1); a row norm does not depend on which row a minor
-    drops.  The result has shape (2, ...): the top-mode row dropped, then the
-    amplitude-sum row dropped.
+    Each maximal minor is then O(1); a row norm does not depend on which row
+    a minor drops.
     """
-    n = bc.shape[-1]
-    bc = bc / np.maximum(norms, 1e-300)
-    return np.array([np.linalg.det(np.delete(bc, drop, axis=-2)) for drop in (n - 1, n)])
+    bc /= np.maximum(norms, 1e-300)
+    return bc
+
+
+def _minor_rows(n: int) -> np.ndarray:
+    """Rows kept by the two maximal minors of an (N+1) x N contact matrix.
+
+    Row 0 is det_a's (the top-mode row N-1 dropped), row 1 det_b's (the
+    amplitude-sum row N dropped).
+    """
+    return np.array([[*range(n - 1), n], [*range(n)]])
+
+
+def _minor_dets(bc: np.ndarray, rows) -> np.ndarray:
+    """Determinants of the minors of row-normalized (..., N+1, N) contact matrices.
+
+    ``rows`` selects the kept rows with one gather and one ``det`` call: N
+    indices (or a slice, a view with no copy) give one minor of shape (...),
+    a (k, N) index array k minors of shape (..., k).  The scan's corners, the
+    lazy full ``det_a`` grid and ``impact_residual`` all take their minors here.
+    """
+    return np.linalg.det(bc[..., rows, :])
 
 
 def impact_residual(o, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
@@ -241,7 +262,8 @@ def impact_residual(o, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
         )
     tau, tau_prime = spectra.from_phase(o[0], o[1])
     bc = contact_matrix(tau, tau_prime, spectra, M, eta_vec)
-    return _minor_dets(bc, _norms(bc, -1))
+    dets = _minor_dets(_normalized(bc, _norms(bc, -1)), _minor_rows(spectra.n))
+    return np.moveaxis(dets, -1, 0)
 
 
 def phi(o_n, o_prime, spectra: SpectrumPair, M, eta_vec) -> float:
@@ -259,7 +281,8 @@ class GridSpec:
     Each axis steps by ``step`` from its minimum (from ``step`` if that is 0)
     to within half a step of its maximum, so it can end up to half a step
     below it.  Seeds are crossings inside this grid; Newton may take one to a
-    root outside the window.
+    root outside the window.  Impact phases are positive, so a negative
+    ``o_n_min`` or ``o_p_min`` raises InvalidParameterError.
     """
 
     o_n_max: float = 4 * np.pi
@@ -272,6 +295,9 @@ class GridSpec:
         _check_positive(step=self.step)
         if not np.all(np.isfinite([self.o_n_min, self.o_n_max, self.o_p_min, self.o_p_max])):
             raise InvalidParameterError("contour grid bounds must be finite")
+        for name in ("o_n_min", "o_p_min"):
+            if getattr(self, name) < 0:
+                raise InvalidParameterError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         start_n = self.o_n_min if self.o_n_min > 0 else self.step
         start_p = self.o_p_min if self.o_p_min > 0 else self.step
         o_n = np.arange(start_n, self.o_n_max + 0.5 * self.step, self.step)
@@ -375,16 +401,25 @@ class ContourField:
     """Gridded determinant values with crossing seeds.
 
     ``seeds`` are where a marching-squares zero segment of ``det_a`` crosses
-    one of ``det_b`` in the same grid cell.  The zero curves
-    ``curves_a``/``curves_b`` chain the same segments; they serve export
-    only, so they are built on first access.
+    one of ``det_b`` in the same grid cell.  ``det_b`` is the scan's grid.
+    The scan evaluates ``det_a`` only at the corners of ``det_b``'s
+    sign-change cells; the full ``det_a`` grid, and the zero curves
+    ``curves_a``/``curves_b`` that chain the same segments, serve export
+    only, so they are built from ``spectra`` on first access.
     """
 
     o_n_axis: np.ndarray
     o_p_axis: np.ndarray
-    det_a: np.ndarray            # top-mode row dropped
     det_b: np.ndarray            # amplitude-sum row dropped
     seeds: np.ndarray
+    spectra: SpectrumPair
+
+    @cached_property
+    def det_a(self) -> np.ndarray:
+        """The top-mode-row-dropped determinant on the whole grid, as the scan evaluates it."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            bc = _grid_contact(self.spectra, self.o_n_axis, self.o_p_axis)
+            return _minor_dets(bc, _minor_rows(self.spectra.n)[0])
 
     @cached_property
     def curves_a(self) -> list:
@@ -430,34 +465,52 @@ class ContourField:
         canvas.write(path)
 
 
-def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> ContourField:
-    """Evaluate both determinants on a grid and seed at their zero-curve crossings.
+def _grid_contact(spectra: SpectrumPair, o_n_axis, o_p_axis) -> np.ndarray:
+    """Row-normalized contact matrices on the grid, with plain row norms.
 
-    Each intersection of a cell's zero segments of ``det_a`` and ``det_b``
-    is a seed for ``refine_root``; a cell with a non-finite corner is
+    Run under the scan's errstate: stiff hyperbolic modes can overflow on the
+    grid, and a zero top contact eigenvalue makes every contact time infinite.
+    """
+    taus, taups = spectra.from_phase(o_n_axis[:, None], o_p_axis[None, :])
+    bc = contact_matrix(taus, taups, spectra, spectra.M, spectra.eta)
+    return _normalized(bc, np.linalg.norm(bc, axis=-1, keepdims=True))
+
+
+def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> ContourField:
+    """Evaluate the determinants on a grid and seed at their zero-curve crossings.
+
+    ``det_b`` is evaluated on the whole grid, and ``det_a`` only at the
+    corners of the cells where ``det_b`` changes sign, since only those
+    cells can hold a crossing; ``ContourField.det_a`` builds the rest for
+    export.  Each intersection of a cell's zero segments of ``det_a`` and
+    ``det_b`` is a seed for ``refine_root``; a cell with a non-finite corner is
     skipped, and a corner that is exactly 0 gives no crossing.  Seeds lie
     inside the grid (see ``GridSpec``), whose last point can be up to half a
     step below ``o_n_max``/``o_p_max``.  Newton may take a seed to a root
     outside the window, and which out-of-window roots appear depends on the step.
-    Spectra that fail ``existence_gate`` have no solution and no seeds.
+    Spectra that fail ``existence_gate`` have no solution, no seeds and no
+    ``det_a`` evaluation.
     """
     grid = grid or GridSpec()
     o_n_axis, o_p_axis = grid.axes()
-    # stiff hyperbolic modes can overflow on the grid; _sign_change_cells skips those cells,
-    # and a zero top contact eigenvalue makes every contact time infinite.  Plain row norms
-    # turn a row whose squares overflow into zeros, and a zero corner gives no crossing.
+    n = spectra.n
+    # _sign_change_cells skips the cells with a non-finite corner.  Plain row norms turn a
+    # row whose squares overflow into zeros, and a zero corner gives no crossing.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        taus, taups = spectra.from_phase(o_n_axis[:, None], o_p_axis[None, :])
-        bc = contact_matrix(taus, taups, spectra, spectra.M, spectra.eta)
-        det_a, det_b = _minor_dets(bc, np.linalg.norm(bc, axis=-1, keepdims=True))
-    both = _sign_change_cells(det_a) & _sign_change_cells(det_b)
-    both &= existence_gate(spectra.lam_prime)
+        bc = _grid_contact(spectra, o_n_axis, o_p_axis)
+        det_b = _minor_dets(bc, slice(n))
+        cells = _sign_change_cells(det_b) & existence_gate(spectra.lam_prime)
+        padded = np.pad(cells, 1)
+        corners = padded[1:, 1:] | padded[:-1, 1:] | padded[1:, :-1] | padded[:-1, :-1]
+        det_a = np.full(det_b.shape, np.nan)   # NaN only where no cell of ``cells`` reads it
+        det_a[corners] = _minor_dets(bc[corners], _minor_rows(n)[0])
+    both = cells & _sign_change_cells(det_a)
     return ContourField(
         o_n_axis=o_n_axis,
         o_p_axis=o_p_axis,
-        det_a=det_a,
         det_b=det_b,
         seeds=_crossing_seeds(o_n_axis, o_p_axis, det_a, det_b, both),
+        spectra=spectra,
     )
 
 

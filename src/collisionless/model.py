@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .cauchy import cauchy_matrix, eta as cauchy_eta
-from .errors import InterlacingError, InvalidModelError, InvalidParameterError
+from .errors import InterlacingError, InvalidModelError, InvalidParameterError, ZeroModeError
 
 __all__ = [
     "ModelSpec",
@@ -31,6 +31,8 @@ __all__ = [
     "builtin_model",
     "BUILTIN_MODELS",
 ]
+
+ZERO_EIGENVALUE_ATOL = 1e-14
 
 
 def _check_positive(**values):
@@ -58,6 +60,27 @@ def _frozen(values, dtype=float):
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _kernel_constants(lam, sigma):
+    """(omega, oscillatory, even, rate): the constants of one phase's mode kernels.
+
+    omega = sqrt|lam|; a mode is oscillatory where lam > 0 and has the even
+    kernel where sigma = -1.  The even kernel's velocity is rate times the odd
+    function: d/dt cos = -omega sin and d/dt cosh = omega sinh.
+    """
+    om = np.sqrt(np.abs(lam))
+    osc = lam > 0
+    return om, osc, sigma == -1, np.where(osc, -om, om)
+
+
+def _require_nonzero_spectra(spectra):
+    scale = max(np.abs(spectra.lam).max(), np.abs(spectra.lam_prime).max())
+    if np.abs(spectra.lam).min() <= ZERO_EIGENVALUE_ATOL * scale:
+        raise ZeroModeError(
+            "the generic solver requires non-zero free eigenvalues "
+            "(zero-frequency families are handled by the closed forms)"
+        )
 
 
 def _as_dict(record, skip=()) -> dict:
@@ -210,12 +233,12 @@ class SpectrumPair:
     def n(self) -> int:
         return self.lam.shape[0]
 
-    @property
+    @cached_property
     def omega_top(self) -> float:
         """|omega_N|, the frequency scale of the free-phase impact phase."""
         return float(np.sqrt(abs(self.lam[-1])))
 
-    @property
+    @cached_property
     def omega_prime_top(self) -> float:
         """|omega'_{N-1}|, the frequency scale of the contact-phase impact phase."""
         return float(np.sqrt(abs(self.lam_prime[-1])))
@@ -229,6 +252,21 @@ class SpectrumPair:
     def eta(self) -> np.ndarray:
         """Read-only squared contact-row amplitudes (``cauchy.eta``), built once per pair."""
         return _frozen(cauchy_eta(self.lam, self.lam_prime))
+
+    @cached_property
+    def kernels(self) -> tuple:
+        """Read-only ``_kernel_constants`` of the free and the contact phase, built once per pair.
+
+        The generic solver's kernels need every free eigenvalue non-zero
+        (zero-frequency families have closed forms), so a pair with a zero
+        one raises ZeroModeError here, and the check runs once per pair.
+        """
+        _require_nonzero_spectra(self)
+        constants = (_kernel_constants(self.lam, self.sigma),
+                     _kernel_constants(self.lam_prime, self.sigma_prime))
+        for array in (*constants[0], *constants[1]):
+            array.setflags(write=False)
+        return constants
 
     def to_phase(self, tau: float, tau_prime: float) -> tuple[float, float]:
         """Convert impact times to dimensionless impact phases (o_N, o'_{N-1})."""

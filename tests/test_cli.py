@@ -425,6 +425,14 @@ def test_solve_rejects_invalid_grid(capsys, grid):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("option, bound", [("--o-n-min", "o_n_min"), ("--o-p-min", "o_p_min")])
+def test_contour_rejects_negative_grid_minimum(tmp_path, capsys, option, bound):
+    assert main(["contour", "--out", str(tmp_path / "field"), option, "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bound} must be >= 0") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -263,6 +263,22 @@ def test_phi_product_and_bracketing(biped_spectral, biped_cauchy):
     assert np.any(np.sign(line[:-1]) != np.sign(line[1:]))
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8))
+def test_impact_residual_on_stacked_points_matches_single_calls(n, seed, k):
+    # the batched line search and the scan's grid rely on each point's bits
+    # not depending on the points stacked with it
+    rng = np.random.default_rng(seed)
+    _, spectral = random_spd_model(n, rng)
+    assume(cl.existence_gate(spectral.lam_prime))
+    pts = rng.uniform(0.05, 2 * np.pi, (2, k))
+    with np.errstate(over="ignore"):
+        stacked = cl.impact_residual(pts, spectral, spectral.M, spectral.eta)
+        single = [cl.impact_residual(p, spectral, spectral.M, spectral.eta) for p in pts.T]
+    assert stacked.shape == (2, k)
+    assert stacked.tobytes() == np.stack(single, axis=-1).tobytes()
+
+
 # -------------------------------------------------------------- contour scan
 
 def test_scan_biped_seeds(biped_spectral):
@@ -441,6 +457,67 @@ def test_curves_match_per_cell_loop(family, biped_spectral):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _scan_reference(spectra, grid):
+    """Reference: both minors on the whole grid, each from its own row deletion, then the
+    seeds in the cells where both change sign and the existence gate holds."""
+    o_n_axis, o_p_axis = grid.axes()
+    n = spectra.n
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        taus, taups = spectra.from_phase(o_n_axis[:, None], o_p_axis[None, :])
+        bc = cl.contact_matrix(taus, taups, spectra, spectra.M, spectra.eta)
+        bc = bc / np.maximum(np.linalg.norm(bc, axis=-1, keepdims=True), 1e-300)
+        det_a, det_b = (np.linalg.det(np.delete(bc, drop, axis=-2)) for drop in (n - 1, n))
+    both = _sign_change_cells(det_a) & _sign_change_cells(det_b)
+    both &= cl.existence_gate(spectra.lam_prime)
+    return det_a, det_b, _crossing_seeds(o_n_axis, o_p_axis, det_a, det_b, both)
+
+
+def _assert_scan_matches_reference(spectra, grid):
+    det_a, det_b, seeds = _scan_reference(spectra, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = cl.scan_contour(spectra, grid)
+        assert "det_a" not in field.__dict__
+        assert field.seeds.shape == seeds.shape and field.seeds.tobytes() == seeds.tobytes()
+        assert field.det_b.tobytes() == det_b.tobytes()
+        assert field.det_a.tobytes() == det_a.tobytes()
+    return field
+
+
+def _stiff_hyperbolic_model():
+    # cosh/sinh of the lam ~ -1e4 mode overflow on much of the default grid
+    return cl.ModelSpec(
+        name="stiff-hyperbolic", n=3, mass=np.eye(3),
+        stiffness=[[-1e4, 1, 1], [1, 4, 0.5], [1, 0.5, -1]],
+        sigma=(1, -1, -1), sigma_prime=(1, -1), static_force=1, contact_sign=1,
+    )
+
+
+@pytest.mark.parametrize("case", ["biped", "rocker", "stiff", "no-existence"])
+def test_scan_matches_full_grid_reference(case, biped_spectral):
+    # det_a only at the corners of det_b's sign-change cells: the same seeds and det_b,
+    # and the lazy full det_a, bit for bit
+    grid = cl.GridSpec()
+    if case == "biped":
+        spectra = biped_spectral.spectra
+    elif case == "rocker":
+        spectra = cl.n2_spectrum("rocker", nu1=1.0, omega2=2.0, omega1p=1.0)
+        grid = cl.GridSpec(o_n_max=4 * np.pi, o_p_max=1.75, step=0.04, o_p_min=0.01)
+    elif case == "stiff":
+        spectra = cl.analyze(_stiff_hyperbolic_model())
+    else:
+        spectra = cl.SpectrumPair([-2.0, 1.0], [-0.5], [1, 1], [1])
+    field = _assert_scan_matches_reference(spectra, grid)
+    assert (field.seeds.size > 0) == (case != "no-existence")
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_scan_matches_full_grid_reference_on_random_models(n, seed):
+    _, spectral = random_spd_model(n, np.random.default_rng(seed))
+    _assert_scan_matches_reference(spectral, cl.GridSpec(step=0.1))
+
+
 def test_scan_rejects_zero_modes():
     pair = cl.n2_spectrum("hopper", omega2=1.0, omega1p=0.5)
     with pytest.raises(cl.ZeroModeError):
@@ -479,14 +556,8 @@ def test_scan_empty_window_no_existence():
 
 
 def test_scan_skips_cells_with_non_finite_corners():
-    # cosh/sinh of the lam ~ -1e4 mode overflow on much of the default grid;
     # the scan must neither warn nor seed a cell it cannot evaluate
-    model = cl.ModelSpec(
-        name="stiff-hyperbolic", n=3, mass=np.eye(3),
-        stiffness=[[-1e4, 1, 1], [1, 4, 0.5], [1, 0.5, -1]],
-        sigma=(1, -1, -1), sigma_prime=(1, -1), static_force=1, contact_sign=1,
-    )
-    spectral = cl.analyze(model)
+    spectral = cl.analyze(_stiff_hyperbolic_model())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         field = cl.scan_contour(spectral)
@@ -511,11 +582,7 @@ def test_impact_layer_rejects_spectra_without_existence(lamp_top):
 
 def test_stiff_hyperbolic_model_refines_without_overflow():
     # the squares of the lam ~ -1e4 kernels overflow the plain row and column norms
-    model = cl.ModelSpec(
-        name="stiff-hyperbolic", n=3, mass=np.eye(3),
-        stiffness=[[-1e4, 1, 1], [1, 4, 0.5], [1, 0.5, -1]],
-        sigma=(1, -1, -1), sigma_prime=(1, -1), static_force=1, contact_sign=1,
-    )
+    model = _stiff_hyperbolic_model()
     spectral = cl.analyze(model)
     for seed in cl.scan_contour(spectral).seeds:
         with pytest.raises(cl.ConvergenceError):
@@ -531,6 +598,13 @@ def test_stiff_hyperbolic_model_refines_without_overflow():
 def test_scan_grid_validation(biped_spectral):
     with pytest.raises(cl.InvalidParameterError):
         cl.scan_contour(biped_spectral.spectra, cl.GridSpec(o_n_max=0.01, o_p_max=0.01))
+
+
+@pytest.mark.parametrize("bound", ["o_n_min", "o_p_min"])
+def test_grid_rejects_negative_minimum(bound):
+    with pytest.raises(cl.InvalidParameterError, match=f"^{bound} must be >= 0"):
+        cl.GridSpec(**{bound: -1.0}).axes()
+    assert cl.GridSpec(**{bound: 0.0}).axes()[0][0] == 0.05
 
 
 def test_contour_exports(tmp_path, biped_spectral):
@@ -617,6 +691,25 @@ def test_refine_root_one_residual_call_per_trial_point(biped_spectral, biped_cau
     root = cl.refine_root((3.80, 0.93), biped_spectral.spectra, M, eta_vec)
     assert root.iterations == 5
     assert len(calls) == root.iterations
+
+
+def test_zero_mode_check_runs_once_per_pair(monkeypatch):
+    calls = []
+    check = cl.model._require_nonzero_spectra
+
+    def counting(spectra):
+        calls.append(spectra)
+        return check(spectra)
+
+    monkeypatch.setattr("collisionless.model._require_nonzero_spectra", counting)
+    spectral = cl.analyze(cl.build_armed_biped())
+    root = cl.refine_root((3.80, 0.93), spectral, spectral.M, spectral.eta)
+    assert root.iterations == 5 and calls == [spectral]
+    hopper = cl.n2_spectrum("hopper", omega2=1.0, omega1p=0.5)
+    for _ in range(2):   # a failed check caches nothing
+        with pytest.raises(cl.ZeroModeError):
+            cl.contact_matrix(0.5, 0.5, hopper, hopper.M, hopper.eta)
+    assert calls[1:] == [hopper, hopper]
 
 
 def test_refine_root_stalls_when_no_halving_helps():
