@@ -11,8 +11,6 @@ asymptotic grid of roots with vertical spacing pi.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import NamedTuple
@@ -237,24 +235,6 @@ def _itp(stack, a, b, fa, fb):
     return (b * fa - a * fb) / (fa - fb)
 
 
-# Seconds per STUDY_STAGES name of the c0 study running in this context, if any.
-# A context variable, not an argument, because _first_roots keeps its
-# (stack, o_max) signature and each study's clock stays its own.
-_study_timings: ContextVar = ContextVar("study_timings", default=None)
-
-
-@contextmanager
-def _stage(name):
-    """Add the seconds spent in the block to the running study's ``name`` stage."""
-    start = perf_counter()
-    try:
-        yield
-    finally:
-        timings = _study_timings.get()
-        if timings is not None:
-            timings[name] += perf_counter() - start
-
-
 def _scan(stack, o_max):
     """First finite sign-change bracket (lo, hi, f(lo), f(hi)) of each sample; NaN where none.
 
@@ -296,18 +276,11 @@ def _polish(stack, bracket):
     return tau_c, c0
 
 
-def _first_roots(stack, o_max):
-    """First critical root (tau_c, c0) of each stacked sample; NaN where none is found."""
-    with _stage("scan"):
-        bracket = _scan(stack, o_max)
-    with _stage("polish"):
-        return _polish(stack, bracket)
-
-
 def solve_critical(spectra: SpectrumPair, o_max: float = _O_MAX):
     """First critical root: (tau_critical, c0).  Raises NoRootError if none found."""
     _require_limit(spectra)
-    tau_c, c0 = _first_roots(_stack_one(spectra), o_max)
+    stack = _stack_one(spectra)
+    tau_c, c0 = _polish(stack, _scan(stack, o_max))
     if np.isnan(tau_c[0]):
         raise NoRootError(f"no critical root with o_N < {o_max:.4g}")
     return float(tau_c[0]), float(c0[0])
@@ -460,19 +433,21 @@ def c0_sampling_study(n_samples: int, n_dof: int, seed: int) -> StudySummary:
     nonpositive = 0
     min_c0 = np.inf
     timings = dict.fromkeys(STUDY_STAGES, 0.0)
-    token = _study_timings.set(timings)
-    try:
-        for start in range(0, n_samples, _STUDY_CHUNK):
-            count = min(_STUDY_CHUNK, n_samples - start)
-            with _stage("sample"):
-                stack = _stack(*_sample_chunk(n_dof, count, rng))
-            tau_c, c0 = _first_roots(stack, _O_MAX)
-            c0 = c0[~np.isnan(tau_c)]
-            failures += count - c0.size
-            nonpositive += int(np.count_nonzero(c0 <= 0))
-            min_c0 = min(min_c0, c0.min(initial=np.inf))
-    finally:
-        _study_timings.reset(token)
+    for start in range(0, n_samples, _STUDY_CHUNK):
+        count = min(_STUDY_CHUNK, n_samples - start)
+        marks = [perf_counter()]   # one mark after each stage
+        stack = _stack(*_sample_chunk(n_dof, count, rng))
+        marks.append(perf_counter())
+        bracket = _scan(stack, _O_MAX)
+        marks.append(perf_counter())
+        tau_c, c0 = _polish(stack, bracket)
+        marks.append(perf_counter())
+        for stage, a, b in zip(STUDY_STAGES, marks, marks[1:]):
+            timings[stage] += b - a
+        c0 = c0[~np.isnan(tau_c)]
+        failures += count - c0.size
+        nonpositive += int(np.count_nonzero(c0 <= 0))
+        min_c0 = min(min_c0, c0.min(initial=np.inf))
     return StudySummary(
         n_dof=n_dof,
         samples=n_samples,

@@ -68,14 +68,9 @@ class SolveRun:
 def _cluster_rows(values, gap):
     """Row index per value: sorted values further apart than ``gap`` start a new row."""
     order = np.argsort(values)
+    ordered = np.asarray(values)[order]
     rows = np.empty(len(values), dtype=int)
-    row = 0
-    prev = None
-    for idx in order:
-        if prev is not None and values[idx] - prev > gap:
-            row += 1
-        rows[idx] = row
-        prev = values[idx]
+    rows[order] = np.cumsum(np.diff(ordered, prepend=ordered[0]) > gap)
     return rows
 
 

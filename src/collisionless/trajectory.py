@@ -6,11 +6,15 @@ point (t = tau + tau'); the rest of the period follows by the solution's
 time-reversal symmetries.  It serves export only.  Physical realizability
 must hold on the *full* phases, which extend symmetrically about each
 symmetry point, so the validator works from the solution itself: it samples
-t in [-tau, tau] and the contact phase in [-tau', tau'] analytically.
+t in [-tau, tau] and the contact phase in [-tau', tau'] analytically for the
+clearance, the contact force and the scales.
 
-The conserved energy is the plain mechanical one, E = (xd^T m xd + x^T k x)/2:
-the contact constraint force acts on a fixed coordinate and does no work, so
-one scalar is constant and continuous across both phases.
+The conserved energy is the plain mechanical one, E = (xd^T m xd + x^T k x)/2.
+It is constant within each phase for any mode weights: in the free phase it
+is a sum of constant modal energies, and in the contact phase the constraint
+force acts on a fixed coordinate and does no work.  It can therefore vary
+only by a jump at the impact, and the validator takes it from the two impact
+states alone.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import CollisionlessError, InvalidParameterError
 from .impact import ImpactSolution, ImpactTimes, build_solution, mode_motion_vec
-from .model import ModelSpec, _as_dict, _check_positive
+from .model import ModelSpec, _as_dict, _check_integer, _check_positive
 from .spectral import SpectralData, static_offset
 from .svgout import SvgCanvas
 
@@ -74,9 +78,9 @@ def _contact_state(spectral: SpectralData, q_prime, u):
     return x, xd, xdd
 
 
-def _scale(values) -> float:
-    """Largest magnitude in ``values``, floored away from zero."""
-    return max(np.abs(values).max(), 1e-300)
+def _scale(*arrays) -> float:
+    """Largest magnitude in ``arrays``, floored away from zero."""
+    return max(*(np.abs(values).max() for values in arrays), 1e-300)
 
 
 def _energy(spectral: SpectralData, x, xd):
@@ -133,11 +137,11 @@ def _agrees(stored, derived) -> bool:
 def synthesize(solution: ImpactSolution, samples_per_phase: int = 500) -> Trajectory:
     """Sample the half-cycle trajectory of a solution analytically (no integration).
 
-    Each phase contributes ``samples_per_phase`` intervals; the impact sample
-    is shared, so the total row count is 2 * samples_per_phase + 1.
+    Each phase contributes ``samples_per_phase`` intervals, an integer >= 1;
+    the impact sample is shared, so the total row count is
+    2 * samples_per_phase + 1.
     """
-    if samples_per_phase < 1:
-        raise InvalidParameterError("samples_per_phase must be >= 1")
+    _check_integer("samples_per_phase", samples_per_phase, 1)
     spectral = solution.spectral
     times = solution.times
     tau, taup = times.tau, times.tau_prime
@@ -184,9 +188,11 @@ class ValidationReport:
     ``penetration_violation`` and ``contact_force_violation`` are the worst
     signed values of contact_sign * (x_N - x0_N) over the full free phase and
     contact_sign * F_N over the full contact phase; negative values beyond
-    the contact tolerance (times the respective scale) fail the check.  Every
-    scale a tolerance multiplies (velocity, acceleration, position, energy,
-    clearance, force) is a maximum over the full phases.
+    the contact tolerance (times the respective scale) fail the check.
+    ``energy_variation`` is the jump |E_free - E_contact| between the two
+    constant phase energies at the impact, relative to the larger of them.
+    Every other scale a tolerance multiplies (velocity, acceleration,
+    position, clearance, force) is a maximum over the full phases.
     """
 
     impact_velocity_residual: float
@@ -221,11 +227,13 @@ def validate(solution: ImpactSolution, model: ModelSpec,
              tolerances: ValidatorTolerances | None = None) -> ValidationReport:
     """Check impact conditions, conservation, clearance and contact force.
 
-    Impact conditions and continuity are evaluated analytically from both
-    phase formulas at the impact.  Everything else, and every scale, comes
-    from CHECK_SAMPLES analytic samples of each full symmetric phase
-    (t in [-tau, tau] and u in [-tau', tau']), where higher-branch roots
-    reveal attractive-force stretches invisible on the emitted half cycle.
+    Impact conditions, continuity and the energy jump are evaluated
+    analytically from both phase formulas at the impact; the energy is
+    constant within each phase, so the jump is its whole variation.
+    Clearance, contact force and every scale come from CHECK_SAMPLES
+    analytic samples of each full symmetric phase (t in [-tau, tau] and
+    u in [-tau', tau']), where higher-branch roots reveal attractive-force
+    stretches invisible on the emitted half cycle.
 
     Raises InvalidParameterError, naming the quantity, when the solution's
     derived mass or stiffness matrix, signatures or static offset differ
@@ -246,12 +254,15 @@ def validate(solution: ImpactSolution, model: ModelSpec,
         np.abs(x_f[0] - x_c[0]).max(), np.abs(xd_f[0] - xd_c[0]).max()
     )
 
-    # (x, xd, xdd) of each full phase, then of both stacked
+    # the energy is constant within each phase, so it can vary only by a jump at the impact
+    e_free = _energy(spectral, x_f, xd_f)
+    e_contact = _energy(spectral, x_c, xd_c)
+    energy_var = float(np.abs(e_free - e_contact)[0] / _scale(e_free, e_contact))
+
+    # (x, xd, xdd) of each full phase
     free = _free_state(spectral, q, np.linspace(-tau, tau, CHECK_SAMPLES))
     contact = _contact_state(spectral, qp, np.linspace(-taup, taup, CHECK_SAMPLES))
-    x, xd, xdd = (np.vstack(pair) for pair in zip(free, contact))
-    energy = _energy(spectral, x, xd)
-    energy_var = float((energy.max() - energy.min()) / _scale(energy))
+    xd_scale = _scale(free[1], contact[1])
 
     sign = model.contact_sign
     clearance = sign * (free[0][:, -1] - spectral.static_offset[-1])
@@ -260,9 +271,9 @@ def validate(solution: ImpactSolution, model: ModelSpec,
     force_violation = float(force.min())
 
     passed = (
-        v_resid < tol.velocity * _scale(xd)
-        and a_resid < tol.acceleration * _scale(xdd)
-        and continuity < tol.continuity * max(np.abs(x).max(), _scale(xd))
+        v_resid < tol.velocity * xd_scale
+        and a_resid < tol.acceleration * _scale(free[2], contact[2])
+        and continuity < tol.continuity * max(_scale(free[0], contact[0]), xd_scale)
         and energy_var < tol.energy
         and penetration >= -tol.contact * _scale(clearance)
         and force_violation >= -tol.contact * _scale(force)

@@ -313,14 +313,14 @@ def test_stack_checks_every_sample_like_spectrum_pair():
 def test_study_stacked_path_matches_single_sample_solve(monkeypatch, n_dof):
     # every sample's root from the study's chunked stacks, bit for bit against a solve alone
     solved = []
-    first_roots = critical._first_roots
+    polish = critical._polish
 
-    def recording(stack, o_max):
-        tau_c, c0 = first_roots(stack, o_max)
+    def recording(stack, bracket):
+        tau_c, c0 = polish(stack, bracket)
         solved.extend(zip(tau_c.tolist(), c0.tolist()))
         return tau_c, c0
 
-    monkeypatch.setattr(critical, "_first_roots", recording)
+    monkeypatch.setattr(critical, "_polish", recording)
     n_samples = critical._STUDY_CHUNK + 8
     cl.c0_sampling_study(n_samples, n_dof, seed=3)
     monkeypatch.undo()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import collisionless as cl
+from collisionless import trajectory
+from helpers import random_spd_model
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +72,62 @@ def test_energy_constant(biped_spectral, biped_solution):
     traj = cl.synthesize(biped_solution, samples_per_phase=1000)
     variation = (traj.energy.max() - traj.energy.min()) / np.abs(traj.energy).max()
     assert variation < 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_energy_constant_within_each_phase_for_any_weights(n):
+    # free: a sum of constant modal energies; contact: the constraint force does no work
+    rng = np.random.default_rng(60 + n)
+    for _ in range(5):
+        _, spectral = random_spd_model(n, rng)
+        tau, tau_prime = rng.uniform(0.3, 3.0, 2)
+        q, q_prime = rng.standard_normal(n), rng.standard_normal(n - 1)
+        free = trajectory._free_state(spectral, q, np.linspace(-tau, tau, 2001))
+        contact = trajectory._contact_state(
+            spectral, q_prime, np.linspace(-tau_prime, tau_prime, 2001)
+        )
+        for x, xd, _ in (free, contact):
+            kinetic = 0.5 * np.einsum("ij,jk,ik->i", xd, spectral.mass_matrix, xd)
+            potential = 0.5 * np.einsum("ij,jk,ik->i", x, spectral.stiffness_matrix, x)
+            energy = trajectory._energy(spectral, x, xd)
+            # relative to the terms, not to |E|: kinetic and potential may nearly cancel
+            scale = max(kinetic.max(), np.abs(potential).max())
+            assert energy.max() - energy.min() <= 1e-12 * scale
+
+
+def _sampled_energy_variation(solution):
+    """Energy variation over 2 x CHECK_SAMPLES rows sampled on both full phases."""
+    spectral, times = solution.spectral, solution.times
+    free = trajectory._free_state(
+        spectral, solution.q, np.linspace(-times.tau, times.tau, trajectory.CHECK_SAMPLES)
+    )
+    contact = trajectory._contact_state(
+        spectral, solution.q_prime,
+        np.linspace(-times.tau_prime, times.tau_prime, trajectory.CHECK_SAMPLES),
+    )
+    energy = trajectory._energy(spectral, np.vstack([free[0], contact[0]]),
+                                np.vstack([free[1], contact[1]]))
+    return (energy.max() - energy.min()) / np.abs(energy).max()
+
+
+def test_energy_jump_at_impact_matches_sampled_variation(biped_run, biped, biped_spectral):
+    assert len(biped_run.records) == 6
+    for record in biped_run.records:
+        reference = _sampled_energy_variation(record.solution)
+        assert abs(cl.validate(record.solution, biped).energy_variation - reference) <= 1e-11
+    # off a root the energy jumps at the impact, and the jump is the sampled variation
+    times = biped_run.records[0].solution.times
+    for shift in (1e-3, 1e-2):
+        detuned = cl.build_solution(biped_spectral, cl.ImpactTimes(
+            tau=times.tau + shift,
+            tau_prime=times.tau_prime,
+            o_n=times.o_n + shift * biped_spectral.spectra.omega_top,
+            o_prime=times.o_prime,
+            residual=(np.nan, np.nan),
+        ))
+        reference = _sampled_energy_variation(detuned)
+        assert reference > 1e-3
+        assert cl.validate(detuned, biped).energy_variation == pytest.approx(reference, rel=1e-11)
 
 
 def test_validation_passes_on_bottom_root(biped_traj, biped_solution, biped):
@@ -178,3 +236,9 @@ def test_svg_export(tmp_path, biped_traj):
 def test_synthesize_validates_sample_count(biped_spectral, biped_solution):
     with pytest.raises(cl.InvalidParameterError):
         cl.synthesize(biped_solution, samples_per_phase=0)
+
+
+@pytest.mark.parametrize("samples", [2.5, True, 0, -1, None])
+def test_synthesize_rejects_non_integer_sample_count(biped_solution, samples):
+    with pytest.raises(cl.InvalidParameterError, match="samples_per_phase"):
+        cl.synthesize(biped_solution, samples_per_phase=samples)
