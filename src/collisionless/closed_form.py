@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NoRootError
-from .model import _check_branch_index, _check_positive
+from .model import _check_integer, _check_positive
 
 __all__ = [
     "y_root",
@@ -72,7 +72,7 @@ def y_root(a: float, b: float, n: int) -> float:
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise InvalidParameterError("a and b must be finite")
-    _check_branch_index(n)
+    _check_integer("branch index", n, 1)
     if a == 0.0:
         if n == 1:
             raise NoRootError("tan y = 0 has no positive root in [0, pi)")
@@ -95,7 +95,7 @@ def y_root(a: float, b: float, n: int) -> float:
 
 def _alpha(n: int) -> float:
     """Positive roots of tan y = y (the a b -> 1, b -> 0 limit family)."""
-    _check_branch_index(n)
+    _check_integer("branch index", n, 1)
     root = _branch_root(lambda y: np.sin(y) - y * np.cos(y), lambda y: y * np.sin(y), n)
     if root is None:
         raise NoRootError(

@@ -20,7 +20,7 @@ import numpy as np
 from .cauchy import cauchy_matrix, eta
 from .errors import InvalidParameterError, NoRootError
 from .impact import existence_gate, phase_rate
-from .model import SpectrumPair, _check_branch_index, _check_integer, _check_spectra
+from .model import SpectrumPair, _check_integer, _check_spectra
 
 __all__ = [
     "existence_gate",
@@ -328,7 +328,7 @@ def large_tau_asymptote(n: int, spectra: SpectrumPair) -> AsymptoticPoint:
     eigenvalue; the actual (small) eigenvalue of ``spectra`` enters only
     through omega'_{N-1} in the second formula.
     """
-    _check_branch_index(n)
+    _check_integer("branch index", n, 1)
     if spectra.lam[-1] <= 0:
         raise InvalidParameterError("top free eigenvalue must be positive")
     limit = critical_limit(spectra)

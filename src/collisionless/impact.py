@@ -218,13 +218,18 @@ def _norms(a: np.ndarray, axis: int) -> np.ndarray:
     return norms
 
 
-def _normalized(bc: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """``bc`` with every row divided by its entry of ``norms`` (floored at 1e-300), in place.
+def _unit_contact(o_n, o_prime, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
+    """``contact_matrix`` at impact phases o = (o_n, o_prime), with unit rows.
 
-    Each maximal minor is then O(1); a row norm does not depend on which row
-    a minor drops.
+    Each row is divided by its ``_norms`` entry, floored at 1e-300, so each
+    maximal minor is O(1); a row norm does not depend on which row a minor
+    drops.  A row whose squares overflow still becomes a unit row, not a row
+    of zeros.  The scan's grid, the lazy full ``det_a`` and
+    ``impact_residual`` all scale their rows here.
     """
-    bc /= np.maximum(norms, 1e-300)
+    tau, tau_prime = spectra.from_phase(o_n, o_prime)
+    bc = contact_matrix(tau, tau_prime, spectra, M, eta_vec)
+    bc /= np.maximum(_norms(bc, -1), 1e-300)
     return bc
 
 
@@ -238,12 +243,13 @@ def _minor_rows(n: int) -> np.ndarray:
 
 
 def _minor_dets(bc: np.ndarray, rows) -> np.ndarray:
-    """Determinants of the minors of row-normalized (..., N+1, N) contact matrices.
+    """Determinants of the minors of unit-row (..., N+1, N) contact matrices.
 
     ``rows`` selects the kept rows with one gather and one ``det`` call: N
     indices (or a slice, a view with no copy) give one minor of shape (...),
-    a (k, N) index array k minors of shape (..., k).  The scan's corners, the
-    lazy full ``det_a`` grid and ``impact_residual`` all take their minors here.
+    a (k, N) index array k minors of shape (..., k).  The scan's grid and
+    corners, the lazy full ``det_a`` grid and ``impact_residual`` all take
+    their minors here, of matrices from ``_unit_contact``.
     """
     return np.linalg.det(bc[..., rows, :])
 
@@ -260,9 +266,7 @@ def impact_residual(o, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
         raise NoExistenceError(
             f"largest contact eigenvalue {spectra.lam_prime[-1]:.6g} is not positive"
         )
-    tau, tau_prime = spectra.from_phase(o[0], o[1])
-    bc = contact_matrix(tau, tau_prime, spectra, M, eta_vec)
-    dets = _minor_dets(_normalized(bc, _norms(bc, -1)), _minor_rows(spectra.n))
+    dets = _minor_dets(_unit_contact(o[0], o[1], spectra, M, eta_vec), _minor_rows(spectra.n))
     return np.moveaxis(dets, -1, 0)
 
 
@@ -402,10 +406,12 @@ class ContourField:
 
     ``seeds`` are where a marching-squares zero segment of ``det_a`` crosses
     one of ``det_b`` in the same grid cell.  ``det_b`` is the scan's grid.
-    The scan evaluates ``det_a`` only at the corners of ``det_b``'s
-    sign-change cells; the full ``det_a`` grid, and the zero curves
-    ``curves_a``/``curves_b`` that chain the same segments, serve export
-    only, so they are built from ``spectra`` on first access.
+    Both grids scale rows as ``impact_residual`` does, so they hold its
+    values at every grid point, NaNs included.  The scan evaluates
+    ``det_a`` only at the corners of ``det_b``'s sign-change cells; the
+    full ``det_a`` grid, and the zero curves ``curves_a``/``curves_b`` that
+    chain the same segments, serve export only, so they are built from
+    ``spectra`` on first access.
     """
 
     o_n_axis: np.ndarray
@@ -418,7 +424,8 @@ class ContourField:
     def det_a(self) -> np.ndarray:
         """The top-mode-row-dropped determinant on the whole grid, as the scan evaluates it."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            bc = _grid_contact(self.spectra, self.o_n_axis, self.o_p_axis)
+            bc = _unit_contact(self.o_n_axis[:, None], self.o_p_axis[None, :], self.spectra,
+                               self.spectra.M, self.spectra.eta)
             return _minor_dets(bc, _minor_rows(self.spectra.n)[0])
 
     @cached_property
@@ -465,17 +472,6 @@ class ContourField:
         canvas.write(path)
 
 
-def _grid_contact(spectra: SpectrumPair, o_n_axis, o_p_axis) -> np.ndarray:
-    """Row-normalized contact matrices on the grid, with plain row norms.
-
-    Run under the scan's errstate: stiff hyperbolic modes can overflow on the
-    grid, and a zero top contact eigenvalue makes every contact time infinite.
-    """
-    taus, taups = spectra.from_phase(o_n_axis[:, None], o_p_axis[None, :])
-    bc = contact_matrix(taus, taups, spectra, spectra.M, spectra.eta)
-    return _normalized(bc, np.linalg.norm(bc, axis=-1, keepdims=True))
-
-
 def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> ContourField:
     """Evaluate the determinants on a grid and seed at their zero-curve crossings.
 
@@ -484,7 +480,9 @@ def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> Contour
     cells can hold a crossing; ``ContourField.det_a`` builds the rest for
     export.  Each intersection of a cell's zero segments of ``det_a`` and
     ``det_b`` is a seed for ``refine_root``; a cell with a non-finite corner is
-    skipped, and a corner that is exactly 0 gives no crossing.  Seeds lie
+    skipped, and a corner that is exactly 0 gives no crossing.  The rows are
+    scaled as in ``impact_residual`` (``_unit_contact``), so a row whose
+    squares overflow stays a unit row instead of becoming zeros.  Seeds lie
     inside the grid (see ``GridSpec``), whose last point can be up to half a
     step below ``o_n_max``/``o_p_max``.  Newton may take a seed to a root
     outside the window, and which out-of-window roots appear depends on the step.
@@ -494,10 +492,10 @@ def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> Contour
     grid = grid or GridSpec()
     o_n_axis, o_p_axis = grid.axes()
     n = spectra.n
-    # _sign_change_cells skips the cells with a non-finite corner.  Plain row norms turn a
-    # row whose squares overflow into zeros, and a zero corner gives no crossing.
+    # Stiff hyperbolic modes can overflow on the grid, and a zero top contact eigenvalue
+    # makes every contact time infinite; _sign_change_cells skips non-finite corners.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        bc = _grid_contact(spectra, o_n_axis, o_p_axis)
+        bc = _unit_contact(o_n_axis[:, None], o_p_axis[None, :], spectra, spectra.M, spectra.eta)
         det_b = _minor_dets(bc, slice(n))
         cells = _sign_change_cells(det_b) & existence_gate(spectra.lam_prime)
         padded = np.pad(cells, 1)

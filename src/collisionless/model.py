@@ -44,12 +44,6 @@ def _check_positive(**values):
             raise InvalidParameterError(f"{label} must be positive, got {value!r}")
 
 
-def _check_branch_index(n):
-    """Raise InvalidParameterError unless n is a positive integer branch index."""
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameterError(f"branch index must be a positive integer, got {n!r}")
-
-
 def _check_integer(label, value, minimum):
     """Raise InvalidParameterError unless value is an integer (not a bool) >= minimum."""
     if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= minimum):

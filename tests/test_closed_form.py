@@ -85,10 +85,21 @@ def test_hopper_lowest_branch_is_two():
 
 
 @pytest.mark.parametrize("solver", [cl.solve_hopper, cl.solve_juggler])
-@pytest.mark.parametrize("n", [0, -1, 1.5])
+@pytest.mark.parametrize("n", [0, -1, 1.5, True])
 def test_hopper_juggler_reject_invalid_branch(solver, n):
     with pytest.raises(cl.InvalidParameterError, match="branch index"):
         solver(1.0, 0.5, n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cl.y_root(1.0, 1.0, True),
+    lambda: cl.solve_rimless(1.0, 1.0, 1.0, True),
+    lambda: cl.large_tau_asymptote(True, cl.SpectrumPair([-0.81, 2.89], [1e-4], [-1, -1], [1])),
+], ids=["y_root", "solve_rimless", "large_tau_asymptote"])
+def test_branch_index_rejects_bool(call):
+    # True is an int subclass, but it is not a branch index
+    with pytest.raises(cl.InvalidParameterError, match="branch index"):
+        call()
 
 
 def test_juggler_identical_to_hopper():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import collisionless as cl
-from collisionless.impact import _crossing_seeds, _segments, _sign_change_cells
+from collisionless.impact import _crossing_seeds, _norms, _segments, _sign_change_cells
 from helpers import cauchy_inputs, non_pole_times, random_rocker_freqs, random_spd_model
 
 
@@ -293,14 +293,24 @@ def test_scan_biped_seeds(biped_spectral):
     assert np.all(np.isfinite(field.det_a)) and np.all(np.isfinite(field.det_b))
 
 
-@pytest.mark.parametrize("family", ["biped", "rocker"])
+@pytest.mark.parametrize("family", ["biped", "rocker", "stiff"])
 def test_scan_grid_is_impact_residual_bit_for_bit(family, biped_spectral):
+    grid = cl.GridSpec(o_n_max=5.0, o_p_max=1.5, step=0.1)
     if family == "biped":
         spectra = biped_spectral.spectra
-    else:
+    elif family == "rocker":
         spectra = cl.n2_spectrum("rocker", nu1=1.0, omega2=2.0, omega1p=1.0)
+    else:
+        # rows whose squares overflow on much of the default grid
+        spectra, grid = cl.analyze(_stiff_hyperbolic_model()), cl.GridSpec()
     M, eta_vec = cauchy_inputs(spectra)
-    field = cl.scan_contour(spectra, cl.GridSpec(o_n_max=5.0, o_p_max=1.5, step=0.1))
+    field = cl.scan_contour(spectra, grid)
+    o = np.stack(np.meshgrid(field.o_n_axis, field.o_p_axis, indexing="ij"))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        stacked = cl.impact_residual(o, spectra, M, eta_vec)
+    assert np.array_equal(stacked, [field.det_a, field.det_b], equal_nan=True)
+    if family == "stiff":
+        return
     for i, o_n in enumerate(field.o_n_axis):
         for j, o_p in enumerate(field.o_p_axis):
             d = cl.impact_residual((o_n, o_p), spectra, M, eta_vec)
@@ -430,8 +440,8 @@ def test_linear_fields_seed_once_at_their_intersection(steps_x, steps_y, origin,
 
 
 def test_zero_row_plateau_gives_no_seed():
-    # both determinants exactly 0 on one grid row (as where the row norms overflow): the
-    # cells next to it change sign in both, but an exactly zero corner crosses nothing
+    # both determinants exactly 0 on one grid row: the cells next to it change sign in
+    # both, but an exactly zero corner crosses nothing
     xa = 0.1 * np.arange(1, 9)
     ya = 0.1 * np.arange(1, 7)
     X, Y = np.meshgrid(xa, ya, indexing="ij")
@@ -465,7 +475,7 @@ def _scan_reference(spectra, grid):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         taus, taups = spectra.from_phase(o_n_axis[:, None], o_p_axis[None, :])
         bc = cl.contact_matrix(taus, taups, spectra, spectra.M, spectra.eta)
-        bc = bc / np.maximum(np.linalg.norm(bc, axis=-1, keepdims=True), 1e-300)
+        bc = bc / np.maximum(_norms(bc, -1), 1e-300)   # as impact_residual scales them
         det_a, det_b = (np.linalg.det(np.delete(bc, drop, axis=-2)) for drop in (n - 1, n))
     both = _sign_change_cells(det_a) & _sign_change_cells(det_b)
     both &= cl.existence_gate(spectra.lam_prime)
@@ -562,8 +572,9 @@ def test_scan_skips_cells_with_non_finite_corners():
         warnings.simplefilter("error")
         field = cl.scan_contour(spectral)
     assert not np.isfinite(field.det_a).all()
-    # the one crossing of the two curves; rows of exact zeros next to it cross nothing
-    assert field.seeds.shape == (1, 2)
+    # rows whose squares overflow keep unit norm: no plateau of exact zeros, five crossings
+    assert np.all(field.det_b != 0)
+    assert field.seeds.shape == (5, 2)
     np.testing.assert_allclose(field.seeds[0], [4.2017, 2.0974], rtol=0, atol=1e-4)
     with np.errstate(over="ignore"):   # the row norms at a seed may still overflow
         residual = cl.impact_residual(field.seeds[0], spectral, spectral.M, spectral.eta)
@@ -584,10 +595,14 @@ def test_stiff_hyperbolic_model_refines_without_overflow():
     # the squares of the lam ~ -1e4 kernels overflow the plain row and column norms
     model = _stiff_hyperbolic_model()
     spectral = cl.analyze(model)
+    roots = []
     for seed in cl.scan_contour(spectral).seeds:
-        with pytest.raises(cl.ConvergenceError):
-            cl.refine_root(seed, spectral, spectral.M, spectral.eta)
-    times = cl.refine_root((7.4, 2.025), spectral, spectral.M, spectral.eta)
+        try:
+            roots.append(cl.refine_root(seed, spectral, spectral.M, spectral.eta))
+        except cl.ConvergenceError:
+            continue
+    times = min(roots, key=lambda t: abs(t.o_n - 7.3827) + abs(t.o_prime - 2.0446))
+    assert abs(times.o_n - 7.3827) < 1e-4 and abs(times.o_prime - 2.0446) < 1e-4
     assert max(abs(r) for r in times.residual) < 1e-11
     with pytest.raises(cl.DegenerateSolutionError):
         cl.build_solution(spectral, times)

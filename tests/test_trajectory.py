@@ -233,11 +233,6 @@ def test_svg_export(tmp_path, biped_traj):
     assert "<line" in svg  # impact marker
 
 
-def test_synthesize_validates_sample_count(biped_spectral, biped_solution):
-    with pytest.raises(cl.InvalidParameterError):
-        cl.synthesize(biped_solution, samples_per_phase=0)
-
-
 @pytest.mark.parametrize("samples", [2.5, True, 0, -1, None])
 def test_synthesize_rejects_non_integer_sample_count(biped_solution, samples):
     with pytest.raises(cl.InvalidParameterError, match="samples_per_phase"):
