@@ -64,7 +64,6 @@ from .impact import (
     reduction_gap,
     refine_root,
     scan_contour,
-    solve_weights,
 )
 from .model import (
     ModelSpec,

@@ -57,7 +57,11 @@ class NoExistenceError(CollisionlessError):
 
 
 class DegenerateSolutionError(CollisionlessError):
-    """The mode-weight linear system is singular at the root."""
+    """Refined impact times are not certified as a root.
+
+    The matching matrix's rank gap is not below RANK_GAP_MAX, or its null
+    vector has no static-force component to scale the mode weights by.
+    """
 
 
 class ValidationFailedError(CollisionlessError):

@@ -11,11 +11,12 @@ equations in the impact times (tau, tau').  This module provides:
   (det_b on the whole grid, det_a only at the corners of det_b's sign-change
   cells; the full det_a grid is built on first access, for export),
 * damped-Newton refinement of seeds,
-* assembly of the full (2N+1) x 2N matching matrix with its rank test, and
-* the linear solve for the mode weights.
+* assembly of the full (2N+1) x 2N matching matrix, and
+* certification of each root by one SVD of that matrix, whose rank gap
+  decides the root and whose null vector gives the mode weights.
 
-Everything except the weight solve and the matching matrix depends on the
-model only through its spectra and symmetry signatures.
+Everything except the matching matrix and its weights depends on the model
+only through its spectra and symmetry signatures.
 """
 
 from __future__ import annotations
@@ -62,12 +63,15 @@ __all__ = [
     "assemble_impact_matrix",
     "reduction_gap",
     "alt_impact_residual",
-    "solve_weights",
+    "RANK_GAP_MAX",
     "ImpactSolution",
     "build_solution",
 ]
 
 POLE_ATOL = 1e-9
+
+# Certification: refined times are a root iff the matching matrix's rank gap is below this.
+RANK_GAP_MAX = 1e-6
 
 # Newton refinement: convergence tolerances and forward-difference step.
 REFINE_TOL_RESIDUAL = 1e-11
@@ -598,14 +602,16 @@ def refine_root(seed, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> Imp
 
 # ---------------------------------------------------- matching matrix and weights
 
-def assemble_impact_matrix(spectral: SpectralData, tau: float, tau_prime: float):
-    """Full (2N+1) x 2N matching matrix A and its rank gap.
+def _certified_matrix(spectral: SpectralData, tau: float, tau_prime: float):
+    """Full (2N+1) x 2N matching matrix A, its rank gap, and its null vector.
 
     Rows stack position matching, velocity matching, and the contact-coordinate
     acceleration; columns are the free weights, contact weights, and the static
-    force.  The rank gap is min/max singular value of the column-normalized
-    matrix (column scaling is rank-preserving and removes the arbitrary
-    hyperbolic magnitude spread); it drops below ~1e-10 at genuine solutions.
+    force.  One SVD of the column-normalized matrix (column scaling is
+    rank-preserving and removes the arbitrary hyperbolic magnitude spread)
+    gives both the rank gap, min/max singular value, which drops below ~1e-10
+    at genuine solutions, and the last right singular vector; divided by the
+    column norms, that vector spans A's kernel at a root.
     """
     n = spectral.n
     X = spectral.mode_matrix
@@ -619,8 +625,14 @@ def assemble_impact_matrix(spectral: SpectralData, tau: float, tau_prime: float)
     A[n : 2 * n, :n] = X * gd[None, :]
     A[n : 2 * n, n : 2 * n - 1] = -Xp * gpd[None, :]
     A[2 * n, :n] = X[-1, :] * (-spectral.lam * g)
-    sv = np.linalg.svd(A / _norms(A, 0), compute_uv=False)
-    return A, float(sv[-1] / sv[0])
+    scale = _norms(A, 0)
+    _, sv, vt = np.linalg.svd(A / scale, full_matrices=False)
+    return A, float(sv[-1] / sv[0]), vt[-1] / scale[0]
+
+
+def assemble_impact_matrix(spectral: SpectralData, tau: float, tau_prime: float):
+    """Full (2N+1) x 2N matching matrix A and its rank gap (see ``build_solution``)."""
+    return _certified_matrix(spectral, tau, tau_prime)[:2]
 
 
 def reduction_gap(spectral: SpectralData, tau: float, tau_prime: float) -> float:
@@ -674,53 +686,13 @@ def alt_impact_residual(spectra: SpectrumPair, tau: float, tau_prime: float) -> 
     return lhs - np.array([1.0, eta_sum])
 
 
-def solve_weights(spectral: SpectralData, times: ImpactTimes):
-    """Mode weights (q, q') from the top-left (2N-1) square of the matching matrix.
-
-    Solves [[X*g, -X'*g'], [Xbar*gdot, -X'bar*g'dot]] [q; q'] = [x0; 0] and
-    returns the weights with the absolute residual of the solve.
-
-    For highly symmetric models (e.g. all-odd free kernels) the square
-    subsystem can be singular at a genuine root even though the full matching
-    matrix has its proper one-dimensional kernel; in that case the weights are
-    recovered from that kernel, scaled to the static force, and still satisfy
-    the square system (the returned residual certifies it).
-    """
-    return _weights(spectral, *assemble_impact_matrix(spectral, times.tau, times.tau_prime))
-
-
-def _weights(spectral: SpectralData, A: np.ndarray, rank_gap: float):
-    """``solve_weights`` on an assembled matching matrix A with its rank gap."""
-    n = spectral.n
-    W = A[: 2 * n - 1, : 2 * n - 1]
-    rhs = np.concatenate([spectral.static_offset, np.zeros(n - 1)])
-    cond = np.linalg.cond(W)
-    if np.isfinite(cond) and cond < 1e12:
-        sol = np.linalg.solve(W, rhs)
-    else:
-        if rank_gap > 1e-6:
-            raise DegenerateSolutionError(
-                f"weight subsystem singular (cond {cond:.2e}) away from a root"
-            )
-        kernel = np.linalg.svd(A)[2][-1]
-        compliance = spectral.contact_compliance
-        denom = float(compliance @ compliance)
-        force = float(spectral.static_offset @ compliance) / denom if denom > 0 else 0.0
-        if force == 0.0:
-            sol = np.zeros(2 * n - 1)
-        elif abs(kernel[-1]) < 1e-9:
-            raise DegenerateSolutionError(
-                "matching-matrix kernel has no static-force component"
-            )
-        else:
-            sol = (kernel / kernel[-1] * force)[:-1]
-    residual = float(np.abs(W @ sol - rhs).max())
-    return sol[:n], sol[n:], residual
-
-
 @dataclass(frozen=True, eq=False)
 class ImpactSolution:
-    """A refined root together with its weights and certification numbers."""
+    """A certified root: its times, mode weights and certification numbers.
+
+    As ``build_solution`` makes it, ``q`` and ``q_prime`` come from the
+    matching matrix's null vector and ``rank_gap`` is below RANK_GAP_MAX.
+    """
 
     times: ImpactTimes
     q: np.ndarray
@@ -739,14 +711,34 @@ class ImpactSolution:
 
 
 def build_solution(spectral: SpectralData, times: ImpactTimes) -> ImpactSolution:
-    """Assemble the matching matrix, certify the rank drop, and solve the weights."""
-    A, rank_gap = assemble_impact_matrix(spectral, times.tau, times.tau_prime)
-    q, q_prime, weight_residual = _weights(spectral, A, rank_gap)
+    """Certify refined impact times as a root and take its mode weights.
+
+    This is the one place that decides what a root is.  One SVD of the
+    column-scaled matching matrix (``_certified_matrix``) gives the rank gap
+    and the null vector [q; q'; f].  Times whose rank gap is not below
+    RANK_GAP_MAX are no root and raise DegenerateSolutionError, as does a
+    null vector without a force component.  At a root the weights are the
+    null vector scaled so that f equals the static force, so they satisfy
+    every row of the matching system.  ``weight_residual`` is
+    max |W [q; q'] - [x0; 0]| over the top-left (2N-1) square block W.
+    """
+    A, rank_gap, kernel = _certified_matrix(spectral, times.tau, times.tau_prime)
+    if not rank_gap < RANK_GAP_MAX:
+        raise DegenerateSolutionError(
+            f"matching-matrix rank gap {rank_gap:.2e} is not below {RANK_GAP_MAX:g}: no root"
+        )
+    if kernel[-1] == 0:
+        raise DegenerateSolutionError("matching-matrix kernel has no static-force component")
+    n = spectral.n
+    compliance = spectral.contact_compliance
+    force = float(spectral.static_offset @ compliance) / float(compliance @ compliance)
+    weights = kernel[:-1] * (force / kernel[-1])
+    rhs = np.concatenate([spectral.static_offset, np.zeros(n - 1)])
     return ImpactSolution(
         times=times,
-        q=q,
-        q_prime=q_prime,
+        q=weights[:n],
+        q_prime=weights[n:],
         spectral=spectral,
         rank_gap=rank_gap,
-        weight_residual=weight_residual,
+        weight_residual=float(np.abs(A[: 2 * n - 1, : 2 * n - 1] @ weights - rhs).max()),
     )

@@ -15,6 +15,7 @@ from .errors import (
     NoExistenceError,
 )
 from .impact import (
+    RANK_GAP_MAX,
     ContourField,
     GridSpec,
     ImpactSolution,
@@ -28,7 +29,6 @@ from .trajectory import ValidationReport, ValidatorTolerances, validate
 
 __all__ = ["RootRecord", "SolveRun", "solve_model", "pick_records", "RANK_GAP_MAX"]
 
-RANK_GAP_MAX = 1e-6
 ROOT_MERGE_ATOL = 1e-6
 ROW_CLUSTER_GAP = np.pi / 2
 # Stages of ``solve_model`` timed in ``SolveRun.timings``, in run order.
@@ -80,8 +80,9 @@ def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
 
     Raises NoExistenceError when the largest contact eigenvalue is not
     positive, and ConvergenceError when no seed refines to a certified root.
-    Roots whose matching matrix keeps full rank (spurious curve crossings,
-    e.g. from kernel zeros) are dropped and counted.
+    Refined roots that ``build_solution`` refuses with DegenerateSolutionError
+    (a matching matrix that keeps full rank, as at spurious curve crossings,
+    e.g. from kernel zeros) are dropped and counted in ``spurious_roots``.
     """
     marks = [perf_counter()]   # one mark after each stage
     spectral = analyze(model)
@@ -115,9 +116,6 @@ def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
         try:
             solution = build_solution(spectral, times)
         except DegenerateSolutionError:
-            spurious += 1
-            continue
-        if solution.rank_gap >= RANK_GAP_MAX:
             spurious += 1
             continue
         solutions.append(solution)

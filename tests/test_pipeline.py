@@ -125,3 +125,7 @@ def test_solve_model_times_every_stage(biped):
     assert list(run.timings) == list(cl.pipeline.STAGES)
     assert all(t >= 0 for t in run.timings.values())
     assert sum(run.timings.values()) <= wall
+
+
+def test_rank_gap_bound_is_defined_once():
+    assert cl.pipeline.RANK_GAP_MAX is cl.impact.RANK_GAP_MAX

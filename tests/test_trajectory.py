@@ -110,6 +110,24 @@ def _sampled_energy_variation(solution):
     return (energy.max() - energy.min()) / np.abs(energy).max()
 
 
+def _off_root_solution(spectral, times):
+    """An ImpactSolution at times that are no root, which build_solution refuses.
+
+    The weights solve the square top-left (2N-1) block of the matching matrix
+    for [x0; 0], so the trajectory meets the positions and the free
+    velocities at the impact but not the contact-phase conditions.
+    """
+    n = spectral.n
+    A, rank_gap = cl.assemble_impact_matrix(spectral, times.tau, times.tau_prime)
+    W = A[: 2 * n - 1, : 2 * n - 1]
+    rhs = np.concatenate([spectral.static_offset, np.zeros(n - 1)])
+    weights = np.linalg.solve(W, rhs)
+    return cl.ImpactSolution(
+        times=times, q=weights[:n], q_prime=weights[n:], spectral=spectral,
+        rank_gap=rank_gap, weight_residual=float(np.abs(W @ weights - rhs).max()),
+    )
+
+
 def test_energy_jump_at_impact_matches_sampled_variation(biped_run, biped, biped_spectral):
     assert len(biped_run.records) == 6
     for record in biped_run.records:
@@ -118,7 +136,7 @@ def test_energy_jump_at_impact_matches_sampled_variation(biped_run, biped, biped
     # off a root the energy jumps at the impact, and the jump is the sampled variation
     times = biped_run.records[0].solution.times
     for shift in (1e-3, 1e-2):
-        detuned = cl.build_solution(biped_spectral, cl.ImpactTimes(
+        detuned = _off_root_solution(biped_spectral, cl.ImpactTimes(
             tau=times.tau + shift,
             tau_prime=times.tau_prime,
             o_n=times.o_n + shift * biped_spectral.spectra.omega_top,
@@ -150,7 +168,7 @@ def test_validation_fails_on_detuned_root(biped_spectral, biped_solution, biped)
         o_prime=times.o_prime,
         residual=(np.nan, np.nan),
     )
-    solution = cl.build_solution(biped_spectral, detuned)
+    solution = _off_root_solution(biped_spectral, detuned)
     traj = cl.synthesize(solution, 200)
     report = cl.validate(solution, biped)
     assert not report.passed
@@ -223,6 +241,22 @@ def test_json_derives_tau_mark_and_phase(tmp_path, biped_traj):
     clone = cl.trajectory_from_json(path)
     assert clone.tau_mark == biped_traj.meta.times.tau
     assert np.array_equal(clone.phase, biped_traj.phase)
+
+
+def test_json_rejects_edited_phase_of_non_symmetric_model(tmp_path):
+    # draw 0 (N = 3, sigma = [1, -1, 1]): its square weight block stays regular off
+    # the root, so only the rank gap tells that the edited phases are no root
+    model, spectral = random_spd_model(3, np.random.default_rng(1))
+    assert list(spectral.sigma) == [1, -1, 1]
+    run = cl.solve_model(model)
+    path = tmp_path / "traj.json"
+    cl.to_json(cl.synthesize(run.records[0].solution, 20), path)
+    payload = json.loads(path.read_text())
+    payload["solution"]["o_n"] += 0.5
+    path.write_text(json.dumps(payload))
+    with pytest.raises(cl.InvalidParameterError,
+                       match="stored o_n and o_prime give no solution"):
+        cl.trajectory_from_json(path)
 
 
 def test_svg_export(tmp_path, biped_traj):
