@@ -8,8 +8,8 @@ equations in the impact times (tau, tau').  This module provides:
   exactly at solutions,
 * a marching-squares contour scan of the two determinant zero sets in impact
   phase coordinates (o_N, o'_{N-1}) and seed extraction at curve crossings
-  (det_b on the whole grid, det_a only at the corners of det_b's sign-change
-  cells; the full det_a grid is built on first access, for export),
+  (both determinants on the whole grid as one matrix product, by their
+  expansion in the free and the contact kernels),
 * damped-Newton refinement of seeds,
 * assembly of the full (2N+1) x 2N matching matrix, and
 * certification of each root by one SVD of that matrix, whose rank gap
@@ -41,6 +41,7 @@ from .model import (
     _as_dict,
     _check_integer,
     _check_positive,
+    _is_number,
     _kernel_constants,
 )
 from .spectral import SpectralData
@@ -191,16 +192,20 @@ def contact_matrix(tau, tau_prime, spectra: SpectrumPair, M, eta_vec) -> np.ndar
     pair's cached constants (``SpectrumPair.kernels``), which raise
     ZeroModeError for a zero free eigenvalue.
     """
-    n = spectra.n
     free, contact = spectra.kernels
-    g, gd = _mode_kernels(tau, *free)
-    gp, gpd = _mode_kernels(-tau_prime, *contact)
+    return _assemble_contact(*_mode_kernels(tau, *free), *_mode_kernels(-tau_prime, *contact),
+                             spectra.lam, M, eta_vec)
+
+
+def _assemble_contact(g, gd, gp, gpd, lam, M, eta_vec) -> np.ndarray:
+    """``contact_matrix`` from the free kernels (..., N) and the contact kernels (..., N-1)."""
+    n = lam.size
     eta_sum = float(np.sum(eta_vec))
     out = np.empty(np.broadcast_shapes(g.shape[:-1], gp.shape[:-1]) + (n + 1, n))
     out[..., :n, : n - 1] = (
         gd[..., :, None] * gp[..., None, :] - g[..., :, None] * gpd[..., None, :]
     ) * M
-    out[..., :n, n - 1] = gd / spectra.lam
+    out[..., :n, n - 1] = gd / lam
     out[..., n, : n - 1] = eta_sum * gp
     out[..., n, n - 1] = eta_sum
     return out
@@ -222,40 +227,131 @@ def _norms(a: np.ndarray, axis: int) -> np.ndarray:
     return norms
 
 
+def _scaled_free_kernels(tau, spectra: SpectrumPair):
+    """Free-phase kernels (g, gdot) at tau, each mode scaled by an exact power of two.
+
+    Mode i is multiplied by 2**-e_i, where e_i is the ``np.frexp`` exponent of
+    max(|g_i|, |gdot_i|, |gdot_i / lam_i|), so the three are below 1 in
+    magnitude and a stiff hyperbolic kernel does not overflow the products
+    that form its contact row.  The factor scales the whole row i < N of the
+    contact matrix; it is exact, so the row divided by its norm keeps its
+    bits wherever the unscaled row does not overflow.
+    """
+    g, gd = _mode_kernels(tau, *spectra.kernels[0])
+    _, e = np.frexp(np.maximum(np.maximum(np.abs(g), np.abs(gd)), np.abs(gd / spectra.lam)))
+    return np.ldexp(g, -e), np.ldexp(gd, -e)
+
+
 def _unit_contact(o_n, o_prime, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
     """``contact_matrix`` at impact phases o = (o_n, o_prime), with unit rows.
 
-    Each row is divided by its ``_norms`` entry, floored at 1e-300, so each
-    maximal minor is O(1); a row norm does not depend on which row a minor
-    drops.  A row whose squares overflow still becomes a unit row, not a row
-    of zeros.  The scan's grid, the lazy full ``det_a`` and
-    ``impact_residual`` all scale their rows here.
+    The free rows come from ``_scaled_free_kernels``; each row is then
+    divided by its ``_norms`` entry, floored at 1e-300, so each maximal minor
+    is O(1); a row norm does not depend on which row a minor drops.  A row
+    whose squares would overflow still becomes a unit row, not a row of
+    zeros.  ``impact_residual`` evaluates its points here; the scan's grids
+    (``_minor_grids``) scale the free rows the same way.
     """
     tau, tau_prime = spectra.from_phase(o_n, o_prime)
-    bc = contact_matrix(tau, tau_prime, spectra, M, eta_vec)
+    g, gd = _scaled_free_kernels(tau, spectra)
+    gp, gpd = _mode_kernels(-tau_prime, *spectra.kernels[1])
+    bc = _assemble_contact(g, gd, gp, gpd, spectra.lam, M, eta_vec)
     bc /= np.maximum(_norms(bc, -1), 1e-300)
     return bc
 
 
-def _minor_rows(n: int) -> np.ndarray:
-    """Rows kept by the two maximal minors of an (N+1) x N contact matrix.
+def _minor_dets(bc: np.ndarray) -> np.ndarray:
+    """The two maximal minors of (..., N+1, N) contact matrices, on a last axis of length 2.
 
-    Row 0 is det_a's (the top-mode row N-1 dropped), row 1 det_b's (the
-    amplitude-sum row N dropped).
+    det_a keeps every row but the top-mode row N-1, det_b every row but the
+    amplitude-sum row N; one row gather and one ``det`` call give both.
+    ``impact_residual`` takes them of unit-row matrices (``_unit_contact``),
+    and ``_minor_grids`` of the constant matrices of its expansion.
     """
-    return np.array([[*range(n - 1), n], [*range(n)]])
+    n = bc.shape[-1]
+    return np.linalg.det(bc[..., [[*range(n - 1), n], [*range(n)]], :])
 
 
-def _minor_dets(bc: np.ndarray, rows) -> np.ndarray:
-    """Determinants of the minors of unit-row (..., N+1, N) contact matrices.
+def _subsets(k: int) -> np.ndarray:
+    """(2**k, k) mask whose row m marks the subset of {0..k-1} with bit mask m."""
+    return (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1 == 1
 
-    ``rows`` selects the kept rows with one gather and one ``det`` call: N
-    indices (or a slice, a view with no copy) give one minor of shape (...),
-    a (k, N) index array k minors of shape (..., k).  The scan's grid and
-    corners, the lazy full ``det_a`` grid and ``impact_residual`` all take
-    their minors here, of matrices from ``_unit_contact``.
+
+def _minor_grids(o_n_axis, o_p_axis, spectra: SpectrumPair):
+    """(det_a, det_b) of the unit-row contact matrix on the grid o_n_axis x o_p_axis.
+
+    A determinant is multilinear in its columns and in its rows (Horn &
+    Johnson, *Matrix Analysis*, 2nd ed., sec. 0.3).  Column j < N-1 of the
+    contact matrix is gp_j u_j - gpd_j v_j, with u_j = [gdot * M[:, j];
+    sum(eta)] and v_j = [g * M[:, j]; 0], so each minor is the sum over the
+    subsets S of {0..N-2} of A_S(tau) B_S(tau'): A_S is the minor with
+    column u_j for j in S and v_j otherwise, and B_S is the product of gp_j
+    over S and of -gpd_j elsewhere.  Row i < N of A_S's matrix is gdot_i
+    times its u and last-column entries plus g_i times its v entries, so
+    A_S is in turn the sum over the subsets T of the free rows of
+    F_T(tau) C[T, S]: F_T is the product of g_i over T and of gdot_i
+    elsewhere, and C[T, S] is a minor of constants, zero unless
+    |T| + |S| = N - 1.  A scan thus takes C(2N-1, N-1) small determinants,
+    and each raw grid is F @ C @ B^T.
+
+    Each raw minor is divided by its rows' norms (floored at 1e-300 as in
+    ``_unit_contact``) one at a time, since their product can overflow.  The
+    amplitude-sum row's norm depends on tau' alone; row i < N's comes from
+    the Gram matrix of its gp and gpd parts.  Exact powers of two keep the
+    products in range: the free rows are scaled by ``_scaled_free_kernels``,
+    and at each tau' the contact kernels by one 2**-f, which scales columns
+    0..N-2; the last column's share of each norm is scaled to match, so the
+    norms and each minor carry 2**-f and 2**(-(N-1) f) in all, and a final
+    2**-f restores the unit-row minors.  On the tested models both grids
+    have ``impact_residual``'s finiteness and signs and agree with it to
+    about 1e-14.
     """
-    return np.linalg.det(bc[..., rows, :])
+    n = spectra.n
+    M = spectra.M
+    tau, tau_prime = spectra.from_phase(o_n_axis, o_p_axis)
+    g, gd = _scaled_free_kernels(tau, spectra)                   # (n_tau, N)
+    gp, gpd = _mode_kernels(-tau_prime, *spectra.kernels[1])     # (n_tau', N-1)
+    # 2**f per tau' takes the contact kernels below 1 in magnitude
+    _, f = np.frexp(np.maximum(np.abs(gp), np.abs(gpd)).max(axis=-1))
+    gp, gpd = np.ldexp(gp, -f[:, None]), np.ldexp(gpd, -f[:, None])
+    rows, cols = _subsets(n), _subsets(n - 1)                   # T and S
+    t, s = np.nonzero(rows.sum(axis=1)[:, None] + cols.sum(axis=1) == n - 1)
+    # C[:, T, S]: the minors of the contact matrix whose kernels are g = [i in T],
+    # gd = [i not in T], gp = [j in S] and gpd = -[j not in S]; zero unless |T| + |S| = N - 1
+    C = np.zeros((2, rows.shape[0], cols.shape[0]))
+    C[:, t, s] = _minor_dets(_assemble_contact(rows[t] * 1.0, ~rows[t] * 1.0, cols[s] * 1.0,
+                                               cols[s] - 1.0, spectra.lam, M, spectra.eta)).T
+    F = np.where(cols, g[:, None, :-1], gd[:, None, :-1]).prod(axis=-1)   # rows 0..N-2
+    B = np.where(cols, gp[:, None], -gpd[:, None]).prod(axis=-1)
+    det_a = F @ (C[0, : len(cols)] @ B.T)   # det_a drops row N-1: the subsets T without it
+    det_b = np.hstack([F * gd[:, -1:], F * g[:, -1:]]) @ (C[1] @ B.T)
+    # Row i's squared norm is (gd_i, g_i) G (gd_i, g_i)^T + (gd_i / lam_i)^2, where
+    # G = [[P, -Q], [-Q, R]] is the Gram matrix of gp * M[i] and gpd * M[i].  Its Cholesky
+    # factor, pivoted on the larger of P and R, makes it (alpha gd_i + beta g_i)^2 +
+    # gamma_d gd_i^2 + gamma_g g_i^2 with coefficients of tau' alone, and P R - Q^2 comes from
+    # Lagrange's identity, so no term cancels more than the row's own entries do.
+    P, Q, R = np.stack([gp * gp, gp * gpd, gpd * gpd]) @ (M * M).T      # (n_tau', N) each
+    j, k = np.triu_indices(n - 1, 1)
+    D = (gp[:, j] * gpd[:, k] - gp[:, k] * gpd[:, j]) ** 2 @ ((M[:, j] * M[:, k]) ** 2).T
+    swap = R > P
+    pivot = np.sqrt(np.where(swap, R, P))
+    rest = D / pivot ** 2
+    alpha = np.where(swap, -Q / pivot, pivot).T
+    beta = np.where(swap, pivot, -Q / pivot).T
+    gamma_d = (np.where(swap, rest, 0.0) + np.ldexp(spectra.lam ** -2.0, -2 * f[:, None])).T
+    gamma_g = np.where(swap, 0.0, rest).T
+    amplitude_row = float(np.sum(spectra.eta)) * np.column_stack([gp, np.ldexp(1.0, -f)])
+    det_a /= np.maximum(_norms(amplitude_row, -1)[:, 0], 1e-300)
+    for i in range(n):
+        x, xd = g[:, i, None], gd[:, i, None]
+        norm = (alpha[i] * xd + beta[i] * x) ** 2
+        norm += gamma_d[i] * (xd * xd)
+        norm += gamma_g[i] * (x * x)
+        norm = np.maximum(np.sqrt(norm), 1e-300)
+        if i < n - 1:
+            det_a /= norm
+        det_b /= norm
+    return np.ldexp(det_a, -f), np.ldexp(det_b, -f)
 
 
 def impact_residual(o, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
@@ -264,14 +360,14 @@ def impact_residual(o, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
     The first drops the top-mode row, the second drops the amplitude-sum row;
     both vanish simultaneously exactly at impact-time solutions.  Spectra
     whose top contact eigenvalue is not positive (``existence_gate``) have no
-    solution and raise NoExistenceError.
+    solution and raise NoExistenceError.  Each point costs two determinants,
+    so refinement's scattered points come here, not to ``_minor_grids``.
     """
     if not existence_gate(spectra.lam_prime):
         raise NoExistenceError(
             f"largest contact eigenvalue {spectra.lam_prime[-1]:.6g} is not positive"
         )
-    dets = _minor_dets(_unit_contact(o[0], o[1], spectra, M, eta_vec), _minor_rows(spectra.n))
-    return np.moveaxis(dets, -1, 0)
+    return np.moveaxis(_minor_dets(_unit_contact(o[0], o[1], spectra, M, eta_vec)), -1, 0)
 
 
 def phi(o_n, o_prime, spectra: SpectrumPair, M, eta_vec) -> float:
@@ -301,8 +397,11 @@ class GridSpec:
 
     def axes(self):
         _check_positive(step=self.step)
-        if not np.all(np.isfinite([self.o_n_min, self.o_n_max, self.o_p_min, self.o_p_max])):
-            raise InvalidParameterError("contour grid bounds must be finite")
+        bounds = (self.o_n_min, self.o_n_max, self.o_p_min, self.o_p_max)
+        if not all(_is_number(bound) and np.isfinite(bound) for bound in bounds):
+            raise InvalidParameterError(
+                f"contour grid bounds must be finite numbers, got {bounds!r}"
+            )
         for name in ("o_n_min", "o_p_min"):
             if getattr(self, name) < 0:
                 raise InvalidParameterError(f"{name} must be >= 0, got {getattr(self, name)!r}")
@@ -408,29 +507,20 @@ def _crossing_seeds(xa, ya, det_a, det_b, cells):
 class ContourField:
     """Gridded determinant values with crossing seeds.
 
-    ``seeds`` are where a marching-squares zero segment of ``det_a`` crosses
-    one of ``det_b`` in the same grid cell.  ``det_b`` is the scan's grid.
-    Both grids scale rows as ``impact_residual`` does, so they hold its
-    values at every grid point, NaNs included.  The scan evaluates
-    ``det_a`` only at the corners of ``det_b``'s sign-change cells; the
-    full ``det_a`` grid, and the zero curves ``curves_a``/``curves_b`` that
-    chain the same segments, serve export only, so they are built from
-    ``spectra`` on first access.
+    ``det_a`` (top-mode row dropped) and ``det_b`` (amplitude-sum row
+    dropped) hold ``impact_residual``'s two minors at every grid point, as
+    ``_minor_grids`` expands them: equal to rounding, not to the bit.
+    ``seeds`` are where a marching-squares
+    zero segment of ``det_a`` crosses one of ``det_b`` in the same grid
+    cell.  The zero curves ``curves_a``/``curves_b`` chain the same
+    segments; they serve export only, so they are built on first access.
     """
 
     o_n_axis: np.ndarray
     o_p_axis: np.ndarray
-    det_b: np.ndarray            # amplitude-sum row dropped
+    det_a: np.ndarray
+    det_b: np.ndarray
     seeds: np.ndarray
-    spectra: SpectrumPair
-
-    @cached_property
-    def det_a(self) -> np.ndarray:
-        """The top-mode-row-dropped determinant on the whole grid, as the scan evaluates it."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            bc = _unit_contact(self.o_n_axis[:, None], self.o_p_axis[None, :], self.spectra,
-                               self.spectra.M, self.spectra.eta)
-            return _minor_dets(bc, _minor_rows(self.spectra.n)[0])
 
     @cached_property
     def curves_a(self) -> list:
@@ -477,42 +567,32 @@ class ContourField:
 
 
 def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> ContourField:
-    """Evaluate the determinants on a grid and seed at their zero-curve crossings.
+    """Evaluate both determinants on a grid and seed at their zero-curve crossings.
 
-    ``det_b`` is evaluated on the whole grid, and ``det_a`` only at the
-    corners of the cells where ``det_b`` changes sign, since only those
-    cells can hold a crossing; ``ContourField.det_a`` builds the rest for
-    export.  Each intersection of a cell's zero segments of ``det_a`` and
-    ``det_b`` is a seed for ``refine_root``; a cell with a non-finite corner is
-    skipped, and a corner that is exactly 0 gives no crossing.  The rows are
-    scaled as in ``impact_residual`` (``_unit_contact``), so a row whose
-    squares overflow stays a unit row instead of becoming zeros.  Seeds lie
-    inside the grid (see ``GridSpec``), whose last point can be up to half a
-    step below ``o_n_max``/``o_p_max``.  Newton may take a seed to a root
-    outside the window, and which out-of-window roots appear depends on the step.
-    Spectra that fail ``existence_gate`` have no solution, no seeds and no
-    ``det_a`` evaluation.
+    ``_minor_grids`` builds ``det_a`` and ``det_b`` on the whole grid from
+    one kernel evaluation per axis.  Each intersection of a cell's zero
+    segments of ``det_a`` and ``det_b`` is a seed for ``refine_root``; a cell
+    with a non-finite corner is skipped, and a corner that is exactly 0 gives
+    no crossing.  Seeds lie inside the grid (see ``GridSpec``), whose last
+    point can be up to half a step below ``o_n_max``/``o_p_max``.  Newton may
+    take a seed to a root outside the window, and which out-of-window roots
+    appear depends on the step.  Spectra that fail ``existence_gate`` have
+    no solution and no seeds.
     """
     grid = grid or GridSpec()
     o_n_axis, o_p_axis = grid.axes()
-    n = spectra.n
     # Stiff hyperbolic modes can overflow on the grid, and a zero top contact eigenvalue
     # makes every contact time infinite; _sign_change_cells skips non-finite corners.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        bc = _unit_contact(o_n_axis[:, None], o_p_axis[None, :], spectra, spectra.M, spectra.eta)
-        det_b = _minor_dets(bc, slice(n))
-        cells = _sign_change_cells(det_b) & existence_gate(spectra.lam_prime)
-        padded = np.pad(cells, 1)
-        corners = padded[1:, 1:] | padded[:-1, 1:] | padded[1:, :-1] | padded[:-1, :-1]
-        det_a = np.full(det_b.shape, np.nan)   # NaN only where no cell of ``cells`` reads it
-        det_a[corners] = _minor_dets(bc[corners], _minor_rows(n)[0])
-    both = cells & _sign_change_cells(det_a)
+        det_a, det_b = _minor_grids(o_n_axis, o_p_axis, spectra)
+    cells = (_sign_change_cells(det_a) & _sign_change_cells(det_b)
+             & existence_gate(spectra.lam_prime))
     return ContourField(
         o_n_axis=o_n_axis,
         o_p_axis=o_p_axis,
+        det_a=det_a,
         det_b=det_b,
-        seeds=_crossing_seeds(o_n_axis, o_p_axis, det_a, det_b, both),
-        spectra=spectra,
+        seeds=_crossing_seeds(o_n_axis, o_p_axis, det_a, det_b, cells),
     )
 
 

@@ -35,12 +35,15 @@ __all__ = [
 ZERO_EIGENVALUE_ATOL = 1e-14
 
 
+def _is_number(value) -> bool:
+    """True for an int or a float, NumPy's included; False for a bool, a string or None."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
 def _check_positive(**values):
-    """Raise InvalidParameterError unless every value is a positive finite number."""
+    """Raise InvalidParameterError unless every value is a positive finite number (not a bool)."""
     for label, value in values.items():
-        if not isinstance(value, (int, float, np.integer, np.floating)) or not (
-            np.isfinite(value) and value > 0
-        ):
+        if not (_is_number(value) and np.isfinite(value) and value > 0):
             raise InvalidParameterError(f"{label} must be positive, got {value!r}")
 
 

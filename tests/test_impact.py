@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import collisionless as cl
-from collisionless.impact import _crossing_seeds, _norms, _segments, _sign_change_cells
+from collisionless import cli, impact
+from collisionless.impact import (
+    _crossing_seeds,
+    _segments,
+    _sign_change_cells,
+    _unit_contact,
+)
 from helpers import cauchy_inputs, non_pole_times, random_rocker_freqs, random_spd_model
 
 
@@ -293,28 +299,37 @@ def test_scan_biped_seeds(biped_spectral):
     assert np.all(np.isfinite(field.det_a)) and np.all(np.isfinite(field.det_b))
 
 
-@pytest.mark.parametrize("family", ["biped", "rocker", "stiff"])
-def test_scan_grid_is_impact_residual_bit_for_bit(family, biped_spectral):
+def _assert_grids_match(got, ref):
+    """Same finiteness as ``ref``, the same sign at each of its finite nonzero points, and
+    values within 1e-12: the scan's column expansion agrees with the per-point minors to
+    rounding, not to the bit."""
+    finite = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(got), finite)
+    nonzero = finite & (ref != 0)
+    assert np.array_equal(np.sign(got[nonzero]), np.sign(ref[nonzero]))
+    assert np.abs(got - ref)[finite].max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("family", ["biped", "rocker", "stiff", "stiff-wide"])
+def test_scan_grids_match_impact_residual(family, biped_spectral):
     grid = cl.GridSpec(o_n_max=5.0, o_p_max=1.5, step=0.1)
     if family == "biped":
         spectra = biped_spectral.spectra
     elif family == "rocker":
         spectra = cl.n2_spectrum("rocker", nu1=1.0, omega2=2.0, omega1p=1.0)
-    else:
-        # rows whose squares overflow on much of the default grid
+    elif family == "stiff":
+        # free kernels near 1e273 on much of the default grid
         spectra, grid = cl.analyze(_stiff_hyperbolic_model()), cl.GridSpec()
+    else:
+        # contact kernels up to about 1e205, whose squares and products overflow
+        spectra, grid = cl.analyze(_stiff_hyperbolic_model()), cl.GridSpec(o_p_max=3 * np.pi)
     M, eta_vec = cauchy_inputs(spectra)
     field = cl.scan_contour(spectra, grid)
     o = np.stack(np.meshgrid(field.o_n_axis, field.o_p_axis, indexing="ij"))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         stacked = cl.impact_residual(o, spectra, M, eta_vec)
-    assert np.array_equal(stacked, [field.det_a, field.det_b], equal_nan=True)
-    if family == "stiff":
-        return
-    for i, o_n in enumerate(field.o_n_axis):
-        for j, o_p in enumerate(field.o_p_axis):
-            d = cl.impact_residual((o_n, o_p), spectra, M, eta_vec)
-            assert field.det_a[i, j] == d[0] and field.det_b[i, j] == d[1]
+    _assert_grids_match(np.stack([field.det_a, field.det_b]), stacked)
 
 
 def _cell_crossings_reference(xa, ya, Z):
@@ -468,14 +483,13 @@ def test_curves_match_per_cell_loop(family, biped_spectral):
 
 
 def _scan_reference(spectra, grid):
-    """Reference: both minors on the whole grid, each from its own row deletion, then the
-    seeds in the cells where both change sign and the existence gate holds."""
+    """Reference: both minors on the whole grid, each from its own row deletion of the
+    unit-row contact matrices, then the seeds in the cells where both change sign and the
+    existence gate holds."""
     o_n_axis, o_p_axis = grid.axes()
     n = spectra.n
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        taus, taups = spectra.from_phase(o_n_axis[:, None], o_p_axis[None, :])
-        bc = cl.contact_matrix(taus, taups, spectra, spectra.M, spectra.eta)
-        bc = bc / np.maximum(_norms(bc, -1), 1e-300)   # as impact_residual scales them
+        bc = _unit_contact(o_n_axis[:, None], o_p_axis[None, :], spectra, spectra.M, spectra.eta)
         det_a, det_b = (np.linalg.det(np.delete(bc, drop, axis=-2)) for drop in (n - 1, n))
     both = _sign_change_cells(det_a) & _sign_change_cells(det_b)
     both &= cl.existence_gate(spectra.lam_prime)
@@ -487,10 +501,10 @@ def _assert_scan_matches_reference(spectra, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         field = cl.scan_contour(spectra, grid)
-        assert "det_a" not in field.__dict__
-        assert field.seeds.shape == seeds.shape and field.seeds.tobytes() == seeds.tobytes()
-        assert field.det_b.tobytes() == det_b.tobytes()
-        assert field.det_a.tobytes() == det_a.tobytes()
+    _assert_grids_match(field.det_a, det_a)
+    _assert_grids_match(field.det_b, det_b)
+    assert field.seeds.shape == seeds.shape
+    np.testing.assert_allclose(field.seeds, seeds, rtol=0, atol=1e-10)
     return field
 
 
@@ -505,8 +519,7 @@ def _stiff_hyperbolic_model():
 
 @pytest.mark.parametrize("case", ["biped", "rocker", "stiff", "no-existence"])
 def test_scan_matches_full_grid_reference(case, biped_spectral):
-    # det_a only at the corners of det_b's sign-change cells: the same seeds and det_b,
-    # and the lazy full det_a, bit for bit
+    # both minors from their expansion: the full-grid minors to rounding, the same seeds
     grid = cl.GridSpec()
     if case == "biped":
         spectra = biped_spectral.spectra
@@ -526,6 +539,28 @@ def test_scan_matches_full_grid_reference(case, biped_spectral):
 def test_scan_matches_full_grid_reference_on_random_models(n, seed):
     _, spectral = random_spd_model(n, np.random.default_rng(seed))
     _assert_scan_matches_reference(spectral, cl.GridSpec(step=0.1))
+
+
+def test_scan_evaluates_each_phase_once_and_contour_the_grid_once(biped_spectral, tmp_path,
+                                                                  monkeypatch):
+    calls = {"_mode_kernels": 0, "_minor_grids": 0}
+
+    def counted(name):
+        original = getattr(impact, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(impact, name, wrapper)
+
+    counted("_mode_kernels")
+    counted("_minor_grids")
+    cl.scan_contour(biped_spectral.spectra, cl.GridSpec(step=0.1))
+    assert calls == {"_mode_kernels": 2, "_minor_grids": 1}   # one per phase
+    calls.update(_mode_kernels=0, _minor_grids=0)
+    assert cli.main(["contour", "--out", str(tmp_path / "field"), "--grid-step", "0.1"]) == 0
+    # the curves and the CSV read the stored grids
+    assert calls == {"_mode_kernels": 2, "_minor_grids": 1}
 
 
 def test_scan_rejects_zero_modes():
@@ -566,17 +601,19 @@ def test_scan_empty_window_no_existence():
 
 
 def test_scan_skips_cells_with_non_finite_corners():
-    # the scan must neither warn nor seed a cell it cannot evaluate
+    # the scan must neither warn nor seed a cell it cannot evaluate; on the stiff model the
+    # scaled free rows keep every grid point finite (the rule for non-finite corners is
+    # test_segments_match_per_cell_loop's)
     spectral = cl.analyze(_stiff_hyperbolic_model())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         field = cl.scan_contour(spectral)
-    assert not np.isfinite(field.det_a).all()
-    # rows whose squares overflow keep unit norm: no plateau of exact zeros, five crossings
-    assert np.all(field.det_b != 0)
-    assert field.seeds.shape == (5, 2)
-    np.testing.assert_allclose(field.seeds[0], [4.2017, 2.0974], rtol=0, atol=1e-4)
-    with np.errstate(over="ignore"):   # the row norms at a seed may still overflow
+        assert np.isfinite(field.det_a).all() and np.isfinite(field.det_b).all()
+        # rows whose squares would overflow keep unit norm: no plateau of exact zeros
+        assert np.all(field.det_b != 0)
+        assert field.seeds.shape == (6, 2)
+        np.testing.assert_allclose(field.seeds[[0, -1]], [[4.2017, 2.0974], [10.514, 5.1999]],
+                                   rtol=0, atol=1e-4)
         residual = cl.impact_residual(field.seeds[0], spectral, spectral.M, spectral.eta)
     assert np.isfinite(residual).all() and np.all(residual != 0)
 
@@ -627,6 +664,18 @@ def test_grid_rejects_negative_minimum(bound):
     with pytest.raises(cl.InvalidParameterError, match=f"^{bound} must be >= 0"):
         cl.GridSpec(**{bound: -1.0}).axes()
     assert cl.GridSpec(**{bound: 0.0}).axes()[0][0] == 0.05
+
+
+def test_grid_rejects_bool_step():
+    with pytest.raises(cl.InvalidParameterError, match="^step must be positive"):
+        cl.GridSpec(step=True).axes()
+
+
+@pytest.mark.parametrize("bound", ["o_n_min", "o_n_max", "o_p_min", "o_p_max"])
+@pytest.mark.parametrize("value", ["3", True, None])
+def test_grid_rejects_non_numeric_bound(bound, value):
+    with pytest.raises(cl.InvalidParameterError, match="^contour grid bounds must be finite"):
+        cl.GridSpec(**{bound: value}).axes()
 
 
 def test_contour_exports(tmp_path, biped_spectral):

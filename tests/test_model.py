@@ -166,6 +166,13 @@ def test_n2_spectrum_juggler_matches_hopper():
     np.testing.assert_array_equal(a.sigma, b.sigma)
 
 
+@pytest.mark.parametrize("name", ["nu1", "omega2", "omega1p"])
+def test_n2_spectrum_rejects_bool_parameters(name):
+    params = {"nu1": 1.0, "omega2": 2.0, "omega1p": 1.0, name: True}
+    with pytest.raises(cl.InvalidParameterError, match=f"^{name} must be positive"):
+        cl.n2_spectrum("rocker", **params)
+
+
 def test_n2_spectrum_rocker():
     pair = cl.n2_spectrum("rocker", nu1=1.0, omega2=2.0, omega1p=1.0)
     np.testing.assert_array_equal(pair.lam, [-1.0, 4.0])

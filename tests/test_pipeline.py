@@ -90,7 +90,6 @@ def test_solve_builds_contour_curves_only_on_access(rocker_model):
     run = cl.solve_model(rocker_model)
     assert "curves_a" not in run.contour.__dict__
     assert "curves_b" not in run.contour.__dict__
-    assert "det_a" not in run.contour.__dict__
     for curves in (run.contour.curves_a, run.contour.curves_b):
         assert curves and all(len(poly) >= 2 for poly in curves)
 

@@ -186,7 +186,7 @@ def test_second_row_root_fails_contact_force(biped_run):
 
 
 @pytest.mark.parametrize("name", ["velocity", "acceleration", "continuity", "energy", "contact"])
-@pytest.mark.parametrize("value", [0.0, -1e-8, np.nan, np.inf, "1e-8"])
+@pytest.mark.parametrize("value", [0.0, -1e-8, np.nan, np.inf, "1e-8", True])
 def test_tolerances_must_be_positive_and_finite(name, value):
     with pytest.raises(cl.InvalidParameterError, match=name):
         cl.ValidatorTolerances(**{name: value})
