@@ -65,7 +65,7 @@ def _sha256(path):
 def _write_manifest(args, config, outputs, seed=None, inputs=(), timings=None):
     """Write ``{args.out}.manifest.json``; ``main`` stores argv and the start time on args.
 
-    ``timings``, when given, are the stage wall times of a solve.
+    ``timings``, when given, are the stage wall times of a solve or of a c0 study.
     """
     manifest = {
         "command": args.command,
@@ -288,13 +288,14 @@ def _cmd_analytic2(args):
 
 
 def _cmd_critical(args):
-    inputs, seed = [], None
+    inputs, seed, timings = [], None, None
     if args.study_c0:
         _reject_options(args, ("nu1", "omega2", "omega1p", "branches"), "--study-c0")
         n_dof = 3 if args.n is None else args.n
         samples = 1000 if args.samples is None else args.samples
         seed = 0 if args.seed is None else args.seed
-        payload = c0_sampling_study(samples, n_dof, seed).to_dict()
+        summary = c0_sampling_study(samples, n_dof, seed)
+        payload, timings = summary.to_dict(), summary.timings
     else:
         mode = "--family" if args.family else "--model/--config"
         _reject_options(args, ("n", "samples", "seed"), mode)
@@ -315,7 +316,7 @@ def _cmd_critical(args):
     outputs = []
     _emit(payload, args, outputs, args.out)
     if args.out:
-        _write_manifest(args, payload, outputs, seed=seed, inputs=inputs)
+        _write_manifest(args, payload, outputs, seed=seed, inputs=inputs, timings=timings)
 
 
 def _load_fixtures(path, computed):

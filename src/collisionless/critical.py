@@ -19,7 +19,7 @@ import numpy as np
 
 from .cauchy import cauchy_matrix, eta
 from .errors import InvalidParameterError, NoRootError
-from .impact import existence_gate, phase_rate
+from .impact import _subsets, existence_gate, phase_rate
 from .model import SpectrumPair, _check_integer, _check_spectra
 
 __all__ = [
@@ -47,7 +47,9 @@ _XTOL = 1e-13
 _RTOL = 8.9e-16
 # Samples a c0 study draws and solves at once.
 _STUDY_CHUNK = 128
-# Stages of ``c0_sampling_study`` timed in ``StudySummary.timings``, in run order.
+# Stages of ``c0_sampling_study`` timed in ``StudySummary.timings``, in run order:
+# "sample" draws, checks and stacks a chunk, corner build of its coefficient
+# table included; "scan" brackets each sample's first root, "polish" refines it.
 STUDY_STAGES = ("sample", "scan", "polish")
 
 
@@ -82,18 +84,16 @@ def _require_limit(spectra: SpectrumPair):
 class _Stack(NamedTuple):
     """Spectra in the critical limit, S of them stacked on axis 0.
 
-    Holds only what the critical kernel reads: the free spectra and
-    signatures, the non-top contact frequencies (0 in the top slot), the
-    non-top rows of M, the three weight rows (m_row, m_row_scaled, ones)
-    and sum(eta).
+    Holds only what the scan and the polish read: the free spectra and
+    signatures, and the coefficient table of the critical kernel.  Row m of
+    ``coef`` multiplies the monomial prod(w_i for i in subset m) of the
+    non-top hyperbolic rates (``impact._subsets`` order); its seven columns
+    are P0, P1, S and r of ``_k_ingredients``.
     """
 
     lam: np.ndarray          # (S, n)
     sigma: np.ndarray        # (S, n)
-    nu_p: np.ndarray         # (S, n-1)
-    m_bar: np.ndarray        # (S, n-1, n-1)
-    rows: np.ndarray         # (S, 3, n-1)
-    eta_sum: np.ndarray      # (S,)
+    coef: np.ndarray         # (S, 2**(n-1), 7)
 
     def take(self, idx) -> _Stack:
         return _Stack(*(values[idx] for values in self))
@@ -112,57 +112,77 @@ def _stack_one(spectra: SpectrumPair) -> _Stack:
 
 
 def _stacked(lam, lam_prime, sigma, M, eta_vec) -> _Stack:
-    """The stack of checked spectra with their Cauchy matrices and eta vectors."""
+    """The stack of checked spectra with their Cauchy matrices and eta vectors.
+
+    P0, P1, S and r are multilinear in the non-top rates w_1..w_{N-1}: row i
+    of U-bar is affine in w_i, a cofactor that drops row i holds no w_i, and
+    the right-hand side [1, w] brings w_i back once (Horn & Johnson, *Matrix
+    Analysis*, 2nd ed., sec. 0.3).  So each is a sum of 2**(N-1) constant
+    coefficients times the monomials of w.  ``_k_ingredients`` at the corners
+    w in {0, 1}**(N-1) gives, at corner m, the sum of the coefficients of the
+    subsets of m; differencing over one bit at a time inverts that sum
+    (Moebius inversion, Rota, Z. Wahrscheinlichkeitstheorie 2, 1964).
+    """
+    k = lam.shape[-1] - 1
+    P0, P1, S, r = _k_ingredients(_subsets(k)[None] * 1.0, lam, lam_prime, M, eta_vec)
+    coef = np.concatenate([P0, P1, S, r[..., None]], axis=-1)     # (S, 2**k, 7)
+    for i in range(k):
+        halves = coef.reshape(coef.shape[0], -1, 2, 2 ** i, 7)    # subsets without / with i
+        halves[:, :, 1] -= halves[:, :, 0]
+    return _Stack(lam=lam, sigma=sigma, coef=coef)
+
+
+def _hyperbolic_rates(taus, lam, sigma):
+    """w_i(tau) (S, T, n-1) of the (all-hyperbolic) non-top free modes at taus (S, T)."""
+    nu = np.sqrt(-lam[:, None, :-1])
+    th = np.tanh(nu * taus[:, :, None])
+    return np.where(sigma[:, None, :-1] == 1, -th * nu, -nu / th)
+
+
+def _k_ingredients(w_bar, lam, lam_prime, M, eta_vec):
+    """Pieces of the 2x2 critical system, directly from the spectra, for rows of hyperbolic rates.
+
+    ``lam``, ``lam_prime``, ``M`` and ``eta_vec`` hold S spectra in the
+    critical limit on axis 0; ``w_bar`` (S or 1, T, n-1) holds the rates of
+    the non-top free modes at T taus.  Returns (P0, P1, S, r) with leading
+    axes (S, T): the first K row is P0 + w_N * P1 plus the rank-one r [1, w_N]
+    term, and the second row is S (independent of w_N), so
+    det(K + K~) = A + B w_N with A, B affine combinations of these.  Each
+    point costs a det and an inv of U-bar: the stack's coefficient table
+    (``_stacked``) and ``critical_matrices`` call it, the scan does not.
+    """
     nu_p = np.zeros_like(lam_prime)
     nu_p[:, :-1] = np.sqrt(-lam_prime[:, :-1])
+    lam_bar = lam[:, :-1]
     m_row = M[:, -1, :]
     rows = np.stack([m_row, m_row * nu_p / lam[:, -1:], np.ones_like(m_row)], axis=1)
-    return _Stack(
-        lam=lam,
-        sigma=sigma,
-        nu_p=nu_p,
-        m_bar=M[:, :-1, :],
-        rows=rows,
-        eta_sum=np.sum(eta_vec, axis=-1),
-    )
-
-
-def _hyperbolic_rates(taus, stack):
-    """w_i(tau) (S, T, n-1) of the (all-hyperbolic) non-top free modes at taus (S, T)."""
-    nu = np.sqrt(-stack.lam[:, None, :-1])
-    th = np.tanh(nu * taus[:, :, None])
-    return np.where(stack.sigma[:, None, :-1] == 1, -th * nu, -nu / th)
-
-
-def _k_ingredients(w_bar, stack):
-    """Pieces of the 2x2 critical system for stacked rows of hyperbolic rates.
-
-    ``w_bar`` (S, T, n-1) holds the rates of the non-top free modes of each
-    of the S spectra at T taus.  Returns (P0, P1, S, r) with leading axes
-    (S, T): the first K row is P0 + w_N * P1 plus the rank-one r [1, w_N]
-    term, and the second row is S (independent of w_N), so
-    det(K + K~) = A + B w_N with A, B affine combinations of these.
-    """
-    lam_bar = stack.lam[:, :-1]
-    u_bar = stack.m_bar[:, None] * (
-        1.0 + w_bar[..., None] * stack.nu_p[:, None, None, :] / lam_bar[:, None, :, None]
+    u_bar = M[:, None, :-1, :] * (
+        1.0 + w_bar[..., None] * nu_p[:, None, None, :] / lam_bar[:, None, :, None]
     )
     det_u = np.linalg.det(u_bar)
     with np.errstate(all="ignore"):
         adj_u = det_u[..., None, None] * np.linalg.inv(u_bar)
     weighted = adj_u / (lam_bar ** 2)[:, None, None, :]
     rhs = np.stack([np.ones_like(w_bar), w_bar], axis=-1)          # (S, T, n-1, 2)
-    P = stack.rows[:, None] @ weighted @ rhs                        # (S, T, 3, 2)
-    r = det_u / stack.lam[:, -1:] ** 2
-    return P[..., 0, :], P[..., 1, :], stack.eta_sum[:, None, None] * P[..., 2, :], r
+    P = rows[:, None] @ weighted @ rhs                              # (S, T, 3, 2)
+    r = det_u / lam[:, -1:] ** 2
+    return P[..., 0, :], P[..., 1, :], np.sum(eta_vec, axis=-1)[:, None, None] * P[..., 2, :], r
 
 
 def _det_terms(w_bar, stack):
-    """(A, B, S): det(K + K~) = A + B w_N, and the second K row S, per (sample, tau)."""
-    P0, P1, S, r = _k_ingredients(w_bar, stack)
-    A = (P0[..., 0] + r) * S[..., 1] - P0[..., 1] * S[..., 0]
-    B = P1[..., 0] * S[..., 1] - (P1[..., 1] + r) * S[..., 0]
-    return A, B, S
+    """(A, B, S): det(K + K~) = A + B w_N, and the second K row S, per (sample, tau).
+
+    The monomials of ``w_bar`` are built by doubling, in the order of the
+    stack's coefficient table, and one product with it gives the seven pieces.
+    """
+    mono = np.ones(w_bar.shape[:-1] + (1,))
+    for i in range(w_bar.shape[-1]):
+        mono = np.concatenate([mono, mono * w_bar[..., i, None]], axis=-1)
+    pieces = mono @ stack.coef
+    p00, p01, p10, p11, s0, s1, r = np.moveaxis(pieces, -1, 0)
+    A = (p00 + r) * s1 - p01 * s0
+    B = p10 * s1 - (p11 + r) * s0
+    return A, B, pieces[..., 4:6]
 
 
 def critical_matrices(tau: float, spectra: SpectrumPair):
@@ -172,10 +192,11 @@ def critical_matrices(tau: float, spectra: SpectrumPair):
     dropped out in the limit).  det(K + K~) = 0 fixes tau; c0 = -K[1,1]/K[1,0].
     """
     _require_limit(spectra)
-    stack = _stack_one(spectra)
-    P0, P1, S, r = (
-        v[0, 0] for v in _k_ingredients(_hyperbolic_rates(np.array([[float(tau)]]), stack), stack)
+    lam, lam_prime, M, eta_vec = (
+        values[None] for values in (spectra.lam, spectra.lam_prime, spectra.M, spectra.eta)
     )
+    w_bar = _hyperbolic_rates(np.array([[float(tau)]]), lam, spectra.sigma[None])
+    P0, P1, S, r = (v[0, 0] for v in _k_ingredients(w_bar, lam, lam_prime, M, eta_vec))
     w_top = phase_rate(tau, spectra.lam[-1:], spectra.sigma[-1:])[0]
     K = np.vstack([P0 + w_top * P1, S])
     K_tilde = np.array([[r, r * w_top], [0.0, 0.0]])
@@ -188,7 +209,7 @@ def _depoled_residual(taus, stack):
     The determinant is affine in w_N, so this form is continuous in tau and
     its sign changes bracket genuine roots only (never w_N poles).
     """
-    A, B, _ = _det_terms(_hyperbolic_rates(taus, stack), stack)
+    A, B, _ = _det_terms(_hyperbolic_rates(taus, stack.lam, stack.sigma), stack)
     om_top = np.sqrt(stack.lam[:, -1:])
     o_top = om_top * taus
     cos, sin = np.cos(o_top), np.sin(o_top)
@@ -271,7 +292,7 @@ def _polish(stack, bracket):
     if found.size:
         sub = stack.take(found)
         tau_c[found] = _itp(sub, *bracket[:, found])
-        _, _, S = _det_terms(_hyperbolic_rates(tau_c[found, None], sub), sub)
+        _, _, S = _det_terms(_hyperbolic_rates(tau_c[found, None], sub.lam, sub.sigma), sub)
         c0[found] = -S[:, 0, 1] / S[:, 0, 0]
     return tau_c, c0
 
@@ -361,7 +382,9 @@ class StudySummary:
     """Outcome of a randomized c0-positivity study.
 
     ``timings`` maps each name in ``STUDY_STAGES`` to its wall time in
-    seconds, summed over chunks; it is left out of comparisons and of
+    seconds, summed over chunks; "sample" counts the corner build of each
+    chunk's coefficient table (``_stacked``), so "scan" and "polish" time
+    only the table's evaluation.  It is left out of comparisons and of
     ``to_dict``, so equal studies compare equal.
     """
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -268,8 +268,15 @@ def _minor_dets(bc: np.ndarray) -> np.ndarray:
     ``impact_residual`` takes them of unit-row matrices (``_unit_contact``),
     and ``_minor_grids`` of the constant matrices of its expansion.
     """
-    n = bc.shape[-1]
-    return np.linalg.det(bc[..., [[*range(n - 1), n], [*range(n)]], :])
+    return np.linalg.det(bc[..., _minor_rows(bc.shape[-1]), :])
+
+
+@cache
+def _minor_rows(n: int) -> np.ndarray:
+    """(2, N) row indices of ``_minor_dets``' two minors, built once per N and read-only."""
+    rows = np.array([[*range(n - 1), n], [*range(n)]])
+    rows.flags.writeable = False
+    return rows
 
 
 def _subsets(k: int) -> np.ndarray:

@@ -383,6 +383,19 @@ def test_critical_study_defaults(tmp_path, capsys):
     assert json.loads((tmp_path / "s.manifest.json").read_text())["seed"] == 0
 
 
+def test_critical_study_manifest_records_stage_timings(tmp_path, capsys):
+    # the manifest times each study stage; what the study prints and writes stays deterministic
+    written = []
+    for name in ("s1", "s2"):
+        args = ["critical", "--study-c0", "--samples", "20", "--seed", "4", "--out", str(tmp_path / name)]
+        assert main(args) == 0
+        written.append((capsys.readouterr().out, (tmp_path / f"{name}.json").read_text()))
+    assert written[0] == written[1] and "timings" not in json.loads(written[0][1])
+    timings = json.loads((tmp_path / "s1.manifest.json").read_text())["timings"]
+    assert sorted(timings) == sorted(cl.critical.STUDY_STAGES)
+    assert all(isinstance(seconds, float) and seconds >= 0 for seconds in timings.values())
+
+
 def test_critical_study_negative_seed_exit1(capsys):
     assert main(["critical", "--study-c0", "--samples", "3", "--seed", "-1"]) == 1
     err = capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 import collisionless as cl
-from collisionless import critical
+from collisionless import critical, impact
 from helpers import cauchy_inputs, near_critical_spectra
 
 
@@ -234,21 +234,32 @@ def _sample_pair(n_dof, rng):
     return cl.SpectrumPair(lam / scale, lamp / scale, sigma, sigma_prime)
 
 
+def _direct_pieces(pair, w_bar):
+    """The direct pieces (P0, P1, S, r) of one pair at rates w_bar, as one (..., 7) array."""
+    arrays = (values[None] for values in (pair.lam, pair.lam_prime, pair.M, pair.eta))
+    P0, P1, S, r = critical._k_ingredients(w_bar, *arrays)
+    return np.concatenate([P0, P1, S, r[..., None]], axis=-1)[0]
+
+
 def _stack_pairs(pairs):
-    """The critical stack built pair by pair, from each pair's own cached M and eta."""
-    lam = np.stack([p.lam for p in pairs])
-    lam_prime = np.stack([p.lam_prime for p in pairs])
-    M = np.stack([p.M for p in pairs])
-    nu_p = np.zeros_like(lam_prime)
-    nu_p[:, :-1] = np.sqrt(-lam_prime[:, :-1])
-    m_row = M[:, -1, :]
+    """The critical stack built pair by pair, each table from the pair's own cached M and eta.
+
+    A pair's table is its direct pieces at the corners w in {0, 1}**(N-1),
+    differenced over one bit at a time in a loop over the subsets.
+    """
+    tables = []
+    for pair in pairs:
+        k = pair.n - 1
+        table = _direct_pieces(pair, impact._subsets(k)[None] * 1.0)
+        for bit in range(k):
+            for m in range(2 ** k):
+                if m >> bit & 1:
+                    table[m] -= table[m ^ 1 << bit]
+        tables.append(table)
     return critical._Stack(
-        lam=lam,
+        lam=np.stack([p.lam for p in pairs]),
         sigma=np.stack([p.sigma for p in pairs]),
-        nu_p=nu_p,
-        m_bar=M[:, :-1, :],
-        rows=np.stack([m_row, m_row * nu_p / lam[:, -1:], np.ones_like(m_row)], axis=1),
-        eta_sum=np.array([float(np.sum(p.eta)) for p in pairs]),
+        coef=np.stack(tables),
     )
 
 
@@ -365,6 +376,62 @@ def test_first_root_matches_full_scan_and_brentq(n_dof):
         tau_c, c0 = cl.solve_critical(spectra)
         assert tau_c == pytest.approx(tau_ref, rel=1e-12, abs=0)
         assert c0 == pytest.approx(c0_ref, rel=1e-12, abs=0)
+
+
+def _direct_terms(pair, w_bar):
+    """(A, B, S) of ``_det_terms`` from the direct pieces, and the size of the terms of each.
+
+    A's and B's sizes add the magnitudes of their products; S's is the larger of |S_0| and |S_1|.
+    """
+    pieces = _direct_pieces(pair, w_bar)
+    p00, p01, p10, p11, s0, s1, r = np.moveaxis(pieces, -1, 0)
+    A = (p00 + r) * s1 - p01 * s0
+    B = p10 * s1 - (p11 + r) * s0
+    size_a = (abs(p00) + abs(r)) * abs(s1) + abs(p01 * s0)
+    size_b = abs(p10 * s1) + (abs(p11) + abs(r)) * abs(s0)
+    size_s = abs(pieces[..., 4:6]).max(axis=-1, keepdims=True)
+    return (A, B, pieces[..., 4:6]), (size_a, size_b, size_s)
+
+
+@pytest.mark.parametrize("n_dof", [2, 3, 4, 5, 6, 7, 8])
+def test_coefficient_table_matches_direct_kernel(n_dof):
+    # The table's (A, B, S) agree with a det and an inv of U-bar per point to 1e-11 relative,
+    # times max(1, max |w_i|) since the table's top monomials grow with the rates; a value counts
+    # as away from its zero when it keeps 1e-3 of the size of its terms.  On the full scan grid
+    # the depoled residual keeps the direct form's finiteness and signs, so the scan brackets
+    # the same first sign change.
+    rng = np.random.default_rng(60 + n_dof)
+    for _ in range(30):
+        pair = critical._sample_critical_spectra(n_dof, rng)
+        stack = critical._stack_one(pair)
+        om_top = np.sqrt(pair.lam[-1])
+        taus = np.linspace(1e-3 / om_top, critical._O_MAX / om_top, critical._SCAN_POINTS)
+        grid_rates = critical._hyperbolic_rates(taus[None], pair.lam[None], pair.sigma[None])[0]
+        for w_bar in (-rng.uniform(0.0, 4.0, (200, n_dof - 1)), grid_rates):
+            bound = 1e-11 * np.maximum(1.0, abs(w_bar).max(axis=-1))
+            got = (v[0] for v in critical._det_terms(w_bar[None], stack))
+            want, sizes = _direct_terms(pair, w_bar[None])
+            for name, g, d, size in zip("ABS", got, want, sizes):
+                away = abs(d) > 1e-3 * size
+                tol = bound if d.ndim == 1 else bound[:, None]
+                assert np.all((abs(g - d) <= tol * abs(d))[away]), name
+        (A, B, _), _ = _direct_terms(pair, grid_rates[None])
+        o_top = om_top * taus
+        if pair.sigma[-1] == 1:
+            direct = A * np.cos(o_top) + B * om_top * np.sin(o_top)
+        else:
+            direct = A * np.sin(o_top) - B * om_top * np.cos(o_top)
+        table = critical._depoled_residual(taus[None], stack)[0]
+        finite = np.isfinite(direct)
+        assert np.array_equal(np.isfinite(table), finite)
+        assert np.array_equal(np.sign(table[finite]), np.sign(direct[finite]))
+        signs = np.sign(direct)
+        first = np.nonzero((signs[:-1] * signs[1:] < 0) & finite[:-1] & finite[1:])[0]
+        lo, hi = critical._scan(stack, critical._O_MAX)[:2, 0]
+        if first.size:
+            assert (lo, hi) == (taus[first[0]], taus[first[0] + 1])
+        else:
+            assert np.isnan(lo) and np.isnan(hi)
 
 
 @pytest.mark.parametrize("n_dof, min_c0", [
