@@ -63,6 +63,7 @@ from .impact import (
     phi,
     reduction_gap,
     refine_root,
+    refine_roots,
     scan_contour,
 )
 from .model import (

@@ -10,7 +10,10 @@ equations in the impact times (tau, tau').  This module provides:
   phase coordinates (o_N, o'_{N-1}) and seed extraction at curve crossings
   (both determinants on the whole grid as one matrix product, by their
   expansion in the free and the contact kernels),
-* damped-Newton refinement of seeds,
+* damped-Newton refinement of a scan's seeds in lockstep: each iteration
+  serves every active seed with one batched solve and at most two
+  residual calls, so a run makes at most 1 + 2 * (largest iteration
+  count) calls, and each seed's outcome is the one it gets alone,
 * assembly of the full (2N+1) x 2N matching matrix, and
 * certification of each root by one SVD of that matrix, whose rank gap
   decides the root and whose null vector gives the mode weights.
@@ -61,6 +64,7 @@ __all__ = [
     "scan_contour",
     "ImpactTimes",
     "refine_root",
+    "refine_roots",
     "assemble_impact_matrix",
     "reduction_gap",
     "alt_impact_residual",
@@ -200,8 +204,8 @@ def contact_matrix(tau, tau_prime, spectra: SpectrumPair, M, eta_vec) -> np.ndar
 def _assemble_contact(g, gd, gp, gpd, lam, M, eta_vec) -> np.ndarray:
     """``contact_matrix`` from the free kernels (..., N) and the contact kernels (..., N-1)."""
     n = lam.size
-    eta_sum = float(np.sum(eta_vec))
-    out = np.empty(np.broadcast_shapes(g.shape[:-1], gp.shape[:-1]) + (n + 1, n))
+    eta_sum = np.add.reduce(eta_vec)
+    out = np.empty(np.broadcast(g[..., 0], gp[..., 0]).shape + (n + 1, n))
     out[..., :n, : n - 1] = (
         gd[..., :, None] * gp[..., None, :] - g[..., :, None] * gpd[..., None, :]
     ) * M
@@ -219,7 +223,8 @@ def _norms(a: np.ndarray, axis: int) -> np.ndarray:
     the plain norm.
     """
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(a, axis=axis, keepdims=True)
+        # np.linalg.norm's own sum of squares, without its per-call dispatch
+        norms = np.sqrt(np.add.reduce(a * a, axis=axis, keepdims=True))
     huge = ~np.isfinite(norms)
     if huge.any():
         peak = np.where(huge, np.abs(a).max(axis=axis, keepdims=True), 1.0)
@@ -231,14 +236,15 @@ def _scaled_free_kernels(tau, spectra: SpectrumPair):
     """Free-phase kernels (g, gdot) at tau, each mode scaled by an exact power of two.
 
     Mode i is multiplied by 2**-e_i, where e_i is the ``np.frexp`` exponent of
-    max(|g_i|, |gdot_i|, |gdot_i / lam_i|), so the three are below 1 in
-    magnitude and a stiff hyperbolic kernel does not overflow the products
-    that form its contact row.  The factor scales the whole row i < N of the
-    contact matrix; it is exact, so the row divided by its norm keeps its
-    bits wherever the unscaled row does not overflow.
+    max(|g_i|, |gdot_i|), so both are below 1 in magnitude (and gdot_i / lam_i
+    below 1 / |lam_i|) and a stiff hyperbolic kernel does not overflow the
+    products that form its contact row.  The factor scales the whole row
+    i < N of the contact matrix; it is exact, so the row divided by its norm
+    keeps its bits wherever neither row overflows or underflows, whichever
+    power of two is taken.
     """
     g, gd = _mode_kernels(tau, *spectra.kernels[0])
-    _, e = np.frexp(np.maximum(np.maximum(np.abs(g), np.abs(gd)), np.abs(gd / spectra.lam)))
+    _, e = np.frexp(np.maximum(np.abs(g), np.abs(gd)))
     return np.ldexp(g, -e), np.ldexp(gd, -e)
 
 
@@ -374,7 +380,8 @@ def impact_residual(o, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
         raise NoExistenceError(
             f"largest contact eigenvalue {spectra.lam_prime[-1]:.6g} is not positive"
         )
-    return np.moveaxis(_minor_dets(_unit_contact(o[0], o[1], spectra, M, eta_vec)), -1, 0)
+    dets = _minor_dets(_unit_contact(o[0], o[1], spectra, M, eta_vec))
+    return dets.transpose(dets.ndim - 1, *range(dets.ndim - 1))   # the minor axis first
 
 
 def phi(o_n, o_prime, spectra: SpectrumPair, M, eta_vec) -> float:
@@ -623,68 +630,160 @@ class ImpactTimes:
 
 
 def refine_root(seed, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> ImpactTimes:
-    """Damped Newton refinement of a contour seed in impact-phase coordinates.
+    """Damped Newton refinement of one contour seed: ``refine_roots`` on that seed alone.
 
-    The residual is the pair of normalized determinants; the Jacobian is
-    forward finite differences with step ``REFINE_FD_STEP``, taken from the
-    same batched residual evaluation as F.  The line search takes the first
-    of the step scalings 1, 1/2, ..., 2**-39 that stays in the positive
-    quadrant and does not increase the residual norm.  The full step is
-    evaluated alone; only if it fails are all remaining scalings evaluated in
-    one batched call, so an iteration costs at most two residual calls.
-    Convergence requires both residuals below ``REFINE_TOL_RESIDUAL`` and the
-    last full Newton step below ``REFINE_TOL_STEP``.
+    Returns its ImpactTimes, or raises its ConvergenceError.  A seed that is
+    not two finite positive phases raises InvalidParameterError.
     """
+    _checked_phases(seed, 1, "seed must be two finite positive phases")
+    outcome, = refine_roots([seed], spectra, M, eta_vec, max_iter=max_iter)
+    if isinstance(outcome, ConvergenceError):
+        raise outcome
+    return outcome
+
+
+def _checked_phases(value, ndim, message):
+    """``value`` as a float array of ``ndim`` axes whose rows are finite positive phase pairs."""
     try:
-        o = np.array(seed, float)
-        valid = o.shape == (2,) and np.isfinite(o).all() and o.min() > 0
+        o = np.array(value, float)
+        valid = (o.ndim == ndim and o.shape[-1] == 2 and np.isfinite(o).all()
+                 and (o > 0).all())
     except (TypeError, ValueError):
         valid = False
     if not valid:
-        raise InvalidParameterError(f"seed must be two finite positive phases, got {seed!r}")
+        raise InvalidParameterError(f"{message}, got {value!r}")
+    return o
+
+
+# probe offsets of the forward-difference Jacobian, and the line search's step scalings
+_FD_PROBES = np.array([[0.0, REFINE_FD_STEP, 0.0], [0.0, 0.0, REFINE_FD_STEP]])
+_SCALINGS = np.ldexp(1.0, -np.arange(40))[:, None]
+_SCALINGS.flags.writeable = _FD_PROBES.flags.writeable = False
+
+
+def _newton_terms(pts, spectra, M, eta_vec):
+    """F (k, 2) and the forward-difference J (k, 2, 2) at the k rows of pts, from one call."""
+    R = impact_residual(pts.T[:, :, None] + _FD_PROBES[:, None, :], spectra, M, eta_vec)
+    return R[:, :, 0].T, ((R[:, :, 1:] - R[:, :, :1]) / REFINE_FD_STEP).transpose(1, 0, 2)
+
+
+def _newton_steps(J, F):
+    """Newton steps -J^-1 F of a stack, and the mask of the singular J (whose steps are NaN).
+
+    One batched solve serves the stack; only when it meets a singular J is
+    each J solved on its own, so that one singular seed stops no other.
+    """
+    try:
+        return np.linalg.solve(J, -F[:, :, None])[:, :, 0], np.zeros(len(F), bool)
+    except np.linalg.LinAlgError:
+        step = np.full_like(F, np.nan)
+        singular = np.zeros(len(F), bool)
+        for r in range(len(F)):
+            try:
+                step[r] = np.linalg.solve(J[r], -F[r])
+            except np.linalg.LinAlgError:
+                singular[r] = True
+        return step, singular
+
+
+def refine_roots(seeds, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> list:
+    """Damped Newton refinement of contour seeds in impact-phase coordinates, in lockstep.
+
+    ``seeds`` is a (k, 2) array of finite positive phases; the result lists,
+    per seed and in order, its ImpactTimes or the ConvergenceError that ended
+    it: a singular Jacobian, a stall, or ``max_iter`` iterations without
+    convergence.  The residual is the pair of normalized determinants; the
+    Jacobian is forward finite differences with step ``REFINE_FD_STEP``,
+    taken from the same residual evaluation as F.  The line search takes the
+    first of the step scalings 1, 1/2, ..., 2**-39 that stays in the positive
+    quadrant and does not increase the residual norm; a seed with none
+    stalls.  Convergence requires both residuals below
+    ``REFINE_TOL_RESIDUAL`` and the last full Newton step below
+    ``REFINE_TOL_STEP``.
+
+    Every iteration serves all seeds still active: one batched solve of their
+    Jacobians, one ``impact_residual`` call on each seed's first candidate
+    in the quadrant, and one more on all remaining candidates of the seeds
+    whose first one failed.  A run thus makes at most 1 + 2 * (largest
+    iteration count) residual calls, and each seed's outcome is bit for bit
+    the one it gets when refined alone.
+    """
+    o = _checked_phases(seeds, 2, "seeds must be a (k, 2) array of finite positive phases")
     _check_integer("max_iter", max_iter, 1)
-    probes = np.array([[0.0, REFINE_FD_STEP, 0.0], [0.0, 0.0, REFINE_FD_STEP]])
-    scalings = np.ldexp(1.0, -np.arange(40))[:, None]
-
-    def evaluate(pts):
-        # one call on pt, pt + h e0 and pt + h e1 for each of the k rows of pts:
-        # F has shape (k, 2) and J shape (k, 2, 2)
-        R = impact_residual(pts.T[:, :, None] + probes[:, None, :], spectra, M, eta_vec)
-        return R[:, :, 0].T, ((R[:, :, 1:] - R[:, :, :1]) / REFINE_FD_STEP).transpose(1, 0, 2)
-
-    F, J = (a[0] for a in evaluate(o[None, :]))
+    outcomes = [None] * len(o)
+    live = np.arange(len(o))   # the seed index of each active row
+    if not live.size:
+        return outcomes
+    F, J = _newton_terms(o, spectra, M, eta_vec)
     for iteration in range(1, max_iter + 1):
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("singular Jacobian during refinement") from None
-        if np.abs(F).max() < REFINE_TOL_RESIDUAL and np.abs(step).max() < REFINE_TOL_STEP:
-            tau, tau_prime = spectra.from_phase(o[0], o[1])
-            return ImpactTimes(
-                tau=tau,
-                tau_prime=tau_prime,
-                o_n=float(o[0]),
-                o_prime=float(o[1]),
-                residual=(float(F[0]), float(F[1])),
-                iterations=iteration,
-            )
-        cands = o + scalings * step
-        cands = cands[cands.min(axis=1) > 0]
-        bound = np.abs(F).max()
-        for batch in (cands[:1], cands[1:]):
-            if not batch.size:
+        step, singular = _newton_steps(J, F)
+        bound = np.abs(F).max(axis=1)
+        converged = (bound < REFINE_TOL_RESIDUAL) & (np.abs(step).max(axis=1) < REFINE_TOL_STEP)
+        stop = singular | converged
+        if stop.any():
+            for r in np.flatnonzero(stop):
+                if singular[r]:
+                    outcomes[live[r]] = ConvergenceError("singular Jacobian during refinement")
+                    continue
+                tau, tau_prime = spectra.from_phase(o[r, 0], o[r, 1])
+                outcomes[live[r]] = ImpactTimes(
+                    tau=tau,
+                    tau_prime=tau_prime,
+                    o_n=float(o[r, 0]),
+                    o_prime=float(o[r, 1]),
+                    residual=(float(F[r, 0]), float(F[r, 1])),
+                    iterations=iteration,
+                )
+            keep = ~stop
+            live, o, F, J, step, bound = (a[keep] for a in (live, o, F, J, step, bound))
+            if not live.size:
+                return outcomes
+        # each seed's candidates o + 2**-j step, j = 0..39; those outside the quadrant do not count
+        cands = o[:, None] + _SCALINGS * step[:, None]
+        inside = cands.min(axis=2) > 0
+        first = inside.argmax(axis=1)
+        lead = np.flatnonzero(inside[np.arange(live.size), first])   # seeds with a candidate
+        ok = np.zeros(live.size, bool)
+        if lead.size:   # first call: each seed's first candidate
+            pts = cands[lead, first[lead]]
+            F_new, J_new = _newton_terms(pts, spectra, M, eta_vec)
+            take = np.abs(F_new).max(axis=1) <= bound[lead]
+            if take.all() and lead.size == live.size:   # every seed takes its first candidate
+                o, F, J = pts, F_new, J_new
                 continue
-            F_cand, J_cand = evaluate(batch)
-            accepted = np.flatnonzero(np.abs(F_cand).max(axis=1) <= bound)
-            if accepted.size:
-                k = accepted[0]
-                o, F, J = batch[k], F_cand[k], J_cand[k]
-                break
-        else:
-            raise ConvergenceError(
-                f"refinement stalled at o = {o.tolist()} (residual {bound:.2e})"
-            )
-    raise ConvergenceError(f"no convergence after {max_iter} iterations from seed {seed!r}")
+            if take.any():
+                r = lead[take]
+                ok[r] = True
+                o[r], F[r], J[r] = pts[take], F_new[take], J_new[take]
+                lead = lead[~take]
+        # second call: every later candidate of the seeds whose first one failed
+        later = inside[lead]
+        later[np.arange(lead.size), first[lead]] = False
+        rows, cols = np.nonzero(later)
+        if rows.size:
+            rows = lead[rows]
+            F_new, J_new = _newton_terms(cands[rows, cols], spectra, M, eta_vec)
+            good = (np.abs(F_new).max(axis=1) <= bound[rows]).tolist()
+            end = 0
+            for r, count in zip(lead.tolist(), later.sum(axis=1).tolist()):
+                start, end = end, end + count   # seed r's block of the call, in scaling order
+                if True in good[start:end]:
+                    i = good.index(True, start, end)
+                    ok[r] = True
+                    o[r], F[r], J[r] = cands[r, cols[i]], F_new[i], J_new[i]
+        if not ok.all():
+            for r in np.flatnonzero(~ok):
+                outcomes[live[r]] = ConvergenceError(
+                    f"refinement stalled at o = {o[r].tolist()} (residual {bound[r]:.2e})"
+                )
+            live, o, F, J = live[ok], o[ok], F[ok], J[ok]
+            if not live.size:
+                return outcomes
+    for r in live:
+        outcomes[r] = ConvergenceError(
+            f"no convergence after {max_iter} iterations from seed {seeds[r]!r}"
+        )
+    return outcomes
 
 
 # ---------------------------------------------------- matching matrix and weights

@@ -20,7 +20,7 @@ from .impact import (
     GridSpec,
     ImpactSolution,
     build_solution,
-    refine_root,
+    refine_roots,
     scan_contour,
 )
 from .model import ModelSpec
@@ -78,8 +78,12 @@ def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
                 tolerances: ValidatorTolerances | None = None) -> SolveRun:
     """Run the full procedure on a model and return every certified root.
 
-    Raises NoExistenceError when the largest contact eigenvalue is not
-    positive, and ConvergenceError when no seed refines to a certified root.
+    One ``refine_roots`` call refines every seed of the scan in lockstep, with
+    at most 1 + 2 * (largest iteration count) residual calls in all; the
+    converged seeds are then merged within ROOT_MERGE_ATOL, and the others
+    counted in ``failed_seeds``, in seed order.  Raises NoExistenceError when
+    the largest contact eigenvalue is not positive, and ConvergenceError when
+    no seed refines to a certified root.
     Refined roots that ``build_solution`` refuses with DegenerateSolutionError
     (a matching matrix that keeps full rank, as at spurious curve crossings,
     e.g. from kernel zeros) are dropped and counted in ``spurious_roots``.
@@ -96,10 +100,8 @@ def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
     marks.append(perf_counter())
     roots = []
     failed = 0
-    for seed in contour.seeds:
-        try:
-            times = refine_root(seed, spectral, spectral.M, spectral.eta)
-        except ConvergenceError:
+    for times in refine_roots(contour.seeds, spectral, spectral.M, spectral.eta):
+        if isinstance(times, ConvergenceError):
             failed += 1
             continue
         point = np.array([times.o_n, times.o_prime])

@@ -654,6 +654,44 @@ def test_stiff_hyperbolic_model_refines_without_overflow():
                                rtol=0, atol=1e-4)
 
 
+def _widest_free_scale(tau, spectra):
+    """The free kernels scaled by the frexp exponent of max(|g|, |gdot|, |gdot / lam|)."""
+    g, gd = impact._mode_kernels(tau, *spectra.kernels[0])
+    _, e = np.frexp(np.maximum(np.maximum(np.abs(g), np.abs(gd)), np.abs(gd / spectra.lam)))
+    return np.ldexp(g, -e), np.ldexp(gd, -e)
+
+
+def test_free_row_scale_changes_no_bit(biped_spectral, monkeypatch):
+    # which power of two scales a free row leaves the unit-row minors' bits alone: the
+    # exponent of max(|g|, |gdot|) and the wider one that also bounds |gdot / lam| give the
+    # same scan grids, residuals at seeds, roots and random points, and refinement outcomes
+    rng = np.random.default_rng(5)
+    n2_grid = cl.GridSpec(o_n_max=4 * np.pi, o_p_max=1.75, step=0.04, o_p_min=0.01)
+    cases = [(biped_spectral.spectra, cl.GridSpec()),
+             (cl.analyze(_stiff_hyperbolic_model()), cl.GridSpec())]
+    for family in ("rocker", "rimless"):
+        for _ in range(3):
+            nu1, om2, om1p = random_rocker_freqs(rng)
+            cases.append((cl.n2_spectrum(family, nu1=nu1, omega2=om2, omega1p=om1p), n2_grid))
+    points = rng.uniform([0.05, 0.05], [12.5, 6.0], size=(200, 2))
+
+    def evaluate():
+        out = []
+        for spectra, grid in cases:
+            field = cl.scan_contour(spectra, grid)
+            outcomes = cl.refine_roots(field.seeds, spectra, spectra.M, spectra.eta)
+            roots = [(t.o_n, t.o_prime) for t in outcomes if isinstance(t, cl.ImpactTimes)]
+            fixed = np.vstack([field.seeds, np.reshape(roots, (-1, 2)), points])
+            residual = cl.impact_residual(fixed.T, spectra, spectra.M, spectra.eta)
+            out += [field.det_a.tobytes(), field.det_b.tobytes(), residual.tobytes(),
+                    [str(t) if isinstance(t, cl.ConvergenceError) else t for t in outcomes]]
+        return out
+
+    expected = evaluate()
+    monkeypatch.setattr(impact, "_scaled_free_kernels", _widest_free_scale)
+    assert evaluate() == expected
+
+
 def test_scan_grid_validation(biped_spectral):
     with pytest.raises(cl.InvalidParameterError):
         cl.scan_contour(biped_spectral.spectra, cl.GridSpec(o_n_max=0.01, o_p_max=0.01))
@@ -735,29 +773,47 @@ def test_refine_root_bad_seed_errors(biped_spectral, biped_cauchy):
         cl.refine_root((0.3, 0.3), biped_spectral.spectra, M, eta_vec, max_iter=25)
 
 
+def _refine_alone(seed, *args, **kwargs):
+    """The lockstep engine on a list of one seed."""
+    return cl.refine_roots([seed], *args, **kwargs)
+
+
+_BAD_REFINE_INPUT = [
+    ((np.nan, 1.0), 40), ((np.inf, 1.0), 40), ((3.8, np.nan), 40), ((3.8, "x"), 40),
+    ((3.8, 0.93), 2.5), ((3.8, 0.93), None), ((3.8, 0.93), 0), ((3.8, 0.93), -3),
+    ((3.8, 0.93), True), ((0.0, 0.93), 40), ((3.8, 0.93, 1.0), 40),
+]
+
+
 @pytest.mark.parametrize(
-    "seed, max_iter",
-    [((np.nan, 1.0), 40), ((np.inf, 1.0), 40), ((3.8, np.nan), 40), ((3.8, "x"), 40),
-     ((3.8, 0.93), 2.5), ((3.8, 0.93), None), ((3.8, 0.93), 0), ((3.8, 0.93), -3),
-     ((3.8, 0.93), True)],
+    "refine, seed, max_iter",
+    [pytest.param(refine, seed, max_iter, id=f"{name}seed{i}-{max_iter}")
+     for name, refine in (("", cl.refine_root), ("roots-", _refine_alone))
+     for i, (seed, max_iter) in enumerate(_BAD_REFINE_INPUT)],
 )
-def test_refine_root_rejects_bad_input(biped_spectral, biped_cauchy, seed, max_iter):
+def test_refine_root_rejects_bad_input(biped_spectral, biped_cauchy, refine, seed, max_iter):
     M, eta_vec = biped_cauchy
     with pytest.raises(cl.InvalidParameterError):
-        cl.refine_root(seed, biped_spectral.spectra, M, eta_vec, max_iter=max_iter)
+        refine(seed, biped_spectral.spectra, M, eta_vec, max_iter=max_iter)
+
+
+def _counting_residual(monkeypatch):
+    """Route impact_residual through a wrapper; returns the number of points of each call."""
+    calls = []
+    residual = cl.impact_residual
+
+    def counting(o, *args):
+        calls.append(np.shape(o)[1])
+        return residual(o, *args)
+
+    monkeypatch.setattr("collisionless.impact.impact_residual", counting)
+    return calls
 
 
 def test_refine_root_one_residual_call_per_trial_point(biped_spectral, biped_cauchy, monkeypatch):
     # F and the forward-difference Jacobian come from one batched call; the
     # biped seed accepts every full step, so there is one call per iteration
-    calls = []
-    residual = cl.impact_residual
-
-    def counting(*args):
-        calls.append(args)
-        return residual(*args)
-
-    monkeypatch.setattr("collisionless.impact.impact_residual", counting)
+    calls = _counting_residual(monkeypatch)
     M, eta_vec = biped_cauchy
     root = cl.refine_root((3.80, 0.93), biped_spectral.spectra, M, eta_vec)
     assert root.iterations == 5
@@ -857,16 +913,63 @@ def _refine_cases():
 
 
 def test_refine_root_matches_candidate_loop():
+    # one seed at a time and all of a scan's seeds in lockstep: the same outcome, bit for bit
     converged = failed = 0
     for spectra, seeds, max_iter in _refine_cases():
         M, eta_vec = cauchy_inputs(spectra)
-        for seed in seeds:
+        together = cl.refine_roots(seeds, spectra, M, eta_vec, max_iter=max_iter)
+        assert len(together) == len(seeds)
+        for seed, outcome in zip(seeds, together):
             expected = _outcome(_refine_root_loop, seed, spectra, M, eta_vec, max_iter)
             got = _outcome(cl.refine_root, seed, spectra, M, eta_vec, max_iter)
             assert got == expected, f"seed {seed.tolist()}"
+            if isinstance(outcome, cl.ConvergenceError):
+                outcome = str(outcome)
+            assert outcome == expected, f"seed {seed.tolist()} in lockstep"
             converged += isinstance(expected, cl.ImpactTimes)
             failed += isinstance(expected, str)
     assert converged > 100 and failed > 20
+
+
+def test_refine_roots_shares_residual_calls(biped_spectral, monkeypatch):
+    # every iteration serves all active seeds with at most two calls
+    spectra = biped_spectral.spectra
+    seeds = cl.scan_contour(spectra).seeds
+    calls = _counting_residual(monkeypatch)
+    assert cl.refine_roots(np.empty((0, 2)), spectra, spectra.M, spectra.eta) == []
+    assert calls == []
+    outcomes = cl.refine_roots(seeds, spectra, spectra.M, spectra.eta)
+    assert len(seeds) == 7 and not any("stalled" in str(o) for o in outcomes)
+    # a seed that does not converge runs all max_iter iterations
+    largest = max(o.iterations if isinstance(o, cl.ImpactTimes) else 100 for o in outcomes)
+    assert calls[0] == 7 and len(calls) <= 1 + 2 * largest
+    lockstep = len(calls)
+    calls.clear()
+    for seed in seeds:
+        _outcome(cl.refine_root, seed, spectra, spectra.M, spectra.eta, 100)
+    assert lockstep < len(calls)
+
+
+def test_singular_jacobian_stops_only_its_seed(biped_spectral, monkeypatch):
+    # the probe along o_N returns the base residual at one seed, so its J has a zero column
+    spectra = biped_spectral.spectra
+    seeds = cl.scan_contour(spectra).seeds
+    target = seeds[3]
+    residual = cl.impact_residual
+
+    def stub(o, *args):
+        R = residual(o, *args)
+        at = (o[0][..., 0] == target[0]) & (o[1][..., 0] == target[1])
+        R[:, at, 1] = R[:, at, 0]
+        return R
+
+    monkeypatch.setattr("collisionless.impact.impact_residual", stub)
+    together = cl.refine_roots(seeds, spectra, spectra.M, spectra.eta)
+    alone = [_outcome(cl.refine_root, s, spectra, spectra.M, spectra.eta, 100) for s in seeds]
+    assert str(together[3]) == alone[3] == "singular Jacobian during refinement"
+    assert sum(isinstance(o, cl.ImpactTimes) for o in together) == 5
+    for outcome, expected in zip(together, alone):
+        assert (str(outcome) if isinstance(outcome, cl.ConvergenceError) else outcome) == expected
 
 
 def test_refine_root_at_most_two_residual_calls_per_iteration(monkeypatch):
@@ -881,14 +984,7 @@ def test_refine_root_at_most_two_residual_calls_per_iteration(monkeypatch):
     # the stall happens in iteration 15: with 14 it runs out of iterations first
     stall = 15
     assert "no convergence" in _outcome(cl.refine_root, seed, pair, M, eta_vec, stall - 1)
-    calls = []
-    residual = cl.impact_residual
-
-    def counting(o, *args):
-        calls.append(np.shape(o)[1])
-        return residual(o, *args)
-
-    monkeypatch.setattr("collisionless.impact.impact_residual", counting)
+    calls = _counting_residual(monkeypatch)
     assert _outcome(cl.refine_root, seed, pair, M, eta_vec, 40) == expected
     assert len(calls) <= 1 + 2 * stall
     # calls[i] is the number of points of call i: every batch of halvings
