@@ -414,16 +414,15 @@ def _sample_chunk(n_dof, count, rng):
     is pinned at 0; the top free eigenvalue sits one gap above zero and the
     free/contact values below alternate downward, with gaps drawn from
     Uniform(0.1, 1); then max |lam| is rescaled to 1.  Signatures are drawn
-    uniformly.  Each sample makes its three draws from ``rng`` in turn (its
-    2N - 2 gaps, its N free and its N - 1 contact signatures), so a chunk
-    continues the stream exactly where the previous one stopped.
+    uniformly.  Each sample makes its two draws from ``rng`` in turn (its
+    2N - 2 gaps, then its N free and N - 1 contact signatures as one draw),
+    so a chunk continues the stream exactly where the previous one stopped.
     """
     gaps = np.empty((count, 2 * n_dof - 2))
     bits = np.empty((count, 2 * n_dof - 1), dtype=np.int64)
     for k in range(count):
         gaps[k] = rng.uniform(0.1, 1.0, 2 * n_dof - 2)
-        bits[k, :n_dof] = rng.integers(0, 2, n_dof)
-        bits[k, n_dof:] = rng.integers(0, 2, n_dof - 1)
+        bits[k] = rng.integers(0, 2, 2 * n_dof - 1)
     lam = np.empty((count, n_dof))
     lamp = np.zeros((count, n_dof - 1))
     lam[:, -1] = gaps[:, 0]

@@ -25,6 +25,7 @@ only through its spectra and symmetry signatures.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -130,6 +131,48 @@ def _mode_kernels(t, om, osc, even, rate):
     s = np.where(osc, np.sin(arg), np.sinh(arg))
     # d/dt sin(h) = om cos(h)
     return np.where(even, c, s), np.where(even, rate * s, om * c)
+
+
+# Fine offsets per coarse time in ``_grid_kernels``: the block is gcd(m, GRID_BLOCK), which
+# is 40 on the 2001-sample validation grid (m = 1000).
+GRID_BLOCK = 40
+
+
+def _grid_kernels(half, count, om, osc, even, rate):
+    """``_mode_kernels`` as (N, count) arrays at ``count`` (odd) even steps over [-half, half].
+
+    With m = (count - 1) / 2 and h = half / m, each time t = k h >= 0 splits
+    into a coarse time a B h and a fine offset f = b h, b < B, for a block B
+    that divides m.  The coarse times and the B offsets both go through
+    ``_mode_kernels``, the offsets for C and S (cos and sin, or cosh and
+    sinh, of om f), and the addition theorem joins them:
+    g(t + f) = g C + gdot S / om and gdot(t + f) = gdot C + rate g S.
+    The end point t = half is evaluated directly, and t < 0 follows by
+    parity: an even kernel has g even and gdot odd, an odd kernel the
+    reverse, so g(-t) = +-g(t) bit for bit.  No time beyond ``half`` is
+    formed, every argument is non-negative and cosh a cosh b <= cosh(a + b),
+    so no intermediate exceeds the kernel it forms, and the grid is finite,
+    without an overflow warning, wherever the direct evaluation is.  A mode
+    with om = 0 has constant kernels and takes S / om = 0.
+    """
+    m = (count - 1) // 2
+    h = half / m
+    block = math.gcd(m, GRID_BLOCK)
+    starts = np.append(np.arange(0, m, block) * h, half)
+    coarse = np.array(_mode_kernels(starts, om, osc, even, rate)).T   # (N, m / B + 1, [g, gdot])
+    # the even kernel at the offsets is (C, rate S), and rate om = -lam
+    c, rate_s = (k.T for k in _mode_kernels(np.arange(block) * h, om, osc, True, rate))
+    s_om = np.divide(rate_s, (rate * om)[:, None], out=np.zeros_like(rate_s),
+                     where=om[:, None] > 0)
+    # [g, gdot](t) @ [[C, rate S], [S / om, C]] = [g, gdot](t + f): per mode, the g and
+    # the gdot columns of the addition theorem, (2, N, 2, B)
+    theorem = np.array([[c, s_om], [rate_s, c]]).transpose(0, 2, 1, 3)
+    both = np.empty((2, om.size, count))
+    both[:, :, m:-1] = (coarse[:, :-1] @ theorem).reshape(2, om.size, m)
+    both[:, :, -1] = coarse[:, -1].T
+    parity = np.where(even, 1.0, -1.0)[:, None]
+    both[:, :, :m] = np.array([parity, -parity]) * both[:, :, :m:-1]
+    return both[0], both[1]
 
 
 def phase_rate(tau, lam, sigma):

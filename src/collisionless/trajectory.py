@@ -7,7 +7,10 @@ time-reversal symmetries.  It serves export only.  Physical realizability
 must hold on the *full* phases, which extend symmetrically about each
 symmetry point, so the validator works from the solution itself: it samples
 t in [-tau, tau] and the contact phase in [-tau', tau'] analytically for the
-clearance, the contact force and the scales.
+clearance, the contact force and the scales.  Its check grid is CHECK_SAMPLES
+evenly spaced times per phase, whose mode kernels ``impact._grid_kernels``
+builds from a small table per mode by the addition theorem rather than by a
+circular or hyperbolic function per sample.
 
 The conserved energy is the plain mechanical one, E = (xd^T m xd + x^T k x)/2.
 It is constant within each phase for any mode weights: in the free phase it
@@ -26,8 +29,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import CollisionlessError, InvalidParameterError
-from .impact import ImpactSolution, ImpactTimes, build_solution, mode_motion_vec
-from .model import ModelSpec, _as_dict, _check_integer, _check_positive
+from .impact import ImpactSolution, ImpactTimes, _grid_kernels, build_solution, mode_motion_vec
+from .model import ModelSpec, _as_dict, _check_integer, _check_positive, _kernel_constants
 from .spectral import SpectralData, static_offset
 from .svgout import SvgCanvas
 
@@ -76,6 +79,16 @@ def _contact_state(spectral: SpectralData, q_prime, u):
     xd = (gpd * q_prime) @ Xp.T
     xdd = ((-spectral.lam_prime * gp) * q_prime) @ Xp.T
     return x, xd, xdd
+
+
+def _phase_grid(X, q, lam, sigma, half, offset=0.0):
+    """x + offset, xd, xdd of a phase at CHECK_SAMPLES even steps over [-half, half].
+
+    X is the phase's mode matrix and q its weights; one row per coordinate.
+    """
+    g, gd = _grid_kernels(half, CHECK_SAMPLES, *_kernel_constants(lam, sigma))
+    Xq = X * q
+    return Xq @ g + offset, Xq @ gd, (Xq * -lam) @ g
 
 
 def _scale(*arrays) -> float:
@@ -233,7 +246,15 @@ def validate(solution: ImpactSolution, model: ModelSpec,
     Clearance, contact force and every scale come from CHECK_SAMPLES
     analytic samples of each full symmetric phase (t in [-tau, tau] and
     u in [-tau', tau']), where higher-branch roots reveal attractive-force
-    stretches invisible on the emitted half cycle.
+    stretches invisible on the emitted half cycle.  The samples are the
+    check grid t_k = k h, |k| <= m, with m = (CHECK_SAMPLES - 1) / 2 and
+    h = tau / m (u likewise).  Its mode kernels come from
+    ``impact._grid_kernels``: coarse times evaluated directly, joined to a
+    table of fine offsets by the addition theorem and mirrored to t < 0 by
+    parity.  They agree with direct evaluation at the same times to within
+    1e-13 of each mode's largest kernel value on the grid, so a violation
+    differs from the direct samples' by rounding only.  The grid is still
+    a sampling: a dip narrower than h can fall between two samples.
 
     Raises InvalidParameterError, naming the quantity, when the solution's
     derived mass or stiffness matrix, signatures or static offset differ
@@ -259,15 +280,16 @@ def validate(solution: ImpactSolution, model: ModelSpec,
     e_contact = _energy(spectral, x_c, xd_c)
     energy_var = float(np.abs(e_free - e_contact)[0] / _scale(e_free, e_contact))
 
-    # (x, xd, xdd) of each full phase
-    free = _free_state(spectral, q, np.linspace(-tau, tau, CHECK_SAMPLES))
-    contact = _contact_state(spectral, qp, np.linspace(-taup, taup, CHECK_SAMPLES))
+    # (x, xd, xdd) of each full phase, one column per sample
+    free = _phase_grid(spectral.mode_matrix, q, spectral.lam, spectral.sigma, tau)
+    contact = _phase_grid(spectral.mode_matrix_prime, qp, spectral.lam_prime,
+                          spectral.sigma_prime, taup, spectral.static_offset[:, None])
     xd_scale = _scale(free[1], contact[1])
 
     sign = model.contact_sign
-    clearance = sign * (free[0][:, -1] - spectral.static_offset[-1])
+    clearance = sign * (free[0][-1] - spectral.static_offset[-1])
     penetration = float(clearance.min())
-    force = sign * (contact[2] @ model.mass[-1] + contact[0] @ model.stiffness[-1])
+    force = sign * (model.mass[-1] @ contact[2] + model.stiffness[-1] @ contact[0])
     force_violation = float(force.min())
 
     passed = (

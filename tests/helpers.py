@@ -43,6 +43,15 @@ def random_spd_model(n, rng, name="random"):
         return model, spectral
 
 
+def stiff_hyperbolic_model():
+    # cosh/sinh of the lam ~ -1e4 mode overflow on much of the default grid
+    return cl.ModelSpec(
+        name="stiff-hyperbolic", n=3, mass=np.eye(3),
+        stiffness=[[-1e4, 1, 1], [1, 4, 0.5], [1, 0.5, -1]],
+        sigma=(1, -1, -1), sigma_prime=(1, -1), static_force=1, contact_sign=1,
+    )
+
+
 def random_rocker_freqs(rng):
     nu1 = rng.uniform(0.3, 2.0)
     om2 = rng.uniform(1.0, 3.0)

@@ -66,13 +66,9 @@ def test_criterion_2_n2_oracle_agreement():
             pair = cl.n2_spectrum(family, nu1=nu1, omega2=om2, omega1p=om1p)
             M, eta_vec = cauchy_inputs(pair)
             field = cl.scan_contour(pair, grid)
-            roots = []
-            for seed in field.seeds:
-                try:
-                    t = cl.refine_root(seed, pair, M, eta_vec, max_iter=40)
-                except cl.ConvergenceError:
-                    continue
-                roots.append((t.o_n, t.o_prime))
+            roots = [(t.o_n, t.o_prime)
+                     for t in cl.refine_roots(field.seeds, pair, M, eta_vec, max_iter=40)
+                     if not isinstance(t, cl.ConvergenceError)]
             assert roots, f"no generic roots found for {family} {nu1, om2, om1p}"
             roots = np.array(roots)
             for n in branches:

@@ -16,7 +16,14 @@ from collisionless.impact import (
     _sign_change_cells,
     _unit_contact,
 )
-from helpers import cauchy_inputs, non_pole_times, random_rocker_freqs, random_spd_model
+from collisionless.model import _kernel_constants
+from helpers import (
+    cauchy_inputs,
+    non_pole_times,
+    random_rocker_freqs,
+    random_spd_model,
+    stiff_hyperbolic_model,
+)
 
 
 # ------------------------------------------------------------------- kernels
@@ -85,6 +92,41 @@ def test_mode_motion_vec_matches_scalar():
             ref = cl.mode_motion(t, lv, (1 - sv) // 2)
             assert g[k, i] == pytest.approx(ref[0], rel=1e-15)
             assert gd[k, i] == pytest.approx(ref[1], rel=1e-15)
+
+
+def _grid_cases():
+    """(label, half, kernel constants) of the biped, the stiff model, random N = 2..6 spectra."""
+    pairs = [("biped", cl.analyze(cl.build_armed_biped()), (0.3, 3.0)),
+             ("stiff", cl.analyze(stiff_hyperbolic_model()), (0.3, 2.0, 7.0))]
+    rng = np.random.default_rng(20)
+    pairs += [(f"random{n}", random_spd_model(n, rng)[1], (0.3, 3.0)) for n in range(2, 7)]
+    for label, spectra, halves in pairs:
+        for phase, constants in enumerate(spectra.kernels):
+            for half in halves:
+                yield f"{label}-{phase}-{half}", half, constants
+    # both kernels of a lam = -1e4 mode at nu * half = 700, where cosh is about 5e303
+    stiff = _kernel_constants(np.array([-1e4, -1e4, 2.0, 2.0]), np.array([-1, 1, -1, 1]))
+    yield "nu-half-700", 7.0, stiff
+
+
+@pytest.mark.parametrize("count", [2001, 201, 75])   # blocks of 40, 20 and 1 (m = 37 is prime)
+def test_grid_kernels_match_mode_kernels(count):
+    m = (count - 1) // 2
+    for label, half, constants in _grid_cases():
+        times = np.arange(-m, m + 1) * (half / m)
+        times[[0, -1]] = -half, half
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = impact._grid_kernels(half, count, *constants)
+            direct = [k.T for k in impact._mode_kernels(times, *constants)]
+        parity = np.where(constants[2], 1.0, -1.0)[:, None]
+        for got, want, sign in zip(grid, direct, (parity, -parity)):
+            assert got.shape == want.shape == (constants[0].size, count), label
+            assert np.array_equal(np.isfinite(got), np.isfinite(want)), label
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert (np.abs(got - want) <= 1e-13 * scale).all(), label
+            # g(-t) = +-g(t) and gdot(-t) = -+gdot(t), bit for bit
+            assert got[:, m - 1::-1].tobytes() == (sign * got[:, m + 1:]).tobytes(), label
 
 
 def test_phase_rate_values():
@@ -319,10 +361,10 @@ def test_scan_grids_match_impact_residual(family, biped_spectral):
         spectra = cl.n2_spectrum("rocker", nu1=1.0, omega2=2.0, omega1p=1.0)
     elif family == "stiff":
         # free kernels near 1e273 on much of the default grid
-        spectra, grid = cl.analyze(_stiff_hyperbolic_model()), cl.GridSpec()
+        spectra, grid = cl.analyze(stiff_hyperbolic_model()), cl.GridSpec()
     else:
         # contact kernels up to about 1e205, whose squares and products overflow
-        spectra, grid = cl.analyze(_stiff_hyperbolic_model()), cl.GridSpec(o_p_max=3 * np.pi)
+        spectra, grid = cl.analyze(stiff_hyperbolic_model()), cl.GridSpec(o_p_max=3 * np.pi)
     M, eta_vec = cauchy_inputs(spectra)
     field = cl.scan_contour(spectra, grid)
     o = np.stack(np.meshgrid(field.o_n_axis, field.o_p_axis, indexing="ij"))
@@ -508,15 +550,6 @@ def _assert_scan_matches_reference(spectra, grid):
     return field
 
 
-def _stiff_hyperbolic_model():
-    # cosh/sinh of the lam ~ -1e4 mode overflow on much of the default grid
-    return cl.ModelSpec(
-        name="stiff-hyperbolic", n=3, mass=np.eye(3),
-        stiffness=[[-1e4, 1, 1], [1, 4, 0.5], [1, 0.5, -1]],
-        sigma=(1, -1, -1), sigma_prime=(1, -1), static_force=1, contact_sign=1,
-    )
-
-
 @pytest.mark.parametrize("case", ["biped", "rocker", "stiff", "no-existence"])
 def test_scan_matches_full_grid_reference(case, biped_spectral):
     # both minors from their expansion: the full-grid minors to rounding, the same seeds
@@ -527,7 +560,7 @@ def test_scan_matches_full_grid_reference(case, biped_spectral):
         spectra = cl.n2_spectrum("rocker", nu1=1.0, omega2=2.0, omega1p=1.0)
         grid = cl.GridSpec(o_n_max=4 * np.pi, o_p_max=1.75, step=0.04, o_p_min=0.01)
     elif case == "stiff":
-        spectra = cl.analyze(_stiff_hyperbolic_model())
+        spectra = cl.analyze(stiff_hyperbolic_model())
     else:
         spectra = cl.SpectrumPair([-2.0, 1.0], [-0.5], [1, 1], [1])
     field = _assert_scan_matches_reference(spectra, grid)
@@ -604,7 +637,7 @@ def test_scan_skips_cells_with_non_finite_corners():
     # the scan must neither warn nor seed a cell it cannot evaluate; on the stiff model the
     # scaled free rows keep every grid point finite (the rule for non-finite corners is
     # test_segments_match_per_cell_loop's)
-    spectral = cl.analyze(_stiff_hyperbolic_model())
+    spectral = cl.analyze(stiff_hyperbolic_model())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         field = cl.scan_contour(spectral)
@@ -630,7 +663,7 @@ def test_impact_layer_rejects_spectra_without_existence(lamp_top):
 
 def test_stiff_hyperbolic_model_refines_without_overflow():
     # the squares of the lam ~ -1e4 kernels overflow the plain row and column norms
-    model = _stiff_hyperbolic_model()
+    model = stiff_hyperbolic_model()
     spectral = cl.analyze(model)
     roots = []
     for seed in cl.scan_contour(spectral).seeds:
@@ -668,7 +701,7 @@ def test_free_row_scale_changes_no_bit(biped_spectral, monkeypatch):
     rng = np.random.default_rng(5)
     n2_grid = cl.GridSpec(o_n_max=4 * np.pi, o_p_max=1.75, step=0.04, o_p_min=0.01)
     cases = [(biped_spectral.spectra, cl.GridSpec()),
-             (cl.analyze(_stiff_hyperbolic_model()), cl.GridSpec())]
+             (cl.analyze(stiff_hyperbolic_model()), cl.GridSpec())]
     for family in ("rocker", "rimless"):
         for _ in range(3):
             nu1, om2, om1p = random_rocker_freqs(rng)
@@ -1098,7 +1131,7 @@ def _certified_models():
         model, spectral = random_spd_model(3 + i % 4, rng, name=f"draw{i}")
         if cl.existence_gate(spectral.lam_prime):
             yield model
-    yield _stiff_hyperbolic_model()
+    yield stiff_hyperbolic_model()
 
 
 @pytest.mark.parametrize("model", _certified_models(), ids=lambda m: m.name)

@@ -5,7 +5,7 @@ import pytest
 
 import collisionless as cl
 from collisionless import trajectory
-from helpers import random_spd_model
+from helpers import random_spd_model, stiff_hyperbolic_model
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +183,85 @@ def test_second_row_root_fails_contact_force(biped_run):
         assert record.report.contact_force_violation < -0.1
         # the failure is attractive force, not penetration
         assert record.report.penetration_violation > -1e-8
+
+
+def _reference_validate(solution, model):
+    """``validate`` by direct kernels on np.linspace samples of both full phases.
+
+    Returns the report fields as a dict, with the clearance and force scales.
+    """
+    tol = cl.ValidatorTolerances()
+    spectral, times = solution.spectral, solution.times
+    tau, taup = times.tau, times.tau_prime
+    x_f, xd_f, xdd_f = trajectory._free_state(spectral, solution.q, np.array([tau]))
+    x_c, xd_c, _ = trajectory._contact_state(spectral, solution.q_prime, np.array([-taup]))
+    v_resid, a_resid = abs(xd_f[0, -1]), abs(xdd_f[0, -1])
+    continuity = max(np.abs(x_f[0] - x_c[0]).max(), np.abs(xd_f[0] - xd_c[0]).max())
+    e_free = trajectory._energy(spectral, x_f, xd_f)
+    e_contact = trajectory._energy(spectral, x_c, xd_c)
+    energy_var = float(np.abs(e_free - e_contact)[0] / trajectory._scale(e_free, e_contact))
+    samples = trajectory.CHECK_SAMPLES
+    free = trajectory._free_state(spectral, solution.q, np.linspace(-tau, tau, samples))
+    contact = trajectory._contact_state(spectral, solution.q_prime,
+                                        np.linspace(-taup, taup, samples))
+    xd_scale = trajectory._scale(free[1], contact[1])
+    clearance = model.contact_sign * (free[0][:, -1] - spectral.static_offset[-1])
+    force = model.contact_sign * (contact[2] @ model.mass[-1] + contact[0] @ model.stiffness[-1])
+    clearance_scale, force_scale = trajectory._scale(clearance), trajectory._scale(force)
+    passed = (
+        v_resid < tol.velocity * xd_scale
+        and a_resid < tol.acceleration * trajectory._scale(free[2], contact[2])
+        and continuity < tol.continuity * max(trajectory._scale(free[0], contact[0]), xd_scale)
+        and energy_var < tol.energy
+        and clearance.min() >= -tol.contact * clearance_scale
+        and force.min() >= -tol.contact * force_scale
+    )
+    report = dict(
+        impact_velocity_residual=float(v_resid),
+        impact_accel_residual=float(a_resid),
+        continuity_residual=float(continuity),
+        energy_variation=energy_var,
+        penetration_violation=float(clearance.min()),
+        contact_force_violation=float(force.min()),
+        passed=bool(passed),
+    )
+    return report, clearance_scale, force_scale
+
+
+def _reference_runs():
+    """The biped on the default grid and at o_p_max = 3 pi, the stiff model, random N = 3..6."""
+    biped = cl.build_armed_biped()
+    yield "biped", cl.solve_model(biped)
+    yield "biped-wide", cl.solve_model(biped, cl.GridSpec(o_p_max=3 * np.pi))
+    yield "stiff", cl.solve_model(stiff_hyperbolic_model())
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 5, 6) * 3:
+        model, spectral = random_spd_model(n, rng, name=f"random{n}")
+        if cl.existence_gate(spectral.lam_prime):
+            try:
+                yield model.name, cl.solve_model(model)
+            except cl.ConvergenceError:
+                continue
+
+
+def test_validate_matches_direct_linspace_reference():
+    # the addition-theorem grid decides as the direct samples do: the same verdict, the
+    # impact fields bit for bit, and the two violations within 1e-12 of their scales
+    records = 0
+    for label, run in _reference_runs():
+        for record in run.records:
+            got = record.report.to_dict()
+            want, clearance_scale, force_scale = _reference_validate(record.solution, run.model)
+            assert got["passed"] == want["passed"], label
+            for key in ("impact_velocity_residual", "impact_accel_residual",
+                        "continuity_residual", "energy_variation"):
+                assert got[key] == want[key], (label, key)
+            assert abs(got["penetration_violation"] - want["penetration_violation"]) \
+                <= 1e-12 * clearance_scale, label
+            assert abs(got["contact_force_violation"] - want["contact_force_violation"]) \
+                <= 1e-12 * force_scale, label
+            records += 1
+    assert records >= 100
 
 
 @pytest.mark.parametrize("name", ["velocity", "acceleration", "continuity", "energy", "contact"])
