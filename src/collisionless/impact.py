@@ -9,7 +9,9 @@ equations in the impact times (tau, tau').  This module provides:
 * a marching-squares contour scan of the two determinant zero sets in impact
   phase coordinates (o_N, o'_{N-1}) and seed extraction at curve crossings
   (both determinants on the whole grid as one matrix product, by their
-  expansion in the free and the contact kernels),
+  expansion in the free and the contact kernels; the cells come from the
+  raw products' signs, and only the corners of the cells where both change
+  sign are divided by their row norms),
 * damped-Newton refinement of a scan's seeds in lockstep: each iteration
   serves every active seed with one batched solve and at most two
   residual calls, so a run makes at most 1 + 2 * (largest iteration
@@ -28,6 +30,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,7 +141,14 @@ def _mode_kernels(t, om, osc, even, rate):
 GRID_BLOCK = 40
 
 
-def _grid_kernels(half, count, om, osc, even, rate):
+def _coarse_kernels(half, count, om, osc, even, rate):
+    """``_mode_kernels`` at ``_grid_kernels``' coarse times a B h < half and at half, (n, N) each."""
+    m = (count - 1) // 2
+    starts = np.append(np.arange(0, m, math.gcd(m, GRID_BLOCK)) * (half / m), half)
+    return _mode_kernels(starts, om, osc, even, rate)
+
+
+def _grid_kernels(half, count, om, osc, even, rate, coarse):
     """``_mode_kernels`` as (N, count) arrays at ``count`` (odd) even steps over [-half, half].
 
     With m = (count - 1) / 2 and h = half / m, each time t = k h >= 0 splits
@@ -153,13 +163,15 @@ def _grid_kernels(half, count, om, osc, even, rate):
     formed, every argument is non-negative and cosh a cosh b <= cosh(a + b),
     so no intermediate exceeds the kernel it forms, and the grid is finite,
     without an overflow warning, wherever the direct evaluation is.  A mode
-    with om = 0 has constant kernels and takes S / om = 0.
+    with om = 0 has constant kernels and takes S / om = 0.  ``coarse`` is
+    the table of ``_coarse_kernels`` for the same arguments; wherever the
+    kernels are finite, the grid holds its values at the coarse times, up to
+    the sign of a zero.
     """
     m = (count - 1) // 2
     h = half / m
     block = math.gcd(m, GRID_BLOCK)
-    starts = np.append(np.arange(0, m, block) * h, half)
-    coarse = np.array(_mode_kernels(starts, om, osc, even, rate)).T   # (N, m / B + 1, [g, gdot])
+    coarse = np.array(coarse).T   # (N, m / B + 1, [g, gdot])
     # the even kernel at the offsets is (C, rate S), and rate om = -lam
     c, rate_s = (k.T for k in _mode_kernels(np.arange(block) * h, om, osc, True, rate))
     s_om = np.divide(rate_s, (rate * om)[:, None], out=np.zeros_like(rate_s),
@@ -333,8 +345,27 @@ def _subsets(k: int) -> np.ndarray:
     return (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1 == 1
 
 
+class _RowNorms(NamedTuple):
+    """What it takes to divide the raw minors of ``_minor_grids`` by their row norms.
+
+    Per tau: the scaled free kernels ``g``, ``gd`` (n_tau, N).  Per tau': the
+    floored amplitude-row norm ``amplitude``, the Gram coefficients ``alpha``,
+    ``beta``, ``gamma_d``, ``gamma_g`` (N, n_tau') of the rows i < N, and
+    the contact exponent ``f``.
+    """
+
+    g: np.ndarray
+    gd: np.ndarray
+    amplitude: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma_d: np.ndarray
+    gamma_g: np.ndarray
+    f: np.ndarray
+
+
 def _minor_grids(o_n_axis, o_p_axis, spectra: SpectrumPair):
-    """(det_a, det_b) of the unit-row contact matrix on the grid o_n_axis x o_p_axis.
+    """Raw (det_a, det_b) of the contact matrix on the grid o_n_axis x o_p_axis, and their norms.
 
     A determinant is multilinear in its columns and in its rows (Horn &
     Johnson, *Matrix Analysis*, 2nd ed., sec. 0.3).  Column j < N-1 of the
@@ -350,15 +381,16 @@ def _minor_grids(o_n_axis, o_p_axis, spectra: SpectrumPair):
     |T| + |S| = N - 1.  A scan thus takes C(2N-1, N-1) small determinants,
     and each raw grid is F @ C @ B^T.
 
-    Each raw minor is divided by its rows' norms (floored at 1e-300 as in
-    ``_unit_contact``) one at a time, since their product can overflow.  The
-    amplitude-sum row's norm depends on tau' alone; row i < N's comes from
-    the Gram matrix of its gp and gpd parts.  Exact powers of two keep the
-    products in range: the free rows are scaled by ``_scaled_free_kernels``,
-    and at each tau' the contact kernels by one 2**-f, which scales columns
-    0..N-2; the last column's share of each norm is scaled to match, so the
-    norms and each minor carry 2**-f and 2**(-(N-1) f) in all, and a final
-    2**-f restores the unit-row minors.  On the tested models both grids
+    Exact powers of two keep the products in range: the free rows are
+    scaled by ``_scaled_free_kernels``, and at each tau' the contact kernels
+    by one 2**-f, which scales columns 0..N-2.  The raw grids are returned
+    as they are, with the ``_RowNorms`` that ``_unit_minors`` divides them
+    by.  The amplitude-sum row's norm depends on tau' alone; row i < N's
+    comes from the Gram matrix of its gp and gpd parts, whose coefficients
+    depend on tau' alone, and the row's free kernels.  The last column's
+    share of each norm is scaled to match the contact kernels, so the norms
+    and each minor carry 2**-f and 2**(-(N-1) f) in all, and a final 2**-f
+    restores the unit-row minors.  On the tested models both unit grids
     have ``impact_residual``'s finiteness and signs and agree with it to
     about 1e-14.
     """
@@ -392,22 +424,94 @@ def _minor_grids(o_n_axis, o_p_axis, spectra: SpectrumPair):
     swap = R > P
     pivot = np.sqrt(np.where(swap, R, P))
     rest = D / pivot ** 2
-    alpha = np.where(swap, -Q / pivot, pivot).T
-    beta = np.where(swap, pivot, -Q / pivot).T
-    gamma_d = (np.where(swap, rest, 0.0) + np.ldexp(spectra.lam ** -2.0, -2 * f[:, None])).T
-    gamma_g = np.where(swap, 0.0, rest).T
     amplitude_row = float(np.sum(spectra.eta)) * np.column_stack([gp, np.ldexp(1.0, -f)])
-    det_a /= np.maximum(_norms(amplitude_row, -1)[:, 0], 1e-300)
+    return det_a, det_b, _RowNorms(
+        g=g,
+        gd=gd,
+        amplitude=np.maximum(_norms(amplitude_row, -1)[:, 0], 1e-300),
+        alpha=np.where(swap, -Q / pivot, pivot).T,
+        beta=np.where(swap, pivot, -Q / pivot).T,
+        gamma_d=(np.where(swap, rest, 0.0) + np.ldexp(spectra.lam ** -2.0, -2 * f[:, None])).T,
+        gamma_g=np.where(swap, 0.0, rest).T,
+        f=f,
+    )
+
+
+def _unit_minors(det_a, det_b, norms: _RowNorms, p, q):
+    """The unit-row minors (det_a, det_b) at grid points (p, q), from the raw grids.
+
+    ``p`` and ``q`` index the tau and the tau' axis and broadcast together.
+    Each raw minor is divided by its rows' norms one at a time, since their
+    product can overflow: det_a by the amplitude-sum row's and rows 0..N-2,
+    det_b by rows 0..N-1, each norm floored at 1e-300 as in
+    ``_unit_contact``; then 2**-f restores the unit-row minors.  Every point
+    takes the same operations, so its value does not depend on which other
+    points are evaluated with it: the scan's corners and the whole grids of
+    ``ContourField`` agree bit for bit.
+    """
+    g, gd, amplitude, alpha, beta, gamma_d, gamma_g, f = norms
+    n = g.shape[1]
+    det_a = det_a[p, q] / amplitude[q]
+    det_b = det_b[p, q]
     for i in range(n):
-        x, xd = g[:, i, None], gd[:, i, None]
-        norm = (alpha[i] * xd + beta[i] * x) ** 2
-        norm += gamma_d[i] * (xd * xd)
-        norm += gamma_g[i] * (x * x)
+        x, xd = g[p, i], gd[p, i]
+        norm = (alpha[i, q] * xd + beta[i, q] * x) ** 2
+        norm += gamma_d[i, q] * (xd * xd)
+        norm += gamma_g[i, q] * (x * x)
         norm = np.maximum(np.sqrt(norm), 1e-300)
         if i < n - 1:
             det_a /= norm
         det_b /= norm
-    return np.ldexp(det_a, -f), np.ldexp(det_b, -f)
+    return np.ldexp(det_a, -f[q]), np.ldexp(det_b, -f[q])
+
+
+def _unit_signs(det_a, det_b, norms: _RowNorms):
+    """(det_a, det_b) grids with the signs and the finiteness of the unit-row minors.
+
+    Row norms are positive, so a unit minor has its raw minor's sign
+    wherever none of ``_unit_minors``' divisions underflows to 0 or
+    overflows: where a norm at its 1e-300 floor lifts a finite raw value
+    past the largest float, or where tiny quotients drop below the smallest.
+    Per tau' each row norm has two bounds.  The scaled free kernels x and xd
+    of a row are below 1 in magnitude, so the norm is at most
+    sqrt((|alpha| + |beta|)^2 + gamma_d + gamma_g).  The larger of them is at
+    least 1/2, so its square is at least a quarter of the least eigenvalue
+    of the row's Gram matrix [[alpha^2 + gamma_d, alpha beta],
+    [alpha beta, beta^2 + gamma_g]], which is at least its determinant over
+    its trace, less the rounding of alpha xd + beta x; failing that, the
+    bound is the floor.  A raw value whose every quotient then stays within
+    2**+-1000 keeps its sign, finite.  The tau' columns that hold another
+    point, and the tau rows whose scaled kernels are not in [1/2, 1), take
+    their unit values in a copy of the raw grids; when there are none, the
+    raw grids are returned.
+    """
+    g, gd, amplitude, alpha, beta, gamma_d, gamma_g, f = norms
+    reach = (np.abs(alpha) + np.abs(beta)) ** 2
+    upper = np.maximum(np.sqrt((reach + gamma_d + gamma_g) * (1 + 1e-12)), 1e-300)
+    gram_det = alpha * alpha * gamma_g + gamma_d * beta * beta + gamma_d * gamma_g
+    least = 0.24 * gram_det / (alpha * alpha + beta * beta + gamma_d + gamma_g)
+    least -= 1e-15 * np.sqrt(least * reach)
+    lower = np.maximum(0.999 * np.sqrt(np.where(least > 1e-290, least, 0.0)), 1e-300)
+    # per minor, the partial products of its divisors, the last one times 2**f for the ldexp
+    up = np.cumprod([np.vstack([amplitude, upper[:-1]]), upper], axis=1)
+    down = np.cumprod([np.vstack([amplitude, lower[:-1]]), lower], axis=1)
+    lo = np.ldexp(np.maximum(np.maximum(up.max(axis=1), 1.0), np.ldexp(up[:, -1], f)), -1000)
+    hi = np.ldexp(np.minimum(np.minimum(down.min(axis=1), 1.0), np.ldexp(down[:, -1], f)), 1000)
+    lo = np.where(np.isfinite(lo) & np.isfinite(hi), lo, np.inf)
+    peak = np.maximum(np.abs(g), np.abs(gd))
+    rows = np.flatnonzero(~((peak >= 0.5) & (peak < 1)).all(axis=1))
+    suspect = np.zeros(det_a.shape[1], bool)
+    for raw, low, high in zip((det_a, det_b), lo, hi):
+        magnitude = np.abs(raw)
+        suspect |= ((magnitude < low) | (magnitude > high)).any(axis=0)
+    cols = np.flatnonzero(suspect)
+    if not (rows.size or cols.size):
+        return det_a, det_b
+    grids = np.stack([det_a, det_b])
+    every_p, every_q = np.arange(det_a.shape[0]), np.arange(det_a.shape[1])
+    grids[:, :, cols] = _unit_minors(det_a, det_b, norms, every_p[:, None], cols)
+    grids[:, rows] = _unit_minors(det_a, det_b, norms, rows[:, None], every_q)
+    return grids[0], grids[1]
 
 
 def impact_residual(o, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
@@ -488,21 +592,26 @@ def _sign_change_cells(Z):
     )
 
 
-def _segments(xa, ya, Z, cells):
-    """Marching-squares zero segments of Z in the masked cells, in raster order.
+def _cell_corners(Z, i, j):
+    """(4, k) values of Z at the corners (i, j), (i+1, j), (i, j+1), (i+1, j+1) of k cells."""
+    return np.array([Z[i, j], Z[i + 1, j], Z[i, j + 1], Z[i + 1, j + 1]])
 
-    Returns ``(segs, kept)``: ``segs[c, k]`` is the k-th segment (two points)
-    of the c-th masked cell and ``kept[c, k]`` says whether it exists.  An
+
+def _segments(xa, ya, i, j, corners):
+    """Marching-squares zero segments in the cells (i, j), in their order.
+
+    ``corners`` are the cells' corner values as ``_cell_corners`` orders
+    them.  Returns ``(segs, kept)``: ``segs[c, k]`` is the k-th segment (two
+    points) of the c-th cell and ``kept[c, k]`` says whether it exists.  An
     edge is crossed where its two corners have strictly opposite signs (so an
     exactly-zero corner gives no crossing), at the linearly interpolated
     point; crossings are taken bottom, top, left, right.  Two crossings make
     one segment; four (a saddle cell) make two, paired by the sign of the
     centre value.
     """
-    i, j = np.nonzero(cells)
     x0, x1, y0, y1 = xa[i], xa[i + 1], ya[j], ya[j + 1]
-    v00, v10, v01, v11 = Z[i, j], Z[i + 1, j], Z[i, j + 1], Z[i + 1, j + 1]
-    s00, s10, s01, s11 = (np.sign(v) for v in (v00, v10, v01, v11))
+    v00, v10, v01, v11 = corners
+    s00, s10, s01, s11 = np.sign(corners)
     hit = np.stack([s00 * s10 < 0, s01 * s11 < 0, s00 * s01 < 0, s10 * s11 < 0], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         xs = [x0 + (x1 - x0) * v00 / (v00 - v10), x0 + (x1 - x0) * v01 / (v01 - v11), x0, x1]
@@ -541,13 +650,15 @@ def _chain_segments(segments, digits=9):
     return polylines
 
 
-def _crossing_seeds(xa, ya, det_a, det_b, cells):
-    """Points where a zero segment of det_a meets one of det_b in the same masked cell.
+def _crossing_seeds(xa, ya, i, j, corners_a, corners_b):
+    """Points where a zero segment of det_a meets one of det_b in the same cell (i, j).
 
-    Seeds come in raster order of the cells, then by segment of det_a, then
-    of det_b.  Segments that are parallel or do not reach each other give none.
+    ``corners_a`` and ``corners_b`` are the cells' corner values of the two
+    minors (see ``_segments``).  Seeds come in the order of the cells, then
+    by segment of det_a, then of det_b.  Segments that are parallel or do
+    not reach each other give none.
     """
-    (a, kept_a), (b, kept_b) = (_segments(xa, ya, Z, cells) for Z in (det_a, det_b))
+    (a, kept_a), (b, kept_b) = (_segments(xa, ya, i, j, v) for v in (corners_a, corners_b))
     # each a-segment p + t r of a cell against each b-segment q + u w of the same cell
     p, r = a[:, :, None, 0], a[:, :, None, 1] - a[:, :, None, 0]
     q, w = b[:, None, :, 0], b[:, None, :, 1] - b[:, None, :, 0]
@@ -564,20 +675,38 @@ def _crossing_seeds(xa, ya, det_a, det_b, cells):
 class ContourField:
     """Gridded determinant values with crossing seeds.
 
-    ``det_a`` (top-mode row dropped) and ``det_b`` (amplitude-sum row
+    ``seeds`` are where a marching-squares zero segment of ``det_a`` crosses
+    one of ``det_b`` in the same grid cell.  ``raw`` holds the scan's raw
+    minors and ``norms`` their row norms (``_minor_grids``).  The unit-row
+    grids ``det_a`` (top-mode row dropped) and ``det_b`` (amplitude-sum row
     dropped) hold ``impact_residual``'s two minors at every grid point, as
-    ``_minor_grids`` expands them: equal to rounding, not to the bit.
-    ``seeds`` are where a marching-squares
-    zero segment of ``det_a`` crosses one of ``det_b`` in the same grid
-    cell.  The zero curves ``curves_a``/``curves_b`` chain the same
-    segments; they serve export only, so they are built on first access.
+    ``_unit_minors`` normalises them: equal to rounding, not to the bit.
+    They, and the zero curves ``curves_a``/``curves_b`` that chain the same
+    segments, serve export only, so they are built on first access.
     """
 
     o_n_axis: np.ndarray
     o_p_axis: np.ndarray
-    det_a: np.ndarray
-    det_b: np.ndarray
     seeds: np.ndarray
+    raw: tuple
+    norms: _RowNorms
+
+    @cached_property
+    def _unit_grids(self):
+        """(det_a, det_b) on the whole grid, one ``_unit_minors`` call for both."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _unit_minors(*self.raw, self.norms, np.arange(self.o_n_axis.size)[:, None],
+                                np.arange(self.o_p_axis.size))
+
+    @property
+    def det_a(self) -> np.ndarray:
+        """Unit-row minor without the top-mode row, (n_o_n, n_o_p)."""
+        return self._unit_grids[0]
+
+    @property
+    def det_b(self) -> np.ndarray:
+        """Unit-row minor without the amplitude-sum row, (n_o_n, n_o_p)."""
+        return self._unit_grids[1]
 
     @cached_property
     def curves_a(self) -> list:
@@ -590,7 +719,8 @@ class ContourField:
         return self._curves(self.det_b)
 
     def _curves(self, Z) -> list:
-        segs, kept = _segments(self.o_n_axis, self.o_p_axis, Z, _sign_change_cells(Z))
+        i, j = np.nonzero(_sign_change_cells(Z))
+        segs, kept = _segments(self.o_n_axis, self.o_p_axis, i, j, _cell_corners(Z, i, j))
         return _chain_segments(segs[kept])
 
     def to_csv(self, path):
@@ -626,30 +756,40 @@ class ContourField:
 def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> ContourField:
     """Evaluate both determinants on a grid and seed at their zero-curve crossings.
 
-    ``_minor_grids`` builds ``det_a`` and ``det_b`` on the whole grid from
-    one kernel evaluation per axis.  Each intersection of a cell's zero
-    segments of ``det_a`` and ``det_b`` is a seed for ``refine_root``; a cell
-    with a non-finite corner is skipped, and a corner that is exactly 0 gives
-    no crossing.  Seeds lie inside the grid (see ``GridSpec``), whose last
-    point can be up to half a step below ``o_n_max``/``o_p_max``.  Newton may
-    take a seed to a root outside the window, and which out-of-window roots
-    appear depends on the step.  Spectra that fail ``existence_gate`` have
-    no solution and no seeds.
+    ``_minor_grids`` builds the raw ``det_a`` and ``det_b`` on the whole
+    grid from one kernel evaluation per axis.  The cells come from their
+    signs: a unit-row minor has its raw minor's, except where a division by
+    a row norm could underflow or overflow, and there ``_unit_signs`` takes
+    the unit value.  Only the corners of the cells where both minors change
+    sign take their unit values (``_unit_minors``), and ``_crossing_seeds``
+    reads nothing else.  Each intersection of a cell's zero segments of
+    ``det_a`` and ``det_b`` is a seed for ``refine_root``; a cell with a
+    non-finite corner is skipped, and a corner that is exactly 0 gives no
+    crossing.  The cells and the seeds are bit for bit those of the whole
+    unit-row grids.  Seeds lie inside the grid (see ``GridSpec``), whose
+    last point can be up to half a step below ``o_n_max``/``o_p_max``.
+    Newton may take a seed to a root outside the window, and which
+    out-of-window roots appear depends on the step.  Spectra that fail
+    ``existence_gate`` have no solution and no seeds.
     """
     grid = grid or GridSpec()
     o_n_axis, o_p_axis = grid.axes()
     # Stiff hyperbolic modes can overflow on the grid, and a zero top contact eigenvalue
     # makes every contact time infinite; _sign_change_cells skips non-finite corners.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        det_a, det_b = _minor_grids(o_n_axis, o_p_axis, spectra)
-    cells = (_sign_change_cells(det_a) & _sign_change_cells(det_b)
-             & existence_gate(spectra.lam_prime))
+        det_a, det_b, norms = _minor_grids(o_n_axis, o_p_axis, spectra)
+        signs_a, signs_b = _unit_signs(det_a, det_b, norms)
+        cells = (_sign_change_cells(signs_a) & _sign_change_cells(signs_b)
+                 & existence_gate(spectra.lam_prime))
+        i, j = np.nonzero(cells)
+        corners = _unit_minors(det_a, det_b, norms, np.array([i, i + 1, i, i + 1]),
+                               np.array([j, j, j + 1, j + 1]))
     return ContourField(
         o_n_axis=o_n_axis,
         o_p_axis=o_p_axis,
-        det_a=det_a,
-        det_b=det_b,
-        seeds=_crossing_seeds(o_n_axis, o_p_axis, det_a, det_b, cells),
+        seeds=_crossing_seeds(o_n_axis, o_p_axis, i, j, *corners),
+        raw=(det_a, det_b),
+        norms=norms,
     )
 
 

@@ -10,7 +10,9 @@ t in [-tau, tau] and the contact phase in [-tau', tau'] analytically for the
 clearance, the contact force and the scales.  Its check grid is CHECK_SAMPLES
 evenly spaced times per phase, whose mode kernels ``impact._grid_kernels``
 builds from a small table per mode by the addition theorem rather than by a
-circular or hyperbolic function per sample.
+circular or hyperbolic function per sample.  A first tier reads only the
+grid's 51 directly evaluated times per phase against modal upper bounds on
+the scales; it fails most failing records without building the grid.
 
 The conserved energy is the plain mechanical one, E = (xd^T m xd + x^T k x)/2.
 It is constant within each phase for any mode weights: in the free phase it
@@ -29,7 +31,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import CollisionlessError, InvalidParameterError
-from .impact import ImpactSolution, ImpactTimes, _grid_kernels, build_solution, mode_motion_vec
+from .impact import (
+    ImpactSolution,
+    ImpactTimes,
+    _coarse_kernels,
+    _grid_kernels,
+    build_solution,
+    mode_motion_vec,
+)
 from .model import ModelSpec, _as_dict, _check_integer, _check_positive, _kernel_constants
 from .spectral import SpectralData, static_offset
 from .svgout import SvgCanvas
@@ -51,6 +60,11 @@ _PHASE_NAMES = ("unconstrained", "constrained")
 
 # Samples per full phase in ``validate``.
 CHECK_SAMPLES = 2001
+
+# Rounding margin of ``validate``'s first tier, relative to the terms a sampled clearance
+# or force sums: a coarse and a fine evaluation of one sample, and a fine scale and its
+# modal bound, differ by far less.
+TIER_RTOL = 1e-12
 
 # Largest deviation of a solution's model quantity from the given model's,
 # relative to the largest entry of the model's.
@@ -81,14 +95,30 @@ def _contact_state(spectral: SpectralData, q_prime, u):
     return x, xd, xdd
 
 
-def _phase_grid(X, q, lam, sigma, half, offset=0.0):
-    """x + offset, xd, xdd of a phase at CHECK_SAMPLES even steps over [-half, half].
+def _phase_grid(X, q, lam, g, gd, offset=0.0):
+    """x + offset, xd, xdd of a phase from its mode kernels g, gd (N, samples).
 
     X is the phase's mode matrix and q its weights; one row per coordinate.
     """
-    g, gd = _grid_kernels(half, CHECK_SAMPLES, *_kernel_constants(lam, sigma))
     Xq = X * q
     return Xq @ g + offset, Xq @ gd, (Xq * -lam) @ g
+
+
+def _mirrored(coarse, even):
+    """``_coarse_kernels``' table at the coarse times +-a B h, (N, 2n - 1) each.
+
+    The times t < 0 follow by parity, as ``_grid_kernels`` mirrors them.
+    """
+    parity = np.where(even, 1.0, -1.0)[:, None]
+    g, gd = (k.T for k in coarse)
+    return np.hstack([parity * g[:, :0:-1], g]), np.hstack([-parity * gd[:, :0:-1], gd])
+
+
+def _clearance_and_force(model: ModelSpec, offset, free, contact):
+    """Signed clearance over the free samples and contact force over the contact samples."""
+    sign = model.contact_sign
+    return (sign * (free[0][-1] - offset[-1]),
+            sign * (model.mass[-1] @ contact[2] + model.stiffness[-1] @ contact[0]))
 
 
 def _scale(*arrays) -> float:
@@ -200,12 +230,19 @@ class ValidationReport:
 
     ``penetration_violation`` and ``contact_force_violation`` are the worst
     signed values of contact_sign * (x_N - x0_N) over the full free phase and
-    contact_sign * F_N over the full contact phase; negative values beyond
-    the contact tolerance (times the respective scale) fail the check.
-    ``energy_variation`` is the jump |E_free - E_contact| between the two
-    constant phase energies at the impact, relative to the larger of them.
-    Every other scale a tolerance multiplies (velocity, acceleration,
-    position, clearance, force) is a maximum over the full phases.
+    contact_sign * F_N over the full contact phase, taken over
+    ``check_samples`` samples per phase; negative values beyond the contact
+    tolerance (times the respective scale) fail the check.
+    ``check_samples`` is CHECK_SAMPLES, the check grid, unless ``validate``'s
+    first tier failed the record: then it is the 51 directly evaluated
+    samples of that grid, and the two violations are their minima.  Those
+    are never below the grid's minima by more than rounding, and one of
+    them lies below -tolerance times a modal upper bound on its scale, which
+    proves the failure.  ``energy_variation`` is the jump
+    |E_free - E_contact| between the two constant phase energies at the
+    impact, relative to the larger of them.  Every other scale a tolerance
+    multiplies (velocity, acceleration, position, clearance, force) is a
+    maximum over the full phases.
     """
 
     impact_velocity_residual: float
@@ -215,6 +252,7 @@ class ValidationReport:
     penetration_violation: float
     contact_force_violation: float
     passed: bool
+    check_samples: int = CHECK_SAMPLES
     tolerances: ValidatorTolerances = field(default_factory=ValidatorTolerances)
 
     def to_dict(self) -> dict:
@@ -256,6 +294,19 @@ def validate(solution: ImpactSolution, model: ModelSpec,
     differs from the direct samples' by rounding only.  The grid is still
     a sampling: a dip narrower than h can fall between two samples.
 
+    A first tier runs before the grid is built.  It evaluates the clearance
+    and the force at the grid's 51 coarse times per phase, and bounds each
+    scale by its modal sum: sum_i |c_i q_i| max|g_i| plus the static term,
+    |x0_N| for the clearance and |k_N . x0| for the force, where c_i is
+    mode i's coefficient in the quantity and max|g_i| over the phase is 1
+    for an oscillatory mode and |g_i(half)| for a hyperbolic one.  A coarse
+    minimum below -tolerance times its bound, by more than TIER_RTOL times
+    the magnitude of the terms it sums, proves that the grid fails too; the
+    record then fails with the coarse minima as its violations (see
+    ``ValidationReport.check_samples``).  Every other record takes the
+    grid, which reuses the coarse kernels, and gets the report the grid
+    alone gives.
+
     Raises InvalidParameterError, naming the quantity, when the solution's
     derived mass or stiffness matrix, signatures or static offset differ
     from the model's by more than MODEL_RTOL of its largest entry.
@@ -279,17 +330,48 @@ def validate(solution: ImpactSolution, model: ModelSpec,
     e_free = _energy(spectral, x_f, xd_f)
     e_contact = _energy(spectral, x_c, xd_c)
     energy_var = float(np.abs(e_free - e_contact)[0] / _scale(e_free, e_contact))
+    report = dict(
+        impact_velocity_residual=float(v_resid),
+        impact_accel_residual=float(a_resid),
+        continuity_residual=float(continuity),
+        energy_variation=energy_var,
+        tolerances=tol,
+    )
+
+    X, Xp, offset = spectral.mode_matrix, spectral.mode_matrix_prime, spectral.static_offset
+    lam, lamp = spectral.lam, spectral.lam_prime
+    phases = (_kernel_constants(lam, spectral.sigma), _kernel_constants(lamp, spectral.sigma_prime))
+    coarse = [_coarse_kernels(half, CHECK_SAMPLES, *constants)
+              for half, constants in zip((tau, taup), phases)]
+
+    # first tier: the coarse samples against modal bounds on the clearance and force scales
+    clearance, force = _clearance_and_force(
+        model, offset, _phase_grid(X, q, lam, *_mirrored(coarse[0], phases[0][2])),
+        _phase_grid(Xp, qp, lamp, *_mirrored(coarse[1], phases[1][2]), offset[:, None]))
+    # max|g_i| over each phase: 1 for an oscillatory mode, |g_i(half)| for a hyperbolic one
+    peak, peak_p = (np.where(constants[1], 1.0, np.abs(table[0][-1]))
+                    for constants, table in zip(phases, coarse))
+    # the clearance's bound is also the magnitude of its terms; the force's is not
+    clearance_bound = np.abs(X[-1] * q) @ peak + abs(offset[-1])
+    k_n, m_n = model.stiffness[-1], model.mass[-1]
+    weights = np.abs(qp) * peak_p
+    force_bound = np.abs(k_n @ Xp - lamp * (m_n @ Xp)) @ weights + abs(k_n @ offset)
+    force_terms = ((np.abs(k_n) @ np.abs(Xp) + np.abs(lamp) * (np.abs(m_n) @ np.abs(Xp)))
+                   @ weights + np.abs(k_n) @ np.abs(offset))
+    slack = TIER_RTOL * (1 + tol.contact)
+    if (clearance.min() < -tol.contact * clearance_bound - slack * clearance_bound
+            or force.min() < -tol.contact * force_bound - slack * force_terms):
+        return ValidationReport(**report, penetration_violation=float(clearance.min()),
+                                contact_force_violation=float(force.min()), passed=False,
+                                check_samples=clearance.size)
 
     # (x, xd, xdd) of each full phase, one column per sample
-    free = _phase_grid(spectral.mode_matrix, q, spectral.lam, spectral.sigma, tau)
-    contact = _phase_grid(spectral.mode_matrix_prime, qp, spectral.lam_prime,
-                          spectral.sigma_prime, taup, spectral.static_offset[:, None])
+    free = _phase_grid(X, q, lam, *_grid_kernels(tau, CHECK_SAMPLES, *phases[0], coarse[0]))
+    contact = _phase_grid(Xp, qp, lamp, *_grid_kernels(taup, CHECK_SAMPLES, *phases[1], coarse[1]),
+                          offset[:, None])
     xd_scale = _scale(free[1], contact[1])
-
-    sign = model.contact_sign
-    clearance = sign * (free[0][-1] - spectral.static_offset[-1])
+    clearance, force = _clearance_and_force(model, offset, free, contact)
     penetration = float(clearance.min())
-    force = sign * (model.mass[-1] @ contact[2] + model.stiffness[-1] @ contact[0])
     force_violation = float(force.min())
 
     passed = (
@@ -300,16 +382,8 @@ def validate(solution: ImpactSolution, model: ModelSpec,
         and penetration >= -tol.contact * _scale(clearance)
         and force_violation >= -tol.contact * _scale(force)
     )
-    return ValidationReport(
-        impact_velocity_residual=float(v_resid),
-        impact_accel_residual=float(a_resid),
-        continuity_residual=float(continuity),
-        energy_variation=energy_var,
-        penetration_violation=penetration,
-        contact_force_violation=force_violation,
-        passed=bool(passed),
-        tolerances=tol,
-    )
+    return ValidationReport(**report, penetration_violation=penetration,
+                            contact_force_violation=force_violation, passed=bool(passed))
 
 
 # ------------------------------------------------------------------- exporters

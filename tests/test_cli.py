@@ -69,6 +69,15 @@ def test_solve_json_payload(capsys):
     sol = payload["solutions"][0]
     assert sol["tau"] == pytest.approx(3.0795, abs=5e-4)
     assert sol["validation"]["passed"] is True
+    assert sol["validation"]["check_samples"] == 2001
+
+
+def test_solve_reports_first_tier_samples(capsys):
+    # the second-row root fails on the check grid's 51 direct samples per phase
+    assert main(["solve", "--json", "--pick", "nearest=3.79,4.08"]) == 0
+    validation = json.loads(capsys.readouterr().out)["solutions"][0]["validation"]
+    assert validation["passed"] is False and validation["check_samples"] == 51
+    assert validation["contact_force_violation"] < -0.1
 
 
 def test_solve_writes_outputs_and_manifest(tmp_path, capsys):
@@ -76,6 +85,7 @@ def test_solve_writes_outputs_and_manifest(tmp_path, capsys):
     assert main(["solve", "--out", str(prefix)]) == 0
     payload = json.loads((tmp_path / "run.json").read_text())
     assert payload["solutions"][0]["tau_prime"] == pytest.approx(0.77785, abs=5e-5)
+    assert payload["solutions"][0]["validation"]["check_samples"] == 2001
     manifest = json.loads((tmp_path / "run.manifest.json").read_text())
     assert manifest["command"] == "solve"
     assert str(tmp_path / "run.json") in manifest["outputs"]

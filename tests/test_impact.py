@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import warnings
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 import collisionless as cl
 from collisionless import cli, impact
 from collisionless.impact import (
+    _cell_corners,
     _crossing_seeds,
     _segments,
     _sign_change_cells,
@@ -117,10 +120,15 @@ def test_grid_kernels_match_mode_kernels(count):
         times[[0, -1]] = -half, half
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grid = impact._grid_kernels(half, count, *constants)
+            coarse = impact._coarse_kernels(half, count, *constants)
+            grid = impact._grid_kernels(half, count, *constants, coarse)
             direct = [k.T for k in impact._mode_kernels(times, *constants)]
         parity = np.where(constants[2], 1.0, -1.0)[:, None]
-        for got, want, sign in zip(grid, direct, (parity, -parity)):
+        block = math.gcd(m, impact.GRID_BLOCK)
+        for got, want, sign, table in zip(grid, direct, (parity, -parity), coarse):
+            # the coarse times 0, B h, ..., half hold the directly evaluated table (up to the
+            # sign of a zero)
+            assert np.array_equal(got[:, m::block].T, table), label
             assert got.shape == want.shape == (constants[0].size, count), label
             assert np.array_equal(np.isfinite(got), np.isfinite(want)), label
             scale = np.abs(want).max(axis=1, keepdims=True)
@@ -374,6 +382,18 @@ def test_scan_grids_match_impact_residual(family, biped_spectral):
     _assert_grids_match(np.stack([field.det_a, field.det_b]), stacked)
 
 
+def _grid_segments(xa, ya, Z, cells):
+    """``_segments`` in the masked cells of the grid Z."""
+    i, j = np.nonzero(cells)
+    return _segments(xa, ya, i, j, _cell_corners(Z, i, j))
+
+
+def _grid_seeds(xa, ya, det_a, det_b, cells):
+    """``_crossing_seeds`` in the masked cells of the grids det_a and det_b."""
+    i, j = np.nonzero(cells)
+    return _crossing_seeds(xa, ya, i, j, _cell_corners(det_a, i, j), _cell_corners(det_b, i, j))
+
+
 def _cell_crossings_reference(xa, ya, Z):
     """Reference: zero-crossing segments of Z, built cell by cell in raster order."""
     segments = []
@@ -444,7 +464,7 @@ def test_segments_match_per_cell_loop(Z):
     # zeros, ties, saddles and non-finite corners: same segments, same order, same bits
     xa = 0.3 + 0.05 * np.arange(Z.shape[0])
     ya = 0.01 + 0.04 * np.arange(Z.shape[1])
-    segs, kept = _segments(xa, ya, Z, _sign_change_cells(Z))
+    segs, kept = _grid_segments(xa, ya, Z, _sign_change_cells(Z))
     expected = np.array(_cell_crossings_reference(xa, ya, Z), float).reshape(-1, 2, 2)
     assert segs[kept].shape == expected.shape
     assert segs[kept].tobytes() == expected.tobytes()
@@ -454,7 +474,8 @@ def test_segments_match_per_cell_loop(Z):
 def test_saddle_cell_pairs_crossings_by_centre_sign(v11, pairs):
     # Z[i, j] with i along o_N: corners 1, -1 on the bottom edge and -1, v11 on the top
     Z = np.array([[1.0, -1.0], [-1.0, v11]])
-    segs, kept = _segments(np.array([0.0, 1.0]), np.array([0.0, 1.0]), Z, np.ones((1, 1), bool))
+    segs, kept = _grid_segments(np.array([0.0, 1.0]), np.array([0.0, 1.0]), Z,
+                                 np.ones((1, 1), bool))
     cross = 1.0 / (1.0 + v11)
     bottom, top, left, right = (0.5, 0.0), (cross, 1.0), (0.0, 0.5), (1.0, cross)
     crossings = (bottom, top, left, right)
@@ -484,11 +505,11 @@ def test_linear_fields_seed_once_at_their_intersection(steps_x, steps_y, origin,
     assume(min(np.abs(Z).min() for Z in fields) > 1e-9)
     assume(np.abs(xa - x_star).min() > 1e-9 and np.abs(ya - y_star).min() > 1e-9)
     for Z, c in zip(fields, (a, b)):
-        segs, kept = _segments(xa, ya, Z, _sign_change_cells(Z))
+        segs, kept = _grid_segments(xa, ya, Z, _sign_change_cells(Z))
         ends = segs[kept].reshape(-1, 2)
         assert np.abs(c[0] + c[1] * ends[:, 0] + c[2] * ends[:, 1]).max(initial=0.0) <= 1e-12
     both = _sign_change_cells(fields[0]) & _sign_change_cells(fields[1])
-    seeds = _crossing_seeds(xa, ya, *fields, both)
+    seeds = _grid_seeds(xa, ya, *fields, both)
     if xa[0] < x_star < xa[-1] and ya[0] < y_star < ya[-1]:
         assert seeds.shape == (1, 2)
         np.testing.assert_allclose(seeds[0], [x_star, y_star], rtol=0, atol=1e-12)
@@ -506,7 +527,7 @@ def test_zero_row_plateau_gives_no_seed():
     det_a[3] = det_b[3] = 0.0
     both = _sign_change_cells(det_a) & _sign_change_cells(det_b)
     assert both[2:4].all() and both.sum() == 2 * both.shape[1]
-    assert _crossing_seeds(xa, ya, det_a, det_b, both).shape == (0, 2)
+    assert _grid_seeds(xa, ya, det_a, det_b, both).shape == (0, 2)
 
 
 @pytest.mark.parametrize("family", ["biped", "rocker"])
@@ -535,7 +556,7 @@ def _scan_reference(spectra, grid):
         det_a, det_b = (np.linalg.det(np.delete(bc, drop, axis=-2)) for drop in (n - 1, n))
     both = _sign_change_cells(det_a) & _sign_change_cells(det_b)
     both &= cl.existence_gate(spectra.lam_prime)
-    return det_a, det_b, _crossing_seeds(o_n_axis, o_p_axis, det_a, det_b, both)
+    return det_a, det_b, _grid_seeds(o_n_axis, o_p_axis, det_a, det_b, both)
 
 
 def _assert_scan_matches_reference(spectra, grid):
@@ -574,6 +595,68 @@ def test_scan_matches_full_grid_reference_on_random_models(n, seed):
     _assert_scan_matches_reference(spectral, cl.GridSpec(step=0.1))
 
 
+def _scan_case(case, biped_spectral):
+    """(spectra, grid) of a named scan case; a grid here is anything with ``axes()``."""
+    if case == "biped":
+        return biped_spectral.spectra, cl.GridSpec()
+    if case in ("stiff", "stiff-wide"):
+        grid = cl.GridSpec(o_p_max=3 * np.pi) if case == "stiff-wide" else cl.GridSpec()
+        return cl.analyze(stiff_hyperbolic_model()), grid
+    if case == "floored-row":
+        # every mode even: at o_n = 1e-170 the squares of the free velocities underflow, and
+        # at o_p = 0 the contact velocities vanish, so row 0's norm is 0 and takes its floor
+        o_n = np.concatenate([[1e-170, 1e-160], 0.1 * np.arange(1, 40)])
+        o_p = 0.1 * np.arange(30)
+        return cl.SpectrumPair([-2.0, 1.0], [0.5], [-1, -1], [-1]), SimpleNamespace(
+            axes=lambda: (o_n, o_p))
+    top = {"no-existence": -0.5, "zero-top": 0.0}[case]
+    return cl.SpectrumPair([-2.0, 1.0], [top], [1, 1], [1]), cl.GridSpec()
+
+
+@pytest.mark.parametrize("case", ["biped", "stiff", "stiff-wide", "floored-row", "no-existence",
+                                  "zero-top"])
+def test_scan_cells_and_seeds_from_raw_minors(case, biped_spectral):
+    # the cells from the raw minors' signs are those of the whole unit-row grids, and the
+    # seeds from the corner values are those of the whole grids, bit for bit
+    spectra, grid = _scan_case(case, biped_spectral)
+    o_n_axis, o_p_axis = grid.axes()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        raw_a, raw_b, norms = impact._minor_grids(o_n_axis, o_p_axis, spectra)
+        signs_a, signs_b = impact._unit_signs(raw_a, raw_b, norms)
+    field = cl.scan_contour(spectra, grid)
+    for stored, raw in zip(field.raw, (raw_a, raw_b)):
+        assert np.array_equal(stored, raw, equal_nan=True)
+    cells = _sign_change_cells(field.det_a) & _sign_change_cells(field.det_b)
+    assert np.array_equal(_sign_change_cells(signs_a) & _sign_change_cells(signs_b), cells)
+    cells &= cl.existence_gate(spectra.lam_prime)
+    seeds = _grid_seeds(o_n_axis, o_p_axis, field.det_a, field.det_b, cells)
+    assert field.seeds.shape == seeds.shape and field.seeds.tobytes() == seeds.tobytes()
+    assert (field.seeds.size > 0) == (case not in ("no-existence", "zero-top"))
+    if case == "floored-row":
+        # a unit-row minor is at most 1 in magnitude unless a row norm takes its floor; the
+        # bounds of _unit_signs see that and take the unit values there
+        assert abs(field.det_a[0, 0]) > 1e100 and np.isfinite(raw_a[0, 0])
+        assert not np.array_equal(signs_a, raw_a)
+
+
+def test_solve_normalises_only_the_seed_cells(biped, monkeypatch):
+    # the solve path keeps no unit-row grid: it normalises the corners of the cells where
+    # both minors change sign, and nothing else
+    evaluated = []
+    unit_minors = impact._unit_minors
+
+    def counted(det_a, det_b, norms, p, q):
+        evaluated.append(np.broadcast(p, q).size)
+        return unit_minors(det_a, det_b, norms, p, q)
+
+    monkeypatch.setattr(impact, "_unit_minors", counted)
+    run = cl.solve_model(biped)
+    assert "_unit_grids" not in vars(run.contour)
+    assert evaluated and sum(evaluated) < 0.01 * run.contour.raw[0].size
+    assert run.contour.det_a.shape == run.contour.raw[0].shape   # built on first access
+    assert "_unit_grids" in vars(run.contour)
+
+
 def test_scan_evaluates_each_phase_once_and_contour_the_grid_once(biped_spectral, tmp_path,
                                                                   monkeypatch):
     calls = {"_mode_kernels": 0, "_minor_grids": 0}
@@ -592,7 +675,7 @@ def test_scan_evaluates_each_phase_once_and_contour_the_grid_once(biped_spectral
     assert calls == {"_mode_kernels": 2, "_minor_grids": 1}   # one per phase
     calls.update(_mode_kernels=0, _minor_grids=0)
     assert cli.main(["contour", "--out", str(tmp_path / "field"), "--grid-step", "0.1"]) == 0
-    # the curves and the CSV read the stored grids
+    # the curves and the CSV normalise the stored raw grids
     assert calls == {"_mode_kernels": 2, "_minor_grids": 1}
 
 

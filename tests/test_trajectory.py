@@ -246,8 +246,12 @@ def _reference_runs():
 
 def test_validate_matches_direct_linspace_reference():
     # the addition-theorem grid decides as the direct samples do: the same verdict, the
-    # impact fields bit for bit, and the two violations within 1e-12 of their scales
-    records = 0
+    # impact fields bit for bit, and the two violations within 1e-12 of their scales.  A
+    # record the first tier fails carries the minima of the grid's 51 direct samples instead:
+    # none is more than 1e-12 of its scale below the direct minimum, and one lies below
+    # -tol times its scale
+    tol = cl.ValidatorTolerances().contact
+    records = first_tier = 0
     for label, run in _reference_runs():
         for record in run.records:
             got = record.report.to_dict()
@@ -256,12 +260,92 @@ def test_validate_matches_direct_linspace_reference():
             for key in ("impact_velocity_residual", "impact_accel_residual",
                         "continuity_residual", "energy_variation"):
                 assert got[key] == want[key], (label, key)
-            assert abs(got["penetration_violation"] - want["penetration_violation"]) \
-                <= 1e-12 * clearance_scale, label
-            assert abs(got["contact_force_violation"] - want["contact_force_violation"]) \
-                <= 1e-12 * force_scale, label
+            keys = ("penetration_violation", "contact_force_violation")
+            scales = (clearance_scale, force_scale)
+            if got["check_samples"] == trajectory.CHECK_SAMPLES:
+                for key, scale in zip(keys, scales):
+                    assert abs(got[key] - want[key]) <= 1e-12 * scale, (label, key)
+            else:
+                assert got["check_samples"] == 51 and not want["passed"], label
+                for key, scale in zip(keys, scales):
+                    assert got[key] >= want[key] - 1e-12 * scale, (label, key)
+                assert any(got[key] < -tol * scale for key, scale in zip(keys, scales)), label
+                first_tier += 1
             records += 1
-    assert records >= 100
+    assert records >= 100 and first_tier > 0
+
+
+def _tier_cases():
+    """(model, solution) pairs: the records of the biped, the stiff model and random N = 2..6
+    models, and off-root solutions detuned from each of them."""
+    rng = np.random.default_rng(21)
+    runs = [cl.solve_model(cl.build_armed_biped()), cl.solve_model(stiff_hyperbolic_model())]
+    for n in (2, 3, 4, 5, 6) * 2:
+        model, spectral = random_spd_model(n, rng, name=f"random{n}")
+        if cl.existence_gate(spectral.lam_prime):
+            try:
+                runs.append(cl.solve_model(model))
+            except cl.ConvergenceError:
+                continue
+    for run in runs:
+        for record in run.records:
+            times, spectral = record.solution.times, run.spectral
+            yield run.model, record.solution
+            for shift in (1e-6, 1e-3, 3e-2):
+                yield run.model, _off_root_solution(spectral, cl.ImpactTimes(
+                    tau=times.tau + shift,
+                    tau_prime=times.tau_prime,
+                    o_n=times.o_n + shift * spectral.omega_top,
+                    o_prime=times.o_prime,
+                    residual=(np.nan, np.nan),
+                ))
+
+
+def test_first_tier_fails_only_what_the_grid_fails(monkeypatch):
+    # at the default tolerances, and at contact tolerances under which each negative
+    # violation passes the grid by a hair: a record the first tier fails fails the grid too,
+    # with the same impact fields and no coarse minimum more than 1e-12 of its scale below
+    # the grid's, and a record it leaves to the grid gets the grid's report bit for bit
+    def grid_only(solution, model, tolerances):
+        with monkeypatch.context() as patch:
+            patch.setattr(trajectory, "TIER_RTOL", np.inf)   # no minimum is below -inf
+            return cl.validate(solution, model, tolerances)
+
+    decided = borderline = 0
+    for model, solution in _tier_cases():
+        _, clearance_scale, force_scale = _reference_validate(solution, model)
+        scales = {"penetration_violation": clearance_scale, "contact_force_violation": force_scale}
+        default = grid_only(solution, model, None)
+        tolerances = [None] + [cl.ValidatorTolerances(contact=-violation / scale * (1 + 1e-6))
+                               for key, scale in scales.items()
+                               if (violation := getattr(default, key)) < 0]
+        for tol in tolerances:
+            got, want = cl.validate(solution, model, tol), grid_only(solution, model, tol)
+            assert want.check_samples == trajectory.CHECK_SAMPLES
+            if got.check_samples == trajectory.CHECK_SAMPLES:
+                assert got == want
+                continue
+            assert got.check_samples == 51 and not want.passed
+            got, want = got.to_dict(), want.to_dict()
+            for key in ("impact_velocity_residual", "impact_accel_residual",
+                        "continuity_residual", "energy_variation"):
+                assert got[key] == want[key], key
+            for key, scale in scales.items():
+                assert got[key] >= want[key] - 1e-12 * scale, key
+            decided += 1
+            borderline += tol is not None
+    assert decided >= 100 and borderline > 0
+
+
+def test_first_tier_failure_builds_no_check_grid(biped_run, biped, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the first tier's failure built the check grid")
+
+    monkeypatch.setattr(trajectory, "_grid_kernels", forbidden)
+    record = next(r for r in biped_run.records if r.row == 1)
+    report = cl.validate(record.solution, biped)
+    assert report.check_samples == 51 and not report.passed
+    assert report == record.report
 
 
 @pytest.mark.parametrize("name", ["velocity", "acceleration", "continuity", "energy", "contact"])
