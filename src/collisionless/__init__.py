@@ -60,7 +60,6 @@ from .impact import (
     mode_motion,
     mode_motion_vec,
     phase_rate,
-    phi,
     reduction_gap,
     refine_root,
     refine_roots,

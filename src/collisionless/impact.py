@@ -15,7 +15,11 @@ equations in the impact times (tau, tau').  This module provides:
 * damped-Newton refinement of a scan's seeds in lockstep: each iteration
   serves every active seed with one batched solve and at most two
   residual calls, so a run makes at most 1 + 2 * (largest iteration
-  count) calls, and each seed's outcome is the one it gets alone,
+  count) calls, and each seed's outcome is the one it gets alone; the
+  line search asks for a sufficient decrease, a cut of max|F| by the
+  fraction ``REFINE_MIN_DECREASE``, except below ``REFINE_TOL_RESIDUAL``
+  where no increase suffices, so a seed creeping toward the degenerate
+  corner stalls instead of spending its iterations,
 * assembly of the full (2N+1) x 2N matching matrix, and
 * certification of each root by one SVD of that matrix, whose rank gap
   decides the root and whose null vector gives the mode weights.
@@ -62,7 +66,6 @@ __all__ = [
     "existence_gate",
     "contact_matrix",
     "impact_residual",
-    "phi",
     "GridSpec",
     "ContourField",
     "scan_contour",
@@ -82,10 +85,12 @@ POLE_ATOL = 1e-9
 # Certification: refined times are a root iff the matching matrix's rank gap is below this.
 RANK_GAP_MAX = 1e-6
 
-# Newton refinement: convergence tolerances and forward-difference step.
+# Newton refinement: convergence tolerances, forward-difference step, and the
+# relative cut in max|F| that the line search demands above REFINE_TOL_RESIDUAL.
 REFINE_TOL_RESIDUAL = 1e-11
 REFINE_TOL_STEP = 1e-12
 REFINE_FD_STEP = 1e-6
+REFINE_MIN_DECREASE = 1e-8
 
 
 # --------------------------------------------------------------------------- kernels
@@ -531,12 +536,6 @@ def impact_residual(o, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
     return dets.transpose(dets.ndim - 1, *range(dets.ndim - 1))   # the minor axis first
 
 
-def phi(o_n, o_prime, spectra: SpectrumPair, M, eta_vec) -> float:
-    """Product of the two normalized determinants; its zero set is both curves."""
-    d = impact_residual((o_n, o_prime), spectra, M, eta_vec)
-    return float(d[0] * d[1])
-
-
 # ----------------------------------------------------------------- contour scan
 
 @dataclass(frozen=True)
@@ -879,10 +878,12 @@ def refine_roots(seeds, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> l
     Jacobian is forward finite differences with step ``REFINE_FD_STEP``,
     taken from the same residual evaluation as F.  The line search takes the
     first of the step scalings 1, 1/2, ..., 2**-39 that stays in the positive
-    quadrant and does not increase the residual norm; a seed with none
-    stalls.  Convergence requires both residuals below
-    ``REFINE_TOL_RESIDUAL`` and the last full Newton step below
-    ``REFINE_TOL_STEP``.
+    quadrant and decreases the residual norm max|F| sufficiently: to at most
+    (1 - ``REFINE_MIN_DECREASE``) times its current value, or, once that value
+    is below ``REFINE_TOL_RESIDUAL``, to at most the value itself.  A seed
+    with no such scaling stalls, and its error names the iteration.
+    Convergence requires both residuals below ``REFINE_TOL_RESIDUAL`` and the
+    last full Newton step below ``REFINE_TOL_STEP``.
 
     Every iteration serves all seeds still active: one batched solve of their
     Jacobians, one ``impact_residual`` call on each seed's first candidate
@@ -921,6 +922,8 @@ def refine_roots(seeds, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> l
             live, o, F, J, step, bound = (a[keep] for a in (live, o, F, J, step, bound))
             if not live.size:
                 return outcomes
+        # sufficient decrease: above the tolerance a candidate must cut max|F| by a fraction
+        limit = np.where(bound >= REFINE_TOL_RESIDUAL, (1 - REFINE_MIN_DECREASE) * bound, bound)
         # each seed's candidates o + 2**-j step, j = 0..39; those outside the quadrant do not count
         cands = o[:, None] + _SCALINGS * step[:, None]
         inside = cands.min(axis=2) > 0
@@ -930,7 +933,7 @@ def refine_roots(seeds, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> l
         if lead.size:   # first call: each seed's first candidate
             pts = cands[lead, first[lead]]
             F_new, J_new = _newton_terms(pts, spectra, M, eta_vec)
-            take = np.abs(F_new).max(axis=1) <= bound[lead]
+            take = np.abs(F_new).max(axis=1) <= limit[lead]
             if take.all() and lead.size == live.size:   # every seed takes its first candidate
                 o, F, J = pts, F_new, J_new
                 continue
@@ -946,7 +949,7 @@ def refine_roots(seeds, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> l
         if rows.size:
             rows = lead[rows]
             F_new, J_new = _newton_terms(cands[rows, cols], spectra, M, eta_vec)
-            good = (np.abs(F_new).max(axis=1) <= bound[rows]).tolist()
+            good = (np.abs(F_new).max(axis=1) <= limit[rows]).tolist()
             end = 0
             for r, count in zip(lead.tolist(), later.sum(axis=1).tolist()):
                 start, end = end, end + count   # seed r's block of the call, in scaling order
@@ -957,14 +960,16 @@ def refine_roots(seeds, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> l
         if not ok.all():
             for r in np.flatnonzero(~ok):
                 outcomes[live[r]] = ConvergenceError(
-                    f"refinement stalled at o = {o[r].tolist()} (residual {bound[r]:.2e})"
+                    f"refinement stalled in iteration {iteration} at o = {o[r].tolist()}"
+                    f" (residual {bound[r]:.2e})"
                 )
             live, o, F, J = live[ok], o[ok], F[ok], J[ok]
             if not live.size:
                 return outcomes
-    for r in live:
+    for row, r in enumerate(live.tolist()):
         outcomes[r] = ConvergenceError(
             f"no convergence after {max_iter} iterations from seed {seeds[r]!r}"
+            f" (ended at o = {o[row].tolist()}, residual {np.abs(F[row]).max():.2e})"
         )
     return outcomes
 

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import re
 import warnings
 from collections import deque
 from types import SimpleNamespace
@@ -310,12 +312,10 @@ def test_biped_root_determinants(biped_spectral, biped_cauchy, biped_root):
 def test_phi_product_and_bracketing(biped_spectral, biped_cauchy):
     M, eta_vec = biped_cauchy
     spectra = biped_spectral.spectra
-    val = cl.phi(3.0, 0.9, spectra, M, eta_vec)
-    d = cl.impact_residual((3.0, 0.9), spectra, M, eta_vec)
-    assert val == pytest.approx(d[0] * d[1], rel=1e-12)
-    # a grid line crossing a single zero curve (away from intersections,
-    # where phi only touches zero) must change sign
-    line = np.array([cl.phi(o, 1.2, spectra, M, eta_vec) for o in np.arange(3.0, 4.6, 0.02)])
+    # the product of the two minors vanishes on both curves: a grid line crossing a
+    # single zero curve (away from intersections, where it only touches zero) must change sign
+    line = np.array([np.prod(cl.impact_residual((o, 1.2), spectra, M, eta_vec))
+                     for o in np.arange(3.0, 4.6, 0.02)])
     assert np.any(np.sign(line[:-1]) != np.sign(line[1:]))
 
 
@@ -956,10 +956,10 @@ def test_zero_mode_check_runs_once_per_pair(monkeypatch):
 
 
 def test_refine_root_stalls_when_no_halving_helps():
-    # this seed creeps toward o_N -> 0 until no halved step lowers max|F|
+    # this seed creeps toward o_N -> 0 until no halved step cuts max|F| by REFINE_MIN_DECREASE
     pair = cl.n2_spectrum("rocker", nu1=1.5, omega2=2.5, omega1p=1.0)
     M, eta_vec = cauchy_inputs(pair)
-    with pytest.raises(cl.ConvergenceError, match="stalled"):
+    with pytest.raises(cl.ConvergenceError, match=r"stalled in iteration \d+ at o = "):
         cl.refine_root((0.9, 1.23), pair, M, eta_vec, max_iter=40)
 
 
@@ -987,20 +987,28 @@ def _refine_root_loop(seed, spectra, M, eta_vec, *, max_iter=100):
                 residual=(float(F[0]), float(F[1])),
                 iterations=iteration,
             )
+        bound = np.abs(F).max()
+        limit = bound
+        if bound >= cl.impact.REFINE_TOL_RESIDUAL:
+            limit = (1 - cl.impact.REFINE_MIN_DECREASE) * bound
         damping = 1.0
         for _ in range(40):
             cand = o + damping * step
             if cand.min() > 0:
                 F_cand, J_cand = evaluate(cand)
-                if np.abs(F_cand).max() <= np.abs(F).max():
+                if np.abs(F_cand).max() <= limit:
                     o, F, J = cand, F_cand, J_cand
                     break
             damping *= 0.5
         else:
             raise cl.ConvergenceError(
-                f"refinement stalled at o = {o.tolist()} (residual {np.abs(F).max():.2e})"
+                f"refinement stalled in iteration {iteration} at o = {o.tolist()}"
+                f" (residual {bound:.2e})"
             )
-    raise cl.ConvergenceError(f"no convergence after {max_iter} iterations from seed {seed!r}")
+    raise cl.ConvergenceError(
+        f"no convergence after {max_iter} iterations from seed {seed!r}"
+        f" (ended at o = {o.tolist()}, residual {np.abs(F).max():.2e})"
+    )
 
 
 def _outcome(refine, seed, spectra, M, eta_vec, max_iter):
@@ -1047,6 +1055,51 @@ def test_refine_root_matches_candidate_loop():
     assert converged > 100 and failed > 20
 
 
+def _lockstep_outcomes(spectra, seeds, max_iter):
+    M, eta_vec = cauchy_inputs(spectra)
+    return [o if isinstance(o, cl.ImpactTimes) else str(o)
+            for o in cl.refine_roots(seeds, spectra, M, eta_vec, max_iter=max_iter)]
+
+
+def test_sufficient_decrease_has_margin(monkeypatch):
+    # no decrease demanded (the plain "no increase" rule) and 100 times the
+    # default: every converging seed converges to the same bits under both
+    converged = 0
+    for spectra, seeds, max_iter in _refine_cases():
+        default = _lockstep_outcomes(spectra, seeds, max_iter)
+        for fraction in (0.0, 100 * impact.REFINE_MIN_DECREASE):
+            monkeypatch.setattr(impact, "REFINE_MIN_DECREASE", fraction)
+            changed = _lockstep_outcomes(spectra, seeds, max_iter)
+            monkeypatch.undo()
+            for seed, ours, theirs in zip(seeds, default, changed):
+                if isinstance(ours, cl.ImpactTimes):
+                    assert theirs == ours, f"seed {seed.tolist()} at {fraction}"
+                elif fraction == 0.0:
+                    assert isinstance(theirs, str), f"seed {seed.tolist()} fails only by default"
+        converged += sum(isinstance(o, cl.ImpactTimes) for o in default)
+    assert converged > 100
+
+
+def test_failing_rocker_seeds_stop_early(monkeypatch):
+    # seeds creeping toward o_N -> 0, o' -> pi/2 used to accept halvings that
+    # barely lowered max|F| until they ran out of iterations; now they stall,
+    # and their calls in all fell from 806 to 350
+    failing = []
+    for spectra, seeds, max_iter in itertools.islice(_refine_cases(), 10):   # the rocker cases
+        for seed, outcome in zip(seeds, _lockstep_outcomes(spectra, seeds, max_iter)):
+            if isinstance(outcome, str):
+                if outcome.startswith("no convergence"):
+                    residual = float(re.search(r"residual (\S+)\)$", outcome).group(1))
+                    assert residual < impact.REFINE_TOL_RESIDUAL, outcome
+                failing.append((spectra, seed))
+    assert len(failing) > 10
+    calls = _counting_residual(monkeypatch)
+    for spectra, seed in failing:
+        with pytest.raises(cl.ConvergenceError):
+            cl.refine_root(seed, spectra, spectra.M, spectra.eta, max_iter=40)
+    assert len(calls) <= 400
+
+
 def test_refine_roots_shares_residual_calls(biped_spectral, monkeypatch):
     # every iteration serves all active seeds with at most two calls
     spectra = biped_spectral.spectra
@@ -1090,15 +1143,15 @@ def test_singular_jacobian_stops_only_its_seed(biped_spectral, monkeypatch):
 
 def test_refine_root_at_most_two_residual_calls_per_iteration(monkeypatch):
     # the stalled rocker seed backtracks deeply; the candidate loop pays one
-    # call per halving (173 calls), the library one call for the full step and
+    # call per halving (60 calls), the library one call for the full step and
     # one for all remaining halvings
     pair = cl.n2_spectrum("rocker", nu1=1.5, omega2=2.5, omega1p=1.0)
     M, eta_vec = cauchy_inputs(pair)
     seed = (0.9, 1.23)
     expected = _outcome(_refine_root_loop, seed, pair, M, eta_vec, 40)
-    assert "stalled" in expected
-    # the stall happens in iteration 15: with 14 it runs out of iterations first
-    stall = 15
+    # the stall happens in iteration 12: with 11 it runs out of iterations first
+    stall = 12
+    assert expected.startswith(f"refinement stalled in iteration {stall} at o = ")
     assert "no convergence" in _outcome(cl.refine_root, seed, pair, M, eta_vec, stall - 1)
     calls = _counting_residual(monkeypatch)
     assert _outcome(cl.refine_root, seed, pair, M, eta_vec, 40) == expected
