@@ -18,8 +18,10 @@ equations in the impact times (tau, tau').  This module provides:
   count) calls, and each seed's outcome is the one it gets alone; the
   line search asks for a sufficient decrease, a cut of max|F| by the
   fraction ``REFINE_MIN_DECREASE``, except below ``REFINE_TOL_RESIDUAL``
-  where no increase suffices, so a seed creeping toward the degenerate
-  corner stalls instead of spending its iterations,
+  where no increase suffices; on a pair whose free kernels share one
+  parity the residual has phantom roots (0, o'_c) at tau = 0, which are
+  no impact, and a seed whose iterate comes within ``CORNER_RADIUS`` of
+  one ends there instead of refining into it,
 * assembly of the full (2N+1) x 2N matching matrix, and
 * certification of each root by one SVD of that matrix, whose rank gap
   decides the root and whose null vector gives the mode weights.
@@ -91,6 +93,13 @@ REFINE_TOL_RESIDUAL = 1e-11
 REFINE_TOL_STEP = 1e-12
 REFINE_FD_STEP = 1e-6
 REFINE_MIN_DECREASE = 1e-8
+
+# On a pair whose free kernels share one parity, refinement ends a seed whose iterate comes
+# within this distance, in impact phase, of a phantom root (0, o'_c) (see ``refine_roots``).
+# No converging seed of the benchmark's pools, the armed biped or the random test models
+# comes within 1.28 of one, and every failing rocker seed of its criterion-2 pools comes
+# within 0.3 by its second iteration.
+CORNER_RADIUS = 0.3
 
 
 # --------------------------------------------------------------------------- kernels
@@ -868,22 +877,77 @@ def _newton_steps(J, F):
         return step, singular
 
 
+def _phantom_corners(o, spectra: SpectrumPair):
+    """Distance of each row of o (k, 2) to its nearest phantom root (0, o'_c), and that o'_c.
+
+    Only a pair whose free kernels share one parity has phantoms; on any
+    other the distances are inf.  A phantom's o'_c is a zero of a contact
+    kernel's velocity gpd_j when every free kernel is even, and of its
+    position gp_j when every free kernel is odd (see ``refine_roots``).
+    The factor that vanishes is sin-like (zeros at omega'_j tau' = k pi)
+    for the velocity of an even kernel and the position of an odd one, and
+    cos-like (zeros at pi/2 + k pi) otherwise; for a hyperbolic kernel a
+    sinh-like factor vanishes at tau' = 0 only and a cosh-like one never,
+    and a zero-frequency kernel is left out.  The gap to the nearest zero in
+    each mode's own phase is the modulo distance of ``phase_rate``'s pole
+    check, converted to o' = omega'_top tau'.
+    """
+    free_even = spectra.kernels[0][2]
+    if free_even.any() and not free_even.all():
+        return np.full(len(o), np.inf), np.full(len(o), np.nan)
+    om, osc, even, _ = spectra.kernels[1]
+    sin_like = even == free_even[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_o = om / spectra.omega_prime_top   # each contact mode's phase per unit of o'
+        phase = o[:, 1:] * per_o
+        # signed phase from the nearest zero, inf where there is none
+        off = np.where(osc, (phase - np.where(sin_like, 0.0, np.pi / 2) + np.pi / 2) % np.pi
+                       - np.pi / 2, np.where(sin_like, phase, np.inf))
+        gap = np.where(om > 0, np.abs(off) / per_o, np.inf)
+        j = gap.argmin(axis=1)
+        rows = np.arange(len(o))
+        return np.hypot(o[:, 0], gap[rows, j]), o[:, 1] - off[rows, j] / per_o[j]
+
+
 def refine_roots(seeds, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> list:
     """Damped Newton refinement of contour seeds in impact-phase coordinates, in lockstep.
 
     ``seeds`` is a (k, 2) array of finite positive phases; the result lists,
     per seed and in order, its ImpactTimes or the ConvergenceError that ended
-    it: a singular Jacobian, a stall, or ``max_iter`` iterations without
-    convergence.  The residual is the pair of normalized determinants; the
-    Jacobian is forward finite differences with step ``REFINE_FD_STEP``,
-    taken from the same residual evaluation as F.  The line search takes the
-    first of the step scalings 1, 1/2, ..., 2**-39 that stays in the positive
-    quadrant and decreases the residual norm max|F| sufficiently: to at most
+    it: a phantom corner, a singular Jacobian, a stall, or ``max_iter``
+    iterations without convergence.  The residual is the pair of normalized
+    determinants; the Jacobian is forward finite differences with step
+    ``REFINE_FD_STEP``, taken from the same residual evaluation as F.  The
+    line search takes the first of the step scalings 1, 1/2, ..., 2**-39
+    that stays in the positive quadrant and decreases the residual norm
+    max|F| sufficiently: to at most
     (1 - ``REFINE_MIN_DECREASE``) times its current value, or, once that value
     is below ``REFINE_TOL_RESIDUAL``, to at most the value itself.  A seed
     with no such scaling stalls, and its error names the iteration.
     Convergence requires both residuals below ``REFINE_TOL_RESIDUAL`` and the
     last full Newton step below ``REFINE_TOL_STEP``.
+
+    The residual has phantom roots (0, o'_c), which are no impact (tau = 0).
+    On a pair whose free kernels are all even (sigma = -1) every free
+    velocity gdot_i vanishes at tau = 0, and so does the top block's last
+    column gdot / lam, the only column of det_b that is not
+    -g_i gpd_j M_ij there: det_b is 0 on the whole line o_N = 0, and
+    det_a, which keeps the amplitude-sum row's 1, is a multiple of the
+    product of the contact velocities gpd_j(-tau'), so each velocity zero
+    o'_c of a contact kernel is a phantom.  det_b's first-order term in tau
+    carries the same product, so the Jacobian's det_b row vanishes there:
+    the root is singular and Newton creeps into it linearly (for N = 2 the
+    free rows vanish with it and the unit-row residual has no limit, so
+    seeds stall near it instead).  On a pair whose free kernels are all
+    odd every g_i vanishes at tau = 0 instead, contact column j of the top
+    block is gp_j times gdot_i M_ij and of the amplitude-sum row gp_j times
+    sum(eta), and both minors vanish at each position zero of a contact
+    kernel; there the root is regular, and ``build_solution`` certifies it.
+    At the top of every iteration, from the seed itself on, a seed whose
+    iterate lies within ``CORNER_RADIUS`` of a phantom
+    (``_phantom_corners``) ends with an error that names the corner, the
+    iteration, the point and the residual; this is tested before
+    convergence, so no root within the radius is returned.
 
     Every iteration serves all seeds still active: one batched solve of their
     Jacobians, one ``impact_residual`` call on each seed's first candidate
@@ -903,9 +967,18 @@ def refine_roots(seeds, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> l
         step, singular = _newton_steps(J, F)
         bound = np.abs(F).max(axis=1)
         converged = (bound < REFINE_TOL_RESIDUAL) & (np.abs(step).max(axis=1) < REFINE_TOL_STEP)
-        stop = singular | converged
+        gap, corner = _phantom_corners(o, spectra)
+        near = gap < CORNER_RADIUS
+        stop = near | singular | converged
         if stop.any():
             for r in np.flatnonzero(stop):
+                if near[r]:
+                    outcomes[live[r]] = ConvergenceError(
+                        f"refinement reached the phantom corner (0, o'_c = {corner[r]:.6g})"
+                        f" in iteration {iteration} at o = {o[r].tolist()}"
+                        f" (residual {bound[r]:.2e})"
+                    )
+                    continue
                 if singular[r]:
                     outcomes[live[r]] = ConvergenceError("singular Jacobian during refinement")
                     continue

@@ -172,6 +172,17 @@ class ModelSpec:
         """Plain-dict form matching the JSON model-file schema."""
         return _as_dict(self)
 
+    @cached_property
+    def static_offset(self) -> np.ndarray:
+        """Read-only static equilibrium offset x0, k^-1 times the static force on coordinate n.
+
+        Solved once per model: ``analyze`` and every ``validate`` of the
+        model's solutions share it.
+        """
+        rhs = np.zeros(self.n)
+        rhs[-1] = self.static_force
+        return _frozen(np.linalg.solve(self.stiffness, rhs))
+
 
 def _check_spectra(lam, lam_prime, sigma, sigma_prime, ndim=1):
     """Read-only (lam, lam_prime, sigma, sigma_prime) after ``SpectrumPair``'s checks.

@@ -93,10 +93,11 @@ def constrained_modes(X: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def static_offset(model: ModelSpec) -> np.ndarray:
-    """Static equilibrium offset x0: last column of k^{-1} times the static force."""
-    rhs = np.zeros(model.n)
-    rhs[-1] = model.static_force
-    return np.linalg.solve(model.stiffness, rhs)
+    """Static equilibrium offset x0: last column of k^{-1} times the static force.
+
+    This is the model's read-only ``ModelSpec.static_offset``, solved once per model.
+    """
+    return model.static_offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,5 +164,5 @@ def analyze(model: ModelSpec) -> SpectralData:
         sigma_prime=model.sigma_prime,
         mode_matrix=X,
         norm_const=c,
-        static_offset=static_offset(model),
+        static_offset=model.static_offset,
     )

@@ -40,7 +40,7 @@ from .impact import (
     mode_motion_vec,
 )
 from .model import ModelSpec, _as_dict, _check_integer, _check_positive, _kernel_constants
-from .spectral import SpectralData, static_offset
+from .spectral import SpectralData
 from .svgout import SvgCanvas
 
 __all__ = [
@@ -268,7 +268,7 @@ def _check_same_model(spectral: SpectralData, model: ModelSpec):
         ("stiffness_matrix", spectral.stiffness_matrix, model.stiffness),
         ("sigma", spectral.sigma, model.sigma),
         ("sigma_prime", spectral.sigma_prime, model.sigma_prime),
-        ("static_offset", spectral.static_offset, static_offset(model)),
+        ("static_offset", spectral.static_offset, model.static_offset),
     ):
         if np.abs(ours - theirs).max() > MODEL_RTOL * np.abs(theirs).max():
             raise InvalidParameterError(f"the solution is not one of this model: {name} differs")

@@ -955,12 +955,23 @@ def test_zero_mode_check_runs_once_per_pair(monkeypatch):
     assert calls[1:] == [hopper, hopper]
 
 
+def _stall_case():
+    """A pair with an odd and an even free kernel, so without phantoms, and a seed of its
+    scan that stalls in iteration 6 at o = (1.869, 3.362), far from the line o_N = 0."""
+    rng = np.random.default_rng(10)
+    for n in (3, 4, 5, 6, 3, 4, 5):   # the seventh model of this stream
+        _, spectral = random_spd_model(n, rng)
+    seeds = cl.scan_contour(spectral).seeds
+    return spectral, seeds[np.abs(seeds - [1.42, 3.68]).max(axis=1).argmin()]
+
+
 def test_refine_root_stalls_when_no_halving_helps():
-    # this seed creeps toward o_N -> 0 until no halved step cuts max|F| by REFINE_MIN_DECREASE
-    pair = cl.n2_spectrum("rocker", nu1=1.5, omega2=2.5, omega1p=1.0)
-    M, eta_vec = cauchy_inputs(pair)
-    with pytest.raises(cl.ConvergenceError, match=r"stalled in iteration \d+ at o = "):
-        cl.refine_root((0.9, 1.23), pair, M, eta_vec, max_iter=40)
+    # no halved step cuts max|F| (1.6e-4) by REFINE_MIN_DECREASE of itself
+    spectral, seed = _stall_case()
+    assert np.isinf(impact._phantom_corners(seed[None], spectral)[0]).all()
+    stall = r"stalled in iteration 6 at o = \[1\.869\d*, 3\.361\d*\] \(residual 1\.60e-04\)"
+    with pytest.raises(cl.ConvergenceError, match=stall):
+        cl.refine_root(seed, spectral, spectral.M, spectral.eta)
 
 
 def _refine_root_loop(seed, spectra, M, eta_vec, *, max_iter=100):
@@ -975,6 +986,13 @@ def _refine_root_loop(seed, spectra, M, eta_vec, *, max_iter=100):
 
     F, J = evaluate(o)
     for iteration in range(1, max_iter + 1):
+        gap, corner = impact._phantom_corners(o[None], spectra)
+        if gap[0] < impact.CORNER_RADIUS:
+            raise cl.ConvergenceError(
+                f"refinement reached the phantom corner (0, o'_c = {corner[0]:.6g})"
+                f" in iteration {iteration} at o = {o.tolist()}"
+                f" (residual {np.abs(F).max():.2e})"
+            )
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
@@ -1081,23 +1099,107 @@ def test_sufficient_decrease_has_margin(monkeypatch):
 
 
 def test_failing_rocker_seeds_stop_early(monkeypatch):
-    # seeds creeping toward o_N -> 0, o' -> pi/2 used to accept halvings that
-    # barely lowered max|F| until they ran out of iterations; now they stall,
-    # and their calls in all fell from 806 to 350
+    # seeds creeping toward the phantom (0, pi/2) used to accept halvings that
+    # barely lowered max|F| until they ran out of iterations (806 residual calls
+    # in all), then stalled (350 calls); now each ends at the corner
     failing = []
     for spectra, seeds, max_iter in itertools.islice(_refine_cases(), 10):   # the rocker cases
         for seed, outcome in zip(seeds, _lockstep_outcomes(spectra, seeds, max_iter)):
             if isinstance(outcome, str):
-                if outcome.startswith("no convergence"):
-                    residual = float(re.search(r"residual (\S+)\)$", outcome).group(1))
-                    assert residual < impact.REFINE_TOL_RESIDUAL, outcome
+                assert "phantom corner (0, o'_c = 1.5708) in iteration" in outcome, outcome
                 failing.append((spectra, seed))
     assert len(failing) > 10
     calls = _counting_residual(monkeypatch)
     for spectra, seed in failing:
-        with pytest.raises(cl.ConvergenceError):
+        before = len(calls)
+        with pytest.raises(cl.ConvergenceError, match="phantom corner"):
             cl.refine_root(seed, spectra, spectra.M, spectra.eta, max_iter=40)
-    assert len(calls) <= 400
+        assert len(calls) - before <= 3   # the seed's own call and at most one iteration more
+    assert len(calls) <= 2 * len(failing)
+
+
+def _parity_pair(n, rng, free_sigma):
+    """Random interlaced pair with free signatures ``free_sigma``, random contact ones, gaps and
+    eigenvalues at least 0.1 in magnitude, and a top contact eigenvalue above 0.2."""
+    while True:
+        nodes = np.sort(rng.uniform(-3.0, 3.0, 2 * n - 1))
+        if np.diff(nodes).min() > 0.1 and np.abs(nodes).min() > 0.1 and nodes[-2] > 0.2:
+            return cl.SpectrumPair(nodes[0::2], nodes[1::2], free_sigma,
+                                   rng.choice([-1, 1], n - 1))
+
+
+def _phantoms(pair, zero_of, o_max):
+    """o'_c in (0, o_max) where a contact kernel's ``zero_of`` ('velocity' or 'position') is 0."""
+    phases = []
+    for lam, sigma in zip(pair.lam_prime, pair.sigma_prime):
+        if lam > 0:   # cos(w t) has its zeros at pi/2 + k pi and sin(w t) at k pi
+            cos_like = (sigma == -1) == (zero_of == "position")
+            k = np.arange(1, 40)
+            zeros = (k - 0.5 if cos_like else k) * np.pi / np.sqrt(lam)
+            phases += list(zeros * pair.omega_prime_top)
+    return np.array([p for p in phases if p < o_max])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_phantom_roots_on_the_line_tau_zero(n):
+    # at tau = 0 every even free kernel has gdot = 0 and every odd one g = 0:
+    # all even, det_b vanishes on the whole line o_N = 0 and F on it where a
+    # contact velocity does (for N = 2 the free rows vanish there too, and the
+    # unit-row residual has no limit); all odd, F vanishes where a contact
+    # position does; mixed, neither
+    rng = np.random.default_rng(800 + n)
+    o_p = np.linspace(0.05, 3 * np.pi, 61)
+    line = lambda pair, eps: cl.impact_residual((np.full(o_p.size, eps), o_p), pair,
+                                                pair.M, pair.eta)
+    for _ in range(10):
+        for parity, zero_of in ((-1, "velocity"), (1, "position")):
+            pair = _parity_pair(n, rng, np.full(n, parity))
+            phantoms = _phantoms(pair, zero_of, 3 * np.pi + 0.1)
+            if parity == -1:   # away from the phantoms, where N = 2's free rows vanish
+                away = np.abs(o_p[:, None] - np.r_[0.0, phantoms]).min(axis=1) > 0.05
+                np.testing.assert_array_less(np.abs(line(pair, 1e-6)[1])[away],
+                                             0.05 * np.abs(line(pair, 1e-4)[1])[away] + 1e-13)
+            else:
+                assert np.abs(line(pair, 1e-6)[1]).max() > 1e-3
+            if parity == -1 and n == 2 or not phantoms.size:
+                continue
+            at = lambda eps: np.abs(cl.impact_residual(
+                (np.full(len(phantoms), eps), phantoms), pair, pair.M, pair.eta)).max(axis=0)
+            np.testing.assert_array_less(at(1e-6), 0.05 * at(1e-4) + 1e-13)
+            gap, corner = impact._phantom_corners(np.column_stack(
+                [np.full(len(phantoms), 0.01), phantoms]), pair)
+            np.testing.assert_allclose(gap, 0.01, rtol=1e-9)
+            np.testing.assert_allclose(corner, phantoms, rtol=1e-12)
+        mixed = _parity_pair(n, rng, rng.permutation(np.r_[1, -1, rng.choice([-1, 1], n - 2)]))
+        assert np.isinf(impact._phantom_corners(np.column_stack([np.full(o_p.size, 1e-6), o_p]),
+                                                mixed)[0]).all()
+        assert np.abs(line(mixed, 1e-6)[1]).max() > 1e-3
+
+
+def test_refinement_stops_before_a_certifiable_corner():
+    # the solve benchmark's n5-ref-0: every free kernel odd and the top contact
+    # kernel even, so (0, pi/2) is a phantom.  The rank test certifies it: from
+    # this seed refinement used to converge to o_N = 5.2e-13 in 37 iterations
+    # and build_solution to accept it with rank gap 7.8e-14
+    rng = np.random.default_rng(20240226)
+    for n in (3, 4, 5):
+        _, spectral = random_spd_model(n, rng)
+    assert (spectral.sigma == 1).all() and spectral.sigma_prime[-1] == -1
+    tau, tau_prime = spectral.from_phase(5e-13, np.pi / 2)
+    phantom = cl.ImpactTimes(tau, tau_prime, 5e-13, np.pi / 2, (0.0, 0.0))
+    assert cl.build_solution(spectral, phantom).rank_gap < 1e-12
+    with pytest.raises(cl.ConvergenceError, match=re.escape(
+            "refinement reached the phantom corner (0, o'_c = 1.5708) in iteration 1"
+            " at o = [0.075, 1.525] (residual 5.10e-04)")):
+        cl.refine_root((0.075, 1.525), spectral, spectral.M, spectral.eta)
+    # the corner test comes before the convergence test: a seed on the phantom ends there too
+    with pytest.raises(cl.ConvergenceError, match=r"phantom corner .* in iteration 1 at o = \[5e-13"):
+        cl.refine_root((5e-13, np.pi / 2), spectral, spectral.M, spectral.eta)
+    # the armed biped (every free kernel even) ran its corner seed for all 100 iterations
+    biped = cl.analyze(cl.build_armed_biped())
+    outcomes = cl.refine_roots(cl.scan_contour(biped).seeds, biped, biped.M, biped.eta)
+    corner = [str(o) for o in outcomes if isinstance(o, cl.ConvergenceError)]
+    assert len(corner) == 1 and "phantom corner (0, o'_c = 1.5708)" in corner[0]
 
 
 def test_refine_roots_shares_residual_calls(biped_spectral, monkeypatch):
@@ -1142,19 +1244,18 @@ def test_singular_jacobian_stops_only_its_seed(biped_spectral, monkeypatch):
 
 
 def test_refine_root_at_most_two_residual_calls_per_iteration(monkeypatch):
-    # the stalled rocker seed backtracks deeply; the candidate loop pays one
-    # call per halving (60 calls), the library one call for the full step and
-    # one for all remaining halvings
-    pair = cl.n2_spectrum("rocker", nu1=1.5, omega2=2.5, omega1p=1.0)
-    M, eta_vec = cauchy_inputs(pair)
-    seed = (0.9, 1.23)
-    expected = _outcome(_refine_root_loop, seed, pair, M, eta_vec, 40)
-    # the stall happens in iteration 12: with 11 it runs out of iterations first
-    stall = 12
+    # the stalled seed backtracks deeply; the candidate loop pays one call per
+    # halving, the library one call for the full step and one for all
+    # remaining halvings
+    spectra, seed = _stall_case()
+    M, eta_vec = spectra.M, spectra.eta
+    expected = _outcome(_refine_root_loop, seed, spectra, M, eta_vec, 40)
+    # the stall happens in iteration 6: with 5 it runs out of iterations first
+    stall = 6
     assert expected.startswith(f"refinement stalled in iteration {stall} at o = ")
-    assert "no convergence" in _outcome(cl.refine_root, seed, pair, M, eta_vec, stall - 1)
+    assert "no convergence" in _outcome(cl.refine_root, seed, spectra, M, eta_vec, stall - 1)
     calls = _counting_residual(monkeypatch)
-    assert _outcome(cl.refine_root, seed, pair, M, eta_vec, 40) == expected
+    assert _outcome(cl.refine_root, seed, spectra, M, eta_vec, 40) == expected
     assert len(calls) <= 1 + 2 * stall
     # calls[i] is the number of points of call i: every batch of halvings
     # follows a call on the full step alone

@@ -120,6 +120,18 @@ def test_static_offset_diagonal_stiffness():
     np.testing.assert_allclose(cl.static_offset(model), [0.0, 0.0, 0.5], atol=1e-14)
 
 
+def test_static_offset_solved_once_per_model(monkeypatch):
+    model = cl.build_armed_biped()
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a) or solve(*a))
+    offset = cl.static_offset(model)
+    assert cl.static_offset(model) is offset is model.static_offset and len(solves) == 1
+    assert not offset.flags.writeable and "static_offset" not in model.to_config()
+    np.testing.assert_array_equal(cl.analyze(model).static_offset, offset)
+    assert len(solves) == 1
+
+
 def test_degenerate_spectrum_error():
     model = cl.ModelSpec(
         name="deg", n=3, mass=np.eye(3), stiffness=np.diag([1.0, 1.0 + 1e-13, 3.0]),
