@@ -54,6 +54,7 @@ from .impact import (
     alt_impact_residual,
     assemble_impact_matrix,
     build_solution,
+    build_solutions,
     contact_matrix,
     impact_residual,
     kernel_ratio,
@@ -93,4 +94,5 @@ from .trajectory import (
     to_svg,
     trajectory_from_json,
     validate,
+    validate_solutions,
 )

@@ -23,8 +23,9 @@ equations in the impact times (tau, tau').  This module provides:
   no impact, and a seed whose iterate comes within ``CORNER_RADIUS`` of
   one ends there instead of refining into it,
 * assembly of the full (2N+1) x 2N matching matrix, and
-* certification of each root by one SVD of that matrix, whose rank gap
-  decides the root and whose null vector gives the mode weights.
+* certification of a solve's roots by one SVD call on the stack of their
+  matching matrices: each rank gap decides a root, and each null vector
+  gives its mode weights.
 
 Everything except the matching matrix and its weights depends on the model
 only through its spectra and symmetry signatures.
@@ -80,6 +81,7 @@ __all__ = [
     "RANK_GAP_MAX",
     "ImpactSolution",
     "build_solution",
+    "build_solutions",
 ]
 
 POLE_ATOL = 1e-9
@@ -156,10 +158,14 @@ GRID_BLOCK = 40
 
 
 def _coarse_kernels(half, count, om, osc, even, rate):
-    """``_mode_kernels`` at ``_grid_kernels``' coarse times a B h < half and at half, (n, N) each."""
+    """``_mode_kernels`` at ``_grid_kernels``' coarse times a B h < half and at half.
+
+    ``half`` may be an array of half-widths; the tables are (..., n, N) each.
+    """
     m = (count - 1) // 2
-    starts = np.append(np.arange(0, m, math.gcd(m, GRID_BLOCK)) * (half / m), half)
-    return _mode_kernels(starts, om, osc, even, rate)
+    half = np.asarray(half, float)[..., None]
+    starts = np.arange(0, m, math.gcd(m, GRID_BLOCK)) * (half / m)
+    return _mode_kernels(np.concatenate([starts, half], axis=-1), om, osc, even, rate)
 
 
 def _grid_kernels(half, count, om, osc, even, rate, coarse):
@@ -1049,37 +1055,41 @@ def refine_roots(seeds, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> l
 
 # ---------------------------------------------------- matching matrix and weights
 
-def _certified_matrix(spectral: SpectralData, tau: float, tau_prime: float):
-    """Full (2N+1) x 2N matching matrix A, its rank gap, and its null vector.
+def _certified_matrices(spectral: SpectralData, tau, tau_prime):
+    """Full (k, 2N+1, 2N) matching matrices A, their rank gaps, and their null vectors.
 
-    Rows stack position matching, velocity matching, and the contact-coordinate
-    acceleration; columns are the free weights, contact weights, and the static
-    force.  One SVD of the column-normalized matrix (column scaling is
-    rank-preserving and removes the arbitrary hyperbolic magnitude spread)
-    gives both the rank gap, min/max singular value, which drops below ~1e-10
-    at genuine solutions, and the last right singular vector; divided by the
-    column norms, that vector spans A's kernel at a root.
+    One matrix per pair of impact times in the (k,) arrays ``tau`` and
+    ``tau_prime``.  Rows stack position matching, velocity matching, and the
+    contact-coordinate acceleration; columns are the free weights, contact
+    weights, and the static force.  One SVD call on the stack of
+    column-normalized matrices (column scaling is rank-preserving and removes
+    the arbitrary hyperbolic magnitude spread) gives each matrix's rank gap,
+    min/max singular value, which drops below ~1e-10 at genuine solutions,
+    and its last right singular vector; divided by the column norms, that
+    vector spans A's kernel at a root.  Each matrix's numbers are bit for bit
+    those it gets alone.
     """
     n = spectral.n
     X = spectral.mode_matrix
     Xp = spectral.mode_matrix_prime
     g, gd = mode_motion_vec(tau, spectral.lam, spectral.sigma)
     gp, gpd = mode_motion_vec(-tau_prime, spectral.lam_prime, spectral.sigma_prime)
-    A = np.zeros((2 * n + 1, 2 * n))
-    A[:n, :n] = X * g[None, :]
-    A[:n, n : 2 * n - 1] = -Xp * gp[None, :]
-    A[:n, -1] = -spectral.contact_compliance
-    A[n : 2 * n, :n] = X * gd[None, :]
-    A[n : 2 * n, n : 2 * n - 1] = -Xp * gpd[None, :]
-    A[2 * n, :n] = X[-1, :] * (-spectral.lam * g)
-    scale = _norms(A, 0)
+    A = np.zeros((len(tau), 2 * n + 1, 2 * n))
+    A[:, :n, :n] = X * g[:, None, :]
+    A[:, :n, n : 2 * n - 1] = -Xp * gp[:, None, :]
+    A[:, :n, -1] = -spectral.contact_compliance
+    A[:, n : 2 * n, :n] = X * gd[:, None, :]
+    A[:, n : 2 * n, n : 2 * n - 1] = -Xp * gpd[:, None, :]
+    A[:, 2 * n, :n] = X[-1, :] * (-spectral.lam * g)
+    scale = _norms(A, -2)
     _, sv, vt = np.linalg.svd(A / scale, full_matrices=False)
-    return A, float(sv[-1] / sv[0]), vt[-1] / scale[0]
+    return A, sv[:, -1] / sv[:, 0], vt[:, -1] / scale[:, 0]
 
 
 def assemble_impact_matrix(spectral: SpectralData, tau: float, tau_prime: float):
-    """Full (2N+1) x 2N matching matrix A and its rank gap (see ``build_solution``)."""
-    return _certified_matrix(spectral, tau, tau_prime)[:2]
+    """Full (2N+1) x 2N matching matrix A and its rank gap (see ``build_solutions``)."""
+    A, gaps, _ = _certified_matrices(spectral, np.array([tau]), np.array([tau_prime]))
+    return A[0], float(gaps[0])
 
 
 def reduction_gap(spectral: SpectralData, tau: float, tau_prime: float) -> float:
@@ -1137,7 +1147,7 @@ def alt_impact_residual(spectra: SpectrumPair, tau: float, tau_prime: float) -> 
 class ImpactSolution:
     """A certified root: its times, mode weights and certification numbers.
 
-    As ``build_solution`` makes it, ``q`` and ``q_prime`` come from the
+    As ``build_solutions`` makes it, ``q`` and ``q_prime`` come from the
     matching matrix's null vector and ``rank_gap`` is below RANK_GAP_MAX.
     """
 
@@ -1157,35 +1167,65 @@ class ImpactSolution:
         }
 
 
-def build_solution(spectral: SpectralData, times: ImpactTimes) -> ImpactSolution:
-    """Certify refined impact times as a root and take its mode weights.
+def build_solutions(spectral: SpectralData, times_list) -> list:
+    """Certify refined impact times as roots and take their mode weights.
 
-    This is the one place that decides what a root is.  One SVD of the
-    column-scaled matching matrix (``_certified_matrix``) gives the rank gap
-    and the null vector [q; q'; f].  Times whose rank gap is not below
-    RANK_GAP_MAX are no root and raise DegenerateSolutionError, as does a
-    null vector without a force component.  At a root the weights are the
-    null vector scaled so that f equals the static force, so they satisfy
-    every row of the matching system.  ``weight_residual`` is
+    This is the one place that decides what a root is.  One SVD call on the
+    stack of column-scaled matching matrices (``_certified_matrices``) gives
+    each root's rank gap and null vector [q; q'; f].  The result lists, per
+    entry of ``times_list`` and in order, its ImpactSolution or the
+    DegenerateSolutionError that refuses it: times whose rank gap is not
+    below RANK_GAP_MAX are no root, and neither are times whose null vector
+    has no force component.  At a root the weights are the null vector
+    scaled so that f equals the static force, so they satisfy every row of
+    the matching system.  ``weight_residual`` is
     max |W [q; q'] - [x0; 0]| over the top-left (2N-1) square block W.
+    Each entry's outcome is bit for bit the one it gets alone.
     """
-    A, rank_gap, kernel = _certified_matrix(spectral, times.tau, times.tau_prime)
-    if not rank_gap < RANK_GAP_MAX:
-        raise DegenerateSolutionError(
-            f"matching-matrix rank gap {rank_gap:.2e} is not below {RANK_GAP_MAX:g}: no root"
-        )
-    if kernel[-1] == 0:
-        raise DegenerateSolutionError("matching-matrix kernel has no static-force component")
+    if not times_list:
+        return []
+    A, gaps, kernels = _certified_matrices(
+        spectral, np.array([t.tau for t in times_list]), np.array([t.tau_prime for t in times_list])
+    )
     n = spectral.n
+    root = gaps < RANK_GAP_MAX
+    forced = root & (kernels[:, -1] != 0)
     compliance = spectral.contact_compliance
     force = float(spectral.static_offset @ compliance) / float(compliance @ compliance)
-    weights = kernel[:-1] * (force / kernel[-1])
+    weights = kernels[forced, :-1] * (force / kernels[forced, -1:])
     rhs = np.concatenate([spectral.static_offset, np.zeros(n - 1)])
-    return ImpactSolution(
-        times=times,
-        q=weights[:n],
-        q_prime=weights[n:],
-        spectral=spectral,
-        rank_gap=rank_gap,
-        weight_residual=float(np.abs(A[: 2 * n - 1, : 2 * n - 1] @ weights - rhs).max()),
-    )
+    block = A[forced, : 2 * n - 1, : 2 * n - 1]
+    residuals = np.abs(block @ weights[:, :, None] - rhs[:, None]).max(axis=(1, 2)).tolist()
+    outcomes = []
+    certified = zip(weights, residuals)
+    for times, gap, is_root, is_forced in zip(times_list, gaps.tolist(), root, forced):
+        if not is_root:
+            outcomes.append(DegenerateSolutionError(
+                f"matching-matrix rank gap {gap:.2e} is not below {RANK_GAP_MAX:g}: no root"
+            ))
+        elif not is_forced:
+            outcomes.append(DegenerateSolutionError(
+                "matching-matrix kernel has no static-force component"
+            ))
+        else:
+            w, residual = next(certified)
+            outcomes.append(ImpactSolution(
+                times=times,
+                q=w[:n],
+                q_prime=w[n:],
+                spectral=spectral,
+                rank_gap=gap,
+                weight_residual=residual,
+            ))
+    return outcomes
+
+
+def build_solution(spectral: SpectralData, times: ImpactTimes) -> ImpactSolution:
+    """Certify one root: ``build_solutions`` on ``times`` alone.
+
+    Returns its ImpactSolution, or raises its DegenerateSolutionError.
+    """
+    outcome, = build_solutions(spectral, [times])
+    if isinstance(outcome, DegenerateSolutionError):
+        raise outcome
+    return outcome

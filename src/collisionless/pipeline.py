@@ -19,13 +19,13 @@ from .impact import (
     ContourField,
     GridSpec,
     ImpactSolution,
-    build_solution,
+    build_solutions,
     refine_roots,
     scan_contour,
 )
 from .model import ModelSpec
 from .spectral import SpectralData, analyze
-from .trajectory import ValidationReport, ValidatorTolerances, validate
+from .trajectory import ValidationReport, ValidatorTolerances, validate_solutions
 
 __all__ = ["RootRecord", "SolveRun", "solve_model", "pick_records", "RANK_GAP_MAX"]
 
@@ -84,9 +84,12 @@ def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
     counted in ``failed_seeds``, in seed order.  Raises NoExistenceError when
     the largest contact eigenvalue is not positive, and ConvergenceError when
     no seed refines to a certified root.
-    Refined roots that ``build_solution`` refuses with DegenerateSolutionError
-    (a matching matrix that keeps full rank, as at spurious curve crossings,
-    e.g. from kernel zeros) are dropped and counted in ``spurious_roots``.
+    One ``build_solutions`` call certifies the merged roots with one SVD
+    call; the roots it refuses with DegenerateSolutionError (a matching
+    matrix that keeps full rank, as at spurious curve crossings, e.g. from
+    kernel zeros) are dropped and counted in ``spurious_roots``.  One
+    ``validate_solutions`` call then validates the certified roots, in
+    record order (rows of o_prime, each sorted by o_n).
     """
     marks = [perf_counter()]   # one mark after each stage
     spectral = analyze(model)
@@ -112,36 +115,28 @@ def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
             continue
         roots.append(times)
     marks.append(perf_counter())
-    spurious = 0
-    solutions = []
-    for times in roots:
-        try:
-            solution = build_solution(spectral, times)
-        except DegenerateSolutionError:
-            spurious += 1
-            continue
-        solutions.append(solution)
+    outcomes = build_solutions(spectral, roots)
+    solutions = [s for s in outcomes if not isinstance(s, DegenerateSolutionError)]
     if not solutions:
         raise ConvergenceError("no certified impact-time root in the scan window")
     marks.append(perf_counter())
     o_primes = [s.times.o_prime for s in solutions]
     rows = _cluster_rows(o_primes, ROW_CLUSTER_GAP)
-    records = []
+    places = []   # (solution, row, col) in record order
     for row_idx in range(rows.max() + 1):
         members = [s for s, r in zip(solutions, rows) if r == row_idx]
         members.sort(key=lambda s: s.times.o_n)
-        for col_idx, solution in enumerate(members):
-            report = validate(solution, model, tolerances)
-            records.append(
-                RootRecord(solution=solution, report=report, row=row_idx, col=col_idx)
-            )
+        places += [(solution, row_idx, col_idx) for col_idx, solution in enumerate(members)]
+    reports = validate_solutions([solution for solution, _, _ in places], model, tolerances)
+    records = [RootRecord(solution=solution, report=report, row=row, col=col)
+               for (solution, row, col), report in zip(places, reports)]
     marks.append(perf_counter())
     return SolveRun(
         model=model,
         spectral=spectral,
         contour=contour,
         records=records,
-        spurious_roots=spurious,
+        spurious_roots=len(outcomes) - len(solutions),
         failed_seeds=failed,
         timings={stage: b - a for stage, a, b in zip(STAGES, marks, marks[1:])},
     )

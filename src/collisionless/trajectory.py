@@ -13,6 +13,10 @@ builds from a small table per mode by the addition theorem rather than by a
 circular or hyperbolic function per sample.  A first tier reads only the
 grid's 51 directly evaluated times per phase against modal upper bounds on
 the scales; it fails most failing records without building the grid.
+``validate_solutions`` checks all of a solve's solutions in one call: one
+model check, then the impact residuals and the first tier on stacked
+arrays, and a grid for each solution the first tier leaves open;
+``validate`` is its one-solution case.
 
 The conserved energy is the plain mechanical one, E = (xd^T m xd + x^T k x)/2.
 It is constant within each phase for any mode weights: in the free phase it
@@ -49,6 +53,7 @@ __all__ = [
     "ValidationReport",
     "synthesize",
     "validate",
+    "validate_solutions",
     "to_csv",
     "to_json",
     "to_svg",
@@ -96,29 +101,36 @@ def _contact_state(spectral: SpectralData, q_prime, u):
 
 
 def _phase_grid(X, q, lam, g, gd, offset=0.0):
-    """x + offset, xd, xdd of a phase from its mode kernels g, gd (N, samples).
+    """x + offset, xd, xdd of a phase from its mode kernels g, gd (..., N, samples).
 
-    X is the phase's mode matrix and q its weights; one row per coordinate.
+    X is the phase's mode matrix and q its weights (..., N); one row per
+    coordinate, and a leading axis per solution of a stack.
     """
-    Xq = X * q
+    Xq = X * q[..., None, :]
     return Xq @ g + offset, Xq @ gd, (Xq * -lam) @ g
 
 
 def _mirrored(coarse, even):
-    """``_coarse_kernels``' table at the coarse times +-a B h, (N, 2n - 1) each.
+    """``_coarse_kernels``' table at the coarse times +-a B h, (..., N, 2n - 1) each.
 
     The times t < 0 follow by parity, as ``_grid_kernels`` mirrors them.
     """
     parity = np.where(even, 1.0, -1.0)[:, None]
-    g, gd = (k.T for k in coarse)
-    return np.hstack([parity * g[:, :0:-1], g]), np.hstack([-parity * gd[:, :0:-1], gd])
+    g, gd = (np.swapaxes(k, -1, -2) for k in coarse)
+    return (np.concatenate([parity * g[..., :0:-1], g], axis=-1),
+            np.concatenate([-parity * gd[..., :0:-1], gd], axis=-1))
 
 
 def _clearance_and_force(model: ModelSpec, offset, free, contact):
     """Signed clearance over the free samples and contact force over the contact samples."""
     sign = model.contact_sign
-    return (sign * (free[0][-1] - offset[-1]),
+    return (sign * (free[0][..., -1, :] - offset[-1]),
             sign * (model.mass[-1] @ contact[2] + model.stiffness[-1] @ contact[0]))
+
+
+def _dot(a, b):
+    """a @ b over the last axis, broadcast over the others, with the operand shapes of 1-D a @ b."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _scale(*arrays) -> float:
@@ -276,8 +288,20 @@ def _check_same_model(spectral: SpectralData, model: ModelSpec):
 
 def validate(solution: ImpactSolution, model: ModelSpec,
              tolerances: ValidatorTolerances | None = None) -> ValidationReport:
-    """Check impact conditions, conservation, clearance and contact force.
+    """Check one solution's impact conditions, conservation, clearance and contact force.
 
+    ``validate_solutions`` on that solution alone; it raises what that raises.
+    """
+    return validate_solutions([solution], model, tolerances)[0]
+
+
+def validate_solutions(solutions, model: ModelSpec,
+                       tolerances: ValidatorTolerances | None = None) -> list:
+    """Check impact conditions, conservation, clearance and contact force of each solution.
+
+    Returns one ValidationReport per solution, in order; each is bit for bit
+    the one the solution gets alone, because every product is taken with
+    the operand shapes of a single solution.
     Impact conditions, continuity and the energy jump are evaluated
     analytically from both phase formulas at the impact; the energy is
     constant within each phase, so the jump is its whole variation.
@@ -294,49 +318,50 @@ def validate(solution: ImpactSolution, model: ModelSpec,
     differs from the direct samples' by rounding only.  The grid is still
     a sampling: a dip narrower than h can fall between two samples.
 
-    A first tier runs before the grid is built.  It evaluates the clearance
-    and the force at the grid's 51 coarse times per phase, and bounds each
-    scale by its modal sum: sum_i |c_i q_i| max|g_i| plus the static term,
-    |x0_N| for the clearance and |k_N . x0| for the force, where c_i is
-    mode i's coefficient in the quantity and max|g_i| over the phase is 1
-    for an oscillatory mode and |g_i(half)| for a hyperbolic one.  A coarse
-    minimum below -tolerance times its bound, by more than TIER_RTOL times
-    the magnitude of the terms it sums, proves that the grid fails too; the
-    record then fails with the coarse minima as its violations (see
-    ``ValidationReport.check_samples``).  Every other record takes the
-    grid, which reuses the coarse kernels, and gets the report the grid
+    A first tier runs on all solutions at once, before any grid is built.
+    It evaluates the clearance and the force at the grid's 51 coarse times
+    per phase, and bounds each scale by its modal sum:
+    sum_i |c_i q_i| max|g_i| plus the static term, |x0_N| for the clearance
+    and |k_N . x0| for the force, where c_i is mode i's coefficient in the
+    quantity and max|g_i| over the phase is 1 for an oscillatory mode and
+    |g_i(half)| for a hyperbolic one.  A coarse minimum below -tolerance
+    times its bound, by more than TIER_RTOL times the magnitude of the
+    terms it sums, proves that the grid fails too; the solution then fails
+    with the coarse minima as its violations (see
+    ``ValidationReport.check_samples``).  Every other solution takes its
+    own grid, which reuses its coarse kernels, and gets the report the grid
     alone gives.
 
-    Raises InvalidParameterError, naming the quantity, when the solution's
-    derived mass or stiffness matrix, signatures or static offset differ
-    from the model's by more than MODEL_RTOL of its largest entry.
+    Raises InvalidParameterError when the solutions do not share one
+    SpectralData, and, naming the quantity, when its derived mass or
+    stiffness matrix, signatures or static offset differ from the model's
+    by more than MODEL_RTOL of its largest entry.
     """
     tol = tolerances or ValidatorTolerances()
-    spectral = solution.spectral
+    if not solutions:
+        return []
+    spectral = solutions[0].spectral
+    if any(s.spectral is not spectral for s in solutions):
+        raise InvalidParameterError("the solutions do not share one SpectralData")
     _check_same_model(spectral, model)
-    times = solution.times
-    tau, taup = times.tau, times.tau_prime
-    q, qp = solution.q, solution.q_prime
+    tau = np.array([s.times.tau for s in solutions])
+    taup = np.array([s.times.tau_prime for s in solutions])
+    q = np.array([s.q for s in solutions])
+    qp = np.array([s.q_prime for s in solutions])
 
-    x_f, xd_f, xdd_f = _free_state(spectral, q, np.array([tau]))
-    x_c, xd_c, _ = _contact_state(spectral, qp, np.array([-taup]))
-    v_resid = abs(xd_f[0, -1])
-    a_resid = abs(xdd_f[0, -1])
-    continuity = max(
-        np.abs(x_f[0] - x_c[0]).max(), np.abs(xd_f[0] - xd_c[0]).max()
-    )
+    # the states at the impact, one (1, N) row per solution
+    x_f, xd_f, xdd_f = _free_state(spectral, q[:, None], tau[:, None])
+    x_c, xd_c, _ = _contact_state(spectral, qp[:, None], -taup[:, None])
+    v_resid = np.abs(xd_f[:, 0, -1]).tolist()
+    a_resid = np.abs(xdd_f[:, 0, -1]).tolist()
+    continuity = np.maximum(np.abs(x_f - x_c).max(axis=(1, 2)),
+                            np.abs(xd_f - xd_c).max(axis=(1, 2))).tolist()
 
     # the energy is constant within each phase, so it can vary only by a jump at the impact
-    e_free = _energy(spectral, x_f, xd_f)
-    e_contact = _energy(spectral, x_c, xd_c)
-    energy_var = float(np.abs(e_free - e_contact)[0] / _scale(e_free, e_contact))
-    report = dict(
-        impact_velocity_residual=float(v_resid),
-        impact_accel_residual=float(a_resid),
-        continuity_residual=float(continuity),
-        energy_variation=energy_var,
-        tolerances=tol,
-    )
+    e_free, e_contact = (np.concatenate([_energy(spectral, *row) for row in zip(x, xd)])
+                         for x, xd in ((x_f, xd_f), (x_c, xd_c)))
+    energy_var = (np.abs(e_free - e_contact)
+                  / np.maximum(np.maximum(np.abs(e_free), np.abs(e_contact)), 1e-300)).tolist()
 
     X, Xp, offset = spectral.mode_matrix, spectral.mode_matrix_prime, spectral.static_offset
     lam, lamp = spectral.lam, spectral.lam_prime
@@ -349,41 +374,56 @@ def validate(solution: ImpactSolution, model: ModelSpec,
         model, offset, _phase_grid(X, q, lam, *_mirrored(coarse[0], phases[0][2])),
         _phase_grid(Xp, qp, lamp, *_mirrored(coarse[1], phases[1][2]), offset[:, None]))
     # max|g_i| over each phase: 1 for an oscillatory mode, |g_i(half)| for a hyperbolic one
-    peak, peak_p = (np.where(constants[1], 1.0, np.abs(table[0][-1]))
+    peak, peak_p = (np.where(constants[1], 1.0, np.abs(table[0][..., -1, :]))
                     for constants, table in zip(phases, coarse))
     # the clearance's bound is also the magnitude of its terms; the force's is not
-    clearance_bound = np.abs(X[-1] * q) @ peak + abs(offset[-1])
+    clearance_bound = _dot(np.abs(X[-1] * q), peak) + abs(offset[-1])
     k_n, m_n = model.stiffness[-1], model.mass[-1]
     weights = np.abs(qp) * peak_p
-    force_bound = np.abs(k_n @ Xp - lamp * (m_n @ Xp)) @ weights + abs(k_n @ offset)
-    force_terms = ((np.abs(k_n) @ np.abs(Xp) + np.abs(lamp) * (np.abs(m_n) @ np.abs(Xp)))
-                   @ weights + np.abs(k_n) @ np.abs(offset))
+    force_bound = _dot(np.abs(k_n @ Xp - lamp * (m_n @ Xp)), weights) + abs(k_n @ offset)
+    force_terms = (_dot(np.abs(k_n) @ np.abs(Xp) + np.abs(lamp) * (np.abs(m_n) @ np.abs(Xp)),
+                        weights) + np.abs(k_n) @ np.abs(offset))
     slack = TIER_RTOL * (1 + tol.contact)
-    if (clearance.min() < -tol.contact * clearance_bound - slack * clearance_bound
-            or force.min() < -tol.contact * force_bound - slack * force_terms):
-        return ValidationReport(**report, penetration_violation=float(clearance.min()),
-                                contact_force_violation=float(force.min()), passed=False,
-                                check_samples=clearance.size)
+    coarse_min = clearance.min(axis=-1), force.min(axis=-1)
+    failed = ((coarse_min[0] < -tol.contact * clearance_bound - slack * clearance_bound)
+              | (coarse_min[1] < -tol.contact * force_bound - slack * force_terms))
 
-    # (x, xd, xdd) of each full phase, one column per sample
-    free = _phase_grid(X, q, lam, *_grid_kernels(tau, CHECK_SAMPLES, *phases[0], coarse[0]))
-    contact = _phase_grid(Xp, qp, lamp, *_grid_kernels(taup, CHECK_SAMPLES, *phases[1], coarse[1]),
-                          offset[:, None])
-    xd_scale = _scale(free[1], contact[1])
-    clearance, force = _clearance_and_force(model, offset, free, contact)
-    penetration = float(clearance.min())
-    force_violation = float(force.min())
-
-    passed = (
-        v_resid < tol.velocity * xd_scale
-        and a_resid < tol.acceleration * _scale(free[2], contact[2])
-        and continuity < tol.continuity * max(_scale(free[0], contact[0]), xd_scale)
-        and energy_var < tol.energy
-        and penetration >= -tol.contact * _scale(clearance)
-        and force_violation >= -tol.contact * _scale(force)
-    )
-    return ValidationReport(**report, penetration_violation=penetration,
-                            contact_force_violation=force_violation, passed=bool(passed))
+    reports = []
+    for i in range(len(solutions)):
+        report = dict(
+            impact_velocity_residual=v_resid[i],
+            impact_accel_residual=a_resid[i],
+            continuity_residual=continuity[i],
+            energy_variation=energy_var[i],
+            tolerances=tol,
+        )
+        if failed[i]:
+            reports.append(ValidationReport(
+                **report, penetration_violation=float(coarse_min[0][i]),
+                contact_force_violation=float(coarse_min[1][i]), passed=False,
+                check_samples=clearance.shape[-1]))
+            continue
+        # (x, xd, xdd) of each full phase, one column per sample
+        free = _phase_grid(X, q[i], lam, *_grid_kernels(
+            tau[i], CHECK_SAMPLES, *phases[0], [table[i] for table in coarse[0]]))
+        contact = _phase_grid(Xp, qp[i], lamp, *_grid_kernels(
+            taup[i], CHECK_SAMPLES, *phases[1], [table[i] for table in coarse[1]]), offset[:, None])
+        xd_scale = _scale(free[1], contact[1])
+        clearance_i, force_i = _clearance_and_force(model, offset, free, contact)
+        penetration = float(clearance_i.min())
+        force_violation = float(force_i.min())
+        passed = (
+            v_resid[i] < tol.velocity * xd_scale
+            and a_resid[i] < tol.acceleration * _scale(free[2], contact[2])
+            and continuity[i] < tol.continuity * max(_scale(free[0], contact[0]), xd_scale)
+            and energy_var[i] < tol.energy
+            and penetration >= -tol.contact * _scale(clearance_i)
+            and force_violation >= -tol.contact * _scale(force_i)
+        )
+        reports.append(ValidationReport(**report, penetration_violation=penetration,
+                                        contact_force_violation=force_violation,
+                                        passed=bool(passed)))
+    return reports
 
 
 # ------------------------------------------------------------------- exporters

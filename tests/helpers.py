@@ -94,3 +94,14 @@ def non_pole_times(spectral, rng, lo=0.3, hi=3.0, margin=0.05):
         gp, _ = cl.mode_motion_vec(-tau_prime, spectral.lam_prime, spectral.sigma_prime)
         if min(np.abs(g).min(), np.abs(gd).min(), np.abs(gp).min()) > margin:
             return tau, tau_prime
+
+
+def float_bits(value):
+    """``value`` with every float as its hex form, so == compares bits (and the sign of 0)."""
+    if isinstance(value, dict):
+        return {key: float_bits(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [float_bits(v) for v in value]
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    return value

@@ -1,0 +1,52 @@
+"""The library calls that the benchmark in ``perfbench/`` makes, run as the benchmark runs them.
+
+A library change that breaks a workload's ``run`` or ``check``, or a traced run,
+fails here instead of in the benchmark.  The benchmark's files are imported,
+never changed.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import collisionless as cl
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+def _biped_task():
+    """The first task of every solve-batch pool."""
+    return workloads.ModelTask("armed-biped", cl.build_armed_biped())
+
+
+@pytest.mark.parametrize("name, task", [
+    ("solve-batch", _biped_task()),
+    ("n2-oracle", workloads.n2_oracle_tasks(1)[0]),
+    ("c0-study", workloads.c0_study_tasks(1)[0]),
+], ids=["solve-batch", "n2-oracle", "c0-study"])
+def test_workload_task_runs_and_checks(name, task):
+    workload = workloads.WORKLOADS[name]
+    outcome = workload.run(task)
+    assert workload.check(task, outcome) == []
+    workload.fingerprint(task, outcome)
+
+
+def test_traced_biped_solve():
+    task = _biped_task()
+    solve_model = cl.pipeline.solve_model
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        outcome = tracer.run_task(0, workloads.WORKLOADS["solve-batch"].run, task)
+    finally:
+        tracer.restore()
+    assert cl.pipeline.solve_model is solve_model
+    assert workloads.solve_batch_check(task, outcome) == []
+    metrics = tracer.layer_metrics()
+    assert metrics["pipeline.solve_model.calls"] == 1
+    assert metrics["trace.tasks"] == 1

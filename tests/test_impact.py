@@ -24,6 +24,7 @@ from collisionless.impact import (
 from collisionless.model import _kernel_constants
 from helpers import (
     cauchy_inputs,
+    float_bits,
     non_pole_times,
     random_rocker_freqs,
     random_spd_model,
@@ -1358,6 +1359,51 @@ def test_build_solution_certifies_with_one_svd(biped_spectral, biped_root, monke
     assert len(calls) == 1
     _, gap = cl.assemble_impact_matrix(biped_spectral, biped_root.tau, biped_root.tau_prime)
     assert gap == solution.rank_gap
+
+
+def _refined_roots():
+    """(label, spectral, refined roots before certification) of the biped, the stiff model
+    and seeded random N = 3..6 models; certification refuses some of the roots."""
+    models = [cl.build_armed_biped(), stiff_hyperbolic_model()]
+    rng = np.random.default_rng(7)
+    models += [random_spd_model(n, rng, name=f"random{n}-{i}")[0]
+               for i in range(2) for n in (3, 4, 5, 6)]
+    for model in models:
+        spectral = cl.analyze(model)
+        if not cl.existence_gate(spectral.lam_prime):
+            continue
+        seeds = cl.scan_contour(spectral).seeds
+        outcomes = cl.refine_roots(seeds, spectral, spectral.M, spectral.eta)
+        yield model.name, spectral, [t for t in outcomes if isinstance(t, cl.ImpactTimes)]
+
+
+def _certificate(outcome):
+    """An ImpactSolution's fields as bits, or a refusal's type and message."""
+    if isinstance(outcome, cl.ImpactSolution):
+        assert type(outcome.rank_gap) is float and type(outcome.weight_residual) is float
+        return float_bits(outcome.to_dict())
+    return type(outcome).__name__, str(outcome)
+
+
+def test_build_solutions_matches_one_root_at_a_time():
+    # one SVD call for every refined root of a scan gives each root's certificate or refusal
+    # bit for bit as it gets alone, in either order
+    certified = refused = 0
+    for label, spectral, roots in _refined_roots():
+        together = [_certificate(o) for o in cl.build_solutions(spectral, roots)]
+        alone = []
+        for times in roots:
+            try:
+                alone.append(_certificate(cl.build_solution(spectral, times)))
+            except cl.DegenerateSolutionError as exc:
+                alone.append(_certificate(exc))
+        assert together == alone, label
+        backwards = [_certificate(o) for o in cl.build_solutions(spectral, roots[::-1])]
+        assert backwards == together[::-1], label
+        refused += sum(isinstance(c, tuple) for c in alone)
+        certified += sum(isinstance(c, dict) for c in alone)
+    assert certified > 20 and refused > 5
+    assert cl.build_solutions(spectral, []) == []
 
 
 def _certified_models():

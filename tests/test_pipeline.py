@@ -1,8 +1,11 @@
 import time
+from collections import Counter
 
+import numpy as np
 import pytest
 
 import collisionless as cl
+from collisionless import pipeline, trajectory
 
 
 def test_biped_solve_run_structure(biped_run):
@@ -115,6 +118,30 @@ def test_solve_builds_cauchy_matrix_once(biped, monkeypatch):
     monkeypatch.setattr("collisionless.model.cauchy_matrix", counting)
     cl.solve_model(cl.build_armed_biped())
     assert len(calls) == 1
+
+
+def test_solve_certifies_and_validates_its_roots_as_stacks(biped, monkeypatch):
+    # one SVD call certifies every root, and one validate_solutions call, with one model
+    # check, validates every record
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(pipeline, "build_solutions",
+                        counted("build_solutions", pipeline.build_solutions))
+    monkeypatch.setattr(pipeline, "validate_solutions",
+                        counted("validate_solutions", pipeline.validate_solutions))
+    monkeypatch.setattr(trajectory, "_check_same_model",
+                        counted("_check_same_model", trajectory._check_same_model))
+    run = cl.solve_model(biped)
+    assert len(run.records) == 6
+    assert calls == {"svd": 1, "build_solutions": 1, "validate_solutions": 1,
+                     "_check_same_model": 1}
 
 
 def test_solve_model_times_every_stage(biped):

@@ -5,7 +5,7 @@ import pytest
 
 import collisionless as cl
 from collisionless import trajectory
-from helpers import random_spd_model, stiff_hyperbolic_model
+from helpers import float_bits, random_spd_model, stiff_hyperbolic_model
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +346,84 @@ def test_first_tier_failure_builds_no_check_grid(biped_run, biped, monkeypatch):
     report = cl.validate(record.solution, biped)
     assert report.check_samples == 51 and not report.passed
     assert report == record.report
+
+
+def _stack_cases():
+    """(label, model, solutions sharing one SpectralData): the records of the biped, the stiff
+    model and seeded random N = 3..6 models, each followed by off-root solutions detuned
+    from it."""
+    models = [cl.build_armed_biped(), stiff_hyperbolic_model()]
+    rng = np.random.default_rng(5)
+    models += [random_spd_model(n, rng, name=f"random{n}-{i}")[0]
+               for i in range(2) for n in (3, 4, 5, 6)]
+    for model in models:
+        try:
+            run = cl.solve_model(model)
+        except (cl.NoExistenceError, cl.ConvergenceError):
+            continue
+        solutions = []
+        for record in run.records:
+            times, spectral = record.solution.times, run.spectral
+            solutions.append(record.solution)
+            solutions += [_off_root_solution(spectral, cl.ImpactTimes(
+                tau=times.tau + shift,
+                tau_prime=times.tau_prime,
+                o_n=times.o_n + shift * spectral.omega_top,
+                o_prime=times.o_prime,
+                residual=(np.nan, np.nan),
+            )) for shift in (1e-6, 1e-3)]
+        yield model.name, model, solutions
+
+
+def test_validate_solutions_matches_one_solution_at_a_time():
+    # a stack's reports are bit for bit those its solutions get alone, in either order, so
+    # a report does not depend on what it is stacked with; the stacks reach both tiers
+    tiers = {}
+    for label, model, solutions in _stack_cases():
+        together = [float_bits(r.to_dict()) for r in cl.validate_solutions(solutions, model)]
+        alone = [float_bits(cl.validate(s, model).to_dict()) for s in solutions]
+        assert together == alone, label
+        backwards = cl.validate_solutions(solutions[::-1], model)
+        assert [float_bits(r.to_dict()) for r in backwards] == together[::-1], label
+        for report in alone:
+            key = (report["check_samples"], report["passed"])
+            tiers[key] = tiers.get(key, 0) + 1
+    assert tiers.get((51, False), 0) > 20
+    assert tiers.get((trajectory.CHECK_SAMPLES, True), 0) > 10
+    assert tiers.get((trajectory.CHECK_SAMPLES, False), 0) > 10
+    assert cl.validate_solutions([], model) == []
+
+
+def _changed_model(model, key):
+    """``model`` with its quantity ``key`` changed: a sign flipped, or a value scaled by
+    1 + 1e-6."""
+    config = model.to_config()
+    value = np.array(config[key], float)
+    config[key] = (-value if key.startswith("sigma") else value * (1 + 1e-6)).tolist()
+    return cl.load_model(config)
+
+
+@pytest.mark.parametrize("key, quantity", [
+    ("mass", "mass_matrix"), ("stiffness", "stiffness_matrix"), ("sigma", "sigma"),
+    ("sigma_prime", "sigma_prime"), ("static_force", "static_offset"),
+])
+def test_mismatched_model_is_named(biped, biped_run, key, quantity):
+    # the model check runs once per stack and still names the quantity that differs
+    other = _changed_model(biped, key)
+    solutions = [r.solution for r in biped_run.records]
+    with pytest.raises(cl.InvalidParameterError, match=f": {quantity} differs"):
+        cl.validate(solutions[0], other)
+    with pytest.raises(cl.InvalidParameterError, match=f": {quantity} differs"):
+        cl.validate_solutions(solutions, other)
+
+
+def test_validate_solutions_rejects_mixed_spectral_data(biped, biped_run):
+    # equal values are not enough: the stack shares one SpectralData or raises
+    solution = biped_run.records[0].solution
+    twin = cl.build_solution(cl.analyze(biped), solution.times)
+    with pytest.raises(cl.InvalidParameterError, match="share one SpectralData"):
+        cl.validate_solutions([solution, twin], biped)
+    assert cl.validate(twin, biped) == cl.validate(solution, biped)
 
 
 @pytest.mark.parametrize("name", ["velocity", "acceleration", "continuity", "energy", "contact"])
