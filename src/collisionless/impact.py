@@ -10,8 +10,8 @@ equations in the impact times (tau, tau').  This module provides:
   phase coordinates (o_N, o'_{N-1}) and seed extraction at curve crossings
   (both determinants on the whole grid as one matrix product, by their
   expansion in the free and the contact kernels; the cells come from the
-  raw products' signs, and only the corners of the cells where both change
-  sign are divided by their row norms),
+  products' signs, and only the corners of the cells where both change sign
+  take values, from the unit-row evaluator of the residual),
 * damped-Newton refinement of a scan's seeds in lockstep: each iteration
   serves every active seed with one batched solve and at most two
   residual calls, so a run makes at most 1 + 2 * (largest iteration
@@ -37,7 +37,6 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -330,8 +329,8 @@ def _unit_contact(o_n, o_prime, spectra: SpectrumPair, M, eta_vec) -> np.ndarray
     divided by its ``_norms`` entry, floored at 1e-300, so each maximal minor
     is O(1); a row norm does not depend on which row a minor drops.  A row
     whose squares would overflow still becomes a unit row, not a row of
-    zeros.  ``impact_residual`` evaluates its points here; the scan's grids
-    (``_minor_grids``) scale the free rows the same way.
+    zeros.  ``impact_residual``, the scan's corners and ``ContourField``'s
+    grids all evaluate their points here.
     """
     tau, tau_prime = spectra.from_phase(o_n, o_prime)
     g, gd = _scaled_free_kernels(tau, spectra)
@@ -365,27 +364,8 @@ def _subsets(k: int) -> np.ndarray:
     return (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1 == 1
 
 
-class _RowNorms(NamedTuple):
-    """What it takes to divide the raw minors of ``_minor_grids`` by their row norms.
-
-    Per tau: the scaled free kernels ``g``, ``gd`` (n_tau, N).  Per tau': the
-    floored amplitude-row norm ``amplitude``, the Gram coefficients ``alpha``,
-    ``beta``, ``gamma_d``, ``gamma_g`` (N, n_tau') of the rows i < N, and
-    the contact exponent ``f``.
-    """
-
-    g: np.ndarray
-    gd: np.ndarray
-    amplitude: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma_d: np.ndarray
-    gamma_g: np.ndarray
-    f: np.ndarray
-
-
 def _minor_grids(o_n_axis, o_p_axis, spectra: SpectrumPair):
-    """Raw (det_a, det_b) of the contact matrix on the grid o_n_axis x o_p_axis, and their norms.
+    """Raw (det_a, det_b) of the contact matrix on the grid o_n_axis x o_p_axis.
 
     A determinant is multilinear in its columns and in its rows (Horn &
     Johnson, *Matrix Analysis*, 2nd ed., sec. 0.3).  Column j < N-1 of the
@@ -403,16 +383,10 @@ def _minor_grids(o_n_axis, o_p_axis, spectra: SpectrumPair):
 
     Exact powers of two keep the products in range: the free rows are
     scaled by ``_scaled_free_kernels``, and at each tau' the contact kernels
-    by one 2**-f, which scales columns 0..N-2.  The raw grids are returned
-    as they are, with the ``_RowNorms`` that ``_unit_minors`` divides them
-    by.  The amplitude-sum row's norm depends on tau' alone; row i < N's
-    comes from the Gram matrix of its gp and gpd parts, whose coefficients
-    depend on tau' alone, and the row's free kernels.  The last column's
-    share of each norm is scaled to match the contact kernels, so the norms
-    and each minor carry 2**-f and 2**(-(N-1) f) in all, and a final 2**-f
-    restores the unit-row minors.  On the tested models both unit grids
-    have ``impact_residual``'s finiteness and signs and agree with it to
-    about 1e-14.
+    by one 2**-f, which scales columns 0..N-2.  Each raw minor is thus its
+    unit-row minor (``_unit_contact``) times positive row norms and powers
+    of two, and has its sign wherever neither underflows nor overflows; the
+    grids are returned undivided.
     """
     n = spectra.n
     M = spectra.M
@@ -433,105 +407,7 @@ def _minor_grids(o_n_axis, o_p_axis, spectra: SpectrumPair):
     B = np.where(cols, gp[:, None], -gpd[:, None]).prod(axis=-1)
     det_a = F @ (C[0, : len(cols)] @ B.T)   # det_a drops row N-1: the subsets T without it
     det_b = np.hstack([F * gd[:, -1:], F * g[:, -1:]]) @ (C[1] @ B.T)
-    # Row i's squared norm is (gd_i, g_i) G (gd_i, g_i)^T + (gd_i / lam_i)^2, where
-    # G = [[P, -Q], [-Q, R]] is the Gram matrix of gp * M[i] and gpd * M[i].  Its Cholesky
-    # factor, pivoted on the larger of P and R, makes it (alpha gd_i + beta g_i)^2 +
-    # gamma_d gd_i^2 + gamma_g g_i^2 with coefficients of tau' alone, and P R - Q^2 comes from
-    # Lagrange's identity, so no term cancels more than the row's own entries do.
-    P, Q, R = np.stack([gp * gp, gp * gpd, gpd * gpd]) @ (M * M).T      # (n_tau', N) each
-    j, k = np.triu_indices(n - 1, 1)
-    D = (gp[:, j] * gpd[:, k] - gp[:, k] * gpd[:, j]) ** 2 @ ((M[:, j] * M[:, k]) ** 2).T
-    swap = R > P
-    pivot = np.sqrt(np.where(swap, R, P))
-    rest = D / pivot ** 2
-    amplitude_row = float(np.sum(spectra.eta)) * np.column_stack([gp, np.ldexp(1.0, -f)])
-    return det_a, det_b, _RowNorms(
-        g=g,
-        gd=gd,
-        amplitude=np.maximum(_norms(amplitude_row, -1)[:, 0], 1e-300),
-        alpha=np.where(swap, -Q / pivot, pivot).T,
-        beta=np.where(swap, pivot, -Q / pivot).T,
-        gamma_d=(np.where(swap, rest, 0.0) + np.ldexp(spectra.lam ** -2.0, -2 * f[:, None])).T,
-        gamma_g=np.where(swap, 0.0, rest).T,
-        f=f,
-    )
-
-
-def _unit_minors(det_a, det_b, norms: _RowNorms, p, q):
-    """The unit-row minors (det_a, det_b) at grid points (p, q), from the raw grids.
-
-    ``p`` and ``q`` index the tau and the tau' axis and broadcast together.
-    Each raw minor is divided by its rows' norms one at a time, since their
-    product can overflow: det_a by the amplitude-sum row's and rows 0..N-2,
-    det_b by rows 0..N-1, each norm floored at 1e-300 as in
-    ``_unit_contact``; then 2**-f restores the unit-row minors.  Every point
-    takes the same operations, so its value does not depend on which other
-    points are evaluated with it: the scan's corners and the whole grids of
-    ``ContourField`` agree bit for bit.
-    """
-    g, gd, amplitude, alpha, beta, gamma_d, gamma_g, f = norms
-    n = g.shape[1]
-    det_a = det_a[p, q] / amplitude[q]
-    det_b = det_b[p, q]
-    for i in range(n):
-        x, xd = g[p, i], gd[p, i]
-        norm = (alpha[i, q] * xd + beta[i, q] * x) ** 2
-        norm += gamma_d[i, q] * (xd * xd)
-        norm += gamma_g[i, q] * (x * x)
-        norm = np.maximum(np.sqrt(norm), 1e-300)
-        if i < n - 1:
-            det_a /= norm
-        det_b /= norm
-    return np.ldexp(det_a, -f[q]), np.ldexp(det_b, -f[q])
-
-
-def _unit_signs(det_a, det_b, norms: _RowNorms):
-    """(det_a, det_b) grids with the signs and the finiteness of the unit-row minors.
-
-    Row norms are positive, so a unit minor has its raw minor's sign
-    wherever none of ``_unit_minors``' divisions underflows to 0 or
-    overflows: where a norm at its 1e-300 floor lifts a finite raw value
-    past the largest float, or where tiny quotients drop below the smallest.
-    Per tau' each row norm has two bounds.  The scaled free kernels x and xd
-    of a row are below 1 in magnitude, so the norm is at most
-    sqrt((|alpha| + |beta|)^2 + gamma_d + gamma_g).  The larger of them is at
-    least 1/2, so its square is at least a quarter of the least eigenvalue
-    of the row's Gram matrix [[alpha^2 + gamma_d, alpha beta],
-    [alpha beta, beta^2 + gamma_g]], which is at least its determinant over
-    its trace, less the rounding of alpha xd + beta x; failing that, the
-    bound is the floor.  A raw value whose every quotient then stays within
-    2**+-1000 keeps its sign, finite.  The tau' columns that hold another
-    point, and the tau rows whose scaled kernels are not in [1/2, 1), take
-    their unit values in a copy of the raw grids; when there are none, the
-    raw grids are returned.
-    """
-    g, gd, amplitude, alpha, beta, gamma_d, gamma_g, f = norms
-    reach = (np.abs(alpha) + np.abs(beta)) ** 2
-    upper = np.maximum(np.sqrt((reach + gamma_d + gamma_g) * (1 + 1e-12)), 1e-300)
-    gram_det = alpha * alpha * gamma_g + gamma_d * beta * beta + gamma_d * gamma_g
-    least = 0.24 * gram_det / (alpha * alpha + beta * beta + gamma_d + gamma_g)
-    least -= 1e-15 * np.sqrt(least * reach)
-    lower = np.maximum(0.999 * np.sqrt(np.where(least > 1e-290, least, 0.0)), 1e-300)
-    # per minor, the partial products of its divisors, the last one times 2**f for the ldexp
-    up = np.cumprod([np.vstack([amplitude, upper[:-1]]), upper], axis=1)
-    down = np.cumprod([np.vstack([amplitude, lower[:-1]]), lower], axis=1)
-    lo = np.ldexp(np.maximum(np.maximum(up.max(axis=1), 1.0), np.ldexp(up[:, -1], f)), -1000)
-    hi = np.ldexp(np.minimum(np.minimum(down.min(axis=1), 1.0), np.ldexp(down[:, -1], f)), 1000)
-    lo = np.where(np.isfinite(lo) & np.isfinite(hi), lo, np.inf)
-    peak = np.maximum(np.abs(g), np.abs(gd))
-    rows = np.flatnonzero(~((peak >= 0.5) & (peak < 1)).all(axis=1))
-    suspect = np.zeros(det_a.shape[1], bool)
-    for raw, low, high in zip((det_a, det_b), lo, hi):
-        magnitude = np.abs(raw)
-        suspect |= ((magnitude < low) | (magnitude > high)).any(axis=0)
-    cols = np.flatnonzero(suspect)
-    if not (rows.size or cols.size):
-        return det_a, det_b
-    grids = np.stack([det_a, det_b])
-    every_p, every_q = np.arange(det_a.shape[0]), np.arange(det_a.shape[1])
-    grids[:, :, cols] = _unit_minors(det_a, det_b, norms, every_p[:, None], cols)
-    grids[:, rows] = _unit_minors(det_a, det_b, norms, rows[:, None], every_q)
-    return grids[0], grids[1]
+    return det_a, det_b
 
 
 def impact_residual(o, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
@@ -690,11 +566,11 @@ class ContourField:
     """Gridded determinant values with crossing seeds.
 
     ``seeds`` are where a marching-squares zero segment of ``det_a`` crosses
-    one of ``det_b`` in the same grid cell.  ``raw`` holds the scan's raw
-    minors and ``norms`` their row norms (``_minor_grids``).  The unit-row
-    grids ``det_a`` (top-mode row dropped) and ``det_b`` (amplitude-sum row
-    dropped) hold ``impact_residual``'s two minors at every grid point, as
-    ``_unit_minors`` normalises them: equal to rounding, not to the bit.
+    one of ``det_b`` in the same grid cell.  The grids ``det_a`` (top-mode
+    row dropped) and ``det_b`` (amplitude-sum row dropped) hold
+    ``impact_residual``'s two minors at every grid point, from the same
+    unit-row evaluator (``_unit_contact`` and ``_minor_dets``) on the whole
+    grid of ``spectra``, so the scan's corner values are theirs bit for bit.
     They, and the zero curves ``curves_a``/``curves_b`` that chain the same
     segments, serve export only, so they are built on first access.
     """
@@ -702,15 +578,15 @@ class ContourField:
     o_n_axis: np.ndarray
     o_p_axis: np.ndarray
     seeds: np.ndarray
-    raw: tuple
-    norms: _RowNorms
+    spectra: SpectrumPair
 
     @cached_property
     def _unit_grids(self):
-        """(det_a, det_b) on the whole grid, one ``_unit_minors`` call for both."""
+        """(det_a, det_b) on the whole grid, from one ``_unit_contact`` call."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _unit_minors(*self.raw, self.norms, np.arange(self.o_n_axis.size)[:, None],
-                                np.arange(self.o_p_axis.size))
+            dets = _minor_dets(_unit_contact(self.o_n_axis[:, None], self.o_p_axis,
+                                             self.spectra, self.spectra.M, self.spectra.eta))
+        return dets[..., 0], dets[..., 1]
 
     @property
     def det_a(self) -> np.ndarray:
@@ -771,39 +647,42 @@ def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> Contour
     """Evaluate both determinants on a grid and seed at their zero-curve crossings.
 
     ``_minor_grids`` builds the raw ``det_a`` and ``det_b`` on the whole
-    grid from one kernel evaluation per axis.  The cells come from their
-    signs: a unit-row minor has its raw minor's, except where a division by
-    a row norm could underflow or overflow, and there ``_unit_signs`` takes
-    the unit value.  Only the corners of the cells where both minors change
-    sign take their unit values (``_unit_minors``), and ``_crossing_seeds``
-    reads nothing else.  Each intersection of a cell's zero segments of
-    ``det_a`` and ``det_b`` is a seed for ``refine_root``; a cell with a
-    non-finite corner is skipped, and a corner that is exactly 0 gives no
-    crossing.  The cells and the seeds are bit for bit those of the whole
-    unit-row grids.  Seeds lie inside the grid (see ``GridSpec``), whose
-    last point can be up to half a step below ``o_n_max``/``o_p_max``.
-    Newton may take a seed to a root outside the window, and which
-    out-of-window roots appear depends on the step.  Spectra that fail
-    ``existence_gate`` have no solution and no seeds.
+    grid from one kernel evaluation per axis.  They are the minors before
+    division by the row norms, which are positive, so the cells come from
+    their signs.  Only the corners of the cells where both minors change
+    sign take values, from ``_unit_contact`` and ``_minor_dets`` as in
+    ``impact_residual``, and ``_crossing_seeds`` reads nothing else.  Each
+    intersection of a cell's zero segments of ``det_a`` and ``det_b`` is a
+    seed for ``refine_root``; a cell with a non-finite corner is dropped,
+    and a corner that is exactly 0 gives no crossing.  Seeds lie inside the
+    grid (see ``GridSpec``), whose last point can be up to half a step below
+    ``o_n_max``/``o_p_max``.  Newton may take a seed to a root outside the
+    window, and which out-of-window roots appear depends on the step.
+    Spectra that fail ``existence_gate`` have no solution and no seeds.
     """
     grid = grid or GridSpec()
     o_n_axis, o_p_axis = grid.axes()
     # Stiff hyperbolic modes can overflow on the grid, and a zero top contact eigenvalue
     # makes every contact time infinite; _sign_change_cells skips non-finite corners.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        det_a, det_b, norms = _minor_grids(o_n_axis, o_p_axis, spectra)
-        signs_a, signs_b = _unit_signs(det_a, det_b, norms)
-        cells = (_sign_change_cells(signs_a) & _sign_change_cells(signs_b)
+        det_a, det_b = _minor_grids(o_n_axis, o_p_axis, spectra)
+        cells = (_sign_change_cells(det_a) & _sign_change_cells(det_b)
                  & existence_gate(spectra.lam_prime))
         i, j = np.nonzero(cells)
-        corners = _unit_minors(det_a, det_b, norms, np.array([i, i + 1, i, i + 1]),
-                               np.array([j, j, j + 1, j + 1]))
+        # neighbouring cells share corners: each grid point is evaluated once
+        corner = np.ravel_multi_index(([i, i + 1, i, i + 1], [j, j, j + 1, j + 1]), det_a.shape)
+        points, back = np.unique(corner, return_inverse=True)
+        p, q = np.unravel_index(points, det_a.shape)
+        values = _minor_dets(_unit_contact(o_n_axis[p], o_p_axis[q], spectra, spectra.M,
+                                           spectra.eta))
+        corners = values[back.reshape(4, -1)]   # (4, cells, 2)
+    finite = np.isfinite(corners).all(axis=(0, 2))
     return ContourField(
         o_n_axis=o_n_axis,
         o_p_axis=o_p_axis,
-        seeds=_crossing_seeds(o_n_axis, o_p_axis, i, j, *corners),
-        raw=(det_a, det_b),
-        norms=norms,
+        seeds=_crossing_seeds(o_n_axis, o_p_axis, i[finite], j[finite],
+                              corners[:, finite, 0], corners[:, finite, 1]),
+        spectra=spectra,
     )
 
 

@@ -102,17 +102,16 @@ def solve_model(model: ModelSpec, grid: GridSpec | None = None, *,
     contour = scan_contour(spectral, grid)
     marks.append(perf_counter())
     roots = []
+    kept = np.empty((len(contour.seeds), 2))   # (o_n, o_prime) of roots[k] in row k
     failed = 0
     for times in refine_roots(contour.seeds, spectral, spectral.M, spectral.eta):
         if isinstance(times, ConvergenceError):
             failed += 1
             continue
-        point = np.array([times.o_n, times.o_prime])
-        if any(
-            np.abs(point - np.array([r.o_n, r.o_prime])).max() < ROOT_MERGE_ATOL
-            for r in roots
-        ):
+        point = (times.o_n, times.o_prime)
+        if (np.abs(kept[: len(roots)] - point).max(axis=1) < ROOT_MERGE_ATOL).any():
             continue
+        kept[len(roots)] = point
         roots.append(times)
     marks.append(perf_counter())
     outcomes = build_solutions(spectral, roots)
