@@ -58,7 +58,6 @@ from .impact import (
     contact_matrix,
     impact_residual,
     kernel_ratio,
-    mode_motion,
     mode_motion_vec,
     phase_rate,
     reduction_gap,
@@ -72,7 +71,7 @@ from .model import (
     build_armed_biped,
     builtin_model,
     load_model,
-    n2_model,
+    model_from_spectra,
     n2_spectrum,
 )
 from .pipeline import RootRecord, SolveRun, pick_records, solve_model
@@ -82,7 +81,6 @@ from .spectral import (
     constrained_modes,
     constrained_spectrum,
     normal_modes,
-    static_offset,
 )
 from .trajectory import (
     Trajectory,

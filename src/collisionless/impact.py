@@ -61,7 +61,6 @@ from .spectral import SpectralData
 from .svgout import SvgCanvas
 
 __all__ = [
-    "mode_motion",
     "mode_motion_vec",
     "phase_rate",
     "kernel_ratio",
@@ -105,33 +104,13 @@ CORNER_RADIUS = 0.3
 
 # --------------------------------------------------------------------------- kernels
 
-def mode_motion(t: float, lam: float, s: int):
-    """Position and velocity factors of a unit normal mode at time t.
-
-    ``s = 1`` selects the even kernel (cos for lam > 0, cosh for lam < 0) and
-    ``s = 0`` the odd one (sin / sinh).  The returned pair (g, gdot) satisfies
-    gddot = -lam * g identically.  lam = 0 is rejected: a free mode with zero
-    frequency has no periodic kernel.
-    """
-    if s not in (0, 1):
-        raise InvalidParameterError(f"s must be 0 or 1, got {s!r}")
-    if abs(lam) <= ZERO_EIGENVALUE_ATOL:
-        raise ZeroModeError("mode_motion is undefined for a zero eigenvalue")
-    om = np.sqrt(abs(lam))
-    if lam > 0:
-        if s == 1:
-            return np.cos(om * t), -om * np.sin(om * t)
-        return np.sin(om * t), om * np.cos(om * t)
-    if s == 1:
-        return np.cosh(om * t), om * np.sinh(om * t)
-    return np.sinh(om * t), om * np.cosh(om * t)
-
-
 def mode_motion_vec(t, lam, sigma):
-    """Vectorized kernels for a spectrum: t broadcast against lam/sigma.
+    """Position and velocity factors (g, gdot) of unit normal modes: t broadcast against lam/sigma.
 
-    sigma uses the signature convention sigma = 1 - 2 s (so sigma = -1 is the
-    even kernel).  Returns arrays of shape broadcast(t, lam).
+    sigma = -1 selects the even kernel (cos for lam > 0, cosh for lam < 0) and
+    sigma = +1 the odd one (sin / sinh); gddot = -lam * g identically.
+    Returns arrays of shape broadcast(t, lam).  This is the form for a bare
+    spectrum; the library reads a pair's cached ``SpectrumPair.kernels``.
     """
     return _mode_kernels(t, *_kernel_constants(np.asarray(lam, float), np.asarray(sigma)))
 
@@ -951,8 +930,8 @@ def _certified_matrices(spectral: SpectralData, tau, tau_prime):
     n = spectral.n
     X = spectral.mode_matrix
     Xp = spectral.mode_matrix_prime
-    g, gd = mode_motion_vec(tau, spectral.lam, spectral.sigma)
-    gp, gpd = mode_motion_vec(-tau_prime, spectral.lam_prime, spectral.sigma_prime)
+    g, gd = _mode_kernels(tau, *spectral.kernels[0])
+    gp, gpd = _mode_kernels(-tau_prime, *spectral.kernels[1])
     A = np.zeros((len(tau), 2 * n + 1, 2 * n))
     A[:, :n, :n] = X * g[:, None, :]
     A[:, :n, n : 2 * n - 1] = -Xp * gp[:, None, :]
@@ -984,8 +963,8 @@ def reduction_gap(spectral: SpectralData, tau: float, tau_prime: float) -> float
     lam = spectral.lam
     M, eta_vec = spectral.M, spectral.eta
     A, _ = assemble_impact_matrix(spectral, tau, tau_prime)
-    g, gd = mode_motion_vec(tau, lam, spectral.sigma)
-    gp, _ = mode_motion_vec(-tau_prime, spectral.lam_prime, spectral.sigma_prime)
+    g, gd = _mode_kernels(tau, *spectral.kernels[0])
+    gp, _ = _mode_kernels(-tau_prime, *spectral.kernels[1])
     X_inv = np.linalg.inv(X)
     row_n = X[-1, :]
     D1 = X_inv / row_n[:, None]

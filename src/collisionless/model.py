@@ -6,6 +6,8 @@ and stiffness matrices it carries the per-mode time-reversal signatures of the
 periodic solution sought (``sigma``/``sigma_prime``, one entry of +1 or -1 per
 mode of the free/contact phase), the static contact force, and the sign of the
 direction in which the contact coordinate is free to separate.
+``model_from_spectra`` realizes any strictly interlaced spectrum pair as such
+a model, for every N >= 2.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ __all__ = [
     "ModelSpec",
     "SpectrumPair",
     "build_armed_biped",
-    "n2_model",
+    "model_from_spectra",
     "n2_spectrum",
     "load_model",
     "builtin_model",
@@ -321,29 +323,26 @@ def build_armed_biped(theta: float = 1.0, m0: float = 1.0, m1: float = 1.0,
     )
 
 
-def n2_model(pair: SpectrumPair, name: str = "n2", static_force: float = 0.0) -> ModelSpec:
-    """Minimal 2-DOF realization of a spectrum pair (identity mass matrix).
+def model_from_spectra(pair: SpectrumPair, name: str = "spectral",
+                       static_force: float = 0.0) -> ModelSpec:
+    """Arrowhead realization of a spectrum pair: identity mass, contact coordinate last.
 
-    The stiffness is chosen so that the free spectrum is ``pair.lam`` and the
-    contact (1x1) spectrum is ``pair.lam_prime``.  Useful for exercising the
-    full matrix pipeline on the closed-form 2-DOF families.
+    The stiffness [[diag(lam'), b], [b^T, a]] has contact spectrum
+    ``pair.lam_prime`` and free spectrum ``pair.lam`` when
+    b_j^2 = -prod_i (lam'_j - lam_i) / prod_{k != j} (lam'_j - lam'_k) and
+    a = sum(lam) - sum(lam'); strict interlacing makes every b_j^2 positive
+    (Hochstadt, 1967; Boley & Golub, Inverse Problems 3, 1987).
     """
-    if pair.n != 2:
-        raise InvalidParameterError("n2_model requires a 2-DOF spectrum pair")
-    lam1, lam2 = pair.lam
-    lp1 = pair.lam_prime[0]
-    # k11 fixes the contact spectrum; trace and determinant fix the rest.
-    k11 = lp1
-    k22 = lam1 + lam2 - lp1
-    off_sq = k11 * k22 - lam1 * lam2
-    if off_sq < 0:
-        raise InterlacingError("no symmetric stiffness realizes these spectra")
-    k12 = np.sqrt(off_sq)
-    stiffness = np.array([[k11, k12], [k12, k22]])
+    lam, lamp = pair.lam, pair.lam_prime
+    gaps = lamp[:, None] - lamp
+    np.fill_diagonal(gaps, 1.0)
+    stiffness = np.diag(np.append(lamp, lam.sum() - lamp.sum()))
+    stiffness[-1, :-1] = stiffness[:-1, -1] = np.sqrt(
+        -np.prod(lamp[:, None] - lam, axis=1) / np.prod(gaps, axis=1))
     return ModelSpec(
         name=name,
-        n=2,
-        mass=np.eye(2),
+        n=pair.n,
+        mass=np.eye(pair.n),
         stiffness=stiffness,
         sigma=pair.sigma,
         sigma_prime=pair.sigma_prime,

@@ -28,7 +28,6 @@ __all__ = [
     "normal_modes",
     "constrained_spectrum",
     "constrained_modes",
-    "static_offset",
     "analyze",
 ]
 
@@ -90,14 +89,6 @@ def constrained_spectrum(model: ModelSpec) -> np.ndarray:
 def constrained_modes(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Contact-phase mode matrix X' = (X * X[-1]) M; its last row vanishes."""
     return (X * X[-1, :][None, :]) @ M
-
-
-def static_offset(model: ModelSpec) -> np.ndarray:
-    """Static equilibrium offset x0: last column of k^{-1} times the static force.
-
-    This is the model's read-only ``ModelSpec.static_offset``, solved once per model.
-    """
-    return model.static_offset
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,10 +40,10 @@ from .impact import (
     ImpactTimes,
     _coarse_kernels,
     _grid_kernels,
+    _mode_kernels,
     build_solution,
-    mode_motion_vec,
 )
-from .model import ModelSpec, _as_dict, _check_integer, _check_positive, _kernel_constants
+from .model import ModelSpec, _as_dict, _check_integer, _check_positive
 from .spectral import SpectralData
 from .svgout import SvgCanvas
 
@@ -82,7 +82,7 @@ SAMPLE_RTOL = 1e-12
 
 def _free_state(spectral: SpectralData, q, t):
     """Analytic x, xd, xdd in the free phase at times t (array)."""
-    g, gd = mode_motion_vec(t, spectral.lam, spectral.sigma)
+    g, gd = _mode_kernels(t, *spectral.kernels[0])
     X = spectral.mode_matrix
     x = (g * q) @ X.T
     xd = (gd * q) @ X.T
@@ -92,7 +92,7 @@ def _free_state(spectral: SpectralData, q, t):
 
 def _contact_state(spectral: SpectralData, q_prime, u):
     """Analytic x, xd, xdd in the contact phase at offsets u from its symmetry point."""
-    gp, gpd = mode_motion_vec(u, spectral.lam_prime, spectral.sigma_prime)
+    gp, gpd = _mode_kernels(u, *spectral.kernels[1])
     Xp = spectral.mode_matrix_prime
     x = (gp * q_prime) @ Xp.T + spectral.static_offset[None, :]
     xd = (gpd * q_prime) @ Xp.T
@@ -365,7 +365,7 @@ def validate_solutions(solutions, model: ModelSpec,
 
     X, Xp, offset = spectral.mode_matrix, spectral.mode_matrix_prime, spectral.static_offset
     lam, lamp = spectral.lam, spectral.lam_prime
-    phases = (_kernel_constants(lam, spectral.sigma), _kernel_constants(lamp, spectral.sigma_prime))
+    phases = spectral.kernels
     coarse = [_coarse_kernels(half, CHECK_SAMPLES, *constants)
               for half, constants in zip((tau, taup), phases)]
 

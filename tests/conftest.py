@@ -40,7 +40,7 @@ def biped_run(biped):
 @pytest.fixture(scope="session")
 def rocker_model():
     pair = cl.n2_spectrum("rocker", nu1=1.0, omega2=2.0, omega1p=1.0)
-    return cl.n2_model(pair, name="rocker-2dof", static_force=1.0)
+    return cl.model_from_spectra(pair, name="rocker-2dof", static_force=1.0)
 
 
 @pytest.fixture(scope="session")

@@ -34,26 +34,38 @@ from helpers import (
 
 # ------------------------------------------------------------------- kernels
 
+def _kernel_values(t, lam, sigma):
+    """(g, gdot) of one mode from explicit np.cos/np.sin/np.cosh/np.sinh values."""
+    om = np.sqrt(abs(lam))
+    if lam > 0:
+        if sigma == -1:
+            return np.cos(om * t), -om * np.sin(om * t)
+        return np.sin(om * t), om * np.cos(om * t)
+    if sigma == -1:
+        return np.cosh(om * t), om * np.sinh(om * t)
+    return np.sinh(om * t), om * np.cosh(om * t)
+
+
 def test_mode_motion_case_table():
-    assert cl.mode_motion(0.0, 4.0, 1) == (1.0, 0.0)
-    g, gd = cl.mode_motion(0.7, -1.0, 0)
-    assert g == pytest.approx(np.sinh(0.7), rel=1e-15)
-    assert gd == pytest.approx(np.cosh(0.7), rel=1e-15)
-    g, gd = cl.mode_motion(0.3, 4.0, 0)
-    assert g == pytest.approx(np.sin(0.6), rel=1e-15)
-    assert gd == pytest.approx(2 * np.cos(0.6), rel=1e-15)
+    g, gd = cl.mode_motion_vec(0.0, [4.0], [-1])
+    assert (g[0], gd[0]) == (1.0, 0.0)
+    g, gd = cl.mode_motion_vec(0.7, [-1.0], [1])
+    assert g[0] == pytest.approx(np.sinh(0.7), rel=1e-15)
+    assert gd[0] == pytest.approx(np.cosh(0.7), rel=1e-15)
+    g, gd = cl.mode_motion_vec(0.3, [4.0], [1])
+    assert g[0] == pytest.approx(np.sin(0.6), rel=1e-15)
+    assert gd[0] == pytest.approx(2 * np.cos(0.6), rel=1e-15)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     t=st.floats(-5, 5),
     lam=st.floats(-10, 10).filter(lambda v: abs(v) > 1e-3),
-    s=st.sampled_from([0, 1]),
+    sigma=st.sampled_from([-1, 1]),
 )
-def test_kernel_time_parity(t, lam, s):
-    g_pos, gd_pos = cl.mode_motion(t, lam, s)
-    g_neg, gd_neg = cl.mode_motion(-t, lam, s)
-    if s == 1:
+def test_kernel_time_parity(t, lam, sigma):
+    (g_pos, g_neg), (gd_pos, gd_neg) = cl.mode_motion_vec([t, -t], [lam], [sigma])
+    if sigma == -1:
         assert g_neg == g_pos and gd_neg == -gd_pos
     else:
         assert g_neg == -g_pos and gd_neg == gd_pos
@@ -63,31 +75,22 @@ def test_kernel_ode_identity():
     # second finite difference must reproduce gdd = -lam g
     rng = np.random.default_rng(3)
     h = 1e-5
-    for _ in range(100):
-        lam = rng.uniform(-9, 9)
-        if abs(lam) < 1e-2:
-            continue
-        t = rng.uniform(-3, 3)
-        s = int(rng.integers(0, 2))
-        g0, _ = cl.mode_motion(t, lam, s)
-        gp, _ = cl.mode_motion(t + h, lam, s)
-        gm, _ = cl.mode_motion(t - h, lam, s)
-        fd = (gp - 2 * g0 + gm) / h ** 2
-        assert fd == pytest.approx(-lam * g0, rel=1e-4, abs=1e-4)
-
-
-def test_mode_motion_zero_eigenvalue_raises():
-    with pytest.raises(cl.ZeroModeError):
-        cl.mode_motion(1.0, 0.0, 1)
+    lam = rng.uniform(-9, 9, 100)
+    lam = lam[np.abs(lam) >= 1e-2]
+    t = rng.uniform(-3, 3, lam.size)
+    sigma = rng.choice([-1, 1], lam.size)
+    (gm, g0, gp), _ = cl.mode_motion_vec(np.array([-h, 0.0, h])[:, None] + t, lam, sigma)
+    fd = (gp - 2 * g0 + gm) / h ** 2
+    assert np.all(np.abs(fd + lam * g0) <= np.maximum(1e-4 * np.abs(lam * g0), 1e-4))
 
 
 def test_mode_motion_vec_matches_scalar():
-    # all four kernels: cosh, sin, cos, sinh
+    # all four kernels, cosh, sin, cos and sinh, against their numpy values one mode at a time
     lam = np.array([-2.0, 1.5, 4.0, -0.5])
     sigma = np.array([-1, 1, -1, 1])
     g, gd = cl.mode_motion_vec(0.8, lam, sigma)
     for i, (lv, sv) in enumerate(zip(lam, sigma)):
-        ref = cl.mode_motion(0.8, lv, (1 - sv) // 2)
+        ref = _kernel_values(0.8, lv, sv)
         assert g[i] == pytest.approx(ref[0], rel=1e-15)
         assert gd[i] == pytest.approx(ref[1], rel=1e-15)
     times = np.array([-1.3, 0.0, 0.8, 2.5])
@@ -95,7 +98,7 @@ def test_mode_motion_vec_matches_scalar():
     assert g.shape == gd.shape == (times.size, lam.size)
     for k, t in enumerate(times):
         for i, (lv, sv) in enumerate(zip(lam, sigma)):
-            ref = cl.mode_motion(t, lv, (1 - sv) // 2)
+            ref = _kernel_values(t, lv, sv)
             assert g[k, i] == pytest.approx(ref[0], rel=1e-15)
             assert gd[k, i] == pytest.approx(ref[1], rel=1e-15)
 
@@ -1431,13 +1434,13 @@ def test_certified_weights_satisfy_every_matching_row(model):
 def test_build_solution_evaluates_kernels_once(biped_spectral, biped_root, monkeypatch):
     # one matching-matrix assembly: one kernel call per phase
     calls = []
-    kernels = cl.mode_motion_vec
+    kernels = impact._mode_kernels
 
     def counting(*args):
         calls.append(args)
         return kernels(*args)
 
-    monkeypatch.setattr("collisionless.impact.mode_motion_vec", counting)
+    monkeypatch.setattr("collisionless.impact._mode_kernels", counting)
     cl.build_solution(biped_spectral, biped_root)
     assert len(calls) == 2
 

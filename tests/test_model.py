@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import collisionless as cl
+from helpers import random_spd_model
 
 
 def test_armed_biped_unit_matrices(biped):
@@ -221,10 +223,62 @@ def test_spectrum_pair_phase_conversions():
 
 def test_n2_model_realizes_spectra():
     pair = cl.n2_spectrum("rocker", nu1=1.0, omega2=2.0, omega1p=1.0)
-    model = cl.n2_model(pair)
+    model = cl.model_from_spectra(pair)
     vals = np.sort(np.linalg.eigvals(np.linalg.solve(model.mass, model.stiffness)).real)
     np.testing.assert_allclose(vals, [-1.0, 4.0], atol=1e-12)
     assert model.stiffness[0, 0] == pytest.approx(1.0)  # contact block spectrum
+
+
+def _in_window_roots(model):
+    """The error class of a failed solve, or (o_n, o_prime, accepted) of each in-window root."""
+    window = cl.GridSpec()
+    try:
+        run = cl.solve_model(model, window)
+    except cl.CollisionlessError as exc:
+        return type(exc)
+    return sorted((r.solution.times.o_n, r.solution.times.o_prime, r.accepted)
+                  for r in run.records
+                  if r.solution.times.o_n <= window.o_n_max
+                  and r.solution.times.o_prime <= window.o_p_max)
+
+
+def test_spectra_decide_the_solution():
+    # The paper: in the harmonic approximation the collisionless solution is determined by
+    # the spectrum.  A model, its arrowhead realization and that realization rotated by
+    # Q (+) 1 (Q orthogonal on the free coordinates) share their spectra, so they share
+    # their in-window roots and verdicts, or fail with one error class.  Roots outside the
+    # window depend on each seed's Newton path (see GridSpec), so they are not compared.
+    rng = np.random.default_rng(11)
+    models = [cl.build_armed_biped()]
+    models += [random_spd_model(n, rng)[0] for n in range(2, 7) for _ in range(4)]
+    solved = roots = accepted = 0
+    for model in models:
+        spectral = cl.analyze(model)
+        arrowhead = cl.model_from_spectra(spectral, static_force=model.static_force)
+        n = model.n
+        rotation = np.eye(n)
+        rotation[:-1, :-1] = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
+        stiffness = rotation @ arrowhead.stiffness @ rotation.T
+        rotated = dataclasses.replace(arrowhead, stiffness=0.5 * (stiffness + stiffness.T))
+        scale = np.abs(spectral.lam).max()
+        for realized in (arrowhead.stiffness, rotated.stiffness):   # identity mass
+            assert np.abs(np.linalg.eigvalsh(realized) - spectral.lam).max() <= 1e-14 * scale
+            assert (np.abs(np.linalg.eigvalsh(realized[:-1, :-1]) - spectral.lam_prime).max()
+                    <= 1e-14 * scale)
+        want, *others = map(_in_window_roots, (model, arrowhead, rotated))
+        for got in others:
+            if isinstance(want, type) or isinstance(got, type):
+                assert got is want, (model.n, got, want)
+                continue
+            assert [root[2] for root in got] == [root[2] for root in want], model.n
+            if want:
+                assert np.abs(np.array(got)[:, :2] - np.array(want)[:, :2]).max() <= 1e-12
+        if not isinstance(want, type):
+            solved += 1
+            roots += len(want)
+            accepted += sum(root[2] for root in want)
+    # most models solve, and both verdicts occur
+    assert solved >= 15 and 0 < accepted < roots
 
 
 def test_builtin_model_lookup():

@@ -102,14 +102,14 @@ def test_constrained_modes_match_direct_eigensolve():
 
 def test_static_offset_biped(biped):
     np.testing.assert_allclose(
-        cl.static_offset(biped), [0.0, 0.0, -5.0 / 3.0], atol=1e-13
+        biped.static_offset, [0.0, 0.0, -5.0 / 3.0], atol=1e-13
     )
 
 
 def test_static_offset_zero_force(biped):
     config = biped.to_config()
     config["static_force"] = 0.0
-    np.testing.assert_array_equal(cl.static_offset(cl.load_model(config)), np.zeros(3))
+    np.testing.assert_array_equal(cl.load_model(config).static_offset, np.zeros(3))
 
 
 def test_static_offset_diagonal_stiffness():
@@ -117,7 +117,7 @@ def test_static_offset_diagonal_stiffness():
         name="diag", n=3, mass=np.eye(3), stiffness=np.diag([2.0, 3.0, 4.0]),
         sigma=[-1, -1, -1], sigma_prime=[1, 1], static_force=2.0, contact_sign=1,
     )
-    np.testing.assert_allclose(cl.static_offset(model), [0.0, 0.0, 0.5], atol=1e-14)
+    np.testing.assert_allclose(model.static_offset, [0.0, 0.0, 0.5], atol=1e-14)
 
 
 def test_static_offset_solved_once_per_model(monkeypatch):
@@ -125,8 +125,8 @@ def test_static_offset_solved_once_per_model(monkeypatch):
     solves = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a) or solve(*a))
-    offset = cl.static_offset(model)
-    assert cl.static_offset(model) is offset is model.static_offset and len(solves) == 1
+    offset = model.static_offset
+    assert model.static_offset is offset and len(solves) == 1
     assert not offset.flags.writeable and "static_offset" not in model.to_config()
     np.testing.assert_array_equal(cl.analyze(model).static_offset, offset)
     assert len(solves) == 1

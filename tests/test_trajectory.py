@@ -44,7 +44,7 @@ def test_symmetry_point_structure(biped_traj):
 def test_odd_free_modes_start_at_zero_position():
     # rolling family: odd free kernels put positions (not velocities) at zero
     pair = cl.n2_spectrum("rimless", nu1=0.8, omega2=2.0, omega1p=1.1)
-    model = cl.n2_model(pair, static_force=1.0)
+    model = cl.model_from_spectra(pair, static_force=1.0)
     run = cl.solve_model(model, cl.GridSpec(o_n_max=7.0, o_p_max=1.5))
     record = run.records[0]
     traj = cl.synthesize(record.solution, 100)
