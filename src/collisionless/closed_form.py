@@ -4,12 +4,15 @@ All three families reduce to the scalar transcendental equation
 tan(y) = a * tanh(b * y); its positive roots, indexed by the interval
 [(n-1) pi, n pi) that contains them, express every branch of the hopping,
 rolling and rocking solutions.  These serve both as standalone solvers and
-as oracles for the generic impact-equation machinery.
+as oracles for the generic impact-equation machinery.  The hopper's phase
+solves tan y = y, whatever the frequencies, so its root on each branch is
+computed once per process (``_alpha``) and the juggler reuses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -93,9 +96,15 @@ def y_root(a: float, b: float, n: int) -> float:
     return root
 
 
+@cache
 def _alpha(n: int) -> float:
-    """Positive roots of tan y = y (the a b -> 1, b -> 0 limit family)."""
-    _check_integer("branch index", n, 1)
+    """Positive root of tan y = y on branch n (the a b -> 1, b -> 0 limit family).
+
+    Cached per n, so the hopper and the juggler of one branch scan once; a
+    branch without a root raises NoRootError on every call, since an
+    exception is not cached.  Callers check n (``_check_integer``) first,
+    because the cache would take 2.0 for 2.
+    """
     root = _branch_root(lambda y: np.sin(y) - y * np.cos(y), lambda y: y * np.sin(y), n)
     if root is None:
         raise NoRootError(
@@ -127,6 +136,7 @@ def solve_hopper(omega2: float, omega1p: float, n: int) -> N2Solution:
     The lowest existing branch is n = 2 (tan y = y has no root below pi).
     """
     _check_positive(omega2=omega2, omega1p=omega1p)
+    _check_integer("branch index", n, 1)
     o2 = _alpha(n)
     o1p = np.pi - np.arctan(o2 * omega1p / omega2)
     return N2Solution("hopper", n, o2, o1p, o2 / omega2, o1p / omega1p)

@@ -16,12 +16,16 @@ equations in the impact times (tau, tau').  This module provides:
   serves every active seed with one batched solve and at most two
   residual calls, so a run makes at most 1 + 2 * (largest iteration
   count) calls, and each seed's outcome is the one it gets alone; the
-  line search asks for a sufficient decrease, a cut of max|F| by the
-  fraction ``REFINE_MIN_DECREASE``, except below ``REFINE_TOL_RESIDUAL``
-  where no increase suffices; on a pair whose free kernels share one
-  parity the residual has phantom roots (0, o'_c) at tau = 0, which are
-  no impact, and a seed whose iterate comes within ``CORNER_RADIUS`` of
-  one ends there instead of refining into it,
+  line search tries the full step first and builds the table of halved
+  steps only when a full step leaves the positive quadrant or fails, and
+  asks for a sufficient decrease, a cut of max|F| by the fraction
+  ``REFINE_MIN_DECREASE``, except below ``REFINE_TOL_RESIDUAL`` where no
+  increase suffices; on a pair whose free kernels share one parity the
+  residual has phantom roots (0, o'_c) at tau = 0, which are no impact,
+  and a seed whose iterate comes within ``CORNER_RADIUS`` of one ends
+  there instead of refining into it (tested only while some iterate has
+  o_N below ``CORNER_RADIUS``, since its distance to (0, o'_c) is at
+  least o_N),
 * assembly of the full (2N+1) x 2N matching matrix, and
 * certification of a solve's roots by one SVD call on the stack of their
   matching matrices: each rank gap decides a root, and each null vector
@@ -111,8 +115,14 @@ def mode_motion_vec(t, lam, sigma):
     sigma = +1 the odd one (sin / sinh); gddot = -lam * g identically.
     Returns arrays of shape broadcast(t, lam).  This is the form for a bare
     spectrum; the library reads a pair's cached ``SpectrumPair.kernels``.
+    An eigenvalue within ``ZERO_EIGENVALUE_ATOL`` of the spectrum's largest
+    |lam| raises ZeroModeError, as ``SpectrumPair.kernels`` does: the odd
+    kernel of a zero-frequency mode is (t, 1), which no periodic kernel gives.
     """
-    return _mode_kernels(t, *_kernel_constants(np.asarray(lam, float), np.asarray(sigma)))
+    lam = np.asarray(lam, float)
+    if lam.size and (np.abs(lam) <= ZERO_EIGENVALUE_ATOL * np.abs(lam).max()).any():
+        raise ZeroModeError("mode_motion_vec is undefined for a zero eigenvalue")
+    return _mode_kernels(t, *_kernel_constants(lam, np.asarray(sigma)))
 
 
 def _mode_kernels(t, om, osc, even, rate):
@@ -690,8 +700,8 @@ def refine_root(seed, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> Imp
     Returns its ImpactTimes, or raises its ConvergenceError.  A seed that is
     not two finite positive phases raises InvalidParameterError.
     """
-    _checked_phases(seed, 1, "seed must be two finite positive phases")
-    outcome, = refine_roots([seed], spectra, M, eta_vec, max_iter=max_iter)
+    o = _checked_phases(seed, 1, "seed must be two finite positive phases")
+    outcome, = _refine(o[None], [seed], spectra, M, eta_vec, max_iter)
     if isinstance(outcome, ConvergenceError):
         raise outcome
     return outcome
@@ -784,7 +794,7 @@ def refine_roots(seeds, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> l
     ``REFINE_FD_STEP``, taken from the same residual evaluation as F.  The
     line search takes the first of the step scalings 1, 1/2, ..., 2**-39
     that stays in the positive quadrant and decreases the residual norm
-    max|F| sufficiently: to at most
+    max|F| sufficiently (Dennis & Schnabel 1996, section 6.3): to at most
     (1 - ``REFINE_MIN_DECREASE``) times its current value, or, once that value
     is below ``REFINE_TOL_RESIDUAL``, to at most the value itself.  A seed
     with no such scaling stalls, and its error names the iteration.
@@ -811,16 +821,32 @@ def refine_roots(seeds, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> l
     iterate lies within ``CORNER_RADIUS`` of a phantom
     (``_phantom_corners``) ends with an error that names the corner, the
     iteration, the point and the residual; this is tested before
-    convergence, so no root within the radius is returned.
+    convergence, so no root within the radius is returned.  An iterate's
+    distance to (0, o'_c) is at least its o_N, so the test runs only in the
+    iterations where some active iterate has o_N below ``CORNER_RADIUS``.
 
     Every iteration serves all seeds still active: one batched solve of their
     Jacobians, one ``impact_residual`` call on each seed's first candidate
     in the quadrant, and one more on all remaining candidates of the seeds
-    whose first one failed.  A run thus makes at most 1 + 2 * (largest
-    iteration count) residual calls, and each seed's outcome is bit for bit
-    the one it gets when refined alone.
+    whose first one failed.  The first candidate is the full step o + step
+    whenever every active seed's full step stays in the quadrant; the table
+    of all 40 scaled steps is built only when one leaves it or fails.  A run
+    thus makes at most 1 + 2 * (largest iteration count) residual calls,
+    and each seed's outcome is bit for bit the one it gets when refined
+    alone.
     """
     o = _checked_phases(seeds, 2, "seeds must be a (k, 2) array of finite positive phases")
+    return _refine(o, seeds, spectra, M, eta_vec, max_iter)
+
+
+def _scaled_steps(o, step):
+    """Each row's line-search candidates o + 2**-j step, j = 0..39, and which lie in the quadrant."""
+    cands = o[:, None] + _SCALINGS * step[:, None]
+    return cands, cands.min(axis=2) > 0
+
+
+def _refine(o, seeds, spectra, M, eta_vec, max_iter) -> list:
+    """``refine_roots`` on the checked (k, 2) phases o of ``seeds``, which its messages name."""
     _check_integer("max_iter", max_iter, 1)
     outcomes = [None] * len(o)
     live = np.arange(len(o))   # the seed index of each active row
@@ -831,8 +857,10 @@ def refine_roots(seeds, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> l
         step, singular = _newton_steps(J, F)
         bound = np.abs(F).max(axis=1)
         converged = (bound < REFINE_TOL_RESIDUAL) & (np.abs(step).max(axis=1) < REFINE_TOL_STEP)
-        gap, corner = _phantom_corners(o, spectra)
-        near = gap < CORNER_RADIUS
+        near = np.zeros(len(o), bool)
+        if o[:, 0].min() < CORNER_RADIUS:   # hypot(o_N, .) >= o_N: no row is near otherwise
+            gap, corner = _phantom_corners(o, spectra)
+            near = gap < CORNER_RADIUS
         stop = near | singular | converged
         if stop.any():
             for r in np.flatnonzero(stop):
@@ -861,19 +889,27 @@ def refine_roots(seeds, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> l
                 return outcomes
         # sufficient decrease: above the tolerance a candidate must cut max|F| by a fraction
         limit = np.where(bound >= REFINE_TOL_RESIDUAL, (1 - REFINE_MIN_DECREASE) * bound, bound)
-        # each seed's candidates o + 2**-j step, j = 0..39; those outside the quadrant do not count
-        cands = o[:, None] + _SCALINGS * step[:, None]
-        inside = cands.min(axis=2) > 0
-        first = inside.argmax(axis=1)
-        lead = np.flatnonzero(inside[np.arange(live.size), first])   # seeds with a candidate
+        # each seed's candidates o + 2**-j step, j = 0..39; those outside the quadrant do not
+        # count.  The first is the full step (2**0 step is step), and while every full step
+        # stays in the quadrant no table is built unless one of them fails
+        pts = o + step
+        if (pts > 0).all():
+            cands = None
+            first, lead = np.zeros(live.size, int), np.arange(live.size)
+        else:
+            cands, inside = _scaled_steps(o, step)
+            first = inside.argmax(axis=1)
+            lead = np.flatnonzero(inside[np.arange(live.size), first])   # seeds with a candidate
+            pts = cands[lead, first[lead]]
         ok = np.zeros(live.size, bool)
         if lead.size:   # first call: each seed's first candidate
-            pts = cands[lead, first[lead]]
             F_new, J_new = _newton_terms(pts, spectra, M, eta_vec)
             take = np.abs(F_new).max(axis=1) <= limit[lead]
             if take.all() and lead.size == live.size:   # every seed takes its first candidate
                 o, F, J = pts, F_new, J_new
                 continue
+            if cands is None:   # from o before any seed moves
+                cands, inside = _scaled_steps(o, step)
             if take.any():
                 r = lead[take]
                 ok[r] = True

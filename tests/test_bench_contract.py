@@ -5,6 +5,8 @@ fails here instead of in the benchmark.  The benchmark's files are imported,
 never changed.
 """
 
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -50,3 +52,23 @@ def test_traced_biped_solve():
     metrics = tracer.layer_metrics()
     assert metrics["pipeline.solve_model.calls"] == 1
     assert metrics["trace.tasks"] == 1
+
+
+# SHA-256 of the workloads' own fingerprints, JSON-encoded as ``perfbench/run.py`` encodes them
+# for its fingerprint digest: the first five seed-1 n2-oracle tasks and the armed biped.
+PINNED_DIGESTS = {
+    "n2-oracle": "eec3a136696d856e71fab0fbd1ee89dbb0c62789634da9d29e8d6dd0d32dc575",
+    "solve-batch": "aa6fdb92fa06debae044464bf70d44002462993510f7bffa4443eab4937c8357",
+}
+
+
+@pytest.mark.parametrize("name, tasks", [
+    ("n2-oracle", workloads.n2_oracle_tasks(1)[:5]),
+    ("solve-batch", [_biped_task()]),
+], ids=["n2-oracle", "solve-batch"])
+def test_workload_fingerprints_are_pinned(name, tasks):
+    # a library change that moves an outcome the benchmark fingerprints fails here too
+    workload = workloads.WORKLOADS[name]
+    prints = [workload.fingerprint(task, workload.run(task)) for task in tasks]
+    blob = json.dumps(prints, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_DIGESTS[name]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import collisionless as cl
+from collisionless import closed_form
 from collisionless.closed_form import SOLVERS, _branch_root
 from helpers import cauchy_inputs, random_rocker_freqs
 
@@ -100,6 +101,32 @@ def test_branch_index_rejects_bool(call):
     # True is an int subclass, but it is not a branch index
     with pytest.raises(cl.InvalidParameterError, match="branch index"):
         call()
+
+
+def test_hopper_branch_roots_are_scanned_once_per_branch(monkeypatch):
+    # tan y = y does not depend on the frequencies: the hopper and the juggler of a branch
+    # share one cached scan, bit for bit the uncached root; a branch without a root scans
+    # again on every call, since an exception is not cached
+    scans = []
+
+    def counting(f, df, n):
+        scans.append(n)
+        return _branch_root(f, df, n)
+
+    monkeypatch.setattr(closed_form, "_branch_root", counting)
+    closed_form._alpha.cache_clear()
+    for n in range(2, 7):
+        expected = closed_form._alpha.__wrapped__(n)
+        for omega2, omega1p in ((1.3, 0.6), (0.7, 0.2), (2.9, 1.4)):
+            assert cl.solve_hopper(omega2, omega1p, n).o_2 == expected
+            assert cl.solve_juggler(omega2, omega1p, n).o_2 == expected
+    assert scans == [2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
+    for attempt in range(1, 4):
+        with pytest.raises(cl.NoRootError):
+            cl.solve_hopper(1.0, 0.5, 1)
+        with pytest.raises(cl.NoRootError):
+            cl.solve_juggler(1.0, 0.5, 1)
+        assert scans[10:] == [1] * 2 * attempt
 
 
 def test_juggler_identical_to_hopper():

@@ -103,6 +103,20 @@ def test_mode_motion_vec_matches_scalar():
             assert gd[k, i] == pytest.approx(ref[1], rel=1e-15)
 
 
+@pytest.mark.parametrize("lam, sigma", [
+    ([0.0, 0.0], [1, -1]),           # the odd zero-frequency kernel is (t, 1), not (0, 0)
+    ([0.0, 2.0], [-1, 1]),
+    ([-3.0, 2e-14], [1, 1]),        # within ZERO_EIGENVALUE_ATOL of the largest |lam|
+    (0.0, 1),
+])
+def test_mode_motion_vec_rejects_zero_modes(lam, sigma):
+    with pytest.raises(cl.ZeroModeError):
+        cl.mode_motion_vec(1.5, lam, sigma)
+    # the threshold is relative to the spectrum's scale: just above it a mode is evaluated
+    g, gd = cl.mode_motion_vec(1.5, [-3.0, 4e-14], [1, 1])
+    assert (g[1], gd[1]) == pytest.approx(_kernel_values(1.5, 4e-14, 1), rel=1e-15)
+
+
 def _grid_cases():
     """(label, half, kernel constants) of the biped, the stiff model, random N = 2..6 spectra."""
     pairs = [("biped", cl.analyze(cl.build_armed_biped()), (0.3, 3.0)),
@@ -733,6 +747,26 @@ def test_scan_skips_cells_with_non_finite_corners():
     assert np.isfinite(residual).all() and np.all(residual != 0)
 
 
+def test_scan_drops_a_cell_with_a_non_finite_unit_corner():
+    # an all-even pair at (o_N, o') = (1e-170, 1e-200): the free rows' norms underflow to the
+    # 1e-300 floor and the unit det_b there is -inf, while the raw minors are finite and both
+    # change sign on the cell; the cell gives no seed and no warning (scanned without the
+    # drop, it seeds at (2.349, 1.175))
+    pair = cl.SpectrumPair([-2.0, 1.0, 3.0], [0.5, 2.0], [-1, -1, -1], [-1, -1])
+    grid = cl.GridSpec(o_n_min=1e-170, o_n_max=5.0, o_p_min=1e-200, o_p_max=5.0, step=2.5)
+    o_n, o_p = grid.axes()
+    with np.errstate(all="ignore"):
+        raw = impact._minor_grids(o_n, o_p, pair)
+        corner = cl.impact_residual((o_n[0], o_p[0]), pair, pair.M, pair.eta)
+    assert all(np.isfinite(Z).all() and _sign_change_cells(Z)[0, 0] for Z in raw)
+    assert np.isfinite(corner[0]) and corner[1] == -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seeds = cl.scan_contour(pair, grid).seeds
+    assert seeds.shape == (2, 2)
+    assert not ((seeds[:, 0] < o_n[1]) & (seeds[:, 1] < o_p[1])).any()
+
+
 @pytest.mark.parametrize("lamp_top", [0.0, -0.5])
 def test_impact_layer_rejects_spectra_without_existence(lamp_top):
     spectra = cl.SpectrumPair([-2.0, 1.0], [lamp_top], [1, 1], [1])
@@ -1070,6 +1104,61 @@ def test_refine_root_matches_candidate_loop():
             converged += isinstance(expected, cl.ImpactTimes)
             failed += isinstance(expected, str)
     assert converged > 100 and failed > 20
+
+
+def test_lockstep_mixes_full_steps_in_and_out_of_the_quadrant(monkeypatch):
+    # random points on a rocker pair, whose phantom (0, pi/2) draws many of them to o_N = 0:
+    # in one lockstep iteration some seeds' full steps leave the quadrant while others stay,
+    # in another every full step stays but one fails, and seeds that start above
+    # CORNER_RADIUS end at the corner; each outcome is the candidate loop's and the seed's
+    # alone, bit for bit
+    nu1, om2, om1p = random_rocker_freqs(np.random.default_rng(2024))
+    spectra = cl.n2_spectrum("rocker", nu1=nu1, omega2=om2, omega1p=om1p)
+    M, eta_vec = cauchy_inputs(spectra)
+    seeds = np.random.default_rng(3).uniform(0.05, 3.0, size=(40, 2))
+    full_inside = []   # per table built: which seeds' full step stays in the quadrant
+    scaled = impact._scaled_steps
+
+    def spy(o, step):
+        cands, inside = scaled(o, step)
+        full_inside.append(inside[:, 0])
+        return cands, inside
+
+    monkeypatch.setattr(impact, "_scaled_steps", spy)
+    together = cl.refine_roots(seeds, spectra, M, eta_vec, max_iter=40)
+    monkeypatch.undo()
+    assert any(f.any() and not f.all() for f in full_inside)
+    assert any(f.all() for f in full_inside)
+    crossed = 0
+    for seed, outcome in zip(seeds, together):
+        expected = _outcome(_refine_root_loop, seed, spectra, M, eta_vec, 40)
+        assert _outcome(cl.refine_root, seed, spectra, M, eta_vec, 40) == expected
+        if isinstance(outcome, cl.ConvergenceError):
+            outcome = str(outcome)
+        assert outcome == expected, f"seed {seed.tolist()} in lockstep"
+        crossed += seed[0] >= impact.CORNER_RADIUS and "phantom corner" in str(expected)
+    assert crossed > 10
+
+
+def test_phantom_test_runs_only_below_the_corner_radius(monkeypatch):
+    # a rocker seed that starts at o_N = 1.46 and ends at the phantom in iteration 5: the
+    # corner is tested only in the iterations that start below CORNER_RADIUS
+    nu1, om2, om1p = random_rocker_freqs(np.random.default_rng(2024))
+    spectra = cl.n2_spectrum("rocker", nu1=nu1, omega2=om2, omega1p=om1p)
+    seed = (1.4632, 0.5212)
+    expected = _outcome(_refine_root_loop, seed, spectra, spectra.M, spectra.eta, 40)
+    assert "phantom corner (0, o'_c = 1.5708) in iteration 5" in expected
+    corners = []
+    phantom = impact._phantom_corners
+
+    def spy(o, pair):
+        corners.append(o[:, 0].min())
+        return phantom(o, pair)
+
+    monkeypatch.setattr(impact, "_phantom_corners", spy)
+    assert _outcome(cl.refine_root, seed, spectra, spectra.M, spectra.eta, 40) == expected
+    assert 0 < len(corners) < 5
+    assert max(corners) < impact.CORNER_RADIUS
 
 
 def _lockstep_outcomes(spectra, seeds, max_iter):
