@@ -1,10 +1,11 @@
 """Cauchy-matrix algebra on interlaced spectra.
 
 The matrix M with entries 1/(lam_i - lam'_j) couples the free and contact
-spectra.  Because its nodes interlace, its square submatrices admit explicit
-product formulas for the determinant and inverse (O(N^2) arithmetic), and the
-squared contact-row amplitudes eta of the free modes follow from the null
-relation eta^T M = 0 in closed form.
+spectra.  Its determinant and inverse, and the squared contact-row amplitudes
+eta of the free modes (eta^T M = 0), have O(N^2) product formulas built on one
+set of Lagrange weights (``_weights``).  These are componentwise accurate for
+any distinct nodes (Demmel, SIAM J. Matrix Anal. Appl. 21, 1999), so no dense
+fallback is kept; nodes within NEAR_SINGULAR_RTOL of the spread raise.
 
 ``cauchy_matrix`` and ``eta`` also take stacked node sets: arrays of shapes
 (..., n) and (..., m) with equal leading axes, one node set per row.  Each
@@ -19,11 +20,8 @@ from .errors import InterlacingError, InvalidParameterError
 
 __all__ = ["cauchy_matrix", "cauchy_det", "cauchy_inverse", "eta"]
 
-# Node pairs closer than NEAR_SINGULAR_RTOL * spread make M numerically useless;
-# below DENSE_FALLBACK_RTOL the product formulas lose accuracy and a dense
-# solve is preferred.
+# Node pairs closer than NEAR_SINGULAR_RTOL * spread make M numerically useless.
 NEAR_SINGULAR_RTOL = 1e-12
-DENSE_FALLBACK_RTOL = 1e-6
 
 
 def _diffs(x, y):
@@ -51,6 +49,17 @@ def _checked_diffs(x, y, message):
     return d
 
 
+def _weights(x, d):
+    """Lagrange weights w_i = prod_j (x_i - y_j) / prod_{k != i} (x_i - x_k), stacked.
+
+    The nodes y enter only through the checked differences d = x - y (``_diffs``).
+    """
+    dx = x[..., :, None] - x[..., None, :]
+    diag = np.arange(x.shape[-1])
+    dx[..., diag, diag] = 1.0
+    return np.prod(d, axis=-1) / np.prod(dx, axis=-1)
+
+
 def cauchy_matrix(lam, lam_prime) -> np.ndarray:
     """M[..., i, j] = 1 / (lam[..., i] - lam_prime[..., j]); errors on near-coincident nodes.
 
@@ -63,63 +72,40 @@ def cauchy_matrix(lam, lam_prime) -> np.ndarray:
     return 1.0 / d
 
 
-def cauchy_det(x, y) -> float:
-    """Determinant of the square matrix 1/(x_i - y_j) by the product formula."""
+def _square(x, y, name):
+    """(x, y, x - y) for two 1-d node sets of one size."""
     d = _diffs(x, y)
     n = d.shape[0]
     if d.shape != (n, n):
-        raise InvalidParameterError("cauchy_det needs two 1-d node sets of equal size")
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    num = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= (x[j] - x[i]) * (y[i] - y[j])
-    return num / np.prod(d)
+        raise InvalidParameterError(f"{name} needs two 1-d node sets of equal size")
+    return np.asarray(x, float), np.asarray(y, float), d
+
+
+def cauchy_det(x, y) -> float:
+    """det of 1/(x_i - y_j): prod_{i<j} (x_j - x_i)(y_i - y_j) / prod_{i,j} (x_i - y_j)."""
+    x, y, d = _square(x, y, "cauchy_det")
+    upper = np.triu_indices(len(x), 1)
+    return np.prod((x - x[:, None])[upper] * (y[:, None] - y)[upper]) / np.prod(d)
 
 
 def cauchy_inverse(x, y) -> np.ndarray:
-    """Inverse of the square Cauchy matrix C[i, j] = 1/(x_i - y_j).
+    """Inverse of the square Cauchy matrix C[i, j] = 1/(x_i - y_j) by the product formula.
 
-    Uses the Lagrange product formula: with P(z) = prod(z - x_k) and
-    Q(z) = prod(z - y_k),
-
-        inv(C)[j, l] = Q(x_l) P(y_j) / ((y_j - x_l) P'(x_l) Q'(y_j)).
-
-    Falls back to a dense inverse when the minimum node gap is below
-    DENSE_FALLBACK_RTOL times the node spread.
+    inv(C)[j, l] = w(y, x)_j w(x, y)_l / (y_j - x_l) with the Lagrange weights w
+    of ``_weights``; nodes closer than NEAR_SINGULAR_RTOL of the spread, across
+    or within the two sets, raise InterlacingError.
     """
-    d = _diffs(x, y)
-    n = d.shape[0]
-    if d.shape != (n, n):
-        raise InvalidParameterError("cauchy_inverse needs two 1-d node sets of equal size")
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    spread = _spread(x, y)
-    min_gap = np.abs(d).min()
-    if n > 1:
-        dx = np.abs(x[:, None] - x[None, :]) + np.diag(np.full(n, np.inf))
-        dy = np.abs(y[:, None] - y[None, :]) + np.diag(np.full(n, np.inf))
-        min_gap = min(min_gap, dx.min(), dy.min())
-    if min_gap < NEAR_SINGULAR_RTOL * spread:
+    x, y, d = _square(x, y, "cauchy_inverse")
+    nodes = np.sort(np.concatenate([x, y]))
+    if np.diff(nodes).min() < NEAR_SINGULAR_RTOL * _spread(x, y):
         raise InterlacingError("near-coincident nodes: Cauchy inverse is singular")
-    if min_gap < DENSE_FALLBACK_RTOL * spread:
-        return np.linalg.inv(1.0 / d)
-    q_at_x = np.prod(d, axis=1)              # Q(x_l), row products
-    p_at_y = np.prod(-d, axis=0)             # P(y_j) = prod_k (y_j - x_k)
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 1.0)
-    p_deriv = np.prod(dx, axis=1)            # P'(x_l)
-    dy = y[:, None] - y[None, :]
-    np.fill_diagonal(dy, 1.0)
-    q_deriv = np.prod(dy, axis=1)            # Q'(y_j)
-    return (p_at_y / q_deriv)[:, None] * (q_at_x / p_deriv)[None, :] / (-d.T)
+    return _weights(y, -d.T)[:, None] * _weights(x, d)[None, :] / (-d.T)
 
 
 def eta(lam, lam_prime) -> np.ndarray:
     """Squared contact-row mode amplitudes from the spectra alone.
 
-    eta solves eta^T M = 0 with eta[-1] = 1; equivalently
+    eta solves eta^T M = 0 with eta[-1] = 1; equivalently (``_weights``)
 
         eta_i = prod_j (lam_i - lam'_j) / prod_{k != i} (lam_i - lam_k),
 
@@ -133,11 +119,7 @@ def eta(lam, lam_prime) -> np.ndarray:
     n = lam.shape[-1] if lam.ndim else 0
     if lamp.shape != lam.shape[:-1] + (n - 1,):
         raise InvalidParameterError("lam_prime must have one entry fewer than lam")
-    d = _checked_diffs(lam, lamp, "near-singular spectrum in eta")
-    dl = lam[..., :, None] - lam[..., None, :]
-    diag = np.arange(n)
-    dl[..., diag, diag] = 1.0
-    out = np.prod(d, axis=-1) / np.prod(dl, axis=-1)
+    out = _weights(lam, _checked_diffs(lam, lamp, "near-singular spectrum in eta"))
     out = out / out[..., -1:]
     if not np.all(out > 0):
         raise InterlacingError("eta has non-positive entries; spectra are not interlaced")

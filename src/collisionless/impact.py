@@ -53,13 +53,13 @@ from .errors import (
     ZeroModeError,
 )
 from .model import (
-    ZERO_EIGENVALUE_ATOL,
     SpectrumPair,
     _as_dict,
     _check_integer,
     _check_positive,
     _is_number,
     _kernel_constants,
+    _zero_modes,
 )
 from .spectral import SpectralData
 from .svgout import SvgCanvas
@@ -120,7 +120,7 @@ def mode_motion_vec(t, lam, sigma):
     kernel of a zero-frequency mode is (t, 1), which no periodic kernel gives.
     """
     lam = np.asarray(lam, float)
-    if lam.size and (np.abs(lam) <= ZERO_EIGENVALUE_ATOL * np.abs(lam).max()).any():
+    if _zero_modes(lam).any():
         raise ZeroModeError("mode_motion_vec is undefined for a zero eigenvalue")
     return _mode_kernels(t, *_kernel_constants(lam, np.asarray(sigma)))
 
@@ -201,14 +201,13 @@ def phase_rate(tau, lam, sigma):
     Evaluates sigma * tan(om tau)^sigma * om for lam > 0 and
     -tanh(nu tau)^sigma * nu for lam < 0.
 
-    Raises ZeroModeError for a zero eigenvalue, and PoleError when an
-    oscillatory mode sits within POLE_ATOL (in phase units) of a tan/cot
-    pole.  Errors are raised for the first offending mode.
+    Raises ZeroModeError for a zero eigenvalue (``mode_motion_vec``'s rule),
+    and PoleError when an oscillatory mode sits within POLE_ATOL (in phase
+    units) of a tan/cot pole.  Errors are raised for the first offending mode.
     """
     lam = np.atleast_1d(np.asarray(lam, float))
     even = np.broadcast_to(np.asarray(sigma), lam.shape) == -1
-    scale = np.abs(lam).max() if lam.size else 1.0
-    zero = np.abs(lam) <= ZERO_EIGENVALUE_ATOL * max(scale, 1.0)
+    zero = _zero_modes(lam)
     osc = lam > 0
     om = np.sqrt(np.abs(lam))
     o = om * tau
@@ -535,7 +534,8 @@ def _crossing_seeds(xa, ya, i, j, corners_a, corners_b):
     ``corners_a`` and ``corners_b`` are the cells' corner values of the two
     minors (see ``_segments``).  Seeds come in the order of the cells, then
     by segment of det_a, then of det_b.  Segments that are parallel or do
-    not reach each other give none.
+    not reach each other give none.  Rounding in p + t r can put a crossing
+    just outside its cell (o_N = 0.0 beside 1e-170), so each is clipped into it.
     """
     (a, kept_a), (b, kept_b) = (_segments(xa, ya, i, j, v) for v in (corners_a, corners_b))
     # each a-segment p + t r of a cell against each b-segment q + u w of the same cell
@@ -547,7 +547,9 @@ def _crossing_seeds(xa, ya, i, j, corners_a, corners_b):
         t, u = cross(q - p, w) / d, cross(q - p, r) / d
         crossings = p + t[..., None] * r
     meet = kept_a[:, :, None] & kept_b[:, None, :] & (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)
-    return crossings[meet]
+    cell = np.nonzero(meet)[0]
+    return np.clip(crossings[meet], np.stack([xa[i], ya[j]], axis=-1)[cell],
+                   np.stack([xa[i + 1], ya[j + 1]], axis=-1)[cell])
 
 
 @dataclass(eq=False)

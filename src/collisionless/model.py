@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cauchy import cauchy_matrix, eta as cauchy_eta
+from .cauchy import _weights, cauchy_matrix, eta as cauchy_eta
 from .errors import InterlacingError, InvalidModelError, InvalidParameterError, ZeroModeError
 
 __all__ = [
@@ -73,9 +73,13 @@ def _kernel_constants(lam, sigma):
     return om, osc, sigma == -1, np.where(osc, -om, om)
 
 
+def _zero_modes(lam):
+    """Mask of the eigenvalues within ZERO_EIGENVALUE_ATOL of the spectrum's largest |lam|."""
+    return np.abs(lam) <= ZERO_EIGENVALUE_ATOL * np.abs(lam).max(initial=0.0)
+
+
 def _require_nonzero_spectra(spectra):
-    scale = max(np.abs(spectra.lam).max(), np.abs(spectra.lam_prime).max())
-    if np.abs(spectra.lam).min() <= ZERO_EIGENVALUE_ATOL * scale:
+    if _zero_modes(spectra.lam).any():   # by interlacing, max |lam| is the pair's
         raise ZeroModeError(
             "the generic solver requires non-zero free eigenvalues "
             "(zero-frequency families are handled by the closed forms)"
@@ -329,16 +333,13 @@ def model_from_spectra(pair: SpectrumPair, name: str = "spectral",
 
     The stiffness [[diag(lam'), b], [b^T, a]] has contact spectrum
     ``pair.lam_prime`` and free spectrum ``pair.lam`` when
-    b_j^2 = -prod_i (lam'_j - lam_i) / prod_{k != j} (lam'_j - lam'_k) and
-    a = sum(lam) - sum(lam'); strict interlacing makes every b_j^2 positive
+    b_j^2 = -prod_i (lam'_j - lam_i) / prod_{k != j} (lam'_j - lam'_k) (``cauchy._weights``)
+    and a = sum(lam) - sum(lam'); strict interlacing makes every b_j^2 positive
     (Hochstadt, 1967; Boley & Golub, Inverse Problems 3, 1987).
     """
     lam, lamp = pair.lam, pair.lam_prime
-    gaps = lamp[:, None] - lamp
-    np.fill_diagonal(gaps, 1.0)
     stiffness = np.diag(np.append(lamp, lam.sum() - lamp.sum()))
-    stiffness[-1, :-1] = stiffness[:-1, -1] = np.sqrt(
-        -np.prod(lamp[:, None] - lam, axis=1) / np.prod(gaps, axis=1))
+    stiffness[-1, :-1] = stiffness[:-1, -1] = np.sqrt(-_weights(lamp, lamp[:, None] - lam))
     return ModelSpec(
         name=name,
         n=pair.n,

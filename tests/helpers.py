@@ -78,6 +78,15 @@ def cauchy_inputs(spectra):
     return M, eta_vec
 
 
+def still_top_mode_model():
+    """Identity-mass model whose top mode (lam = 9) leaves the contact coordinate still."""
+    return cl.ModelSpec(
+        name="still-top", n=3, mass=np.eye(3),
+        stiffness=[[2.0, 0.0, 1.0], [0.0, 9.0, 0.0], [1.0, 0.0, 3.0]],
+        sigma=[-1, -1, -1], sigma_prime=[1, 1], static_force=1.0, contact_sign=1,
+    )
+
+
 def random_interlaced_nodes(n, rng, min_gap=1e-3):
     """2n-1 strictly increasing nodes split into (x, y) with x_i < y_i < x_{i+1}."""
     gaps = rng.uniform(min_gap, 1.0, 2 * n - 1)

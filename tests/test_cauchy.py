@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -111,13 +113,57 @@ def test_det_vs_dense_oracle():
         assert cl.cauchy_det(x, y) == pytest.approx(dense, rel=1e-10)
 
 
-def test_dense_fallback_still_accurate():
-    # one gap at 1e-7 of the spread triggers the dense path
-    x = np.array([0.0, 1.0, 2.0])
-    y = np.array([0.5, 2.0 - 1e-7])
-    inv = cl.cauchy_inverse(x[:2], y)
-    M = cl.cauchy_matrix(x[:2], y)
-    assert np.abs(inv @ M - np.eye(2)).max() < 1e-6
+def _exact_inverse_and_det(x, y):
+    """Inverse and determinant of 1/(x_i - y_j) in exact rationals, by Gauss-Jordan elimination."""
+    n = len(x)
+    rows = [[1 / (Fraction(xi) - Fraction(yj)) for yj in y] + [Fraction(k == r) for k in range(n)]
+            for r, xi in enumerate(x)]
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    return np.array([[float(v) for v in row[n:]] for row in rows]), float(det)
+
+
+def test_inverse_and_det_exact_on_near_coincident_nodes():
+    # three of the eight nodes within 1e-7 of each other, spread about 6: the product
+    # formulas stay componentwise accurate (a dense inverse is off by up to ~1e-7 here)
+    rng = np.random.default_rng(28)
+    for _ in range(30):
+        gaps = rng.uniform(0.8, 1.6, 7)
+        k = rng.integers(0, 6)
+        gaps[k:k + 2] = rng.uniform(1e-8, 4e-8, 2)
+        nodes = np.concatenate([[0.0], np.cumsum(gaps)]) - 3.0
+        x, y = nodes[0::2], nodes[1::2]
+        exact, det = _exact_inverse_and_det(x, y)
+        assert np.abs(cl.cauchy_inverse(x, y) / exact - 1.0).max() <= 1e-14
+        assert cl.cauchy_det(x, y) == pytest.approx(det, rel=1e-13)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0], [0.5, 1.0 + 1e-13]),        # across the two sets
+    ([0.0, 1e-13], [0.5, 1.0]),              # within one set
+])
+def test_inverse_rejects_near_coincident_nodes(x, y):
+    with pytest.raises(cl.InterlacingError):
+        cl.cauchy_inverse(x, y)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0], [0.5]),
+    (np.zeros((2, 2)), np.ones((2, 2))),
+])
+def test_inverse_and_det_reject_non_square(x, y):
+    for function in (cl.cauchy_inverse, cl.cauchy_det):
+        with pytest.raises(cl.InvalidParameterError):
+            function(x, y)
 
 
 def test_eta_biped(biped_spectral):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ import pytest
 import collisionless as cl
 from collisionless import cli
 from collisionless.cli import main
+from helpers import still_top_mode_model
 
 
 def test_list_models(capsys):
@@ -191,6 +193,17 @@ def test_trajectory_then_validate(tmp_path, capsys):
     assert main(["validate", "--trajectory", str(tmp_path / "traj.json")]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
+
+
+def test_validate_stored_failing_solution_exit4(tmp_path, capsys):
+    # the picked root of the second row is attractive: exported as it is, it fails validation
+    assert main(["trajectory", "--pick", "nearest=3.79,4.08", "--format", "json",
+                 "--out", str(tmp_path / "traj"), "--samples", "20"]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--trajectory", str(tmp_path / "traj.json")]) == 4
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["passed"] is False
+    assert captured.err == "error: the stored solution failed physical validation\n"
 
 
 @pytest.mark.parametrize("name", ["x", "energy"])
@@ -423,6 +436,32 @@ def test_critical_family_report(capsys):
     assert len(payload["asymptotic_grid"]) == 2
 
 
+@pytest.mark.parametrize("source", ["model", "config"])
+def test_critical_model_report(tmp_path, capsys, source):
+    biped = cl.build_armed_biped()
+    if source == "model":
+        argv = ["--model", "armed-biped"]
+    else:
+        config = tmp_path / "biped.json"
+        config.write_text(json.dumps(biped.to_config()))
+        argv = ["--config", str(config), "--out", str(tmp_path / "crit"), "--json"]
+    assert main(["critical", *argv, "--branches", "3..4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    spectral = cl.analyze(biped)
+    tau_c, c0 = cl.solve_critical(cl.critical_limit(spectral))
+    grid = cl.asymptotic_grid(spectral, [3, 4])
+    assert payload == {
+        "tau_critical": tau_c, "c0": c0,
+        "asymptotic_grid": [{"n": n, "o_n": float(o_n), "o_prime": float(o_p)}
+                            for n, (o_n, o_p) in zip((3, 4), grid)],
+    }
+    if source == "config":
+        manifest = json.loads((tmp_path / "crit.manifest.json").read_text())
+        digest = hashlib.sha256(config.read_bytes()).hexdigest()
+        assert manifest["input_hashes"] == {str(config): digest}
+        assert json.loads((tmp_path / "crit.json").read_text()) == payload
+
+
 def test_critical_needs_one_source():
     with pytest.raises(SystemExit) as info:
         main(["critical"])
@@ -514,6 +553,14 @@ def test_pick_nearest_rejects_nonfinite_phases(capsys, phase):
         main(["solve", "--pick", f"nearest={phase}"])
     assert info.value.code == 64
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_solve_config_with_a_still_top_mode_exit1(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(still_top_mode_model().to_config()))
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "zero amplitude on the contact coordinate" in err
 
 
 def test_solve_config_with_fractional_n_exit1(tmp_path, capsys):

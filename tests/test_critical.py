@@ -83,6 +83,13 @@ def test_critical_root_brackets_det_oracle():
     assert tau_c == pytest.approx(0.5 * (lo + hi), abs=1e-10)
 
 
+def test_solve_critical_without_a_root_in_the_window(biped_spectral):
+    # the biped's first critical root lies far beyond o_N = 0.01
+    with pytest.raises(cl.NoRootError, match="o_N < 0.01") as info:
+        cl.solve_critical(cl.critical_limit(biped_spectral), o_max=0.01)
+    assert info.value.exit_code == 3
+
+
 def test_predicted_contact_phase_inversions():
     # exact inversion of w'(tau') = c0 on the principal branch
     c0, lam_p = 1.3, 0.04

@@ -182,6 +182,20 @@ def test_phase_rate_zero_raises_by_default():
         cl.phase_rate(1.0, [0.0], [-1])
 
 
+@pytest.mark.parametrize("s", [1e-16, 1e4])
+def test_phase_rate_and_kernel_ratio_scale_with_the_spectra(s):
+    # one zero-mode rule, relative to the spectrum's largest |lam|: lam -> s lam and
+    # tau -> tau / sqrt(s) scale phase_rate by sqrt(s) and leave kernel_ratio unchanged
+    pair = cl.SpectrumPair([-2.0, 1.0, 3.0], [0.5, 2.0], [-1, 1, -1], [1, -1])
+    scaled = cl.SpectrumPair(pair.lam * s, pair.lam_prime * s, pair.sigma, pair.sigma_prime)
+    scaled.kernels   # the pair's own zero-mode check accepts the scaled spectra
+    tau, taup, root = 0.9, 0.4, np.sqrt(s)
+    np.testing.assert_allclose(cl.phase_rate(tau / root, scaled.lam, scaled.sigma),
+                               root * cl.phase_rate(tau, pair.lam, pair.sigma), rtol=1e-13)
+    np.testing.assert_allclose(cl.kernel_ratio(tau / root, taup / root, scaled),
+                               cl.kernel_ratio(tau, taup, pair), rtol=1e-13)
+
+
 def test_phase_rate_pole_error():
     with pytest.raises(cl.PoleError) as info:
         cl.phase_rate(np.pi / 2, [4.0], [-1])  # o = pi, cot pole
@@ -190,10 +204,10 @@ def test_phase_rate_pole_error():
 
 def _phase_rate_loop(tau, lam, sigma):
     """Per-mode reference for phase_rate: (value, None) or (None, error type)."""
-    scale = max(np.abs(lam).max(), 1.0)
+    scale = np.abs(lam).max()
     out = np.empty(len(lam))
     for i, (lv, sv) in enumerate(zip(lam, sigma)):
-        if abs(lv) <= cl.impact.ZERO_EIGENVALUE_ATOL * scale:
+        if abs(lv) <= cl.model.ZERO_EIGENVALUE_ATOL * scale:
             return None, cl.ZeroModeError
         om = np.sqrt(abs(lv))
         o = om * tau
@@ -765,6 +779,22 @@ def test_scan_drops_a_cell_with_a_non_finite_unit_corner():
         seeds = cl.scan_contour(pair, grid).seeds
     assert seeds.shape == (2, 2)
     assert not ((seeds[:, 0] < o_n[1]) & (seeds[:, 1] < o_p[1])).any()
+
+
+def test_scan_seeds_lie_inside_the_grid():
+    # on the pair above, rounding in p + t r put a crossing at o_N = 0.0, below the first
+    # grid point 1e-170, and refine_roots rejected the whole batch; clipped into its cell,
+    # every seed lies in the window, refines to an outcome of its own, and the solve ends in
+    # the documented ConvergenceError
+    pair = cl.SpectrumPair([-2.0, 1.0, 3.0], [0.5, 2.0], [-1, -1, -1], [-1, -1])
+    grid = cl.GridSpec(o_n_min=1e-170, o_n_max=5.0, o_p_min=1e-200, o_p_max=5.0, step=2.5)
+    o_n, o_p = grid.axes()
+    seeds = cl.scan_contour(pair, grid).seeds
+    assert seeds.shape == (2, 2) and seeds[0, 0] == o_n[0]
+    assert ((seeds >= [o_n[0], o_p[0]]) & (seeds <= [o_n[-1], o_p[-1]])).all()
+    assert len(cl.refine_roots(seeds, pair, pair.M, pair.eta)) == len(seeds)
+    with pytest.raises(cl.ConvergenceError):
+        cl.solve_model(cl.model_from_spectra(pair, static_force=1.0), grid)
 
 
 @pytest.mark.parametrize("lamp_top", [0.0, -0.5])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import collisionless as cl
-from helpers import random_spd_model
+from helpers import random_spd_model, still_top_mode_model
 
 REF_LAM = np.array([-5.85028, -0.67319, 1.52348])
 REF_ROW = np.array([6.5268, 2.6199, 1.0])
@@ -159,6 +159,14 @@ def test_analyze_rejects_zero_contact_amplitude():
     )
     with pytest.raises(cl.NormalizationError):
         cl.analyze(model)
+
+
+def test_normal_modes_rejects_a_still_top_mode():
+    model = still_top_mode_model()
+    for stage in (cl.normal_modes, cl.analyze):
+        with pytest.raises(cl.NormalizationError, match="top mode") as info:
+            stage(model)
+        assert info.value.exit_code == 1
 
 
 def test_matrix_reconstruction(biped, biped_spectral):
