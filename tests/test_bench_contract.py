@@ -55,17 +55,20 @@ def test_traced_biped_solve():
 
 
 # SHA-256 of the workloads' own fingerprints, JSON-encoded as ``perfbench/run.py`` encodes them
-# for its fingerprint digest: the first five seed-1 n2-oracle tasks and the armed biped.
+# for its fingerprint digest: the first five seed-1 n2-oracle tasks, the armed biped, and the
+# first nine seed-1 c0-study tasks (the benchmark's own nine-task c0-study digest).
 PINNED_DIGESTS = {
     "n2-oracle": "eec3a136696d856e71fab0fbd1ee89dbb0c62789634da9d29e8d6dd0d32dc575",
     "solve-batch": "aa6fdb92fa06debae044464bf70d44002462993510f7bffa4443eab4937c8357",
+    "c0-study": "e4c65be3ced04d78242ff398837da75d55b9b96b0f282c0f5b79517d991020d3",
 }
 
 
 @pytest.mark.parametrize("name, tasks", [
     ("n2-oracle", workloads.n2_oracle_tasks(1)[:5]),
     ("solve-batch", [_biped_task()]),
-], ids=["n2-oracle", "solve-batch"])
+    ("c0-study", workloads.c0_study_tasks(1)[:9]),
+], ids=["n2-oracle", "solve-batch", "c0-study"])
 def test_workload_fingerprints_are_pinned(name, tasks):
     # a library change that moves an outcome the benchmark fingerprints fails here too
     workload = workloads.WORKLOADS[name]
