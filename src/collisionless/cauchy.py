@@ -25,11 +25,17 @@ NEAR_SINGULAR_RTOL = 1e-12
 
 
 def _diffs(x, y):
-    """x[..., i] - y[..., j] for node sets stacked on equal leading axes."""
+    """x[..., i] - y[..., j] for node sets stacked on equal leading axes.
+
+    Every node set needs at least one node, so an empty one raises
+    InvalidParameterError in every entry point of this module.
+    """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     if min(x.ndim, y.ndim) < 1 or x.shape[:-1] != y.shape[:-1]:
         raise InvalidParameterError("node sets must be 1-d, or stacked on equal leading axes")
+    if min(x.shape[-1], y.shape[-1]) < 1:
+        raise InvalidParameterError("every node set needs at least one node")
     return x[..., :, None] - y[..., None, :]
 
 

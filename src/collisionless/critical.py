@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +60,6 @@ def critical_limit(spectra: SpectrumPair) -> SpectrumPair:
     """
     lam = np.array(spectra.lam)
     lamp = np.array(spectra.lam_prime)
-    if spectra.n < 2:
-        raise InvalidParameterError("need at least 2 degrees of freedom")
     if lam[-2] >= 0:
         raise InvalidParameterError(
             "critical limit requires all free eigenvalues below the top one to be negative"
@@ -72,28 +69,43 @@ def critical_limit(spectra: SpectrumPair) -> SpectrumPair:
 
 
 def _require_limit(spectra: SpectrumPair):
+    """InvalidParameterError unless the top contact eigenvalue is exactly 0.
+
+    Strict interlacing (``SpectrumPair``) then puts the top free eigenvalue above 0.
+    """
     if spectra.lam_prime[-1] != 0.0:
         raise InvalidParameterError(
             "spectra must be in the critical limit (top contact eigenvalue exactly 0); "
             "use critical_limit() first"
         )
-    if spectra.lam[-1] <= 0:
-        raise InvalidParameterError("top free eigenvalue must be positive")
 
 
-class _Stack(NamedTuple):
+class _Stack:
     """Spectra in the critical limit, S of them stacked on axis 0.
 
     Holds only what the scan and the polish read: the free spectra and
     signatures, and the coefficient table of the critical kernel.  Row m of
     ``coef`` multiplies the monomial prod(w_i for i in subset m) of the
     non-top hyperbolic rates (``impact._subsets`` order); its seven columns
-    are P0, P1, S and r of ``_k_ingredients``.
+    are P0, P1, S and r of ``_k_ingredients``.  The per-sample constants of
+    the rates are derived once here, in the kernel's mode-first layout: the
+    decay rates nu and odd masks of the non-top modes (``_modes``), and the
+    top mode's omega_N and odd mask, each (S, 1).  Iteration yields the three
+    defining arrays, from which ``take`` builds a sub-stack.
     """
 
-    lam: np.ndarray          # (S, n)
-    sigma: np.ndarray        # (S, n)
-    coef: np.ndarray         # (S, 2**(n-1), 7)
+    _fields = ("lam", "sigma", "coef")
+
+    def __init__(self, lam, sigma, coef):
+        self.lam = lam            # (S, n)
+        self.sigma = sigma        # (S, n)
+        self.coef = coef          # (S, 2**(n-1), 7)
+        self.nu, self.odd = _modes(lam, sigma)
+        self.om_top = np.sqrt(lam[:, -1:])
+        self.odd_top = sigma[:, -1:] == 1
+
+    def __iter__(self):
+        return (getattr(self, name) for name in self._fields)
 
     def take(self, idx) -> _Stack:
         return _Stack(*(values[idx] for values in self))
@@ -132,11 +144,21 @@ def _stacked(lam, lam_prime, sigma, M, eta_vec) -> _Stack:
     return _Stack(lam=lam, sigma=sigma, coef=coef)
 
 
-def _hyperbolic_rates(taus, lam, sigma):
-    """w_i(tau) (S, T, n-1) of the (all-hyperbolic) non-top free modes at taus (S, T)."""
-    nu = np.sqrt(-lam[:, None, :-1])
-    th = np.tanh(nu * taus[:, :, None])
-    return np.where(sigma[:, None, :-1] == 1, -th * nu, -nu / th)
+def _modes(lam, sigma):
+    """(nu, odd) of the non-top free modes of S stacked spectra, mode-first: (n-1, S, 1) each."""
+    nu = np.sqrt(-np.ascontiguousarray(lam.T[:-1, :, None]))
+    return nu, np.ascontiguousarray(sigma.T[:-1, :, None]) == 1
+
+
+def _hyperbolic_rates(taus, nu, odd):
+    """w_i(tau) of the (all-hyperbolic) non-top free modes at taus (S, T), mode-first: (n-1, S, T).
+
+    ``nu`` and ``odd`` are ``_modes``' (n-1, S, 1) arrays, so each mode's
+    tanh runs over one contiguous (S, T) slab.
+    """
+    th = np.tanh(nu * taus)
+    w = np.multiply(th, -nu)                           # -nu tanh, kept where odd
+    return np.divide(-nu, th, out=w, where=~odd)       # -nu / tanh where even
 
 
 def _k_ingredients(w_bar, lam, lam_prime, M, eta_vec):
@@ -172,14 +194,19 @@ def _k_ingredients(w_bar, lam, lam_prime, M, eta_vec):
 def _det_terms(w_bar, stack):
     """(A, B, S): det(K + K~) = A + B w_N, and the second K row S, per (sample, tau).
 
-    The monomials of ``w_bar`` are built by doubling, in the order of the
-    stack's coefficient table, and one product with it gives the seven pieces.
+    ``w_bar`` holds the rates mode-first, (n-1, S, T) as ``_hyperbolic_rates``
+    gives them.  The monomials are doubled in place into one (2**(n-1), S, T)
+    array, in the order of the stack's coefficient table: monomial m + 2**i is
+    monomial m times w_i.  One product of its (S, T, 2**(n-1)) view with the
+    table gives the seven pieces.
     """
-    mono = np.ones(w_bar.shape[:-1] + (1,))
-    for i in range(w_bar.shape[-1]):
-        mono = np.concatenate([mono, mono * w_bar[..., i, None]], axis=-1)
-    pieces = mono @ stack.coef
-    p00, p01, p10, p11, s0, s1, r = np.moveaxis(pieces, -1, 0)
+    k = w_bar.shape[0]
+    mono = np.empty((2 ** k,) + w_bar.shape[1:])
+    mono[0] = 1.0
+    for i in range(k):
+        np.multiply(mono[:2 ** i], w_bar[i], out=mono[2 ** i:2 ** (i + 1)])
+    pieces = mono.transpose(1, 2, 0) @ stack.coef                   # (S, T, 7)
+    p00, p01, p10, p11, s0, s1, r = pieces.transpose(2, 0, 1)
     A = (p00 + r) * s1 - p01 * s0
     B = p10 * s1 - (p11 + r) * s0
     return A, B, pieces[..., 4:6]
@@ -195,8 +222,10 @@ def critical_matrices(tau: float, spectra: SpectrumPair):
     lam, lam_prime, M, eta_vec = (
         values[None] for values in (spectra.lam, spectra.lam_prime, spectra.M, spectra.eta)
     )
-    w_bar = _hyperbolic_rates(np.array([[float(tau)]]), lam, spectra.sigma[None])
-    P0, P1, S, r = (v[0, 0] for v in _k_ingredients(w_bar, lam, lam_prime, M, eta_vec))
+    w_bar = _hyperbolic_rates(np.array([[float(tau)]]), *_modes(lam, spectra.sigma[None]))
+    P0, P1, S, r = (
+        v[0, 0] for v in _k_ingredients(np.moveaxis(w_bar, 0, -1), lam, lam_prime, M, eta_vec)
+    )
     w_top = phase_rate(tau, spectra.lam[-1:], spectra.sigma[-1:])[0]
     K = np.vstack([P0 + w_top * P1, S])
     K_tilde = np.array([[r, r * w_top], [0.0, 0.0]])
@@ -209,11 +238,11 @@ def _depoled_residual(taus, stack):
     The determinant is affine in w_N, so this form is continuous in tau and
     its sign changes bracket genuine roots only (never w_N poles).
     """
-    A, B, _ = _det_terms(_hyperbolic_rates(taus, stack.lam, stack.sigma), stack)
-    om_top = np.sqrt(stack.lam[:, -1:])
-    o_top = om_top * taus
+    A, B, _ = _det_terms(_hyperbolic_rates(taus, stack.nu, stack.odd), stack)
+    o_top = stack.om_top * taus
     cos, sin = np.cos(o_top), np.sin(o_top)
-    return np.where(stack.sigma[:, -1:] == 1, A * cos + B * om_top * sin, A * sin - B * om_top * cos)
+    om_b = B * stack.om_top
+    return np.where(stack.odd_top, A * cos + om_b * sin, A * sin - om_b * cos)
 
 
 def _itp(stack, a, b, fa, fb):
@@ -228,13 +257,15 @@ def _itp(stack, a, b, fa, fb):
     half that width: once the regula-falsi point has converged, k1 (b - a)^2
     falls below the rounding of tau and the far end would only move by
     projection, one bisection step at a time.  One residual evaluation per
-    iteration serves every open bracket.
+    iteration serves every open bracket; their slice of the stack is taken
+    again only when one of them closes.
     """
     a, b, fa, fb = (np.array(v, float) for v in (a, b, fa, fb))
     width_tol = _XTOL + _RTOL * a
     k1 = 0.2 / (b - a)
     n_max = np.ceil(np.log2((b - a) / width_tol)) + 1.0
     open_ = np.nonzero(b - a > width_tol)[0]
+    sub = stack.take(open_)
     j = 0
     while open_.size:
         lo, hi, f_lo, f_hi = a[open_], b[open_], fa[open_], fb[open_]
@@ -245,13 +276,15 @@ def _itp(stack, a, b, fa, fb):
         side = np.sign(mid - x_f)
         x_t = np.where(delta <= np.abs(mid - x_f), x_f + side * delta, mid)
         x = np.where(np.abs(x_t - mid) <= radius, x_t, mid - side * radius)
-        y = _depoled_residual(x[:, None], stack.take(open_))[:, 0]
+        y = _depoled_residual(x[:, None], sub)[:, 0]
         right = y * f_lo > 0        # the root lies right of x
         a[open_] = np.where(right | (y == 0), x, lo)
         fa[open_] = np.where(right, y, f_lo)
         b[open_] = np.where(right, hi, x)
         fb[open_] = np.where(right, f_hi, y)
-        open_ = open_[b[open_] - a[open_] > width_tol[open_]]
+        still = b[open_] - a[open_] > width_tol[open_]
+        if not still.all():
+            open_, sub = open_[still], sub.take(still)
         j += 1
     return (b * fa - a * fb) / (fa - fb)
 
@@ -263,24 +296,35 @@ def _scan(stack, o_max):
     [1e-3, o_max].  The grid is evaluated in ascending blocks of _SCAN_BLOCK
     intervals for every sample still scanning, and a sample leaves the scan
     at its first block holding a finite sign change, so the rest of its grid
-    is never evaluated.
+    is never evaluated.  A block's taus are formed on demand with
+    ``np.linspace``'s own arithmetic, index * step + first with the last point
+    pinned to the end, so they are the linspace grid bit for bit.
     """
-    om_top = np.sqrt(stack.lam[:, -1])
-    grid = np.linspace(1e-3 / om_top, o_max / om_top, _SCAN_POINTS, axis=-1)
-    bracket = np.full((4, om_top.size), np.nan)        # lo, hi, f(lo), f(hi)
-    active = np.arange(om_top.size)
+    first = 1e-3 / stack.om_top
+    last = o_max / stack.om_top
+    step = (last - first) / (_SCAN_POINTS - 1)
+    bracket = np.full((4, first.size), np.nan)         # lo, hi, f(lo), f(hi)
+    active = np.arange(first.size)
+    sub = stack
     for start in range(0, _SCAN_POINTS - 1, _SCAN_BLOCK):
-        taus = grid[active, start:start + _SCAN_BLOCK + 1]
-        vals = _depoled_residual(taus, stack.take(active))
+        idx = np.arange(start, min(start + _SCAN_BLOCK + 1, _SCAN_POINTS), dtype=float)
+        taus = idx * step + first
+        if idx[-1] == _SCAN_POINTS - 1:
+            taus[:, -1] = last[:, 0]
+        vals = _depoled_residual(taus, sub)
         finite = np.isfinite(vals)
         signs = np.sign(vals)
         change = (signs[:, :-1] * signs[:, 1:] < 0) & finite[:, :-1] & finite[:, 1:]
-        hit = np.nonzero(change.any(axis=1))[0]
+        keep = ~change.any(axis=1)
+        if keep.all():
+            continue
+        hit = np.nonzero(~keep)[0]
         i = change[hit].argmax(axis=1)
         bracket[:, active[hit]] = taus[hit, i], taus[hit, i + 1], vals[hit, i], vals[hit, i + 1]
-        active = np.delete(active, hit)
-        if not active.size:
+        if not keep.any():
             break
+        active, first, step, last = (values[keep] for values in (active, first, step, last))
+        sub = sub.take(keep)
     return bracket
 
 
@@ -292,7 +336,7 @@ def _polish(stack, bracket):
     if found.size:
         sub = stack.take(found)
         tau_c[found] = _itp(sub, *bracket[:, found])
-        _, _, S = _det_terms(_hyperbolic_rates(tau_c[found, None], sub.lam, sub.sigma), sub)
+        _, _, S = _det_terms(_hyperbolic_rates(tau_c[found, None], sub.nu, sub.odd), sub)
         c0[found] = -S[:, 0, 1] / S[:, 0, 0]
     return tau_c, c0
 
@@ -352,9 +396,8 @@ def large_tau_asymptote(n: int, spectra: SpectrumPair) -> AsymptoticPoint:
     _check_integer("branch index", n, 1)
     if spectra.lam[-1] <= 0:
         raise InvalidParameterError("top free eigenvalue must be positive")
-    limit = critical_limit(spectra)
-    nu_bar = np.sqrt(-limit.lam[:-1])
-    A, B, S = (v[0, 0] for v in _det_terms(-nu_bar[None, None, :], _stack_one(limit)))
+    stack = _stack_one(critical_limit(spectra))
+    A, B, S = (v[0, 0] for v in _det_terms(-stack.nu, stack))
     if B == 0:
         raise InvalidParameterError("degenerate asymptotic system")
     w_top = -A / B

@@ -77,6 +77,23 @@ def test_stacked_node_sets_checked_row_by_row():
         cl.cauchy_det(np.zeros((2, 3)), np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: cl.cauchy_matrix([], []),
+    lambda: cl.cauchy_inverse([], []),
+    lambda: cl.cauchy_det([], []),
+    lambda: cl.eta([1.0], []),
+], ids=["cauchy_matrix", "cauchy_inverse", "cauchy_det", "eta"])
+def test_empty_node_sets_rejected(call):
+    # one rule for every entry point, cauchy_det's empty product included
+    with pytest.raises(cl.InvalidParameterError, match="at least one node"):
+        call()
+
+
+def test_eta_rejects_mismatched_lengths():
+    with pytest.raises(cl.InvalidParameterError, match="one entry fewer"):
+        cl.eta([1.0, 2.0, 3.0], [1.5])
+
+
 def test_inverse_residual_biped(biped_spectral):
     lam_bar = biped_spectral.lam[:-1]
     lamp = biped_spectral.lam_prime

@@ -144,6 +144,16 @@ def test_asymptote_rejects_wrong_structure(biped_spectral):
         cl.large_tau_asymptote(3, pair)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: cl.predicted_contact_phase(0.5, -1.0, 1), "top contact eigenvalue must be positive"),
+    (lambda: cl.large_tau_asymptote(2, cl.SpectrumPair([-2.0, -0.5], [-1.0], [1, 1], [1])),
+     "top free eigenvalue must be positive"),
+], ids=["predicted_contact_phase", "large_tau_asymptote"])
+def test_critical_inputs_with_a_nonpositive_top_eigenvalue_rejected(call, message):
+    with pytest.raises(cl.InvalidParameterError, match=message):
+        call()
+
+
 def test_contact_rate_approaches_c0_monotonically():
     rng = np.random.default_rng(22)
     spectra0 = near_critical_spectra(3, 0.0, rng)
@@ -413,10 +423,10 @@ def test_coefficient_table_matches_direct_kernel(n_dof):
         stack = critical._stack_one(pair)
         om_top = np.sqrt(pair.lam[-1])
         taus = np.linspace(1e-3 / om_top, critical._O_MAX / om_top, critical._SCAN_POINTS)
-        grid_rates = critical._hyperbolic_rates(taus[None], pair.lam[None], pair.sigma[None])[0]
+        grid_rates = critical._hyperbolic_rates(taus[None], stack.nu, stack.odd)[:, 0].T
         for w_bar in (-rng.uniform(0.0, 4.0, (200, n_dof - 1)), grid_rates):
             bound = 1e-11 * np.maximum(1.0, abs(w_bar).max(axis=-1))
-            got = (v[0] for v in critical._det_terms(w_bar[None], stack))
+            got = (v[0] for v in critical._det_terms(w_bar.T[:, None], stack))   # mode-first
             want, sizes = _direct_terms(pair, w_bar[None])
             for name, g, d, size in zip("ABS", got, want, sizes):
                 away = abs(d) > 1e-3 * size
@@ -439,6 +449,23 @@ def test_coefficient_table_matches_direct_kernel(n_dof):
             assert (lo, hi) == (taus[first[0]], taus[first[0] + 1])
         else:
             assert np.isnan(lo) and np.isnan(hi)
+
+
+def test_scan_blocks_are_the_linspace_grid(monkeypatch):
+    # the blocks formed on demand are np.linspace's grid bit for bit, its pinned last point included
+    stack = critical._stack(*critical._sample_chunk(3, 64, np.random.default_rng(5)))
+    blocks = []
+
+    def flat(taus, sub):
+        blocks.append(taus.copy())
+        return np.ones_like(taus)       # no sign change: every sample scans its whole grid
+
+    monkeypatch.setattr(critical, "_depoled_residual", flat)
+    assert np.isnan(critical._scan(stack, critical._O_MAX)).all()
+    got = np.concatenate([blocks[0]] + [block[:, 1:] for block in blocks[1:]], axis=1)
+    om_top = np.sqrt(stack.lam[:, -1])
+    want = np.linspace(1e-3 / om_top, critical._O_MAX / om_top, critical._SCAN_POINTS, axis=-1)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_dof, min_c0", [
