@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import re
 import warnings
@@ -1134,6 +1136,28 @@ def test_refine_root_matches_candidate_loop():
             converged += isinstance(expected, cl.ImpactTimes)
             failed += isinstance(expected, str)
     assert converged > 100 and failed > 20
+
+
+# SHA-256 of every refinement outcome of _refine_cases(): 144 seeds, of which 121 converge,
+# 19 end at a phantom corner and 4 stall.  Unlike the benchmark's n2-oracle fingerprint
+# (phases rounded to 8 digits) it holds the iteration counts, the bits of each phase and
+# residual, and each failure's text, so it sees any change to the refinement path
+REFINE_DIGEST = "c9c663783177b6399461066863e97f42707ab186b3084d3163e7605f119c1b53"
+
+
+def test_refinement_outcomes_are_pinned():
+    def encode(outcome):
+        if isinstance(outcome, cl.ConvergenceError):
+            return ["error", str(outcome)]
+        return ["ok", outcome.iterations, outcome.o_n.hex(), outcome.o_prime.hex(),
+                [r.hex() for r in outcome.residual]]
+
+    outcomes = [encode(outcome) for spectra, seeds, max_iter in _refine_cases()
+                for outcome in cl.refine_roots(seeds, spectra, spectra.M, spectra.eta,
+                                               max_iter=max_iter)]
+    assert len(outcomes) == 144
+    blob = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == REFINE_DIGEST
 
 
 def test_lockstep_mixes_full_steps_in_and_out_of_the_quadrant(monkeypatch):
