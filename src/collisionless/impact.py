@@ -872,19 +872,18 @@ def _refine(o, seeds, spectra, M, eta_vec, max_iter) -> list:
                         f" in iteration {iteration} at o = {o[r].tolist()}"
                         f" (residual {bound[r]:.2e})"
                     )
-                    continue
-                if singular[r]:
+                elif singular[r]:
                     outcomes[live[r]] = ConvergenceError("singular Jacobian during refinement")
-                    continue
-                tau, tau_prime = spectra.from_phase(o[r, 0], o[r, 1])
-                outcomes[live[r]] = ImpactTimes(
-                    tau=tau,
-                    tau_prime=tau_prime,
-                    o_n=float(o[r, 0]),
-                    o_prime=float(o[r, 1]),
-                    residual=(float(F[r, 0]), float(F[r, 1])),
-                    iterations=iteration,
-                )
+                else:
+                    tau, tau_prime = spectra.from_phase(o[r, 0], o[r, 1])
+                    outcomes[live[r]] = ImpactTimes(
+                        tau=tau,
+                        tau_prime=tau_prime,
+                        o_n=float(o[r, 0]),
+                        o_prime=float(o[r, 1]),
+                        residual=(float(F[r, 0]), float(F[r, 1])),
+                        iterations=iteration,
+                    )
             keep = ~stop
             live, o, F, J, step, bound = (a[keep] for a in (live, o, F, J, step, bound))
             if not live.size:
@@ -894,14 +893,12 @@ def _refine(o, seeds, spectra, M, eta_vec, max_iter) -> list:
         # each seed's candidates o + 2**-j step, j = 0..39; those outside the quadrant do not
         # count.  The first is the full step (2**0 step is step), and while every full step
         # stays in the quadrant no table is built unless one of them fails
-        pts = o + step
-        if (pts > 0).all():
-            cands = None
-            first, lead = np.zeros(live.size, int), np.arange(live.size)
-        else:
+        pts, cands = o + step, None
+        first, lead = np.zeros(live.size, int), np.arange(live.size)
+        if not (pts > 0).all():
             cands, inside = _scaled_steps(o, step)
             first = inside.argmax(axis=1)
-            lead = np.flatnonzero(inside[np.arange(live.size), first])   # seeds with a candidate
+            lead = np.flatnonzero(inside[lead, first])   # seeds with a candidate
             pts = cands[lead, first[lead]]
         ok = np.zeros(live.size, bool)
         if lead.size:   # first call: each seed's first candidate
@@ -912,35 +909,24 @@ def _refine(o, seeds, spectra, M, eta_vec, max_iter) -> list:
                 continue
             if cands is None:   # from o before any seed moves
                 cands, inside = _scaled_steps(o, step)
-            if take.any():
-                r = lead[take]
-                ok[r] = True
-                o[r], F[r], J[r] = pts[take], F_new[take], J_new[take]
-                lead = lead[~take]
-        # second call: every later candidate of the seeds whose first one failed
-        later = inside[lead]
-        later[np.arange(lead.size), first[lead]] = False
-        rows, cols = np.nonzero(later)
+            ok[lead[take]] = True
+            o[ok], F[ok], J[ok] = pts[take], F_new[take], J_new[take]
+        # second call: every later candidate in the quadrant of the seeds still without a step
+        rows, cols = np.nonzero(inside & ~ok[:, None] & (_SCALINGS.T < _SCALINGS[first]))
         if rows.size:
-            rows = lead[rows]
             F_new, J_new = _newton_terms(cands[rows, cols], spectra, M, eta_vec)
-            good = (np.abs(F_new).max(axis=1) <= limit[rows]).tolist()
-            end = 0
-            for r, count in zip(lead.tolist(), later.sum(axis=1).tolist()):
-                start, end = end, end + count   # seed r's block of the call, in scaling order
-                if True in good[start:end]:
-                    i = good.index(True, start, end)
-                    ok[r] = True
-                    o[r], F[r], J[r] = cands[r, cols[i]], F_new[i], J_new[i]
-        if not ok.all():
-            for r in np.flatnonzero(~ok):
-                outcomes[live[r]] = ConvergenceError(
-                    f"refinement stalled in iteration {iteration} at o = {o[r].tolist()}"
-                    f" (residual {bound[r]:.2e})"
-                )
-            live, o, F, J = live[ok], o[ok], F[ok], J[ok]
-            if not live.size:
-                return outcomes
+            good = np.abs(F_new).max(axis=1) <= limit[rows]
+            r, i = np.unique(rows[good], return_index=True)   # first good one, in scaling order
+            ok[r] = True
+            o[r], F[r], J[r] = cands[r, cols[good][i]], F_new[good][i], J_new[good][i]
+        for r in np.flatnonzero(~ok):
+            outcomes[live[r]] = ConvergenceError(
+                f"refinement stalled in iteration {iteration} at o = {o[r].tolist()}"
+                f" (residual {bound[r]:.2e})"
+            )
+        live, o, F, J = live[ok], o[ok], F[ok], J[ok]
+        if not live.size:
+            return outcomes
     for row, r in enumerate(live.tolist()):
         outcomes[r] = ConvergenceError(
             f"no convergence after {max_iter} iterations from seed {seeds[r]!r}"
