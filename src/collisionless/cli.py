@@ -34,6 +34,7 @@ from .reference import REFERENCE, TOLERANCES, compare_reference
 from .spectral import analyze
 from .trajectory import (
     SAMPLES,
+    SAMPLES_PER_PHASE,
     ValidatorTolerances,
     _agrees,
     synthesize,
@@ -98,25 +99,30 @@ def _resolve_model(args):
 
 
 def _add_grid_args(parser):
-    parser.add_argument("--o-n-max", type=float, default=4 * np.pi)
-    parser.add_argument("--o-p-max", type=float, default=2 * np.pi)
-    parser.add_argument("--o-n-min", type=float, default=0.0)
-    parser.add_argument("--o-p-min", type=float, default=0.0)
-    parser.add_argument("--grid-step", type=float, default=0.05)
+    """One option per ``GridSpec`` field, with its default; ``step`` is ``--grid-step``."""
+    for f in fields(GridSpec):
+        flag = "grid-step" if f.name == "step" else f.name.replace("_", "-")
+        parser.add_argument(f"--{flag}", dest=f.name, type=float, default=f.default)
 
 
 def _grid_from_args(args):
-    return GridSpec(
-        o_n_max=args.o_n_max,
-        o_p_max=args.o_p_max,
-        step=args.grid_step,
-        o_n_min=args.o_n_min,
-        o_p_min=args.o_p_min,
-    )
+    return GridSpec(**{f.name: getattr(args, f.name) for f in fields(GridSpec)})
+
+
+def _add_tol_arg(parser):
+    parser.add_argument("--tol", type=float, default=1.0,
+                        help="scale factor on the physical-validation tolerances")
+
+
+def _add_solve_args(parser):
+    _add_model_args(parser)
+    _add_grid_args(parser)
+    parser.add_argument("--pick", type=_parse_pick, default="lowest-row")
+    _add_tol_arg(parser)
 
 
 def _tolerances_from_args(args):
-    factor = getattr(args, "tol", 1.0)
+    factor = args.tol
     _check_positive(tol=factor)
     if factor == 1.0:
         return None
@@ -382,11 +388,7 @@ def build_parser():
     sub.add_parser("list-models", help="list built-in models").set_defaults(func=_cmd_list_models)
 
     p = sub.add_parser("solve", help="find and validate impact-time roots")
-    _add_model_args(p)
-    _add_grid_args(p)
-    p.add_argument("--pick", type=_parse_pick, default="lowest-row")
-    p.add_argument("--tol", type=float, default=1.0,
-                   help="scale factor on the physical-validation tolerances")
+    _add_solve_args(p)
     p.add_argument("--out", default=None, help="output prefix (writes PREFIX.json + manifest)")
     p.add_argument("--json", action="store_true", help="print the JSON payload")
     p.set_defaults(func=_cmd_solve)
@@ -400,12 +402,8 @@ def build_parser():
     p.set_defaults(func=_cmd_contour)
 
     p = sub.add_parser("trajectory", help="solve and export a trajectory")
-    _add_model_args(p)
-    _add_grid_args(p)
-    p.add_argument("--pick", type=_parse_pick, default="lowest-row")
-    p.add_argument("--tol", type=float, default=1.0,
-                   help="scale factor on the physical-validation tolerances")
-    p.add_argument("--samples", type=int, default=500)
+    _add_solve_args(p)
+    p.add_argument("--samples", type=int, default=SAMPLES_PER_PHASE)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("all", "csv", "json", "svg"), default="all")
     p.set_defaults(func=_cmd_trajectory)
@@ -413,8 +411,7 @@ def build_parser():
     p = sub.add_parser("validate", help="validate an exported trajectory JSON")
     _add_model_args(p)
     p.add_argument("--trajectory", required=True)
-    p.add_argument("--tol", type=float, default=1.0,
-                   help="scale factor on the physical-validation tolerances")
+    _add_tol_arg(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("analytic2", help="closed-form branches of the 2-DOF families")

@@ -164,8 +164,9 @@ class ModelSpec:
             raise InvalidModelError("singular stiffness matrix")
         if isinstance(self.contact_sign, (bool, np.bool_)) or self.contact_sign not in (-1, 1):
             raise InvalidModelError("contact_sign must be +1 or -1")
-        if not np.isfinite(self.static_force):
-            raise InvalidModelError("static_force must be finite")
+        if not (_is_number(self.static_force) and np.isfinite(self.static_force)):
+            raise InvalidModelError(
+                f"static_force must be a finite number, got {self.static_force!r}")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "mass", _frozen(mass))
         object.__setattr__(self, "stiffness", _frozen(stiffness))

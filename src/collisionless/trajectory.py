@@ -66,6 +66,9 @@ _PHASE_NAMES = ("unconstrained", "constrained")
 # Samples per full phase in ``validate``.
 CHECK_SAMPLES = 2001
 
+# Intervals per phase of a synthesized trajectory, unless the caller gives another count.
+SAMPLES_PER_PHASE = 500
+
 # Rounding margin of ``validate``'s first tier, relative to the terms a sampled clearance
 # or force sums: a coarse and a fine evaluation of one sample, and a fine scale and its
 # modal bound, differ by far less.
@@ -189,7 +192,8 @@ def _agrees(stored, derived) -> bool:
     )
 
 
-def synthesize(solution: ImpactSolution, samples_per_phase: int = 500) -> Trajectory:
+def synthesize(solution: ImpactSolution,
+               samples_per_phase: int = SAMPLES_PER_PHASE) -> Trajectory:
     """Sample the half-cycle trajectory of a solution analytically (no integration).
 
     Each phase contributes ``samples_per_phase`` intervals, an integer >= 1;

@@ -184,6 +184,19 @@ def test_contour_with_asymptotes(tmp_path):
     assert "polyline" in svg and "<path" in svg  # curves and cross markers
 
 
+def test_contour_skips_an_overlay_without_a_critical_limit(tmp_path, capsys):
+    # the free eigenvalue 1 lies below the top one and is positive: no critical limit
+    pair = cl.SpectrumPair([-1, 1, 2], [-0.5, 1.5], [-1, -1, -1], [1, 1])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(cl.model_from_spectra(pair, static_force=1.0).to_config()))
+    argv = ["contour", "--config", str(path), "--out", str(tmp_path / "field"),
+            "--asymptotes", "2..3", "--format", "csv"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.startswith(
+        "asymptote overlay skipped: critical limit requires ")
+    assert (tmp_path / "field.csv").exists()
+
+
 def test_trajectory_then_validate(tmp_path, capsys):
     prefix = tmp_path / "traj"
     assert main(["trajectory", "--out", str(prefix), "--samples", "150"]) == 0

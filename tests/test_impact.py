@@ -24,6 +24,7 @@ from collisionless.impact import (
     _unit_contact,
 )
 from collisionless.model import _kernel_constants
+from collisionless.svgout import SvgCanvas
 from helpers import (
     cauchy_inputs,
     float_bits,
@@ -911,6 +912,13 @@ def test_contour_exports(tmp_path, biped_spectral):
 
 
 # --------------------------------------------------------------- refinement
+
+def test_svg_canvas_widens_an_empty_range_and_skips_an_empty_polyline():
+    canvas = SvgCanvas((1, 1), (2, 2))
+    assert (canvas.x0, canvas.x1, canvas.y0, canvas.y1) == (1.0, 2.0, 2.0, 3.0)
+    canvas.polyline([np.nan, 1.5], [2.5, np.nan])
+    assert "<polyline" not in canvas.tostring()
+
 
 def test_refine_root_matches_published_values(biped_root):
     assert biped_root.tau == pytest.approx(3.0795, abs=5e-4)

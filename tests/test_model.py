@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,40 @@ def test_model_spec_rejects_boolean_contact_sign(biped):
         cl.ModelSpec(**{**biped.to_config(), "contact_sign": True})
 
 
+@pytest.mark.parametrize("value", ["1", None, [1.0], True, np.nan, np.inf])
+def test_model_spec_rejects_a_static_force_that_is_no_finite_number(biped, value):
+    with pytest.raises(cl.InvalidModelError, match="static_force must be a finite number"):
+        cl.ModelSpec(**{**biped.to_config(), "static_force": value})
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 1, "n must be an integer >= 2, got 1"),
+    ("n", 2.5, "n must be an integer >= 2, got 2.5"),
+    ("mass", np.eye(2), "mass must be 3x3, got (2, 2)"),
+    ("mass", np.diag([1.0, np.inf, 1.0]), "mass contains non-finite entries"),
+    ("stiffness", [[1.0, 0.1, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -3.0]],
+     "asymmetric stiffness matrix"),
+    ("sigma", [-1, -1], "sigma must have shape (3,), got shape (2,)"),
+])
+def test_model_spec_rejects_an_invalid_field(biped, key, value, message):
+    with pytest.raises(cl.InvalidModelError, match=f"^{re.escape(message)}$"):
+        cl.ModelSpec(**{**biped.to_config(), key: value})
+
+
+def test_load_model_rejects_a_file_without_an_object(tmp_path, biped):
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps([biped.to_config()]))
+    with pytest.raises(cl.InvalidModelError, match="^model file must contain a JSON object$"):
+        cl.load_model(path)
+
+
+def test_load_model_ragged_mass_is_malformed(biped):
+    config = biped.to_config()
+    config["mass"][1] = [-1.0, 2.0]
+    with pytest.raises(cl.InvalidModelError, match="^malformed model file: "):
+        cl.load_model(config)
+
+
 def test_load_model_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -206,6 +241,12 @@ def test_n2_spectrum_interlacing_error():
 def test_n2_spectrum_invalid(kwargs):
     with pytest.raises(cl.InvalidParameterError):
         cl.n2_spectrum(**kwargs)
+
+
+def test_spectrum_pair_rejects_mismatched_lengths():
+    with pytest.raises(cl.InvalidParameterError, match=re.escape(
+            "need ascending spectra of lengths n and n-1, got (3,) and (1,)")):
+        cl.SpectrumPair([1, 2, 3], [1.5], [1, 1, 1], [1])
 
 
 def test_spectrum_pair_requires_interlacing():
