@@ -911,14 +911,14 @@ def test_contour_exports(tmp_path, biped_spectral):
     assert "<svg" in svg and "polyline" in svg and "circle" in svg and "path" in svg
 
 
-# --------------------------------------------------------------- refinement
-
 def test_svg_canvas_widens_an_empty_range_and_skips_an_empty_polyline():
     canvas = SvgCanvas((1, 1), (2, 2))
     assert (canvas.x0, canvas.x1, canvas.y0, canvas.y1) == (1.0, 2.0, 2.0, 3.0)
     canvas.polyline([np.nan, 1.5], [2.5, np.nan])
     assert "<polyline" not in canvas.tostring()
 
+
+# --------------------------------------------------------------- refinement
 
 def test_refine_root_matches_published_values(biped_root):
     assert biped_root.tau == pytest.approx(3.0795, abs=5e-4)
@@ -1149,7 +1149,7 @@ def test_refine_root_matches_candidate_loop():
 # SHA-256 of every refinement outcome of _refine_cases(): 144 seeds, of which 121 converge,
 # 19 end at a phantom corner and 4 stall.  Unlike the benchmark's n2-oracle fingerprint
 # (phases rounded to 8 digits) it holds the iteration counts, the bits of each phase and
-# residual, and each failure's text, so it sees any change to the refinement path
+# residual, and each failure's text, so it sees refinement changes that keep the roots
 REFINE_DIGEST = "c9c663783177b6399461066863e97f42707ab186b3084d3163e7605f119c1b53"
 
 
