@@ -9,14 +9,14 @@ fallback is kept; nodes within NEAR_SINGULAR_RTOL of the spread raise.
 
 ``cauchy_matrix`` and ``eta`` also take stacked node sets: arrays of shapes
 (..., n) and (..., m) with equal leading axes, one node set per row.  Each
-row is checked on its own, and 1-d node sets give the same results as ever.
+row is checked on its own.  Results beyond the float range are inf or nan, without a warning.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InterlacingError, InvalidParameterError
+from .errors import InterlacingError, InvalidParameterError, _real_array
 
 __all__ = ["cauchy_matrix", "cauchy_det", "cauchy_inverse", "eta"]
 
@@ -25,18 +25,18 @@ NEAR_SINGULAR_RTOL = 1e-12
 
 
 def _diffs(x, y):
-    """x[..., i] - y[..., j] for node sets stacked on equal leading axes.
+    """(x, y, x[..., i] - y[..., j]) for node sets stacked on equal leading axes (``_real_array``).
 
     Every node set needs at least one node, so an empty one raises
     InvalidParameterError in every entry point of this module.
     """
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
+    x = _real_array(x, "node set", InvalidParameterError)
+    y = _real_array(y, "node set", InvalidParameterError)
     if min(x.ndim, y.ndim) < 1 or x.shape[:-1] != y.shape[:-1]:
         raise InvalidParameterError("node sets must be 1-d, or stacked on equal leading axes")
     if min(x.shape[-1], y.shape[-1]) < 1:
         raise InvalidParameterError("every node set needs at least one node")
-    return x[..., :, None] - y[..., None, :]
+    return x, y, x[..., :, None] - y[..., None, :]
 
 
 def _spread(x, y):
@@ -46,13 +46,11 @@ def _spread(x, y):
 
 
 def _checked_diffs(x, y, message):
-    """Stacked differences x - y; InterlacingError(message) if a row has near-coincident nodes."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    d = _diffs(x, y)
+    """``_diffs``; InterlacingError(message) if a row has near-coincident nodes."""
+    x, y, d = _diffs(x, y)
     if np.any(np.abs(d).min(axis=(-2, -1)) < NEAR_SINGULAR_RTOL * _spread(x, y)):
         raise InterlacingError(message)
-    return d
+    return x, y, d
 
 
 def _weights(x, d):
@@ -66,13 +64,14 @@ def _weights(x, d):
     return np.prod(d, axis=-1) / np.prod(dx, axis=-1)
 
 
+@np.errstate(all="ignore")
 def cauchy_matrix(lam, lam_prime) -> np.ndarray:
     """M[..., i, j] = 1 / (lam[..., i] - lam_prime[..., j]); errors on near-coincident nodes.
 
     Stacked node sets give one matrix per row, and the near-coincidence test
     uses each row's own spread.
     """
-    d = _checked_diffs(
+    _, _, d = _checked_diffs(
         lam, lam_prime, "near-singular spectrum: lam and lam_prime nodes nearly coincide"
     )
     return 1.0 / d
@@ -80,13 +79,13 @@ def cauchy_matrix(lam, lam_prime) -> np.ndarray:
 
 def _square(x, y, name):
     """(x, y, x - y) for two 1-d node sets of one size."""
-    d = _diffs(x, y)
-    n = d.shape[0]
-    if d.shape != (n, n):
+    x, y, d = _diffs(x, y)
+    if d.shape != (len(x),) * 2:
         raise InvalidParameterError(f"{name} needs two 1-d node sets of equal size")
-    return np.asarray(x, float), np.asarray(y, float), d
+    return x, y, d
 
 
+@np.errstate(all="ignore")
 def cauchy_det(x, y) -> float:
     """det of 1/(x_i - y_j): prod_{i<j} (x_j - x_i)(y_i - y_j) / prod_{i,j} (x_i - y_j)."""
     x, y, d = _square(x, y, "cauchy_det")
@@ -94,6 +93,7 @@ def cauchy_det(x, y) -> float:
     return np.prod((x - x[:, None])[upper] * (y[:, None] - y)[upper]) / np.prod(d)
 
 
+@np.errstate(all="ignore")
 def cauchy_inverse(x, y) -> np.ndarray:
     """Inverse of the square Cauchy matrix C[i, j] = 1/(x_i - y_j) by the product formula.
 
@@ -108,6 +108,7 @@ def cauchy_inverse(x, y) -> np.ndarray:
     return _weights(y, -d.T)[:, None] * _weights(x, d)[None, :] / (-d.T)
 
 
+@np.errstate(all="ignore")
 def eta(lam, lam_prime) -> np.ndarray:
     """Squared contact-row mode amplitudes from the spectra alone.
 
@@ -117,16 +118,14 @@ def eta(lam, lam_prime) -> np.ndarray:
 
     normalized by the i = N value.  All entries are positive for strictly
     interlaced spectra.  Stacked spectra, of shapes (..., N) and (..., N-1),
-    give one normalized eta per row; any row with near-coincident nodes or a
-    non-positive entry raises InterlacingError.
+    give one normalized eta per row; any row with near-coincident nodes or an
+    entry that is not positive and finite raises InterlacingError.
     """
-    lam = np.asarray(lam, float)
-    lamp = np.asarray(lam_prime, float)
-    n = lam.shape[-1] if lam.ndim else 0
-    if lamp.shape != lam.shape[:-1] + (n - 1,):
+    lam, lamp, d = _checked_diffs(lam, lam_prime, "near-singular spectrum in eta")
+    if lamp.shape[-1] != lam.shape[-1] - 1:
         raise InvalidParameterError("lam_prime must have one entry fewer than lam")
-    out = _weights(lam, _checked_diffs(lam, lamp, "near-singular spectrum in eta"))
+    out = _weights(lam, d)
     out = out / out[..., -1:]
-    if not np.all(out > 0):
-        raise InterlacingError("eta has non-positive entries; spectra are not interlaced")
+    if not np.all((out > 0) & (out < np.inf)):
+        raise InterlacingError("eta is not positive and finite; spectra are not interlaced")
     return out

@@ -26,9 +26,10 @@ from .errors import (
     NoRootError,
     ReferenceMismatchError,
     ValidationFailedError,
+    _check_positive,
 )
 from .impact import GridSpec, scan_contour
-from .model import BUILTIN_MODELS, _check_positive, builtin_model, load_model, n2_spectrum
+from .model import BUILTIN_MODELS, builtin_model, load_model, n2_spectrum
 from .pipeline import pick_records, solve_model
 from .reference import REFERENCE, TOLERANCES, compare_reference
 from .spectral import analyze

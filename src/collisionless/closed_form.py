@@ -16,8 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import InvalidParameterError, NoRootError
-from .model import _check_integer, _check_positive
+from .errors import InvalidParameterError, NoRootError, _check_positive, _real_number
 
 __all__ = [
     "y_root",
@@ -73,9 +72,9 @@ def y_root(a: float, b: float, n: int) -> float:
     the interval contains no root (e.g. the n = 1 interval of the
     hopper/rocker families, where tan(y) > a tanh(b y) throughout (0, pi)).
     """
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise InvalidParameterError("a and b must be finite")
-    _check_integer("branch index", n, 1)
+    a = _real_number(a, "a", InvalidParameterError)
+    b = _real_number(b, "b", InvalidParameterError)
+    _real_number(n, "branch index", InvalidParameterError, minimum=1)
     if a == 0.0:
         if n == 1:
             raise NoRootError("tan y = 0 has no positive root in [0, pi)")
@@ -102,7 +101,7 @@ def _alpha(n: int) -> float:
 
     Cached per n, so the hopper and the juggler of one branch scan once; a
     branch without a root raises NoRootError on every call, since an
-    exception is not cached.  Callers check n (``_check_integer``) first,
+    exception is not cached.  Callers check n (``_real_number``) first,
     because the cache would take 2.0 for 2.
     """
     root = _branch_root(lambda y: np.sin(y) - y * np.cos(y), lambda y: y * np.sin(y), n)
@@ -136,7 +135,7 @@ def solve_hopper(omega2: float, omega1p: float, n: int) -> N2Solution:
     The lowest existing branch is n = 2 (tan y = y has no root below pi).
     """
     _check_positive(omega2=omega2, omega1p=omega1p)
-    _check_integer("branch index", n, 1)
+    _real_number(n, "branch index", InvalidParameterError, minimum=1)
     o2 = _alpha(n)
     o1p = np.pi - np.arctan(o2 * omega1p / omega2)
     return N2Solution("hopper", n, o2, o1p, o2 / omega2, o1p / omega1p)

@@ -17,9 +17,9 @@ from time import perf_counter
 import numpy as np
 
 from .cauchy import cauchy_matrix, eta
-from .errors import InvalidParameterError, NoRootError
+from .errors import InvalidParameterError, NoRootError, _is_real, _real_number
 from .impact import _subsets, existence_gate, phase_rate
-from .model import SpectrumPair, _check_integer, _check_spectra
+from .model import SpectrumPair, _check_spectra
 
 __all__ = [
     "existence_gate",
@@ -356,13 +356,14 @@ def predicted_contact_phase(c0: float, lam_prime_top: float, sigma_prime_top: in
 
     Exact inversion on the principal branch: arctan(c0/om') for an odd top
     contact mode, pi - arctan(om'/c0) for an even one.  Both approach
-    (3 - sigma') pi / 4 as the eigenvalue tends to zero.
+    (3 - sigma') pi / 4 as the eigenvalue tends to zero.  Python floats carry
+    the quotients, so one that overflows is inf, whose arctan is exact.
     """
-    if c0 <= 0:
-        raise InvalidParameterError(f"prediction requires c0 > 0, got {c0!r}")
-    if lam_prime_top <= 0:
-        raise InvalidParameterError("top contact eigenvalue must be positive")
-    om = np.sqrt(lam_prime_top)
+    c0 = _real_number(c0, "c0", InvalidParameterError, positive=True)
+    om = float(np.sqrt(_real_number(lam_prime_top, "top contact eigenvalue", InvalidParameterError,
+                                    positive=True)))
+    if not (_is_real(sigma_prime_top) and sigma_prime_top in (-1, 1)):
+        raise InvalidParameterError(f"sigma_prime_top must be +1 or -1, got {sigma_prime_top!r}")
     if sigma_prime_top == 1:
         return float(np.arctan(c0 / om))
     return float(np.pi - np.arctan(om / c0))
@@ -393,7 +394,7 @@ def large_tau_asymptote(n: int, spectra: SpectrumPair) -> AsymptoticPoint:
     eigenvalue; the actual (small) eigenvalue of ``spectra`` enters only
     through omega'_{N-1} in the second formula.
     """
-    _check_integer("branch index", n, 1)
+    _real_number(n, "branch index", InvalidParameterError, minimum=1)
     if spectra.lam[-1] <= 0:
         raise InvalidParameterError("top free eigenvalue must be positive")
     stack = _stack_one(critical_limit(spectra))
@@ -490,9 +491,9 @@ def c0_sampling_study(n_samples: int, n_dof: int, seed: int) -> StudySummary:
     ``min_c0``.  Deterministic for a fixed seed.  ``n_samples`` >= 1,
     ``n_dof`` >= 2 and ``seed`` >= 0 must be integers.
     """
-    _check_integer("n_samples", n_samples, 1)
-    _check_integer("n_dof", n_dof, 2)
-    _check_integer("seed", seed, 0)
+    _real_number(n_samples, "n_samples", InvalidParameterError, minimum=1)
+    _real_number(n_dof, "n_dof", InvalidParameterError, minimum=2)
+    _real_number(seed, "seed", InvalidParameterError, minimum=0)
     rng = np.random.default_rng(seed)
     failures = 0
     nonpositive = 0

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types, and the input rules of the public entry points: arrays and numbers."""
+
+import math
+import sys
+
+import numpy as np
 
 
 class CollisionlessError(Exception):
@@ -72,3 +77,48 @@ class ValidationFailedError(CollisionlessError):
 class ReferenceMismatchError(CollisionlessError):
     """Reproduced values differ from the reference table beyond tolerance."""
     exit_code = 5
+
+
+def _is_real(value) -> bool:
+    """True for one int (not a bool) within the float range, or one float, NumPy's included."""
+    return isinstance(value, (float, np.floating)) or (
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        and -sys.float_info.max <= value <= sys.float_info.max)
+
+
+def _real_array(values, label, error):
+    """``values`` as a fresh float array; ``error`` unless every entry is ``_is_real``.
+
+    A float or int ndarray is cast directly; anything else is scanned entry by
+    entry, so a bool, str, None, complex or container entry, or ragged nesting, raises.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(float)
+    try:
+        entries = np.array(values, dtype=object)
+        real = all(_is_real(v) for v in entries.flat)
+    except ValueError:   # nesting too ragged for NumPy to hold even as objects
+        real = False
+    if not real:
+        raise error(f"{label} entries must be numbers")
+    return entries.astype(float)
+
+
+def _real_number(value, label, error, *, positive=False, minimum=None):
+    """``value`` as a float, or ``error`` unless it is one finite ``_is_real`` number.
+
+    With ``positive`` it must be above 0; with ``minimum``, an int >= minimum, returned as one.
+    """
+    if minimum is not None:
+        if not (_is_real(value) and isinstance(value, (int, np.integer)) and value >= minimum):
+            raise error(f"{label} must be an integer >= {minimum}, got {value!r}")
+        return int(value)
+    if not (_is_real(value) and math.isfinite(value) and (value > 0 or not positive)):
+        raise error(f"{label} must be {'positive' if positive else 'a finite number'}, got {value!r}")
+    return float(value)
+
+
+def _check_positive(**values):
+    """``_real_number`` with ``positive`` on each labelled value; InvalidParameterError."""
+    for label, value in values.items():
+        _real_number(value, label, InvalidParameterError, positive=True)

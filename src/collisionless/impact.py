@@ -51,16 +51,12 @@ from .errors import (
     NoExistenceError,
     PoleError,
     ZeroModeError,
-)
-from .model import (
-    SpectrumPair,
-    _as_dict,
-    _check_integer,
     _check_positive,
-    _is_number,
-    _kernel_constants,
-    _zero_modes,
+    _is_real,
+    _real_array,
+    _real_number,
 )
+from .model import SpectrumPair, _as_dict, _check_signature, _kernel_constants, _zero_modes
 from .spectral import SpectralData
 from .svgout import SvgCanvas
 
@@ -118,11 +114,21 @@ def mode_motion_vec(t, lam, sigma):
     An eigenvalue within ``ZERO_EIGENVALUE_ATOL`` of the spectrum's largest
     |lam| raises ZeroModeError, as ``SpectrumPair.kernels`` does: the odd
     kernel of a zero-frequency mode is (t, 1), which no periodic kernel gives.
+    Checks lam and sigma (``_bare_spectrum``); a kernel or phase beyond float range is inf or nan.
     """
-    lam = np.asarray(lam, float)
+    lam, sigma = _bare_spectrum(lam, sigma)
     if _zero_modes(lam).any():
         raise ZeroModeError("mode_motion_vec is undefined for a zero eigenvalue")
-    return _mode_kernels(t, *_kernel_constants(lam, np.asarray(sigma)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _mode_kernels(_real_array(t, "t", InvalidParameterError), *_kernel_constants(lam, sigma))
+
+
+def _bare_spectrum(lam, sigma):
+    """lam as a float array of at most one axis, and sigma as its signature (``_check_signature``)."""
+    lam = _real_array(lam, "lam", InvalidParameterError)
+    if lam.ndim > 1:
+        raise InvalidParameterError(f"lam must have at most one axis, got shape {lam.shape}")
+    return lam, _check_signature(sigma, lam.shape, "sigma")
 
 
 def _mode_kernels(t, om, osc, even, rate):
@@ -204,32 +210,37 @@ def phase_rate(tau, lam, sigma):
     Raises ZeroModeError for a zero eigenvalue (``mode_motion_vec``'s rule),
     and PoleError when an oscillatory mode sits within POLE_ATOL (in phase
     units) of a tan/cot pole.  Errors are raised for the first offending mode.
+    tau is a finite number; a mode whose phase om tau is beyond float range has rate nan.
     """
-    lam = np.atleast_1d(np.asarray(lam, float))
-    even = np.broadcast_to(np.asarray(sigma), lam.shape) == -1
+    tau = _real_number(tau, "tau", InvalidParameterError)
+    lam, sigma = map(np.atleast_1d, _bare_spectrum(lam, sigma))
+    even = sigma == -1
     zero = _zero_modes(lam)
     osc = lam > 0
     om = np.sqrt(np.abs(lam))
-    o = om * tau
-    # poles: sin(o)=0 for sigma=-1 (cot), cos(o)=0 for sigma=+1 (tan)
-    dist = np.abs((o - np.where(even, 0.0, np.pi / 2) + np.pi / 2) % np.pi - np.pi / 2)
-    bad = (osc & (dist < POLE_ATOL)) | zero
-    if bad.any():
-        i = int(np.argmax(bad))
-        if zero[i]:
-            raise ZeroModeError("phase_rate is undefined for a zero eigenvalue")
-        raise PoleError(
-            f"phase_rate pole: o = {o[i]:.6g} is within {dist[i]:.2e} of a pole",
-            distance=dist[i],
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        o = om * tau
+        # poles: sin(o)=0 for sigma=-1 (cot), cos(o)=0 for sigma=+1 (tan)
+        dist = np.abs((o - np.where(even, 0.0, np.pi / 2) + np.pi / 2) % np.pi - np.pi / 2)
+        bad = (osc & (dist < POLE_ATOL)) | zero
+        if bad.any():
+            i = int(np.argmax(bad))
+            if zero[i]:
+                raise ZeroModeError("phase_rate is undefined for a zero eigenvalue")
+            raise PoleError(
+                f"phase_rate pole: o = {o[i]:.6g} is within {dist[i]:.2e} of a pole",
+                distance=dist[i],
+            )
         tan = np.where(osc, np.tan(o), np.tanh(o))
         return np.where(even, -om / tan, np.where(osc, tan, -tan) * om)
 
 
 def existence_gate(lam_prime) -> bool:
-    """True iff the largest contact eigenvalue is strictly positive."""
-    return bool(np.asarray(lam_prime, float)[-1] > 0)
+    """True iff the largest (last) entry of the 1-d, non-empty spectrum lam_prime is positive."""
+    lam_prime = _real_array(lam_prime, "lam_prime", InvalidParameterError)
+    if lam_prime.ndim != 1 or not lam_prime.size:
+        raise InvalidParameterError(f"lam_prime must be a non-empty 1-d spectrum, got {lam_prime!r}")
+    return bool(lam_prime[-1] > 0)
 
 
 def kernel_ratio(tau: float, tau_prime: float, spectra: SpectrumPair) -> np.ndarray:
@@ -437,10 +448,8 @@ class GridSpec:
     def axes(self):
         _check_positive(step=self.step)
         bounds = (self.o_n_min, self.o_n_max, self.o_p_min, self.o_p_max)
-        if not all(_is_number(bound) and np.isfinite(bound) for bound in bounds):
-            raise InvalidParameterError(
-                f"contour grid bounds must be finite numbers, got {bounds!r}"
-            )
+        if not all(_is_real(bound) and math.isfinite(bound) for bound in bounds):
+            raise InvalidParameterError(f"contour grid bounds must be finite numbers, got {bounds!r}")
         for name in ("o_n_min", "o_p_min"):
             if getattr(self, name) < 0:
                 raise InvalidParameterError(f"{name} must be >= 0, got {getattr(self, name)!r}")
@@ -710,14 +719,9 @@ def refine_root(seed, spectra: SpectrumPair, M, eta_vec, *, max_iter=100) -> Imp
 
 
 def _checked_phases(value, ndim, message):
-    """``value`` as a float array of ``ndim`` axes whose rows are finite positive phase pairs."""
-    try:
-        o = np.array(value, float)
-        valid = (o.ndim == ndim and o.shape[-1] == 2 and np.isfinite(o).all()
-                 and (o > 0).all())
-    except (TypeError, ValueError):
-        valid = False
-    if not valid:
+    """``value`` as a fresh array of ``ndim`` axes whose rows are finite positive phase pairs."""
+    o = _real_array(value, "seed", InvalidParameterError)
+    if not (o.ndim == ndim and o.shape[-1] == 2 and np.isfinite(o).all() and (o > 0).all()):
         raise InvalidParameterError(f"{message}, got {value!r}")
     return o
 
@@ -849,7 +853,7 @@ def _scaled_steps(o, step):
 
 def _refine(o, seeds, spectra, M, eta_vec, max_iter) -> list:
     """``refine_roots`` on the checked (k, 2) phases o of ``seeds``, which its messages name."""
-    _check_integer("max_iter", max_iter, 1)
+    _real_number(max_iter, "max_iter", InvalidParameterError, minimum=1)
     outcomes = [None] * len(o)
     live = np.arange(len(o))   # the seed index of each active row
     if not live.size:

@@ -13,7 +13,6 @@ a model, for every N >= 2.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -22,6 +21,7 @@ import numpy as np
 
 from .cauchy import _weights, cauchy_matrix, eta as cauchy_eta
 from .errors import InterlacingError, InvalidModelError, InvalidParameterError, ZeroModeError
+from .errors import _check_positive, _is_real, _real_array, _real_number
 
 __all__ = [
     "ModelSpec",
@@ -35,24 +35,6 @@ __all__ = [
 ]
 
 ZERO_EIGENVALUE_ATOL = 1e-14
-
-
-def _is_number(value) -> bool:
-    """True for an int or a float, NumPy's included; False for a bool, a string or None."""
-    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
-
-
-def _check_positive(**values):
-    """Raise InvalidParameterError unless every value is a positive finite number (not a bool)."""
-    for label, value in values.items():
-        if not (_is_number(value) and np.isfinite(value) and value > 0):
-            raise InvalidParameterError(f"{label} must be positive, got {value!r}")
-
-
-def _check_integer(label, value, minimum):
-    """Raise InvalidParameterError unless value is an integer (not a bool) >= minimum."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= minimum):
-        raise InvalidParameterError(f"{label} must be an integer >= {minimum}, got {value!r}")
 
 
 def _frozen(values, dtype=float):
@@ -95,16 +77,8 @@ def _as_dict(record, skip=()) -> dict:
     }
 
 
-def _numeric(values, label, dtype=None):
-    """``values`` as an array of ``dtype``; bool and string entries raise InvalidModelError."""
-    if not isinstance(values, np.ndarray) or values.dtype.kind not in "iuf":
-        if any(isinstance(v, (bool, np.bool_, str, bytes)) for v in np.asarray(values, object).flat):
-            raise InvalidModelError(f"{label} entries must be numbers")
-    return np.asarray(values, dtype)
-
-
 def _check_signature(sig, shape, label):
-    arr = _numeric(sig, label)
+    arr = _real_array(sig, label, InvalidModelError)
     if arr.shape != shape:
         raise InvalidModelError(f"{label} must have shape {shape}, got shape {arr.shape}")
     if not np.all((arr == 1) | (arr == -1)):
@@ -141,38 +115,31 @@ class ModelSpec:
     contact_sign: int
 
     def __post_init__(self):
-        n = self.n
-        if not isinstance(n, (int, np.integer)) or n < 2:
-            raise InvalidModelError(f"n must be an integer >= 2, got {self.n!r}")
-        mass = _numeric(self.mass, "mass", float)
-        stiffness = _numeric(self.stiffness, "stiffness", float)
+        n = _real_number(self.n, "n", InvalidModelError, minimum=2)
+        mass = _real_array(self.mass, "mass", InvalidModelError)
+        stiffness = _real_array(self.stiffness, "stiffness", InvalidModelError)
         for label, mat in (("mass", mass), ("stiffness", stiffness)):
             if mat.shape != (n, n):
                 raise InvalidModelError(f"{label} must be {n}x{n}, got {mat.shape}")
             if not np.all(np.isfinite(mat)):
                 raise InvalidModelError(f"{label} contains non-finite entries")
-        scale_m = np.abs(mass).max()
-        if np.abs(mass - mass.T).max() > 1e-12 * max(scale_m, 1e-300):
-            raise InvalidModelError("asymmetric mass matrix")
+            with np.errstate(over="ignore"):   # a difference that overflows is an asymmetry
+                if np.abs(mat - mat.T).max() > 1e-12 * max(np.abs(mat).max(), 1e-300):
+                    raise InvalidModelError(f"asymmetric {label} matrix")
         if np.linalg.eigvalsh(mass).min() <= 0:
             raise InvalidModelError("mass matrix is not positive definite")
-        scale_k = np.abs(stiffness).max()
-        if np.abs(stiffness - stiffness.T).max() > 1e-12 * max(scale_k, 1e-300):
-            raise InvalidModelError("asymmetric stiffness matrix")
         svals = np.linalg.svd(stiffness, compute_uv=False)
         if svals[-1] <= 1e-12 * svals[0]:
             raise InvalidModelError("singular stiffness matrix")
-        if isinstance(self.contact_sign, (bool, np.bool_)) or self.contact_sign not in (-1, 1):
+        if not (_is_real(self.contact_sign) and self.contact_sign in (-1, 1)):
             raise InvalidModelError("contact_sign must be +1 or -1")
-        if not (_is_number(self.static_force) and np.isfinite(self.static_force)):
-            raise InvalidModelError(
-                f"static_force must be a finite number, got {self.static_force!r}")
-        object.__setattr__(self, "n", int(n))
+        static_force = _real_number(self.static_force, "static_force", InvalidModelError)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "mass", _frozen(mass))
         object.__setattr__(self, "stiffness", _frozen(stiffness))
         object.__setattr__(self, "sigma", _check_signature(self.sigma, (n,), "sigma"))
         object.__setattr__(self, "sigma_prime", _check_signature(self.sigma_prime, (n - 1,), "sigma_prime"))
-        object.__setattr__(self, "static_force", float(self.static_force))
+        object.__setattr__(self, "static_force", static_force)
         object.__setattr__(self, "contact_sign", int(self.contact_sign))
 
     def to_config(self) -> dict:
@@ -199,8 +166,8 @@ def _check_spectra(lam, lam_prime, sigma, sigma_prime, ndim=1):
     per row, the signatures match the spectra's shapes, every row is finite
     and strictly interlaced, and every signature is +1 or -1.
     """
-    lam = np.asarray(lam, float)
-    lamp = np.asarray(lam_prime, float)
+    lam = _real_array(lam, "lam", InvalidParameterError)
+    lamp = _real_array(lam_prime, "lam_prime", InvalidParameterError)
     n = lam.shape[-1] if lam.ndim == ndim else 0
     if n < 2 or lamp.shape != lam.shape[:-1] + (n - 1,):
         raise InvalidParameterError(
@@ -353,6 +320,7 @@ def model_from_spectra(pair: SpectrumPair, name: str = "spectral",
     )
 
 
+@np.errstate(over="ignore")
 def n2_spectrum(family: str, *, nu1: float | None = None, omega2: float,
                 omega1p: float) -> SpectrumPair:
     """Spectrum pair of one of the named 2-DOF families.
@@ -360,38 +328,21 @@ def n2_spectrum(family: str, *, nu1: float | None = None, omega2: float,
     hopper / juggler : lam = [0, omega2^2], even/even free modes, odd contact mode.
     rimless          : rolling wheel-with-pendulum; lam1 = -nu1^2 < 0, odd modes.
     rocker           : side-to-side rocking; same spectra as rimless, even free modes.
+    NumPy's squares are Python's, bit for bit, but inf (no OverflowError) out of range.
     """
     _check_positive(omega2=omega2, omega1p=omega1p)
+    top, contact = np.float64(omega2) ** 2, np.float64(omega1p) ** 2
     family = family.lower()
     if family in ("hopper", "juggler"):
         if nu1 is not None:
             raise InvalidParameterError(f"{family} takes no nu1 parameter")
-        return SpectrumPair(
-            lam=[0.0, omega2 ** 2],
-            lam_prime=[omega1p ** 2],
-            sigma=[-1, -1],
-            sigma_prime=[-1],
-        )
+        return SpectrumPair(lam=[0.0, top], lam_prime=[contact], sigma=[-1, -1], sigma_prime=[-1])
     if family in ("rimless", "rocker"):
         _check_positive(nu1=nu1)
         sig = [1, 1] if family == "rimless" else [-1, -1]
-        return SpectrumPair(
-            lam=[-nu1 ** 2, omega2 ** 2],
-            lam_prime=[omega1p ** 2],
-            sigma=sig,
-            sigma_prime=[1],
-        )
+        return SpectrumPair(lam=[-np.float64(nu1) ** 2, top], lam_prime=[contact], sigma=sig,
+                            sigma_prime=[1])
     raise InvalidParameterError(f"unknown family {family!r}")
-
-
-def _config_number(config, key, integral=False):
-    """config[key] as a float, or an int if ``integral``; bools, strings and fractions raise."""
-    value = config[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
-        integral and not isinstance(value, numbers.Integral) and not float(value).is_integer()
-    ):
-        raise InvalidModelError(f"{key} must be {'an integer' if integral else 'a number'}, got {value!r}")
-    return int(value) if integral else float(value)
 
 
 def load_model(source) -> ModelSpec:
@@ -408,18 +359,11 @@ def load_model(source) -> ModelSpec:
     missing = {f.name for f in fields(ModelSpec)} - config.keys()
     if missing:
         raise InvalidModelError(f"model file missing keys: {sorted(missing)}")
-    try:
-        return ModelSpec(**{
-            **{f.name: config[f.name] for f in fields(ModelSpec)},
-            "name": str(config["name"]),
-            "n": _config_number(config, "n", integral=True),
-            "static_force": _config_number(config, "static_force"),
-            "contact_sign": _config_number(config, "contact_sign", integral=True),
-        })
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, InvalidModelError):
-            raise
-        raise InvalidModelError(f"malformed model file: {exc}") from exc
+    values = {f.name: config[f.name] for f in fields(ModelSpec)}
+    for key in ("n", "contact_sign"):   # JSON may write the integer 3 as 3.0
+        if isinstance(values[key], float) and values[key].is_integer():
+            values[key] = int(values[key])
+    return ModelSpec(**{**values, "name": str(config["name"])})
 
 
 BUILTIN_MODELS = {

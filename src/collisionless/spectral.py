@@ -20,6 +20,7 @@ from .errors import (
     InvalidParameterError,
     NormalizationError,
     ZeroModeError,
+    _real_array,
 )
 from .model import ModelSpec, SpectrumPair, _frozen
 
@@ -103,7 +104,7 @@ class SpectralData(SpectrumPair):
         super().__post_init__()
         n = self.n
         for name, shape in (("mode_matrix", (n, n)), ("static_offset", (n,))):
-            value = _frozen(getattr(self, name))
+            value = _frozen(_real_array(getattr(self, name), name, InvalidParameterError))
             if value.shape != shape:
                 raise InvalidParameterError(f"{name} must have shape {shape}, got {value.shape}")
             object.__setattr__(self, name, value)

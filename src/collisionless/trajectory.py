@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import CollisionlessError, InvalidParameterError
+from .errors import CollisionlessError, InvalidParameterError, _check_positive, _real_number
 from .impact import (
     ImpactSolution,
     ImpactTimes,
@@ -43,7 +43,7 @@ from .impact import (
     _mode_kernels,
     build_solution,
 )
-from .model import ModelSpec, _as_dict, _check_integer, _check_positive
+from .model import ModelSpec, _as_dict
 from .spectral import SpectralData
 from .svgout import SvgCanvas
 
@@ -200,7 +200,7 @@ def synthesize(solution: ImpactSolution,
     the impact sample is shared, so the total row count is
     2 * samples_per_phase + 1.
     """
-    _check_integer("samples_per_phase", samples_per_phase, 1)
+    _real_number(samples_per_phase, "samples_per_phase", InvalidParameterError, minimum=1)
     spectral = solution.spectral
     times = solution.times
     tau, taup = times.tau, times.tau_prime

@@ -163,7 +163,7 @@ def test_load_model_rejects_a_file_without_an_object(tmp_path, biped):
 def test_load_model_ragged_mass_is_malformed(biped):
     config = biped.to_config()
     config["mass"][1] = [-1.0, 2.0]
-    with pytest.raises(cl.InvalidModelError, match="^malformed model file: "):
+    with pytest.raises(cl.InvalidModelError, match="^mass entries must be numbers$"):
         cl.load_model(config)
 
 
