@@ -942,7 +942,7 @@ def _refine(o, seeds, spectra, M, eta_vec, max_iter) -> list:
 # ---------------------------------------------------- matching matrix and weights
 
 def _certified_matrices(spectral: SpectralData, tau, tau_prime):
-    """Full (k, 2N+1, 2N) matching matrices A, their rank gaps, and their null vectors.
+    """Column-scaled (k, 2N+1, 2N) matching matrices, their rank gaps, null vectors and scales.
 
     One matrix per pair of impact times in the (k,) arrays ``tau`` and
     ``tau_prime``.  Rows stack position matching, velocity matching, and the
@@ -954,11 +954,20 @@ def _certified_matrices(spectral: SpectralData, tau, tau_prime):
     and its last right singular vector; divided by the column norms, that
     vector spans A's kernel at a root.  Each matrix's numbers are bit for bit
     those it gets alone.
+
+    Free-mode column j is built scaled by 2**-e_j, the power of two that
+    ``_scaled_free_kernels`` takes, so a stiff hyperbolic kernel does not
+    overflow it; the null vector's free entries come out times 2**e_j, and
+    the (k, N) exponents e are returned to undo both.  Exact powers of two
+    commute with the column norms and with A v, so the rank gaps, and A v,
+    are those of the unscaled matrices bit for bit wherever those are finite.
     """
     n = spectral.n
     X = spectral.mode_matrix
     Xp = spectral.mode_matrix_prime
     g, gd = _mode_kernels(tau, *spectral.kernels[0])
+    _, e = np.frexp(np.maximum(np.abs(g), np.abs(gd)))
+    g, gd = np.ldexp(g, -e), np.ldexp(gd, -e)
     gp, gpd = _mode_kernels(-tau_prime, *spectral.kernels[1])
     A = np.zeros((len(tau), 2 * n + 1, 2 * n))
     A[:, :n, :n] = X * g[:, None, :]
@@ -969,13 +978,13 @@ def _certified_matrices(spectral: SpectralData, tau, tau_prime):
     A[:, 2 * n, :n] = X[-1, :] * (-spectral.lam * g)
     scale = _norms(A, -2)
     _, sv, vt = np.linalg.svd(A / scale, full_matrices=False)
-    return A, sv[:, -1] / sv[:, 0], vt[:, -1] / scale[:, 0]
+    return A, sv[:, -1] / sv[:, 0], vt[:, -1] / scale[:, 0], e
 
 
 def assemble_impact_matrix(spectral: SpectralData, tau: float, tau_prime: float):
     """Full (2N+1) x 2N matching matrix A and its rank gap (see ``build_solutions``)."""
-    A, gaps, _ = _certified_matrices(spectral, np.array([tau]), np.array([tau_prime]))
-    return A[0], float(gaps[0])
+    A, gaps, _, e = _certified_matrices(spectral, np.array([tau]), np.array([tau_prime]))
+    return np.ldexp(A[0], np.append(e[0], np.zeros(spectral.n, int))), float(gaps[0])
 
 
 def reduction_gap(spectral: SpectralData, tau: float, tau_prime: float) -> float:
@@ -1070,7 +1079,7 @@ def build_solutions(spectral: SpectralData, times_list) -> list:
     """
     if not times_list:
         return []
-    A, gaps, kernels = _certified_matrices(
+    A, gaps, kernels, e = _certified_matrices(
         spectral, np.array([t.tau for t in times_list]), np.array([t.tau_prime for t in times_list])
     )
     n = spectral.n
@@ -1082,6 +1091,7 @@ def build_solutions(spectral: SpectralData, times_list) -> list:
     rhs = np.concatenate([spectral.static_offset, np.zeros(n - 1)])
     block = A[forced, : 2 * n - 1, : 2 * n - 1]
     residuals = np.abs(block @ weights[:, :, None] - rhs[:, None]).max(axis=(1, 2)).tolist()
+    weights[:, :n] = np.ldexp(weights[:, :n], -e[forced])
     outcomes = []
     certified = zip(weights, residuals)
     for times, gap, is_root, is_forced in zip(times_list, gaps.tolist(), root, forced):

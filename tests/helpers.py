@@ -43,6 +43,22 @@ def random_spd_model(n, rng, name="random"):
         return model, spectral
 
 
+def hard_model(index, seed=2026):
+    """Draw ``index`` of the unfiltered "hard" recipe: ``random_spd_model`` without its redraws.
+
+    Each draw takes n = rng.integers(3, 7), then the mass, stiffness and
+    signatures in ``random_spd_model``'s order; static force 1, contact sign +1.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        n = int(rng.integers(3, 7))
+        L = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        k = rng.standard_normal((n, n))
+        sigma, sigma_prime = rng.choice([-1, 1], n), rng.choice([-1, 1], n - 1)
+    return cl.ModelSpec(name=f"hard-{index}", n=n, mass=L @ L.T, stiffness=0.5 * (k + k.T),
+                        sigma=sigma, sigma_prime=sigma_prime, static_force=1.0, contact_sign=1)
+
+
 def stiff_hyperbolic_model():
     # cosh/sinh of the lam ~ -1e4 mode overflow on much of the default grid
     return cl.ModelSpec(

@@ -6,6 +6,7 @@ import pytest
 
 import collisionless as cl
 from collisionless import pipeline, trajectory
+from helpers import hard_model
 
 
 def test_biped_solve_run_structure(biped_run):
@@ -60,6 +61,19 @@ def test_pick_unknown_strategy(biped_run):
 def test_no_existence(no_existence_model):
     with pytest.raises(cl.NoExistenceError):
         cl.solve_model(no_existence_model)
+
+
+def test_stiff_hard_model_is_certified_without_overflow():
+    # hard draw 143 (N = 6, lam_min = -2.0e4): at its roots the unscaled matching matrices
+    # overflow, and certification raised a RuntimeWarning, or without warnings a bare
+    # LinAlgError from the SVD; the repository's filters make any warning fail this test
+    model = hard_model(143)
+    assert model.n == 6 and cl.analyze(model).lam[0] == pytest.approx(-2.004e4, rel=1e-3)
+    try:
+        run = cl.solve_model(model)
+    except cl.CollisionlessError:
+        return
+    assert run.records
 
 
 def test_no_roots_in_tiny_window(biped):
