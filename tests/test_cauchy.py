@@ -41,6 +41,12 @@ def test_near_singular_error():
         cl.cauchy_matrix([0.0, 1.0], [1e-16])
 
 
+def test_near_singular_rtol_is_1e12_not_1e9():
+    # nodes 1e-10 of the spread apart are distinct at NEAR_SINGULAR_RTOL = 1e-12
+    M = cl.cauchy_matrix([0.0, 1.0], [1e-10])
+    assert M[0, 0] == -1e10 and M[1, 0] == pytest.approx(1.0, rel=1e-9)
+
+
 def test_stacked_node_sets_match_row_by_row():
     rng = np.random.default_rng(43)
     for n in (2, 3, 6):

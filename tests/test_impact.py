@@ -199,6 +199,12 @@ def test_phase_rate_and_kernel_ratio_scale_with_the_spectra(s):
                                cl.kernel_ratio(tau, taup, pair), rtol=1e-13)
 
 
+def test_pole_atol_is_1e9_not_1e7():
+    # 1e-8 in phase from the tan pole at pi/2 is no pole at POLE_ATOL = 1e-9
+    w = cl.phase_rate(np.pi / 2 - 1e-8, [1.0], [1])
+    assert np.isfinite(w[0]) and w[0] == pytest.approx(1e8, rel=1e-6)
+
+
 def test_phase_rate_pole_error():
     with pytest.raises(cl.PoleError) as info:
         cl.phase_rate(np.pi / 2, [4.0], [-1])  # o = pi, cot pole

@@ -27,6 +27,13 @@ def test_biped_constrained_spectrum(biped_spectral):
     )
 
 
+def test_degeneracy_rtol_is_1e9_not_1e6():
+    # a free spectrum whose top two eigenvalues are 2e-7 of the scale apart is not degenerate
+    pair = cl.SpectrumPair([-1.0, 1.0, 1.0 + 2e-7], [0.5, 1.0 + 1e-7], [-1, 1, -1], [1, -1])
+    spectral = cl.analyze(cl.model_from_spectra(pair))
+    np.testing.assert_allclose(spectral.lam, pair.lam, rtol=0, atol=1e-12)
+
+
 def test_diagonal_system_modes():
     model = cl.ModelSpec(
         name="diag", n=3, mass=np.eye(3), stiffness=np.diag([1.0, 2.0, 3.0]),
