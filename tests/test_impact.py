@@ -28,6 +28,7 @@ from collisionless.svgout import SvgCanvas
 from helpers import (
     cauchy_inputs,
     float_bits,
+    hard_model,
     non_pole_times,
     random_rocker_freqs,
     random_spd_model,
@@ -1117,7 +1118,10 @@ def _outcome(refine, seed, spectra, M, eta_vec, max_iter):
 
 def _refine_cases():
     """(spectra, seeds, max_iter) of 10 rocker and 10 rimless criterion-2 spectra,
-    the armed biped and one random model for each N = 3..6."""
+    the armed biped, one random model for each N = 3..6, a ring of seeds on a rocker
+    pair 0.35 to 0.55 from its phantom corner (0, pi/2), outside CORNER_RADIUS but
+    within twice it, and hard draw 335, four of whose seeds converge one iteration
+    later than they would at REFINE_TOL_RESIDUAL = 1e-5."""
     rng = np.random.default_rng(2024)
     grid = cl.GridSpec(o_n_max=4 * np.pi, o_p_max=1.75, step=0.04, o_p_min=0.01)
     for family in ("rocker", "rimless"):
@@ -1131,6 +1135,12 @@ def _refine_cases():
     for n in range(3, 7):
         _, spectral = random_spd_model(n, rng)
         yield spectral, cl.scan_contour(spectral).seeds, 100
+    angle, radius = np.meshgrid([-1.2, -0.6, 0.3, 1.2], [0.35, 0.45, 0.55])
+    ring = np.column_stack([(radius * np.cos(angle)).ravel(),
+                            (np.pi / 2 + radius * np.sin(angle)).ravel()])
+    yield cl.n2_spectrum("rocker", nu1=1.0, omega2=2.0, omega1p=1.0), ring, 40
+    spectral = cl.analyze(hard_model(335))
+    yield spectral, cl.scan_contour(spectral).seeds, 100
 
 
 def test_refine_root_matches_candidate_loop():
@@ -1152,11 +1162,11 @@ def test_refine_root_matches_candidate_loop():
     assert converged > 100 and failed > 20
 
 
-# SHA-256 of every refinement outcome of _refine_cases(): 144 seeds, of which 121 converge,
-# 19 end at a phantom corner and 4 stall.  Unlike the benchmark's n2-oracle fingerprint
+# SHA-256 of every refinement outcome of _refine_cases(): 164 seeds, of which 132 converge,
+# 28 end at a phantom corner and 4 stall.  Unlike the benchmark's n2-oracle fingerprint
 # (phases rounded to 8 digits) it holds the iteration counts, the bits of each phase and
 # residual, and each failure's text, so it sees refinement changes that keep the roots
-REFINE_DIGEST = "c9c663783177b6399461066863e97f42707ab186b3084d3163e7605f119c1b53"
+REFINE_DIGEST = "ebaa81ee28baaf8d412959c63792a74fd111c37f901bd307f91dd3fcfe4c32d0"
 
 
 def test_refinement_outcomes_are_pinned():
@@ -1169,7 +1179,7 @@ def test_refinement_outcomes_are_pinned():
     outcomes = [encode(outcome) for spectra, seeds, max_iter in _refine_cases()
                 for outcome in cl.refine_roots(seeds, spectra, spectra.M, spectra.eta,
                                                max_iter=max_iter)]
-    assert len(outcomes) == 144
+    assert len(outcomes) == 164
     blob = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == REFINE_DIGEST
 
