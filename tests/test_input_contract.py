@@ -35,8 +35,11 @@ _VALUES = st.one_of(
     arrays(bool, _SHAPES),
     arrays(complex, _SHAPES, elements=st.complex_numbers()),
 )
-# arguments that size the work (grid points, samples, degrees of freedom, iterations) draw
-# only small valid values besides the junk, so a valid draw stays a small computation
+# Arguments that size the work (grid points, samples, degrees of freedom, iterations) draw
+# only small valid values besides the junk, so a valid draw stays a small computation: a
+# grid step near 0 has no size bound yet.  Valid seeds are drawn from the coordinates of a
+# biped root and invalid phases, because Newton from an arbitrary phase can leave the scan
+# window and overflow a hyperbolic kernel, which the refinement does not bound yet.
 _SMALL_INTS = st.one_of(st.sampled_from(JUNK), st.integers(-3, 4))
 _GRID_VALUES = st.one_of(st.sampled_from(JUNK), st.floats(-1.0, 20.0))
 _STEP_VALUES = st.one_of(st.sampled_from(JUNK), st.floats(-1.0, 0.0), st.floats(0.01, 5.0))
