@@ -104,6 +104,7 @@ CORNER_RADIUS = 0.3
 
 # --------------------------------------------------------------------------- kernels
 
+@np.errstate(over="ignore", invalid="ignore")
 def mode_motion_vec(t, lam, sigma):
     """Position and velocity factors (g, gdot) of unit normal modes: t broadcast against lam/sigma.
 
@@ -114,17 +115,16 @@ def mode_motion_vec(t, lam, sigma):
     An eigenvalue within ``ZERO_EIGENVALUE_ATOL`` of the spectrum's largest
     |lam| raises ZeroModeError, as ``SpectrumPair.kernels`` does: the odd
     kernel of a zero-frequency mode is (t, 1), which no periodic kernel gives.
-    Checks lam and sigma (``_bare_spectrum``); a kernel or phase beyond float range is inf or nan.
+    lam and sigma go through ``_bare_spectrum``; kernels beyond the float range are inf or nan.
     """
     lam, sigma = _bare_spectrum(lam, sigma)
     if _zero_modes(lam).any():
         raise ZeroModeError("mode_motion_vec is undefined for a zero eigenvalue")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _mode_kernels(_real_array(t, "t", InvalidParameterError), *_kernel_constants(lam, sigma))
+    return _mode_kernels(_real_array(t, "t", InvalidParameterError), *_kernel_constants(lam, sigma))
 
 
 def _bare_spectrum(lam, sigma):
-    """lam as a float array of at most one axis, and sigma as its signature (``_check_signature``)."""
+    """lam as a float array of at most one axis, and sigma as its ``_check_signature``."""
     lam = _real_array(lam, "lam", InvalidParameterError)
     if lam.ndim > 1:
         raise InvalidParameterError(f"lam must have at most one axis, got shape {lam.shape}")
@@ -201,6 +201,7 @@ def _grid_kernels(half, count, om, osc, even, rate, coarse):
     return both[0], both[1]
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def phase_rate(tau, lam, sigma):
     """Frequency-scaled kernel tangent w(tau) = lam * g(tau) / gdot(tau).
 
@@ -218,28 +219,27 @@ def phase_rate(tau, lam, sigma):
     zero = _zero_modes(lam)
     osc = lam > 0
     om = np.sqrt(np.abs(lam))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        o = om * tau
-        # poles: sin(o)=0 for sigma=-1 (cot), cos(o)=0 for sigma=+1 (tan)
-        dist = np.abs((o - np.where(even, 0.0, np.pi / 2) + np.pi / 2) % np.pi - np.pi / 2)
-        bad = (osc & (dist < POLE_ATOL)) | zero
-        if bad.any():
-            i = int(np.argmax(bad))
-            if zero[i]:
-                raise ZeroModeError("phase_rate is undefined for a zero eigenvalue")
-            raise PoleError(
-                f"phase_rate pole: o = {o[i]:.6g} is within {dist[i]:.2e} of a pole",
-                distance=dist[i],
-            )
-        tan = np.where(osc, np.tan(o), np.tanh(o))
-        return np.where(even, -om / tan, np.where(osc, tan, -tan) * om)
+    o = om * tau
+    # poles: sin(o)=0 for sigma=-1 (cot), cos(o)=0 for sigma=+1 (tan)
+    dist = np.abs((o - np.where(even, 0.0, np.pi / 2) + np.pi / 2) % np.pi - np.pi / 2)
+    bad = (osc & (dist < POLE_ATOL)) | zero
+    if bad.any():
+        i = int(np.argmax(bad))
+        if zero[i]:
+            raise ZeroModeError("phase_rate is undefined for a zero eigenvalue")
+        raise PoleError(
+            f"phase_rate pole: o = {o[i]:.6g} is within {dist[i]:.2e} of a pole",
+            distance=dist[i],
+        )
+    tan = np.where(osc, np.tan(o), np.tanh(o))
+    return np.where(even, -om / tan, np.where(osc, tan, -tan) * om)
 
 
 def existence_gate(lam_prime) -> bool:
     """True iff the largest (last) entry of the 1-d, non-empty spectrum lam_prime is positive."""
     lam_prime = _real_array(lam_prime, "lam_prime", InvalidParameterError)
     if lam_prime.ndim != 1 or not lam_prime.size:
-        raise InvalidParameterError(f"lam_prime must be a non-empty 1-d spectrum, got {lam_prime!r}")
+        raise InvalidParameterError(f"lam_prime must be non-empty and 1-d, got {lam_prime!r}")
     return bool(lam_prime[-1] > 0)
 
 
