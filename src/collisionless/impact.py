@@ -146,61 +146,6 @@ def _mode_kernels(t, om, osc, even, rate):
     return np.where(even, c, s), np.where(even, rate * s, om * c)
 
 
-# Fine offsets per coarse time in ``_grid_kernels``: the block is gcd(m, GRID_BLOCK), which
-# is 40 on the 2001-sample validation grid (m = 1000).
-GRID_BLOCK = 40
-
-
-def _coarse_kernels(half, count, om, osc, even, rate):
-    """``_mode_kernels`` at ``_grid_kernels``' coarse times a B h < half and at half.
-
-    ``half`` may be an array of half-widths; the tables are (..., n, N) each.
-    """
-    m = (count - 1) // 2
-    half = np.asarray(half, float)[..., None]
-    starts = np.arange(0, m, math.gcd(m, GRID_BLOCK)) * (half / m)
-    return _mode_kernels(np.concatenate([starts, half], axis=-1), om, osc, even, rate)
-
-
-def _grid_kernels(half, count, om, osc, even, rate, coarse):
-    """``_mode_kernels`` as (N, count) arrays at ``count`` (odd) even steps over [-half, half].
-
-    With m = (count - 1) / 2 and h = half / m, each time t = k h >= 0 splits
-    into a coarse time a B h and a fine offset f = b h, b < B, for a block B
-    that divides m.  The coarse times and the B offsets both go through
-    ``_mode_kernels``, the offsets for C and S (cos and sin, or cosh and
-    sinh, of om f), and the addition theorem joins them:
-    g(t + f) = g C + gdot S / om and gdot(t + f) = gdot C + rate g S.
-    The end point t = half is evaluated directly, and t < 0 follows by
-    parity: an even kernel has g even and gdot odd, an odd kernel the
-    reverse, so g(-t) = +-g(t) bit for bit.  No time beyond ``half`` is
-    formed, every argument is non-negative and cosh a cosh b <= cosh(a + b),
-    so no intermediate exceeds the kernel it forms, and the grid is finite,
-    without an overflow warning, wherever the direct evaluation is.  A mode
-    with om = 0 has constant kernels and takes S / om = 0.  ``coarse`` is
-    the table of ``_coarse_kernels`` for the same arguments; wherever the
-    kernels are finite, the grid holds its values at the coarse times, up to
-    the sign of a zero.
-    """
-    m = (count - 1) // 2
-    h = half / m
-    block = math.gcd(m, GRID_BLOCK)
-    coarse = np.array(coarse).T   # (N, m / B + 1, [g, gdot])
-    # the even kernel at the offsets is (C, rate S), and rate om = -lam
-    c, rate_s = (k.T for k in _mode_kernels(np.arange(block) * h, om, osc, True, rate))
-    s_om = np.divide(rate_s, (rate * om)[:, None], out=np.zeros_like(rate_s),
-                     where=om[:, None] > 0)
-    # [g, gdot](t) @ [[C, rate S], [S / om, C]] = [g, gdot](t + f): per mode, the g and
-    # the gdot columns of the addition theorem, (2, N, 2, B)
-    theorem = np.array([[c, s_om], [rate_s, c]]).transpose(0, 2, 1, 3)
-    both = np.empty((2, om.size, count))
-    both[:, :, m:-1] = (coarse[:, :-1] @ theorem).reshape(2, om.size, m)
-    both[:, :, -1] = coarse[:, -1].T
-    parity = np.where(even, 1.0, -1.0)[:, None]
-    both[:, :, :m] = np.array([parity, -parity]) * both[:, :, :m:-1]
-    return both[0], both[1]
-
-
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def phase_rate(tau, lam, sigma):
     """Frequency-scaled kernel tangent w(tau) = lam * g(tau) / gdot(tau).
@@ -257,6 +202,7 @@ def _u_matrix(tau, tau_prime, spectra, M):
 
 # --------------------------------------------------------------- contact matrix
 
+@np.errstate(over="ignore", invalid="ignore")
 def contact_matrix(tau, tau_prime, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
     """Continuous (N+1) x N matrix whose two maximal minors vanish at solutions.
 
@@ -267,8 +213,11 @@ def contact_matrix(tau, tau_prime, spectra: SpectrumPair, M, eta_vec) -> np.ndar
     pole gaps.  The times may be arrays; their broadcast shape leads the
     result, which then has shape (..., N+1, N).  The kernels come from the
     pair's cached constants (``SpectrumPair.kernels``), which raise
-    ZeroModeError for a zero free eigenvalue.
+    ZeroModeError for a zero free eigenvalue.  The times go through ``_real_array``;
+    entries beyond the float range are inf or nan.
     """
+    tau, tau_prime = (_real_array(t, label, InvalidParameterError)
+                      for t, label in ((tau, "tau"), (tau_prime, "tau_prime")))
     free, contact = spectra.kernels
     return _assemble_contact(*_mode_kernels(tau, *free), *_mode_kernels(-tau_prime, *contact),
                              spectra.lam, M, eta_vec)
@@ -306,7 +255,7 @@ def _norms(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _scaled_free_kernels(tau, spectra: SpectrumPair):
-    """Free-phase kernels (g, gdot) at tau, each mode scaled by an exact power of two.
+    """Free-phase kernels (g, gdot) at tau, each mode scaled by an exact power of two, and e.
 
     Mode i is multiplied by 2**-e_i, where e_i is the ``np.frexp`` exponent of
     max(|g_i|, |gdot_i|), so both are below 1 in magnitude (and gdot_i / lam_i
@@ -314,11 +263,12 @@ def _scaled_free_kernels(tau, spectra: SpectrumPair):
     products that form its contact row.  The factor scales the whole row
     i < N of the contact matrix; it is exact, so the row divided by its norm
     keeps its bits wherever neither row overflows or underflows, whichever
-    power of two is taken.
+    power of two is taken.  The exponents e come last, for callers that undo
+    the scaling.
     """
     g, gd = _mode_kernels(tau, *spectra.kernels[0])
     _, e = np.frexp(np.maximum(np.abs(g), np.abs(gd)))
-    return np.ldexp(g, -e), np.ldexp(gd, -e)
+    return np.ldexp(g, -e), np.ldexp(gd, -e), e
 
 
 def _unit_contact(o_n, o_prime, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
@@ -332,7 +282,7 @@ def _unit_contact(o_n, o_prime, spectra: SpectrumPair, M, eta_vec) -> np.ndarray
     grids all evaluate their points here.
     """
     tau, tau_prime = spectra.from_phase(o_n, o_prime)
-    g, gd = _scaled_free_kernels(tau, spectra)
+    g, gd, _ = _scaled_free_kernels(tau, spectra)
     gp, gpd = _mode_kernels(-tau_prime, *spectra.kernels[1])
     bc = _assemble_contact(g, gd, gp, gpd, spectra.lam, M, eta_vec)
     bc /= np.maximum(_norms(bc, -1), 1e-300)
@@ -390,7 +340,7 @@ def _minor_grids(o_n_axis, o_p_axis, spectra: SpectrumPair):
     n = spectra.n
     M = spectra.M
     tau, tau_prime = spectra.from_phase(o_n_axis, o_p_axis)
-    g, gd = _scaled_free_kernels(tau, spectra)                   # (n_tau, N)
+    g, gd, _ = _scaled_free_kernels(tau, spectra)                # (n_tau, N)
     gp, gpd = _mode_kernels(-tau_prime, *spectra.kernels[1])     # (n_tau', N-1)
     # 2**f per tau' takes the contact kernels below 1 in magnitude
     _, f = np.frexp(np.maximum(np.abs(gp), np.abs(gpd)).max(axis=-1))
@@ -417,7 +367,11 @@ def impact_residual(o, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
     whose top contact eigenvalue is not positive (``existence_gate``) have no
     solution and raise NoExistenceError.  Each point costs two determinants,
     so refinement's scattered points come here, not to ``_minor_grids``.
+    o goes through ``_real_array`` and needs a leading axis of length 2.
     """
+    o = _real_array(o, "o", InvalidParameterError)
+    if not o.ndim or len(o) != 2:
+        raise InvalidParameterError(f"o must have a leading axis of length 2, got shape {o.shape}")
     if not existence_gate(spectra.lam_prime):
         raise NoExistenceError(
             f"largest contact eigenvalue {spectra.lam_prime[-1]:.6g} is not positive"
@@ -428,6 +382,10 @@ def impact_residual(o, spectra: SpectrumPair, M, eta_vec) -> np.ndarray:
 
 # ----------------------------------------------------------------- contour scan
 
+# Most points a ``GridSpec`` grid may hold; the scan's arrays grow with it.
+GRID_MAX_POINTS = 10 ** 6
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular scan window in impact-phase coordinates.
@@ -436,7 +394,8 @@ class GridSpec:
     to within half a step of its maximum, so it can end up to half a step
     below it.  Seeds are crossings inside this grid; Newton may take one to a
     root outside the window.  Impact phases are positive, so a negative
-    ``o_n_min`` or ``o_p_min`` raises InvalidParameterError.
+    ``o_n_min`` or ``o_p_min`` raises InvalidParameterError, as does a grid of
+    more than GRID_MAX_POINTS points, before any axis is built.
     """
 
     o_n_max: float = 4 * np.pi
@@ -453,13 +412,16 @@ class GridSpec:
         for name in ("o_n_min", "o_p_min"):
             if getattr(self, name) < 0:
                 raise InvalidParameterError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        start_n = self.o_n_min if self.o_n_min > 0 else self.step
-        start_p = self.o_p_min if self.o_p_min > 0 else self.step
-        o_n = np.arange(start_n, self.o_n_max + 0.5 * self.step, self.step)
-        o_p = np.arange(start_p, self.o_p_max + 0.5 * self.step, self.step)
-        if o_n.size < 2 or o_p.size < 2:
+        ends = [(lo if lo > 0 else self.step, hi + 0.5 * self.step)
+                for lo, hi in ((self.o_n_min, self.o_n_max), (self.o_p_min, self.o_p_max))]
+        # np.arange's own length, ceil((stop - start) / step), as a float that cannot overflow
+        sizes = np.ceil([(stop - start) / self.step for start, stop in ends])
+        if (sizes < 2).any():
             raise InvalidParameterError("contour grid must contain at least 2x2 points")
-        return o_n, o_p
+        if sizes.prod() > GRID_MAX_POINTS:
+            raise InvalidParameterError(
+                f"contour grid must hold at most {GRID_MAX_POINTS} points, got {sizes.prod():.7g}")
+        return tuple(np.arange(start, stop, self.step) for start, stop in ends)
 
 
 def _sign_change_cells(Z):
@@ -965,9 +927,7 @@ def _certified_matrices(spectral: SpectralData, tau, tau_prime):
     n = spectral.n
     X = spectral.mode_matrix
     Xp = spectral.mode_matrix_prime
-    g, gd = _mode_kernels(tau, *spectral.kernels[0])
-    _, e = np.frexp(np.maximum(np.abs(g), np.abs(gd)))
-    g, gd = np.ldexp(g, -e), np.ldexp(gd, -e)
+    g, gd, e = _scaled_free_kernels(tau, spectral)
     gp, gpd = _mode_kernels(-tau_prime, *spectral.kernels[1])
     A = np.zeros((len(tau), 2 * n + 1, 2 * n))
     A[:, :n, :n] = X * g[:, None, :]

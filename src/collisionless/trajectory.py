@@ -8,11 +8,12 @@ must hold on the *full* phases, which extend symmetrically about each
 symmetry point, so the validator works from the solution itself: it samples
 t in [-tau, tau] and the contact phase in [-tau', tau'] analytically for the
 clearance, the contact force and the scales.  Its check grid is CHECK_SAMPLES
-evenly spaced times per phase, whose mode kernels ``impact._grid_kernels``
-builds from a small table per mode by the addition theorem rather than by a
-circular or hyperbolic function per sample.  A first tier reads only the
-grid's 51 directly evaluated times per phase against modal upper bounds on
-the scales; it fails most failing records without building the grid.
+evenly spaced times per phase.  ``_coarse_kernels`` evaluates the mode
+kernels at every GRID_BLOCK-th time, and ``_grid_kernels`` builds the rest
+from that table by the addition theorem rather than by a circular or
+hyperbolic function per sample.  A first tier reads only the table's 51
+times per phase against modal upper bounds on the scales; it fails most
+failing records without building the grid.
 ``validate_solutions`` checks all of a solve's solutions in one call: one
 model check, then the impact residuals and the first tier on stacked
 arrays, and a grid for each solution the first tier leaves open;
@@ -30,19 +31,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import CollisionlessError, InvalidParameterError, _check_positive, _real_number
-from .impact import (
-    ImpactSolution,
-    ImpactTimes,
-    _coarse_kernels,
-    _grid_kernels,
-    _mode_kernels,
-    build_solution,
-)
+from .impact import ImpactSolution, ImpactTimes, _mode_kernels, build_solution
 from .model import ModelSpec, _as_dict
 from .spectral import SpectralData
 from .svgout import SvgCanvas
@@ -113,15 +108,71 @@ def _phase_grid(X, q, lam, g, gd, offset=0.0):
     return Xq @ g + offset, Xq @ gd, (Xq * -lam) @ g
 
 
-def _mirrored(coarse, even):
-    """``_coarse_kernels``' table at the coarse times +-a B h, (..., N, 2n - 1) each.
+# Fine offsets per coarse time in ``_grid_kernels``: the block is gcd(m, GRID_BLOCK), which
+# is 40 on the 2001-sample check grid (m = 1000).
+GRID_BLOCK = 40
 
-    The times t < 0 follow by parity, as ``_grid_kernels`` mirrors them.
+
+def _mirror(table, even):
+    """Fill the t < 0 columns of a [g, gdot] table (2, ..., N, 2k + 1) by parity, in place.
+
+    Column k is t = 0.  An even kernel has g even and gdot odd, an odd one the
+    reverse, so g(-t) = +-g(t) and gdot(-t) = -+gdot(t) bit for bit.
     """
+    k = table.shape[-1] // 2
     parity = np.where(even, 1.0, -1.0)[:, None]
-    g, gd = (np.swapaxes(k, -1, -2) for k in coarse)
-    return (np.concatenate([parity * g[..., :0:-1], g], axis=-1),
-            np.concatenate([-parity * gd[..., :0:-1], gd], axis=-1))
+    table[0, ..., :k] = parity * table[0, ..., :k:-1]
+    table[1, ..., :k] = -parity * table[1, ..., :k:-1]
+    return table
+
+
+def _coarse_kernels(half, count, om, osc, even, rate):
+    """[g, gdot] at every B-th time of the check grid over [-half, half], (2, ..., N, 2m/B + 1).
+
+    The grid has ``count`` (odd) times k h, |k| <= m = (count - 1) / 2, h = half / m,
+    and B = gcd(m, GRID_BLOCK).  The times a B h < half and half go through
+    ``_mode_kernels``; ``half`` may be an array, whose axes lead the table's middle ones.
+    """
+    m = (count - 1) // 2
+    half = np.asarray(half, float)[..., None]
+    starts = np.arange(0, m, math.gcd(m, GRID_BLOCK)) * (half / m)
+    kernels = _mode_kernels(np.concatenate([starts, half], axis=-1), om, osc, even, rate)
+    k = starts.shape[-1]
+    table = np.empty((2, *half.shape[:-1], om.size, 2 * k + 1))
+    table[..., k:] = np.swapaxes(kernels, -1, -2)
+    return _mirror(table, even)
+
+
+def _grid_kernels(half, count, om, osc, even, rate, coarse):
+    """``_mode_kernels`` as a [g, gdot] array (2, N, count) at the check grid over [-half, half].
+
+    ``coarse`` is one half-width's ``_coarse_kernels`` table.  Each time
+    t = k h >= 0 splits into a coarse time a B h of the table and a fine
+    offset f = b h, b < B; ``_mode_kernels`` gives C and S (cos and sin, or
+    cosh and sinh, of om f) at the B offsets, and the addition theorem joins
+    them: g(t + f) = g C + gdot S / om, gdot(t + f) = gdot C + rate g S.
+    t = half is the table's, and t < 0 follows by ``_mirror``.  No time
+    beyond ``half`` is formed, every argument is non-negative and
+    cosh a cosh b <= cosh(a + b), so the grid is finite, without an overflow
+    warning, wherever the direct evaluation is.  A mode with om = 0 takes
+    S / om = 0.  Where the kernels are finite, every B-th column is the
+    table, up to the sign of a zero.
+    """
+    m = (count - 1) // 2
+    h = half / m
+    block = math.gcd(m, GRID_BLOCK)
+    coarse = coarse[..., m // block:]
+    # the even kernel at the offsets is (C, rate S), and rate om = -lam
+    c, rate_s = (k.T for k in _mode_kernels(np.arange(block) * h, om, osc, True, rate))
+    s_om = np.divide(rate_s, (rate * om)[:, None], out=np.zeros_like(rate_s),
+                     where=om[:, None] > 0)
+    # [g, gdot](t) @ [[C, rate S], [S / om, C]] = [g, gdot](t + f): per mode, the g and
+    # the gdot columns of the addition theorem, (2, N, 2, B)
+    theorem = np.array([[c, s_om], [rate_s, c]]).transpose(0, 2, 1, 3)
+    both = np.empty((2, om.size, count))
+    both[..., m:-1] = (coarse[..., :-1].transpose(1, 2, 0) @ theorem).reshape(2, om.size, m)
+    both[..., -1] = coarse[..., -1]
+    return _mirror(both, even)
 
 
 def _clearance_and_force(model: ModelSpec, offset, free, contact):
@@ -206,24 +257,14 @@ def synthesize(solution: ImpactSolution,
     tau, taup = times.tau, times.tau_prime
     t_free = np.linspace(0.0, tau, samples_per_phase + 1)
     t_contact = np.linspace(tau, tau + taup, samples_per_phase + 1)[1:]
-    x_f, xd_f, xdd_f = _free_state(spectral, solution.q, t_free)
-    u_contact = t_contact - (tau + taup)
-    x_c, xd_c, xdd_c = _contact_state(spectral, solution.q_prime, u_contact)
-    x = np.vstack([x_f, x_c])
-    xd = np.vstack([xd_f, xd_c])
-    xdd = np.vstack([xdd_f, xdd_c])
+    free = _free_state(spectral, solution.q, t_free)
+    x_c, _, xdd_c = contact = _contact_state(spectral, solution.q_prime, t_contact - (tau + taup))
+    x, xd, xdd = (np.vstack(pair) for pair in zip(free, contact))
     t = np.concatenate([t_free, t_contact])
     force = np.full(t.size, np.nan)
     force[t_free.size:] = xdd_c @ spectral.mass_matrix[-1] + x_c @ spectral.stiffness_matrix[-1]
-    return Trajectory(
-        t=t,
-        x=x,
-        xdot=xd,
-        xddot=xdd,
-        energy=_energy(spectral, x, xd),
-        constraint_force=force,
-        meta=solution,
-    )
+    return Trajectory(t=t, x=x, xdot=xd, xddot=xdd, energy=_energy(spectral, x, xd),
+                      constraint_force=force, meta=solution)
 
 
 @dataclass(frozen=True)
@@ -314,10 +355,10 @@ def validate_solutions(solutions, model: ModelSpec,
     u in [-tau', tau']), where higher-branch roots reveal attractive-force
     stretches invisible on the emitted half cycle.  The samples are the
     check grid t_k = k h, |k| <= m, with m = (CHECK_SAMPLES - 1) / 2 and
-    h = tau / m (u likewise).  Its mode kernels come from
-    ``impact._grid_kernels``: coarse times evaluated directly, joined to a
+    h = tau / m (u likewise).  Its mode kernels come from ``_grid_kernels``:
+    the coarse times of ``_coarse_kernels``, evaluated directly, joined to a
     table of fine offsets by the addition theorem and mirrored to t < 0 by
-    parity.  They agree with direct evaluation at the same times to within
+    ``_mirror``.  They agree with direct evaluation at the same times to within
     1e-13 of each mode's largest kernel value on the grid, so a violation
     differs from the direct samples' by rounding only.  The grid is still
     a sampling: a dip narrower than h can fall between two samples.
@@ -375,10 +416,10 @@ def validate_solutions(solutions, model: ModelSpec,
 
     # first tier: the coarse samples against modal bounds on the clearance and force scales
     clearance, force = _clearance_and_force(
-        model, offset, _phase_grid(X, q, lam, *_mirrored(coarse[0], phases[0][2])),
-        _phase_grid(Xp, qp, lamp, *_mirrored(coarse[1], phases[1][2]), offset[:, None]))
+        model, offset, _phase_grid(X, q, lam, *coarse[0]),
+        _phase_grid(Xp, qp, lamp, *coarse[1], offset[:, None]))
     # max|g_i| over each phase: 1 for an oscillatory mode, |g_i(half)| for a hyperbolic one
-    peak, peak_p = (np.where(constants[1], 1.0, np.abs(table[0][..., -1, :]))
+    peak, peak_p = (np.where(constants[1], 1.0, np.abs(table[0, ..., -1]))
                     for constants, table in zip(phases, coarse))
     # the clearance's bound is also the magnitude of its terms; the force's is not
     clearance_bound = _dot(np.abs(X[-1] * q), peak) + abs(offset[-1])
@@ -394,13 +435,9 @@ def validate_solutions(solutions, model: ModelSpec,
 
     reports = []
     for i in range(len(solutions)):
-        report = dict(
-            impact_velocity_residual=v_resid[i],
-            impact_accel_residual=a_resid[i],
-            continuity_residual=continuity[i],
-            energy_variation=energy_var[i],
-            tolerances=tol,
-        )
+        report = dict(impact_velocity_residual=v_resid[i], impact_accel_residual=a_resid[i],
+                      continuity_residual=continuity[i], energy_variation=energy_var[i],
+                      tolerances=tol)
         if failed[i]:
             reports.append(ValidationReport(
                 **report, penetration_violation=float(coarse_min[0][i]),
@@ -409,9 +446,9 @@ def validate_solutions(solutions, model: ModelSpec,
             continue
         # (x, xd, xdd) of each full phase, one column per sample
         free = _phase_grid(X, q[i], lam, *_grid_kernels(
-            tau[i], CHECK_SAMPLES, *phases[0], [table[i] for table in coarse[0]]))
+            tau[i], CHECK_SAMPLES, *phases[0], coarse[0][:, i]))
         contact = _phase_grid(Xp, qp[i], lamp, *_grid_kernels(
-            taup[i], CHECK_SAMPLES, *phases[1], [table[i] for table in coarse[1]]), offset[:, None])
+            taup[i], CHECK_SAMPLES, *phases[1], coarse[1][:, i]), offset[:, None])
         xd_scale = _scale(free[1], contact[1])
         clearance_i, force_i = _clearance_and_force(model, offset, free, contact)
         penetration = float(clearance_i.min())
@@ -434,23 +471,15 @@ def validate_solutions(solutions, model: ModelSpec,
 
 def to_csv(traj: Trajectory, path):
     n = traj.n
-    header = (
-        ["t", "phase"]
-        + [f"x{i + 1}" for i in range(n)]
-        + [f"xd{i + 1}" for i in range(n)]
-        + [f"xdd{i + 1}" for i in range(n)]
-        + ["energy", "constraint_force"]
-    )
+    header = ["t", "phase", *(f"{name}{i + 1}" for name in ("x", "xd", "xdd") for i in range(n)),
+              "energy", "constraint_force"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         phase = traj.phase
         for i in range(traj.t.size):
             row = [f"{traj.t[i]:.12g}", _PHASE_NAMES[phase[i]]]
-            row += [f"{v:.12e}" for v in traj.x[i]]
-            row += [f"{v:.12e}" for v in traj.xdot[i]]
-            row += [f"{v:.12e}" for v in traj.xddot[i]]
-            row.append(f"{traj.energy[i]:.12e}")
+            row += [f"{v:.12e}" for v in (*traj.x[i], *traj.xdot[i], *traj.xddot[i], traj.energy[i])]
             force = traj.constraint_force[i]
             row.append("" if np.isnan(force) else f"{force:.12e}")
             writer.writerow(row)
