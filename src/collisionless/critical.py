@@ -17,7 +17,7 @@ from time import perf_counter
 import numpy as np
 
 from .cauchy import cauchy_matrix, eta
-from .errors import InvalidParameterError, NoRootError, _is_real, _real_number
+from .errors import InvalidParameterError, NoRootError, _is_real, _real_array, _real_number
 from .impact import _subsets, existence_gate, phase_rate
 from .model import SpectrumPair, _check_spectra
 
@@ -37,7 +37,7 @@ __all__ = [
 
 
 # Tau samples of the critical bracket scan, evaluated in ascending blocks of
-# _SCAN_BLOCK intervals; _O_MAX is the default end of the scanned o_N range.
+# _SCAN_BLOCK intervals; _O_MAX is the end of the scanned o_N range.
 _SCAN_POINTS = 1200
 _SCAN_BLOCK = 32
 _O_MAX = 6 * np.pi
@@ -212,17 +212,20 @@ def _det_terms(w_bar, stack):
     return A, B, pieces[..., 4:6]
 
 
+@np.errstate(all="ignore")
 def critical_matrices(tau: float, spectra: SpectrumPair):
     """The 2x2 matrices (K, K~) of the decoupled critical impact equations.
 
     Both depend on tau and the spectra only (the contact impact time has
     dropped out in the limit).  det(K + K~) = 0 fixes tau; c0 = -K[1,1]/K[1,0].
+    tau is a finite number; entries beyond the float range are inf or nan.
     """
+    tau = _real_number(tau, "tau", InvalidParameterError)
     _require_limit(spectra)
     lam, lam_prime, M, eta_vec = (
         values[None] for values in (spectra.lam, spectra.lam_prime, spectra.M, spectra.eta)
     )
-    w_bar = _hyperbolic_rates(np.array([[float(tau)]]), *_modes(lam, spectra.sigma[None]))
+    w_bar = _hyperbolic_rates(np.array([[tau]]), *_modes(lam, spectra.sigma[None]))
     P0, P1, S, r = (
         v[0, 0] for v in _k_ingredients(np.moveaxis(w_bar, 0, -1), lam, lam_prime, M, eta_vec)
     )
@@ -341,13 +344,13 @@ def _polish(stack, bracket):
     return tau_c, c0
 
 
-def solve_critical(spectra: SpectrumPair, o_max: float = _O_MAX):
-    """First critical root: (tau_critical, c0).  Raises NoRootError if none found."""
+def solve_critical(spectra: SpectrumPair):
+    """First critical root with o_N < _O_MAX: (tau_critical, c0).  Raises NoRootError if none."""
     _require_limit(spectra)
     stack = _stack_one(spectra)
-    tau_c, c0 = _polish(stack, _scan(stack, o_max))
+    tau_c, c0 = _polish(stack, _scan(stack, _O_MAX))
     if np.isnan(tau_c[0]):
-        raise NoRootError(f"no critical root with o_N < {o_max:.4g}")
+        raise NoRootError(f"no critical root with o_N < {_O_MAX:.4g}")
     return float(tau_c[0]), float(c0[0])
 
 
@@ -414,8 +417,10 @@ def large_tau_asymptote(n: int, spectra: SpectrumPair) -> AsymptoticPoint:
 
 
 def asymptotic_grid(spectra: SpectrumPair, branches) -> np.ndarray:
-    """Stacked (o_N, o'_{N-1}) asymptotic points for the given branch indices."""
-    pts = [large_tau_asymptote(int(n), spectra) for n in branches]
+    """Stacked (o_N, o'_{N-1}) asymptotic points for a 1-d sequence of branch indices."""
+    if _real_array(branches, "branches", InvalidParameterError).ndim != 1:
+        raise InvalidParameterError(f"branches must be a 1-d sequence, got {branches!r}")
+    pts = [large_tau_asymptote(n, spectra) for n in branches]
     return np.array([[p.o_n, p.o_prime] for p in pts])
 
 

@@ -61,10 +61,11 @@ def _zero_modes(lam):
 
 
 def _require_nonzero_spectra(spectra):
-    if _zero_modes(spectra.lam).any():   # by interlacing, max |lam| is the pair's
+    # max |lam| is the pair's by interlacing; the existence gate refuses a zero top lam'
+    if _zero_modes(np.concatenate([spectra.lam, spectra.lam_prime[:-1]])).any():
         raise ZeroModeError(
-            "the generic solver requires non-zero free eigenvalues "
-            "(zero-frequency families are handled by the closed forms)"
+            "the generic solver requires non-zero free eigenvalues and contact eigenvalues "
+            "below the top one (zero-frequency families are handled by the closed forms)"
         )
 
 
@@ -239,9 +240,9 @@ class SpectrumPair:
     def kernels(self) -> tuple:
         """Read-only ``_kernel_constants`` of the free and the contact phase, built once per pair.
 
-        The generic solver's kernels need every free eigenvalue non-zero
-        (zero-frequency families have closed forms), so a pair with a zero
-        one raises ZeroModeError here, and the check runs once per pair.
+        The generic solver's kernels need every free eigenvalue and contact
+        eigenvalue below the top one non-zero (zero frequencies have closed
+        forms), else ZeroModeError here; the check runs once per pair.
         """
         _require_nonzero_spectra(self)
         constants = (_kernel_constants(self.lam, self.sigma),
@@ -330,6 +331,8 @@ def n2_spectrum(family: str, *, nu1: float | None = None, omega2: float,
     rocker           : side-to-side rocking; same spectra as rimless, even free modes.
     NumPy's squares are Python's, bit for bit, but inf (no OverflowError) out of range.
     """
+    if not isinstance(family, str):
+        raise InvalidParameterError(f"family must be a str, got {family!r}")
     _check_positive(omega2=omega2, omega1p=omega1p)
     top, contact = np.float64(omega2) ** 2, np.float64(omega1p) ** 2
     family = family.lower()

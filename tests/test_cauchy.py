@@ -47,6 +47,14 @@ def test_near_singular_rtol_is_1e12_not_1e9():
     assert M[0, 0] == -1e10 and M[1, 0] == pytest.approx(1.0, rel=1e-9)
 
 
+def test_spread_beyond_the_float_range_does_not_overflow():
+    # the spread 2e308 overflows as hi - lo; the nodes are far apart, and 1e293 of it is not
+    M = cl.cauchy_matrix([1e308, -1e308], [0.0])
+    assert M[0, 0] == 1 / 1e308 and M[1, 0] == -1 / 1e308
+    with pytest.raises(cl.InterlacingError):
+        cl.cauchy_matrix([1e308, -1e308], [1e308 - 1e293])
+
+
 def test_stacked_node_sets_match_row_by_row():
     rng = np.random.default_rng(43)
     for n in (2, 3, 6):

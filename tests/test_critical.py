@@ -83,10 +83,11 @@ def test_critical_root_brackets_det_oracle():
     assert tau_c == pytest.approx(0.5 * (lo + hi), abs=1e-10)
 
 
-def test_solve_critical_without_a_root_in_the_window(biped_spectral):
+def test_solve_critical_without_a_root_in_the_window(biped_spectral, monkeypatch):
     # the biped's first critical root lies far beyond o_N = 0.01
+    monkeypatch.setattr(critical, "_O_MAX", 0.01)
     with pytest.raises(cl.NoRootError, match="o_N < 0.01") as info:
-        cl.solve_critical(cl.critical_limit(biped_spectral), o_max=0.01)
+        cl.solve_critical(cl.critical_limit(biped_spectral))
     assert info.value.exit_code == 3
 
 
@@ -175,7 +176,7 @@ def test_contact_rate_approaches_c0_monotonically():
 def test_predicted_contact_time_within_5pct():
     rng = np.random.default_rng(27)
     spectra0 = near_critical_spectra(3, 0.0, rng)
-    tau_c, c0 = cl.solve_critical(spectra0, o_max=4 * np.pi)
+    tau_c, c0 = cl.solve_critical(spectra0)
     eps = 1e-3
     lamp_eps = np.array(spectra0.lam_prime)
     lamp_eps[-1] = eps

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import collisionless as cl
-from collisionless import cli, impact
+from collisionless import cli, impact, trajectory
 from collisionless.impact import (
     _cell_corners,
     _crossing_seeds,
@@ -144,15 +144,15 @@ def test_grid_kernels_match_mode_kernels(count):
         times[[0, -1]] = -half, half
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            coarse = impact._coarse_kernels(half, count, *constants)
-            grid = impact._grid_kernels(half, count, *constants, coarse)
+            coarse = trajectory._coarse_kernels(half, count, *constants)
+            grid = trajectory._grid_kernels(half, count, *constants, coarse)
             direct = [k.T for k in impact._mode_kernels(times, *constants)]
         parity = np.where(constants[2], 1.0, -1.0)[:, None]
-        block = math.gcd(m, impact.GRID_BLOCK)
+        block = math.gcd(m, trajectory.GRID_BLOCK)
         for got, want, sign, table in zip(grid, direct, (parity, -parity), coarse):
-            # the coarse times 0, B h, ..., half hold the directly evaluated table (up to the
+            # the coarse times -half, ..., -B h, 0, B h, ..., half hold the table (up to the
             # sign of a zero)
-            assert np.array_equal(got[:, m::block].T, table), label
+            assert np.array_equal(got[:, ::block], table), label
             assert got.shape == want.shape == (constants[0].size, count), label
             assert np.array_equal(np.isfinite(got), np.isfinite(want)), label
             scale = np.abs(want).max(axis=1, keepdims=True)
@@ -722,6 +722,20 @@ def test_scan_rejects_zero_modes():
         cl.scan_contour(pair, cl.GridSpec(o_n_max=3.0, o_p_max=1.0))
 
 
+@pytest.mark.parametrize("sigma_prime, roots", [([1, 1], 2), ([-1, 1], 6)])
+def test_solve_rejects_a_zero_contact_eigenvalue_below_the_top(sigma_prime, roots):
+    # neither raw minor changes sign for lam'_0 = 0, so the solve used to end without a seed;
+    # a contact eigenvalue 1e-9 from 0 is non-zero and certifies its roots
+    def model(lamp_0):
+        pair = cl.SpectrumPair([-1.0, 1.0, 3.0], [lamp_0, 2.0], [-1, -1, -1], sigma_prime)
+        return cl.model_from_spectra(pair, static_force=1.0)
+
+    with pytest.raises(cl.ZeroModeError, match="contact eigenvalues below the top one"):
+        cl.solve_model(model(0.0))
+    for lamp_0 in (1e-9, -1e-9):
+        assert len(cl.solve_model(model(lamp_0)).records) == roots
+
+
 def test_scan_refinement_preserves_roots(biped_spectral, biped_cauchy):
     M, eta_vec = biped_cauchy
     spectra = biped_spectral.spectra
@@ -844,10 +858,10 @@ def test_stiff_hyperbolic_model_refines_without_overflow():
 
 
 def _widest_free_scale(tau, spectra):
-    """The free kernels scaled by the frexp exponent of max(|g|, |gdot|, |gdot / lam|)."""
+    """The free kernels scaled by the frexp exponent e of max(|g|, |gdot|, |gdot / lam|), and e."""
     g, gd = impact._mode_kernels(tau, *spectra.kernels[0])
     _, e = np.frexp(np.maximum(np.maximum(np.abs(g), np.abs(gd)), np.abs(gd / spectra.lam)))
-    return np.ldexp(g, -e), np.ldexp(gd, -e)
+    return np.ldexp(g, -e), np.ldexp(gd, -e), e
 
 
 def test_free_row_scale_changes_no_bit(biped_spectral, monkeypatch):
@@ -896,6 +910,19 @@ def test_grid_rejects_negative_minimum(bound):
 def test_grid_rejects_bool_step():
     with pytest.raises(cl.InvalidParameterError, match="^step must be positive"):
         cl.GridSpec(step=True).axes()
+
+
+def test_grid_holds_at_most_grid_max_points():
+    # a step small enough to exhaust memory is refused before any axis is built; a grid of
+    # exactly GRID_MAX_POINTS points is not
+    assert cl.impact.GRID_MAX_POINTS == 10 ** 6
+    for step in (1.38e-71, 1e-7, 5e-324):
+        with pytest.raises(cl.InvalidParameterError, match="^contour grid must hold at most"):
+            cl.GridSpec(step=step).axes()
+    o_n, o_p = cl.GridSpec(o_n_max=1000.0, o_p_max=1000.0, step=1.0).axes()
+    assert o_n.size * o_p.size == 10 ** 6
+    with pytest.raises(cl.InvalidParameterError, match="at most 1000000 points, got 1000001$"):
+        cl.GridSpec(o_n_max=101.0, o_p_max=9901.0, step=1.0).axes()   # 101 x 9901 points
 
 
 @pytest.mark.parametrize("bound", ["o_n_min", "o_n_max", "o_p_min", "o_p_max"])

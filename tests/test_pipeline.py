@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from collections import Counter
 
@@ -6,7 +7,7 @@ import pytest
 
 import collisionless as cl
 from collisionless import pipeline, trajectory
-from helpers import hard_model
+from helpers import hard_model, random_spd_model
 
 
 def test_biped_solve_run_structure(biped_run):
@@ -169,3 +170,34 @@ def test_solve_model_times_every_stage(biped):
 
 def test_rank_gap_bound_is_defined_once():
     assert cl.pipeline.RANK_GAP_MAX is cl.impact.RANK_GAP_MAX
+
+
+@pytest.mark.parametrize("offset, kept", [(5e-7, 0), (2e-6, 1)])
+def test_root_merge_atol_is_1e6_not_1e3(biped, monkeypatch, offset, kept):
+    # a converged seed within ROOT_MERGE_ATOL of a kept root merges into it; one 2e-6 away is
+    # kept as a root of its own, certified or refused
+    base = cl.solve_model(biped)
+    refine_roots = pipeline.refine_roots
+
+    def with_neighbour(seeds, spectra, M, eta_vec):
+        outcomes = refine_roots(seeds, spectra, M, eta_vec)
+        times = next(t for t in outcomes if isinstance(t, cl.ImpactTimes))
+        o_n = times.o_n + offset
+        return outcomes + [dataclasses.replace(times, o_n=o_n, tau=o_n / spectra.omega_top)]
+
+    monkeypatch.setattr(pipeline, "refine_roots", with_neighbour)
+    run = cl.solve_model(biped)
+    roots = len(run.records) + run.spurious_roots
+    assert roots == len(base.records) + base.spurious_roots + kept
+
+
+def test_row_cluster_gap_is_pi_over_2_not_pi_over_3():
+    # sorted by o', neighbouring roots start a new row exactly where they lie more than pi/2
+    # apart; this model has a gap of 1.47 inside a row and one of 1.82 between its two rows
+    run = cl.solve_model(random_spd_model(3, np.random.default_rng(4))[0])
+    records = sorted(run.records, key=lambda r: r.solution.times.o_prime)
+    gaps = np.diff([r.solution.times.o_prime for r in records])
+    new_row = [b.row != a.row for a, b in zip(records, records[1:])]
+    assert new_row == list(gaps > np.pi / 2)
+    assert ((gaps > np.pi / 3) & (gaps <= np.pi / 2)).any() and (gaps > np.pi / 2).any()
+    assert sorted({r.row for r in records}) == [0, 1]

@@ -348,6 +348,24 @@ def test_first_tier_failure_builds_no_check_grid(biped_run, biped, monkeypatch):
     assert report == record.report
 
 
+def test_tier_rtol_is_1e12_not_1e9():
+    # the first tier fails a coarse clearance minimum c < -t B - TIER_RTOL (1 + t) B, with B the
+    # modal bound sum_i |X[-1, i] q_i| max|g_i| + |x0_N|; a tolerance t that puts c a margin
+    # m (1 + t) B beyond -t B fails there for m = 3e-12 and leaves the grid to decide for 3e-13
+    model = random_spd_model(3, np.random.default_rng(4))[0]
+    record = next(r for r in cl.solve_model(model).records if r.row == r.col == 0)
+    report, solution = record.report, record.solution
+    assert report.check_samples == 51 and report.contact_force_violation >= 0
+    spectral = solution.spectral
+    g, _ = cl.impact._mode_kernels(solution.times.tau, *spectral.kernels[0])
+    peak = np.where(spectral.kernels[0][1], 1.0, np.abs(g))
+    bound = np.abs(spectral.mode_matrix[-1] * solution.q) @ peak + abs(spectral.static_offset[-1])
+    for margin, samples in ((3e-12, 51), (3e-13, 2001)):
+        t = (-report.penetration_violation / bound - margin) / (1 + margin)
+        report_t = cl.validate(solution, model, cl.ValidatorTolerances(contact=t))
+        assert report_t.check_samples == samples, margin
+
+
 def _stack_cases():
     """(label, model, solutions sharing one SpectralData): the records of the biped, the stiff
     model and seeded random N = 3..6 models, each followed by off-root solutions detuned
