@@ -39,18 +39,17 @@ def _diffs(x, y):
     return x, y, x[..., :, None] - y[..., None, :]
 
 
-def _near_coincident(gap, x, y):
-    """gap < NEAR_SINGULAR_RTOL * max(spread of x and y, 1e-300), both sides halved exactly
-    so that a spread beyond the float range is not inf."""
+def _half_spread(x, y):
+    """Half the spread of x and y, floored at 0.5e-300; halved first, so it is never inf."""
     lo = np.minimum(x.min(axis=-1), y.min(axis=-1))
     hi = np.maximum(x.max(axis=-1), y.max(axis=-1))
-    return 0.5 * gap < NEAR_SINGULAR_RTOL * np.maximum(0.5 * hi - 0.5 * lo, 0.5e-300)
+    return np.maximum(0.5 * hi - 0.5 * lo, 0.5e-300)
 
 
 def _checked_diffs(x, y, message):
     """``_diffs``; InterlacingError(message) if a row has near-coincident nodes."""
     x, y, d = _diffs(x, y)
-    if np.any(_near_coincident(np.abs(d).min(axis=(-2, -1)), x, y)):
+    if np.any(0.5 * np.abs(d).min(axis=(-2, -1)) < NEAR_SINGULAR_RTOL * _half_spread(x, y)):
         raise InterlacingError(message)
     return x, y, d
 
@@ -105,7 +104,7 @@ def cauchy_inverse(x, y) -> np.ndarray:
     """
     x, y, d = _square(x, y, "cauchy_inverse")
     nodes = np.sort(np.concatenate([x, y]))
-    if _near_coincident(np.diff(nodes).min(), x, y):
+    if 0.5 * np.diff(nodes).min() < NEAR_SINGULAR_RTOL * _half_spread(x, y):
         raise InterlacingError("near-coincident nodes: Cauchy inverse is singular")
     return _weights(y, -d.T)[:, None] * _weights(x, d)[None, :] / (-d.T)
 

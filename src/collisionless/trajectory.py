@@ -78,24 +78,14 @@ MODEL_RTOL = 1e-9
 SAMPLE_RTOL = 1e-12
 
 
-def _free_state(spectral: SpectralData, q, t):
-    """Analytic x, xd, xdd in the free phase at times t (array)."""
-    g, gd = _mode_kernels(t, *spectral.kernels[0])
-    X = spectral.mode_matrix
+def _phase_state(spectral: SpectralData, phase, q, t):
+    """Analytic x, xd, xdd of a phase (0 free, 1 contact) at offsets t (array) from its symmetry
+    point, from its mode weights q; the contact phase's x includes the static offset."""
+    g, gd = _mode_kernels(t, *spectral.kernels[phase])
+    X, lam = ((spectral.mode_matrix, spectral.lam),
+              (spectral.mode_matrix_prime, spectral.lam_prime))[phase]
     x = (g * q) @ X.T
-    xd = (gd * q) @ X.T
-    xdd = ((-spectral.lam * g) * q) @ X.T
-    return x, xd, xdd
-
-
-def _contact_state(spectral: SpectralData, q_prime, u):
-    """Analytic x, xd, xdd in the contact phase at offsets u from its symmetry point."""
-    gp, gpd = _mode_kernels(u, *spectral.kernels[1])
-    Xp = spectral.mode_matrix_prime
-    x = (gp * q_prime) @ Xp.T + spectral.static_offset[None, :]
-    xd = (gpd * q_prime) @ Xp.T
-    xdd = ((-spectral.lam_prime * gp) * q_prime) @ Xp.T
-    return x, xd, xdd
+    return (x + spectral.static_offset if phase else x), (gd * q) @ X.T, ((-lam * g) * q) @ X.T
 
 
 def _phase_grid(X, q, lam, g, gd, offset=0.0):
@@ -257,14 +247,21 @@ def synthesize(solution: ImpactSolution,
     tau, taup = times.tau, times.tau_prime
     t_free = np.linspace(0.0, tau, samples_per_phase + 1)
     t_contact = np.linspace(tau, tau + taup, samples_per_phase + 1)[1:]
-    free = _free_state(spectral, solution.q, t_free)
-    x_c, _, xdd_c = contact = _contact_state(spectral, solution.q_prime, t_contact - (tau + taup))
+    free = _phase_state(spectral, 0, solution.q, t_free)
+    x_c, _, xdd_c = contact = _phase_state(spectral, 1, solution.q_prime, t_contact - (tau + taup))
     x, xd, xdd = (np.vstack(pair) for pair in zip(free, contact))
     t = np.concatenate([t_free, t_contact])
     force = np.full(t.size, np.nan)
     force[t_free.size:] = xdd_c @ spectral.mass_matrix[-1] + x_c @ spectral.stiffness_matrix[-1]
-    return Trajectory(t=t, x=x, xdot=xd, xddot=xdd, energy=_energy(spectral, x, xd),
-                      constraint_force=force, meta=solution)
+    return Trajectory(
+        t=t,
+        x=x,
+        xdot=xd,
+        xddot=xdd,
+        energy=_energy(spectral, x, xd),
+        constraint_force=force,
+        meta=solution,
+    )
 
 
 @dataclass(frozen=True)
@@ -395,8 +392,8 @@ def validate_solutions(solutions, model: ModelSpec,
     qp = np.array([s.q_prime for s in solutions])
 
     # the states at the impact, one (1, N) row per solution
-    x_f, xd_f, xdd_f = _free_state(spectral, q[:, None], tau[:, None])
-    x_c, xd_c, _ = _contact_state(spectral, qp[:, None], -taup[:, None])
+    x_f, xd_f, xdd_f = _phase_state(spectral, 0, q[:, None], tau[:, None])
+    x_c, xd_c, _ = _phase_state(spectral, 1, qp[:, None], -taup[:, None])
     v_resid = np.abs(xd_f[:, 0, -1]).tolist()
     a_resid = np.abs(xdd_f[:, 0, -1]).tolist()
     continuity = np.maximum(np.abs(x_f - x_c).max(axis=(1, 2)),
@@ -435,9 +432,13 @@ def validate_solutions(solutions, model: ModelSpec,
 
     reports = []
     for i in range(len(solutions)):
-        report = dict(impact_velocity_residual=v_resid[i], impact_accel_residual=a_resid[i],
-                      continuity_residual=continuity[i], energy_variation=energy_var[i],
-                      tolerances=tol)
+        report = dict(
+            impact_velocity_residual=v_resid[i],
+            impact_accel_residual=a_resid[i],
+            continuity_residual=continuity[i],
+            energy_variation=energy_var[i],
+            tolerances=tol,
+        )
         if failed[i]:
             reports.append(ValidationReport(
                 **report, penetration_violation=float(coarse_min[0][i]),

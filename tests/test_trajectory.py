@@ -82,9 +82,9 @@ def test_energy_constant_within_each_phase_for_any_weights(n):
         _, spectral = random_spd_model(n, rng)
         tau, tau_prime = rng.uniform(0.3, 3.0, 2)
         q, q_prime = rng.standard_normal(n), rng.standard_normal(n - 1)
-        free = trajectory._free_state(spectral, q, np.linspace(-tau, tau, 2001))
-        contact = trajectory._contact_state(
-            spectral, q_prime, np.linspace(-tau_prime, tau_prime, 2001)
+        free = trajectory._phase_state(spectral, 0, q, np.linspace(-tau, tau, 2001))
+        contact = trajectory._phase_state(
+            spectral, 1, q_prime, np.linspace(-tau_prime, tau_prime, 2001)
         )
         for x, xd, _ in (free, contact):
             kinetic = 0.5 * np.einsum("ij,jk,ik->i", xd, spectral.mass_matrix, xd)
@@ -98,11 +98,11 @@ def test_energy_constant_within_each_phase_for_any_weights(n):
 def _sampled_energy_variation(solution):
     """Energy variation over 2 x CHECK_SAMPLES rows sampled on both full phases."""
     spectral, times = solution.spectral, solution.times
-    free = trajectory._free_state(
-        spectral, solution.q, np.linspace(-times.tau, times.tau, trajectory.CHECK_SAMPLES)
+    free = trajectory._phase_state(
+        spectral, 0, solution.q, np.linspace(-times.tau, times.tau, trajectory.CHECK_SAMPLES)
     )
-    contact = trajectory._contact_state(
-        spectral, solution.q_prime,
+    contact = trajectory._phase_state(
+        spectral, 1, solution.q_prime,
         np.linspace(-times.tau_prime, times.tau_prime, trajectory.CHECK_SAMPLES),
     )
     energy = trajectory._energy(spectral, np.vstack([free[0], contact[0]]),
@@ -193,17 +193,17 @@ def _reference_validate(solution, model):
     tol = cl.ValidatorTolerances()
     spectral, times = solution.spectral, solution.times
     tau, taup = times.tau, times.tau_prime
-    x_f, xd_f, xdd_f = trajectory._free_state(spectral, solution.q, np.array([tau]))
-    x_c, xd_c, _ = trajectory._contact_state(spectral, solution.q_prime, np.array([-taup]))
+    x_f, xd_f, xdd_f = trajectory._phase_state(spectral, 0, solution.q, np.array([tau]))
+    x_c, xd_c, _ = trajectory._phase_state(spectral, 1, solution.q_prime, np.array([-taup]))
     v_resid, a_resid = abs(xd_f[0, -1]), abs(xdd_f[0, -1])
     continuity = max(np.abs(x_f[0] - x_c[0]).max(), np.abs(xd_f[0] - xd_c[0]).max())
     e_free = trajectory._energy(spectral, x_f, xd_f)
     e_contact = trajectory._energy(spectral, x_c, xd_c)
     energy_var = float(np.abs(e_free - e_contact)[0] / trajectory._scale(e_free, e_contact))
     samples = trajectory.CHECK_SAMPLES
-    free = trajectory._free_state(spectral, solution.q, np.linspace(-tau, tau, samples))
-    contact = trajectory._contact_state(spectral, solution.q_prime,
-                                        np.linspace(-taup, taup, samples))
+    free = trajectory._phase_state(spectral, 0, solution.q, np.linspace(-tau, tau, samples))
+    contact = trajectory._phase_state(spectral, 1, solution.q_prime,
+                                      np.linspace(-taup, taup, samples))
     xd_scale = trajectory._scale(free[1], contact[1])
     clearance = model.contact_sign * (free[0][:, -1] - spectral.static_offset[-1])
     force = model.contact_sign * (contact[2] @ model.mass[-1] + contact[0] @ model.stiffness[-1])
