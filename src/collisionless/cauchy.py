@@ -40,7 +40,7 @@ def _diffs(x, y):
 
 
 def _half_spread(x, y):
-    """Half the spread of x and y, floored at 0.5e-300; halved first, so it is never inf."""
+    """Half the spread of x and y, floored at 0.5e-300; halving first keeps it finite."""
     lo = np.minimum(x.min(axis=-1), y.min(axis=-1))
     hi = np.maximum(x.max(axis=-1), y.max(axis=-1))
     return np.maximum(0.5 * hi - 0.5 * lo, 0.5e-300)

@@ -216,8 +216,8 @@ def contact_matrix(tau, tau_prime, spectra: SpectrumPair, M, eta_vec) -> np.ndar
     ZeroModeError for a zero free eigenvalue.  The times go through ``_real_array``;
     entries beyond the float range are inf or nan.
     """
-    tau, tau_prime = (_real_array(t, label, InvalidParameterError)
-                      for t, label in ((tau, "tau"), (tau_prime, "tau_prime")))
+    tau = _real_array(tau, "tau", InvalidParameterError)
+    tau_prime = _real_array(tau_prime, "tau_prime", InvalidParameterError)
     free, contact = spectra.kernels
     return _assemble_contact(*_mode_kernels(tau, *free), *_mode_kernels(-tau_prime, *contact),
                              spectra.lam, M, eta_vec)
