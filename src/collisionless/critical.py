@@ -37,9 +37,11 @@ __all__ = [
 
 
 # Tau samples of the critical bracket scan, evaluated in ascending blocks of
-# _SCAN_BLOCK intervals; _O_MAX is the end of the scanned o_N range.
+# _SCAN_BLOCK intervals; _O_MAX is the end of the scanned o_N range.  A sample
+# leaves the scan at its first sign change, so the block size moves no bracket,
+# only the per-block overhead against the points evaluated past that change.
 _SCAN_POINTS = 1200
-_SCAN_BLOCK = 32
+_SCAN_BLOCK = 64
 _O_MAX = 6 * np.pi
 # Bracket-polish stopping test: width below _XTOL + _RTOL * tau.
 _XTOL = 1e-13
@@ -52,12 +54,19 @@ _STUDY_CHUNK = 128
 STUDY_STAGES = ("sample", "scan", "polish")
 
 
+def _require_pair(spectra):
+    """InvalidParameterError unless ``spectra`` is a ``SpectrumPair`` (a ``SpectralData`` is one)."""
+    if not isinstance(spectra, SpectrumPair):
+        raise InvalidParameterError(f"spectra must be a SpectrumPair, got {type(spectra).__name__}")
+
+
 def critical_limit(spectra: SpectrumPair) -> SpectrumPair:
     """Copy of the spectra with the top contact eigenvalue sent to its zero limit.
 
     Requires the rest of the critical structure: every other eigenvalue of
     both phases negative (which strict interlacing then enforces).
     """
+    _require_pair(spectra)
     lam = np.array(spectra.lam)
     lamp = np.array(spectra.lam_prime)
     if lam[-2] >= 0:
@@ -69,10 +78,11 @@ def critical_limit(spectra: SpectrumPair) -> SpectrumPair:
 
 
 def _require_limit(spectra: SpectrumPair):
-    """InvalidParameterError unless the top contact eigenvalue is exactly 0.
+    """InvalidParameterError unless ``spectra`` is a pair whose top contact eigenvalue is exactly 0.
 
     Strict interlacing (``SpectrumPair``) then puts the top free eigenvalue above 0.
     """
+    _require_pair(spectra)
     if spectra.lam_prime[-1] != 0.0:
         raise InvalidParameterError(
             "spectra must be in the critical limit (top contact eigenvalue exactly 0); "
@@ -398,6 +408,7 @@ def large_tau_asymptote(n: int, spectra: SpectrumPair) -> AsymptoticPoint:
     through omega'_{N-1} in the second formula.
     """
     _real_number(n, "branch index", InvalidParameterError, minimum=1)
+    _require_pair(spectra)
     if spectra.lam[-1] <= 0:
         raise InvalidParameterError("top free eigenvalue must be positive")
     stack = _stack_one(critical_limit(spectra))
@@ -417,11 +428,12 @@ def large_tau_asymptote(n: int, spectra: SpectrumPair) -> AsymptoticPoint:
 
 
 def asymptotic_grid(spectra: SpectrumPair, branches) -> np.ndarray:
-    """Stacked (o_N, o'_{N-1}) asymptotic points for a 1-d sequence of branch indices."""
+    """Stacked (o_N, o'_{N-1}) asymptotic points for a 1-d sequence of branch indices: (n, 2)."""
+    _require_pair(spectra)
     if _real_array(branches, "branches", InvalidParameterError).ndim != 1:
         raise InvalidParameterError(f"branches must be a 1-d sequence, got {branches!r}")
     pts = [large_tau_asymptote(n, spectra) for n in branches]
-    return np.array([[p.o_n, p.o_prime] for p in pts])
+    return np.array([[p.o_n, p.o_prime] for p in pts]).reshape(len(pts), 2)
 
 
 # ------------------------------------------------------------- sampling study
@@ -463,15 +475,44 @@ def _sample_chunk(n_dof, count, rng):
     is pinned at 0; the top free eigenvalue sits one gap above zero and the
     free/contact values below alternate downward, with gaps drawn from
     Uniform(0.1, 1); then max |lam| is rescaled to 1.  Signatures are drawn
-    uniformly.  Each sample makes its two draws from ``rng`` in turn (its
-    2N - 2 gaps, then its N free and N - 1 contact signatures as one draw),
-    so a chunk continues the stream exactly where the previous one stopped.
+    uniformly.
+
+    The numbers are those of two draws per sample in turn,
+    ``rng.uniform(0.1, 1.0, 2N - 2)`` and then ``rng.integers(0, 2, 2N - 1)``
+    (its N free and N - 1 contact signature bits), rebuilt from one
+    ``random_raw`` block of 64-bit words per chunk.  A gap takes one word w,
+    0.1 + 0.9 * ((w >> 11) * 2**-53): NumPy's ``next_double`` through
+    ``uniform``.  A bit takes one 32-bit half-word, its top bit: Lemire's
+    multiply-shift with range 2, which never rejects (Lemire, *ACM TOMS*
+    45(1), 2019).  ``rng``'s bit generator (PCG64, as ``default_rng`` makes)
+    hands out the low half of a word first and keeps the high half as a spare
+    (``has_uint32``/``uinteger`` of its state), which carries across calls.
+    So a sample takes 2N - 2 gap words, then N bit words, or N - 1 when a
+    spare is waiting, and 2N - 1 being odd, the spare alternates from sample
+    to sample.  The spare is written back as the loop would leave it, with
+    ``uinteger`` the last high half handed out, so a chunk continues the
+    stream exactly where the previous one stopped, whatever its size.
     """
-    gaps = np.empty((count, 2 * n_dof - 2))
-    bits = np.empty((count, 2 * n_dof - 1), dtype=np.int64)
-    for k in range(count):
-        gaps[k] = rng.uniform(0.1, 1.0, 2 * n_dof - 2)
-        bits[k] = rng.integers(0, 2, 2 * n_dof - 1)
+    n_gaps, n_bits = 2 * n_dof - 2, 2 * n_dof - 1
+    bit_gen = rng.bit_generator
+    state = bit_gen.state
+    spare = state["has_uint32"]
+    words = n_gaps + n_dof - (spare + np.arange(count)) % 2    # of each sample
+    ends = np.cumsum(words)
+    raw = bit_gen.random_raw(int(ends[-1]))
+    is_gap = np.zeros(raw.size, dtype=bool)
+    is_gap[(ends - words)[:, None] + np.arange(n_gaps)] = True
+    gaps = 0.1 + 0.9 * ((raw[is_gap] >> 11) * 2.0 ** -53).reshape(count, n_gaps)
+    bit_words = raw[~is_gap]
+    stream = np.empty(spare + 2 * bit_words.size, dtype=np.uint64)   # the half-words' top bits
+    stream[:spare] = state["uinteger"] >> 31
+    stream[spare::2] = bit_words >> 31 & 1     # low halves
+    stream[spare + 1::2] = bit_words >> 63     # high halves
+    bits = stream[:count * n_bits].reshape(count, n_bits).astype(np.int64)
+    state = bit_gen.state
+    state["has_uint32"] = int(stream.size > bits.size)
+    state["uinteger"] = int(bit_words[-1] >> 32)
+    bit_gen.state = state
     lam = np.empty((count, n_dof))
     lamp = np.zeros((count, n_dof - 1))
     lam[:, -1] = gaps[:, 0]

@@ -13,6 +13,7 @@ from .errors import (
     DegenerateSolutionError,
     InvalidParameterError,
     NoExistenceError,
+    _real_array,
 )
 from .impact import (
     RANK_GAP_MAX,
@@ -146,10 +147,16 @@ def pick_records(run: SolveRun, strategy) -> list:
 
     'lowest-row' returns the leftmost validated root of the lowest validated
     row; 'all' returns every validated root; 'nearest' returns the single
-    converged root closest to the given phases regardless of validation.
+    converged root closest to the given phases, two finite numbers,
+    regardless of validation.
     """
-    if isinstance(strategy, tuple) and strategy and strategy[0] == "nearest":
-        target = np.asarray(strategy[1], float)
+    if (isinstance(strategy, tuple) and len(strategy) == 2 and isinstance(strategy[0], str)
+            and strategy[0] == "nearest"):
+        target = _real_array(strategy[1], "nearest target", InvalidParameterError)
+        if target.shape != (2,) or not np.isfinite(target).all():
+            raise InvalidParameterError(
+                f"nearest target must be two finite phases (o_n, o_prime), got {strategy[1]!r}"
+            )
         best = min(
             run.records,
             key=lambda r: np.hypot(
@@ -157,6 +164,8 @@ def pick_records(run: SolveRun, strategy) -> list:
             ),
         )
         return [best]
+    if not isinstance(strategy, str):
+        raise InvalidParameterError(f"unknown pick strategy {strategy!r}")
     if strategy == "all":
         return [r for r in run.records if r.accepted]
     if strategy == "lowest-row":

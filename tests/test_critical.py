@@ -112,6 +112,12 @@ def test_asymptotic_grid_spacing():
     assert np.ptp(pts[:, 1]) == 0.0  # same contact phase on every branch
 
 
+def test_asymptotic_grid_of_no_branches_keeps_its_two_columns():
+    spectra = near_critical_spectra(4, 0.01, np.random.default_rng(18))
+    assert cl.asymptotic_grid(spectra, []).shape == (0, 2)
+    assert cl.asymptotic_grid(spectra, [3]).shape == (1, 2)
+
+
 def test_asymptote_refines_under_newton():
     rng = np.random.default_rng(21)
     spectra = near_critical_spectra(4, 0.01, rng)
@@ -294,6 +300,36 @@ def test_chunk_stack_matches_per_pair_stack(n_dof, count):
     assert chunked.bit_generator.state == per_pair.bit_generator.state
 
 
+@pytest.mark.parametrize("n_dof", [2, 3, 5])
+def test_chunk_starting_on_a_spare_half_word_matches_per_pair_draws(n_dof):
+    # a one-bit draw leaves the high half of its word waiting; the chunk must hand it out first
+    chunked, per_pair = np.random.default_rng(n_dof), np.random.default_rng(n_dof)
+    for rng in (chunked, per_pair):
+        rng.integers(0, 2, 1)
+        rng.uniform()
+    assert chunked.bit_generator.state["has_uint32"] == 1
+    for count in (5, 4):      # ends on a spare, then on none
+        fields = critical._sample_chunk(n_dof, count, chunked)
+        pairs = [_sample_pair(n_dof, per_pair) for _ in range(count)]
+        reference = _stack_pairs(pairs)
+        for name, got, want in zip(reference._fields, critical._stack(*fields), reference):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert np.array_equal(fields[1], np.stack([p.lam_prime for p in pairs]))
+        assert np.array_equal(fields[3], np.stack([p.sigma_prime for p in pairs]))
+        assert chunked.bit_generator.state == per_pair.bit_generator.state
+
+
+@pytest.mark.parametrize("n_dof", [2, 3, 5])
+def test_study_chunk_size_does_not_change_the_samples(monkeypatch, n_dof):
+    # the chunks continue one rng stream, so every chunk size gives the same study, min_c0 bits too
+    summaries = []
+    for chunk in (1, 7, 128, 300):
+        monkeypatch.setattr(critical, "_STUDY_CHUNK", chunk)
+        summaries.append(cl.c0_sampling_study(300, n_dof, seed=11))
+    assert all(summary == summaries[0] for summary in summaries)
+    assert len({np.float64(summary.min_c0).tobytes() for summary in summaries}) == 1
+
+
 @pytest.mark.parametrize("n_dof", [2, 3, 4, 5, 6, 7, 8])
 def test_pair_stack_matches_checked_stack(n_dof):
     # a pair's own arrays and cached M and eta stack to the bits the checked study path builds
@@ -467,6 +503,17 @@ def test_scan_blocks_are_the_linspace_grid(monkeypatch):
     om_top = np.sqrt(stack.lam[:, -1])
     want = np.linspace(1e-3 / om_top, critical._O_MAX / om_top, critical._SCAN_POINTS, axis=-1)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_scan_block_moves_no_bracket(monkeypatch):
+    # a sample leaves the scan at its first sign change, whatever the block that holds it
+    stack = critical._stack(*critical._sample_chunk(3, 64, np.random.default_rng(5)))
+    brackets = []
+    for block in (1, 32, 64, critical._SCAN_POINTS - 1):
+        monkeypatch.setattr(critical, "_SCAN_BLOCK", block)
+        brackets.append(critical._scan(stack, critical._O_MAX))
+    assert not np.isnan(brackets[0]).all()
+    assert all(bracket.tobytes() == brackets[0].tobytes() for bracket in brackets)
 
 
 @pytest.mark.parametrize("n_dof, min_c0", [

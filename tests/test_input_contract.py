@@ -60,6 +60,8 @@ _SEED_VALUES = st.one_of(
 
 _BIPED = cl.build_armed_biped()
 _SPECTRAL = cl.analyze(_BIPED)
+_LIMIT = cl.critical_limit(_SPECTRAL)
+_RUN = cl.solve_model(_BIPED)
 _KERNEL_INPUTS = {"spectra": _SPECTRAL, "M": _SPECTRAL.M, "eta_vec": _SPECTRAL.eta}
 _SPECTRA = {"lam": [-2.0, 1.0, 3.0], "lam_prime": [0.5, 2.0], "sigma": [-1, 1, -1],
             "sigma_prime": [1, -1]}
@@ -108,14 +110,19 @@ CASES = [
           replaced=["tau", "tau_prime"]),
     _case("impact_residual", cl.impact_residual, {"o": [3.8, 0.93], **_KERNEL_INPUTS},
           replaced=["o"], o=_PHASE_VALUES),
-    _case("critical_matrices", cl.critical_matrices,
-          {"tau": 0.7, "spectra": cl.critical_limit(_SPECTRAL)}, replaced=["tau"]),
-    _case("asymptotic_grid", cl.asymptotic_grid, {"spectra": _SPECTRAL, "branches": [1, 2]},
-          replaced=["branches"]),
+    _case("critical_limit", cl.critical_limit, {"spectra": _SPECTRAL}),
+    _case("critical_matrices", cl.critical_matrices, {"tau": 0.7, "spectra": _LIMIT}),
+    _case("solve_critical", cl.solve_critical, {"spectra": _LIMIT}),
+    _case("large_tau_asymptote", cl.large_tau_asymptote, {"n": 2, "spectra": _SPECTRAL},
+          n=_SMALL_INTS),
+    _case("asymptotic_grid", cl.asymptotic_grid, {"spectra": _SPECTRAL, "branches": [1, 2]}),
     _case("GridSpec.axes", lambda **kw: cl.GridSpec(**kw).axes(),
           {"o_n_max": 4.0, "o_p_max": 2.0, "step": 0.5, "o_n_min": 0.0, "o_p_min": 0.0},
           o_n_max=_GRID_VALUES, o_p_max=_GRID_VALUES, o_n_min=_GRID_VALUES,
           o_p_min=_GRID_VALUES, step=_STEP_VALUES),
+    _case("pick_records", lambda **kw: cl.pick_records(_RUN, **kw), {"strategy": "lowest-row"}),
+    _case("pick_records nearest", lambda target: cl.pick_records(_RUN, ("nearest", target)),
+          {"target": (7.0, 1.0)}),
     _case("refine_roots", _refine_roots, {"seeds": [[3.8, 0.93]], "max_iter": 5},
           seeds=_SEED_VALUES, max_iter=_SMALL_INTS),
     _case("c0_sampling_study", cl.c0_sampling_study, {"n_samples": 2, "n_dof": 2, "seed": 1},
