@@ -17,7 +17,14 @@ from time import perf_counter
 import numpy as np
 
 from .cauchy import cauchy_matrix, eta
-from .errors import InvalidParameterError, NoRootError, _is_real, _real_array, _real_number
+from .errors import (
+    InvalidParameterError,
+    NoRootError,
+    _is_real,
+    _real_array,
+    _real_number,
+    _require_instance,
+)
 from .impact import _subsets, existence_gate, phase_rate
 from .model import SpectrumPair, _check_spectra
 
@@ -43,7 +50,8 @@ __all__ = [
 _SCAN_POINTS = 1200
 _SCAN_BLOCK = 64
 _O_MAX = 6 * np.pi
-# Bracket-polish stopping test: width below _XTOL + _RTOL * tau.
+# Bracket-polish stopping test: a Newton step, or a bracket width, of at most
+# _XTOL + _RTOL * tau.
 _XTOL = 1e-13
 _RTOL = 8.9e-16
 # Samples a c0 study draws and solves at once.
@@ -54,19 +62,13 @@ _STUDY_CHUNK = 128
 STUDY_STAGES = ("sample", "scan", "polish")
 
 
-def _require_pair(spectra):
-    """InvalidParameterError unless ``spectra`` is a ``SpectrumPair`` (a ``SpectralData`` is one)."""
-    if not isinstance(spectra, SpectrumPair):
-        raise InvalidParameterError(f"spectra must be a SpectrumPair, got {type(spectra).__name__}")
-
-
 def critical_limit(spectra: SpectrumPair) -> SpectrumPair:
     """Copy of the spectra with the top contact eigenvalue sent to its zero limit.
 
     Requires the rest of the critical structure: every other eigenvalue of
     both phases negative (which strict interlacing then enforces).
     """
-    _require_pair(spectra)
+    _require_instance(spectra, SpectrumPair, "spectra")
     lam = np.array(spectra.lam)
     lamp = np.array(spectra.lam_prime)
     if lam[-2] >= 0:
@@ -82,7 +84,7 @@ def _require_limit(spectra: SpectrumPair):
 
     Strict interlacing (``SpectrumPair``) then puts the top free eigenvalue above 0.
     """
-    _require_pair(spectra)
+    _require_instance(spectra, SpectrumPair, "spectra")
     if spectra.lam_prime[-1] != 0.0:
         raise InvalidParameterError(
             "spectra must be in the critical limit (top contact eigenvalue exactly 0); "
@@ -216,10 +218,19 @@ def _det_terms(w_bar, stack):
     for i in range(k):
         np.multiply(mono[:2 ** i], w_bar[i], out=mono[2 ** i:2 ** (i + 1)])
     pieces = mono.transpose(1, 2, 0) @ stack.coef                   # (S, T, 7)
-    p00, p01, p10, p11, s0, s1, r = pieces.transpose(2, 0, 1)
-    A = (p00 + r) * s1 - p01 * s0
-    B = p10 * s1 - (p11 + r) * s0
-    return A, B, pieces[..., 4:6]
+    p = pieces.transpose(2, 0, 1)
+    return (*_ab(p, p), pieces[..., 4:6])
+
+
+def _ab(first, second):
+    """(A, B) of det(K + K~) = A + B w_N from the seven pieces, one bilinear form each.
+
+    The first K row's pieces (P0, P1, r) come from ``first`` and S from
+    ``second``, so the tau-slope of each is ``_ab(slopes, values) + _ab(values, slopes)``.
+    """
+    p00, p01, p10, p11, _, _, r = first
+    s0, s1 = second[4], second[5]
+    return (p00 + r) * s1 - p01 * s0, p10 * s1 - (p11 + r) * s0
 
 
 @np.errstate(all="ignore")
@@ -253,53 +264,91 @@ def _depoled_residual(taus, stack):
     """
     A, B, _ = _det_terms(_hyperbolic_rates(taus, stack.nu, stack.odd), stack)
     o_top = stack.om_top * taus
-    cos, sin = np.cos(o_top), np.sin(o_top)
+    return _depole(A, B, stack, np.cos(o_top), np.sin(o_top))
+
+
+def _depole(A, B, stack, cos, sin):
+    """A + B w_N times the denominator of w_N: cos(o_N) for an odd top mode, else sin(o_N)."""
     om_b = B * stack.om_top
     return np.where(stack.odd_top, A * cos + om_b * sin, A * sin - om_b * cos)
 
 
-def _itp(stack, a, b, fa, fb):
+def _residual_slope(x, stack):
+    """The depoled residual and its exact tau-slope at one tau per sample, x (S,): two (S,) arrays.
+
+    Both parities of a non-top rate obey the Riccati identity
+    w_i' = w_i**2 - nu_i**2.  Each monomial's slope is doubled in place next
+    to the monomial, d(m w_i) = dm w_i + m w_i', so one product of the
+    (S, 2, 2**(n-1)) value/slope view with the coefficient table gives the
+    seven pieces and their slopes.  With o_N = omega_N tau and the depoling
+    factor's own slope, F' is F's form with (A, B) replaced by
+    (A' + omega_N**2 B, B' - A): for an odd top mode
+    F' = (A' + omega_N**2 B) cos + omega_N (B' - A) sin.
+    """
+    taus = x[:, None]
+    w = _hyperbolic_rates(taus, stack.nu, stack.odd)                # (n-1, S, 1)
+    dw = w * w - stack.nu * stack.nu
+    k = w.shape[0]
+    mono = np.empty((2 ** k, x.size, 2))                            # value, slope
+    mono[0] = 1.0, 0.0
+    for i in range(k):
+        low, high = mono[:2 ** i], mono[2 ** i:2 ** (i + 1)]
+        np.multiply(low, w[i], out=high)
+        high[..., 1] += low[..., 0] * dw[i, :, 0]
+    pieces = mono.transpose(1, 2, 0) @ stack.coef                   # (S, 2, 7)
+    p, dp = pieces.transpose(1, 2, 0)[..., None]                   # (7, S, 1) each
+    A, B = _ab(p, p)
+    dA, dB = (u + v for u, v in zip(_ab(dp, p), _ab(p, dp)))
+    o_top = stack.om_top * taus
+    cos, sin = np.cos(o_top), np.sin(o_top)
+    f = _depole(A, B, stack, cos, sin)
+    df = _depole(dA + stack.lam[:, -1:] * B, dB - A, stack, cos, sin)
+    return f[:, 0], df[:, 0]
+
+
+def _newton(stack, a, b, fa, fb):
     """Roots of the depoled residual in the sign-change brackets [a, b], in lockstep.
 
-    The ITP iteration (Oliveira & Takahashi 2020, ACM TOMS 47(1)) with
-    k1 = 0.2 / (b - a), k2 = 2 and n0 = 1: a regula-falsi point, truncated
-    toward the midpoint and projected into a radius that keeps bisection's
-    worst case.  Each bracket stops once it is narrower than
-    _XTOL + _RTOL * a, brentq's test at the same tolerances, and returns the
-    regula-falsi point of its final bracket.  The truncation is at least
-    half that width: once the regula-falsi point has converged, k1 (b - a)^2
-    falls below the rounding of tau and the far end would only move by
-    projection, one bisection step at a time.  One residual evaluation per
-    iteration serves every open bracket; their slice of the stack is taken
-    again only when one of them closes.
+    Safeguarded Newton on the exact slope (``rtsafe``, Press et al., *Numerical
+    Recipes*, 3rd ed., sec. 9.4).  Each bracket starts at its regula-falsi
+    point and is kept by sign.  A round bisects where the Newton point leaves
+    the bracket or the Newton step |f/f'| is more than half the previous
+    step, so the step size at least halves between bisections.  A bracket
+    stops once its Newton step, inside the bracket, is at most
+    _XTOL + _RTOL * a, or once it is narrower than that, and returns its last
+    Newton point (the midpoint where that point is outside).  One evaluation
+    of the residual and its slope per round serves every open bracket, and a
+    stopped one is frozen: its iterates depend on no other bracket.  The
+    slice of the stack is taken again only when a bracket stops.
     """
-    a, b, fa, fb = (np.array(v, float) for v in (a, b, fa, fb))
-    width_tol = _XTOL + _RTOL * a
-    k1 = 0.2 / (b - a)
-    n_max = np.ceil(np.log2((b - a) / width_tol)) + 1.0
-    open_ = np.nonzero(b - a > width_tol)[0]
-    sub = stack.take(open_)
-    j = 0
+    lo, hi, f_lo = (np.array(v, float) for v in (a, b, fa))
+    tol = _XTOL + _RTOL * lo
+    x = (hi * f_lo - lo * fb) / (f_lo - fb)
+    step = hi - lo
+    roots = np.full(lo.size, np.nan)
+    open_ = np.arange(lo.size)
+    sub = stack
     while open_.size:
-        lo, hi, f_lo, f_hi = a[open_], b[open_], fa[open_], fb[open_]
+        f, df = _residual_slope(x, sub)
+        right = f * f_lo > 0        # the root lies right of x
+        lo = np.where(right, x, lo)
+        f_lo = np.where(right, f, f_lo)
+        hi = np.where(right, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = f / df     # inf or nan bisects
+        x_n = x - dx
         mid = 0.5 * (lo + hi)
-        radius = np.maximum(0.5 * width_tol[open_] * 2.0 ** (n_max[open_] - j) - 0.5 * (hi - lo), 0.0)
-        delta = np.maximum(k1[open_] * (hi - lo) ** 2, 0.5 * width_tol[open_])
-        x_f = (hi * f_lo - lo * f_hi) / (f_lo - f_hi)
-        side = np.sign(mid - x_f)
-        x_t = np.where(delta <= np.abs(mid - x_f), x_f + side * delta, mid)
-        x = np.where(np.abs(x_t - mid) <= radius, x_t, mid - side * radius)
-        y = _depoled_residual(x[:, None], sub)[:, 0]
-        right = y * f_lo > 0        # the root lies right of x
-        a[open_] = np.where(right | (y == 0), x, lo)
-        fa[open_] = np.where(right, y, f_lo)
-        b[open_] = np.where(right, hi, x)
-        fb[open_] = np.where(right, f_hi, y)
-        still = b[open_] - a[open_] > width_tol[open_]
+        inside = (lo <= x_n) & (x_n <= hi)
+        done = inside & (abs(dx) <= tol) | (hi - lo <= tol)
+        roots[open_[done]] = np.where(inside, x_n, mid)[done]
+        x_next = np.where(inside & (abs(dx) <= 0.5 * step), x_n, mid)
+        step = abs(x_next - x)
+        still = ~done
         if not still.all():
             open_, sub = open_[still], sub.take(still)
-        j += 1
-    return (b * fa - a * fb) / (fa - fb)
+            lo, hi, f_lo, tol, x_next, step = (v[still] for v in (lo, hi, f_lo, tol, x_next, step))
+        x = x_next
+    return roots
 
 
 def _scan(stack, o_max):
@@ -342,13 +391,17 @@ def _scan(stack, o_max):
 
 
 def _polish(stack, bracket):
-    """(tau_c, c0) of each sample from its ``_scan`` bracket, polished together; NaN where none."""
+    """(tau_c, c0) of each sample from its ``_scan`` bracket; NaN where none.
+
+    Every bracket is polished by ``_newton`` in lockstep, and c0 = -S_1 / S_0
+    is read off at each root by one more evaluation of the coefficient table.
+    """
     tau_c = np.full(stack.lam.shape[0], np.nan)
     c0 = np.full(stack.lam.shape[0], np.nan)
     found = np.nonzero(~np.isnan(bracket[0]))[0]
     if found.size:
         sub = stack.take(found)
-        tau_c[found] = _itp(sub, *bracket[:, found])
+        tau_c[found] = _newton(sub, *bracket[:, found])
         _, _, S = _det_terms(_hyperbolic_rates(tau_c[found, None], sub.nu, sub.odd), sub)
         c0[found] = -S[:, 0, 1] / S[:, 0, 0]
     return tau_c, c0
@@ -408,7 +461,7 @@ def large_tau_asymptote(n: int, spectra: SpectrumPair) -> AsymptoticPoint:
     through omega'_{N-1} in the second formula.
     """
     _real_number(n, "branch index", InvalidParameterError, minimum=1)
-    _require_pair(spectra)
+    _require_instance(spectra, SpectrumPair, "spectra")
     if spectra.lam[-1] <= 0:
         raise InvalidParameterError("top free eigenvalue must be positive")
     stack = _stack_one(critical_limit(spectra))
@@ -429,7 +482,7 @@ def large_tau_asymptote(n: int, spectra: SpectrumPair) -> AsymptoticPoint:
 
 def asymptotic_grid(spectra: SpectrumPair, branches) -> np.ndarray:
     """Stacked (o_N, o'_{N-1}) asymptotic points for a 1-d sequence of branch indices: (n, 2)."""
-    _require_pair(spectra)
+    _require_instance(spectra, SpectrumPair, "spectra")
     if _real_array(branches, "branches", InvalidParameterError).ndim != 1:
         raise InvalidParameterError(f"branches must be a 1-d sequence, got {branches!r}")
     pts = [large_tau_asymptote(n, spectra) for n in branches]

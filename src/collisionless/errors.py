@@ -118,6 +118,14 @@ def _real_number(value, label, error, *, positive=False, minimum=None):
     return float(value)
 
 
+def _require_instance(value, kind, label):
+    """InvalidParameterError unless ``value`` is a ``kind`` (a subclass's instance is one)."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise InvalidParameterError(
+            f"{label} must be {article} {kind.__name__}, got {type(value).__name__}")
+
+
 def _check_positive(**values):
     """``_real_number`` with ``positive`` on each labelled value; InvalidParameterError."""
     for label, value in values.items():

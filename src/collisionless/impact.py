@@ -55,6 +55,7 @@ from .errors import (
     _is_real,
     _real_array,
     _real_number,
+    _require_instance,
 )
 from .model import SpectrumPair, _as_dict, _check_signature, _kernel_constants, _zero_modes
 from .spectral import SpectralData
@@ -621,8 +622,12 @@ def scan_contour(spectra: SpectrumPair, grid: GridSpec | None = None) -> Contour
     ``o_n_max``/``o_p_max``.  Newton may take a seed to a root outside the
     window, and which out-of-window roots appear depends on the step.
     Spectra that fail ``existence_gate`` have no solution and no seeds.
+    ``grid`` None is the default ``GridSpec()``; only its ``axes()`` is read.
     """
-    grid = grid or GridSpec()
+    _require_instance(spectra, SpectrumPair, "spectra")
+    grid = GridSpec() if grid is None else grid
+    if not callable(getattr(grid, "axes", None)):   # a GridSpec, or any grid with its axes()
+        raise InvalidParameterError(f"grid must be a GridSpec, got {type(grid).__name__}")
     o_n_axis, o_p_axis = grid.axes()
     # Stiff hyperbolic modes can overflow on the grid, and a zero top contact eigenvalue
     # makes every contact time infinite; _sign_change_cells skips non-finite corners.

@@ -14,6 +14,7 @@ from .errors import (
     InvalidParameterError,
     NoExistenceError,
     _real_array,
+    _require_instance,
 )
 from .impact import (
     RANK_GAP_MAX,
@@ -150,6 +151,7 @@ def pick_records(run: SolveRun, strategy) -> list:
     converged root closest to the given phases, two finite numbers,
     regardless of validation.
     """
+    _require_instance(run, SolveRun, "run")
     if (isinstance(strategy, tuple) and len(strategy) == 2 and isinstance(strategy[0], str)
             and strategy[0] == "nearest"):
         target = _real_array(strategy[1], "nearest target", InvalidParameterError)

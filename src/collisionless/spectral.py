@@ -21,6 +21,7 @@ from .errors import (
     NormalizationError,
     ZeroModeError,
     _real_array,
+    _require_instance,
 )
 from .model import ModelSpec, SpectrumPair, _frozen
 
@@ -144,6 +145,7 @@ def analyze(model: ModelSpec) -> SpectralData:
     coordinate: such a mode never exchanges energy through the contact and
     the squared-amplitude vector eta degenerates.
     """
+    _require_instance(model, ModelSpec, "model")
     lam, X, c = normal_modes(model)
     if np.abs(X[-1, :]).min() < 1e-9:
         raise NormalizationError(

@@ -36,7 +36,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import CollisionlessError, InvalidParameterError, _check_positive, _real_number
+from .errors import (
+    CollisionlessError,
+    InvalidParameterError,
+    _check_positive,
+    _real_number,
+    _require_instance,
+)
 from .impact import ImpactSolution, ImpactTimes, _mode_kernels, build_solution
 from .model import ModelSpec, _as_dict
 from .spectral import SpectralData
@@ -241,6 +247,7 @@ def synthesize(solution: ImpactSolution,
     the impact sample is shared, so the total row count is
     2 * samples_per_phase + 1.
     """
+    _require_instance(solution, ImpactSolution, "solution")
     _real_number(samples_per_phase, "samples_per_phase", InvalidParameterError, minimum=1)
     spectral = solution.spectral
     times = solution.times
@@ -374,12 +381,17 @@ def validate_solutions(solutions, model: ModelSpec,
     own grid, which reuses its coarse kernels, and gets the report the grid
     alone gives.
 
-    Raises InvalidParameterError when the solutions do not share one
-    SpectralData, and, naming the quantity, when its derived mass or
-    stiffness matrix, signatures or static offset differ from the model's
-    by more than MODEL_RTOL of its largest entry.
+    Raises InvalidParameterError when a solution is no ImpactSolution, the
+    model no ModelSpec or the tolerances no ValidatorTolerances, when the
+    solutions do not share one SpectralData, and, naming the quantity, when
+    its derived mass or stiffness matrix, signatures or static offset differ
+    from the model's by more than MODEL_RTOL of its largest entry.
     """
-    tol = tolerances or ValidatorTolerances()
+    for solution in solutions:
+        _require_instance(solution, ImpactSolution, "solution")
+    _require_instance(model, ModelSpec, "model")
+    tol = ValidatorTolerances() if tolerances is None else tolerances
+    _require_instance(tol, ValidatorTolerances, "tolerances")
     if not solutions:
         return []
     spectral = solutions[0].spectral

@@ -422,7 +422,7 @@ def _reference_root(spectra, o_max=6 * np.pi, points=1200):
 
 @pytest.mark.parametrize("n_dof", [2, 3, 4, 5, 6])
 def test_first_root_matches_full_scan_and_brentq(n_dof):
-    # the early-exit scan never skips to a later bracket, and ITP matches brentq
+    # the early-exit scan never skips to a later bracket, and the Newton polish matches brentq
     rng = np.random.default_rng(40 + n_dof)
     for _ in range(30):
         spectra = critical._sample_critical_spectra(n_dof, rng)
@@ -430,6 +430,85 @@ def test_first_root_matches_full_scan_and_brentq(n_dof):
         tau_c, c0 = cl.solve_critical(spectra)
         assert tau_c == pytest.approx(tau_ref, rel=1e-12, abs=0)
         assert c0 == pytest.approx(c0_ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n_dof", [2, 3, 4, 5, 6, 7, 8])
+def test_residual_slope_matches_central_difference(n_dof):
+    # The analytic tau-slope against a four-point central difference of the depoled residual,
+    # step 3e-4 tau, to 1e-9 of |F'| + omega_N |F| (the size of the slope's cos/sin terms).
+    # Sample s takes its signatures from the bits of s, the top mode's from bit 0, so both
+    # top-mode parities and mixed non-top parities occur; the value is the scan's residual to
+    # 1e-10 relative.
+    lam, lam_prime, _, sigma_prime = critical._sample_chunk(n_dof, 64, np.random.default_rng(n_dof))
+    sigma = np.where(np.arange(64)[:, None] >> np.roll(np.arange(n_dof), -1) & 1, 1, -1)
+    stack = critical._stack(lam, lam_prime, sigma, sigma_prime)
+    assert stack.odd_top.any() and not stack.odd_top.all()
+    assert n_dof == 2 or len({tuple(row) for row in stack.odd[:, :, 0].T}) > 2
+    om_top = stack.om_top[:, 0]
+    for o_top in np.linspace(0.2, critical._O_MAX, 60):
+        tau = o_top / om_top
+        f, df = critical._residual_slope(tau, stack)
+
+        def residual(step):
+            return critical._depoled_residual((tau + step * tau)[:, None], stack)[:, 0]
+
+        h = 3e-4
+        central = (8 * (residual(h) - residual(-h)) - (residual(2 * h) - residual(-2 * h))) / (
+            12 * h * tau)
+        assert np.all(abs(df - central) <= 1e-9 * (abs(df) + om_top * abs(f)))
+        np.testing.assert_allclose(f, residual(0.0), rtol=1e-10, atol=0)
+
+
+# The Newton polish closes every bracket of 1,500 samples per N = 2..8 (seed 42) within 11
+# lockstep rounds, and in at most 2.8 rounds a bracket on average at each N; bisection from a
+# scan step to the stopping width would take about 38.
+_POLISH_MAX_ROUNDS = 12
+_POLISH_MEAN_ROUNDS = 3.0
+
+
+@pytest.mark.parametrize("n_dof", [2, 3, 4, 5, 6, 7, 8])
+def test_polish_worst_case_rounds_and_roots(monkeypatch, n_dof):
+    # Every bracket closes within the round bound, and every root is within 1e-12 relative of
+    # a 64-round lockstep bisection of the same residual from the same scan bracket.
+    stack = critical._stack(*critical._sample_chunk(n_dof, 1500, np.random.default_rng(42)))
+    bracket = critical._scan(stack, critical._O_MAX)
+    assert not np.isnan(bracket).any()
+    evaluated = []
+    residual_slope = critical._residual_slope
+
+    def counting(x, sub):
+        evaluated.append(x.size)
+        return residual_slope(x, sub)
+
+    monkeypatch.setattr(critical, "_residual_slope", counting)
+    tau_c, c0 = critical._polish(stack, bracket)
+    assert len(evaluated) <= _POLISH_MAX_ROUNDS
+    assert sum(evaluated) <= _POLISH_MEAN_ROUNDS * tau_c.size
+    lo, hi, f_lo, _ = bracket
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        f = critical._depoled_residual(mid[:, None], stack)[:, 0]
+        right = f * f_lo > 0
+        lo, f_lo, hi = np.where(right, mid, lo), np.where(right, f, f_lo), np.where(right, hi, mid)
+    np.testing.assert_allclose(tau_c, 0.5 * (lo + hi), rtol=1e-12, atol=0)
+    assert np.all(c0 > 0)
+
+
+def test_polish_stops_at_xtol_1e13_plus_rtol_8p9e16_not_1000_times(monkeypatch):
+    # A residual x - r reported with slope 1.5 makes each Newton step 2/3 of the error and a
+    # third of the step before, so a bracket [a, b] stops at the first step of at most
+    # tol = 1e-13 + 8.9e-16 a and returns a point within (tol / 6, tol / 2] of r.  At a = 1e-3
+    # the absolute part sets tol, at a = 100 the relative part is nearly half of it; the bounds
+    # (tol / 20, tol] leave room for the rounding of tau.
+    a = np.array([1e-3, 100.0])
+    roots = np.array([1.3e-3, 100.123456789])
+    monkeypatch.setattr(critical, "_residual_slope",
+                        lambda x, sub: (x - np.where(x < 1.0, *roots), np.full(x.size, 1.5)))
+    stack = critical._stack(*critical._sample_chunk(2, 2, np.random.default_rng(0)))
+    tau = critical._newton(stack, a, a + 0.5 * a, -np.ones(2), np.ones(2))
+    tol = 1e-13 + 8.9e-16 * a
+    error = abs(tau - roots)
+    assert np.all((tol / 20 < error) & (error <= tol))
 
 
 def _direct_terms(pair, w_bar):

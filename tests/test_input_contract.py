@@ -1,10 +1,10 @@
 """The input contract: every public entry point returns or raises a CollisionlessError.
 
 Each case is one entry point with valid arguments.  The tests replace one of
-its array or number arguments at a time by a junk value (``JUNK``) or by a
-generated one, and the call must then return or raise a ``CollisionlessError``
-subclass, never another exception.  The repository's warning filters turn a
-RuntimeWarning into a failure too.
+its array, number or object arguments at a time by a junk value (``JUNK``) or
+by a generated one, and the call must then return or raise a
+``CollisionlessError`` subclass, never another exception.  The repository's
+warning filters turn a RuntimeWarning into a failure too.
 """
 
 from dataclasses import dataclass
@@ -62,6 +62,7 @@ _BIPED = cl.build_armed_biped()
 _SPECTRAL = cl.analyze(_BIPED)
 _LIMIT = cl.critical_limit(_SPECTRAL)
 _RUN = cl.solve_model(_BIPED)
+_SOLUTION = _RUN.records[0].solution
 _KERNEL_INPUTS = {"spectra": _SPECTRAL, "M": _SPECTRAL.M, "eta_vec": _SPECTRAL.eta}
 _SPECTRA = {"lam": [-2.0, 1.0, 3.0], "lam_prime": [0.5, 2.0], "sigma": [-1, 1, -1],
             "sigma_prime": [1, -1]}
@@ -120,6 +121,14 @@ CASES = [
           {"o_n_max": 4.0, "o_p_max": 2.0, "step": 0.5, "o_n_min": 0.0, "o_p_min": 0.0},
           o_n_max=_GRID_VALUES, o_p_max=_GRID_VALUES, o_n_min=_GRID_VALUES,
           o_p_min=_GRID_VALUES, step=_STEP_VALUES),
+    _case("solve_model", cl.solve_model, {"model": _BIPED, "grid": cl.GridSpec()}),
+    _case("analyze", cl.analyze, {"model": _BIPED}),
+    _case("scan_contour", cl.scan_contour, {"spectra": _SPECTRAL, "grid": cl.GridSpec()}),
+    _case("synthesize", cl.synthesize, {"solution": _SOLUTION, "samples_per_phase": 10},
+          samples_per_phase=_SMALL_INTS),
+    _case("validate", cl.validate,
+          {"solution": _SOLUTION, "model": _BIPED, "tolerances": cl.ValidatorTolerances()}),
+    _case("pick_records run", lambda run: cl.pick_records(run, "all"), {"run": _RUN}),
     _case("pick_records", lambda **kw: cl.pick_records(_RUN, **kw), {"strategy": "lowest-row"}),
     _case("pick_records nearest", lambda target: cl.pick_records(_RUN, ("nearest", target)),
           {"target": (7.0, 1.0)}),
