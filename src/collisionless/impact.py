@@ -820,6 +820,7 @@ def _scaled_steps(o, step):
 
 def _refine(o, seeds, spectra, M, eta_vec, max_iter) -> list:
     """``refine_roots`` on the checked (k, 2) phases o of ``seeds``, which its messages name."""
+    _require_instance(spectra, SpectrumPair, "spectra")
     _real_number(max_iter, "max_iter", InvalidParameterError, minimum=1)
     outcomes = [None] * len(o)
     live = np.arange(len(o))   # the seed index of each active row
@@ -1040,8 +1041,14 @@ def build_solutions(spectral: SpectralData, times_list) -> list:
     scaled so that f equals the static force, so they satisfy every row of
     the matching system.  ``weight_residual`` is
     max |W [q; q'] - [x0; 0]| over the top-left (2N-1) square block W.
-    Each entry's outcome is bit for bit the one it gets alone.
+    Each entry's outcome is bit for bit the one it gets alone.  ``spectral``
+    that is no SpectralData, ``times_list`` no list, or an entry no
+    ImpactTimes raises InvalidParameterError.
     """
+    _require_instance(spectral, SpectralData, "spectral")
+    _require_instance(times_list, list, "times_list")
+    for times in times_list:
+        _require_instance(times, ImpactTimes, "times")
     if not times_list:
         return []
     A, gaps, kernels, e = _certified_matrices(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cauchy import _weights, cauchy_matrix, eta as cauchy_eta
 from .errors import InterlacingError, InvalidModelError, InvalidParameterError, ZeroModeError
-from .errors import _check_positive, _is_real, _real_array, _real_number
+from .errors import _check_positive, _is_real, _real_array, _real_number, _require_instance
 
 __all__ = [
     "ModelSpec",
@@ -306,6 +306,7 @@ def model_from_spectra(pair: SpectrumPair, name: str = "spectral",
     and a = sum(lam) - sum(lam'); strict interlacing makes every b_j^2 positive
     (Hochstadt, 1967; Boley & Golub, Inverse Problems 3, 1987).
     """
+    _require_instance(pair, SpectrumPair, "pair")
     lam, lamp = pair.lam, pair.lam_prime
     stiffness = np.diag(np.append(lamp, lam.sum() - lamp.sum()))
     stiffness[-1, :-1] = stiffness[:-1, -1] = np.sqrt(-_weights(lamp, lamp[:, None] - lam))

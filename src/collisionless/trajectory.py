@@ -381,12 +381,14 @@ def validate_solutions(solutions, model: ModelSpec,
     own grid, which reuses its coarse kernels, and gets the report the grid
     alone gives.
 
-    Raises InvalidParameterError when a solution is no ImpactSolution, the
-    model no ModelSpec or the tolerances no ValidatorTolerances, when the
-    solutions do not share one SpectralData, and, naming the quantity, when
-    its derived mass or stiffness matrix, signatures or static offset differ
-    from the model's by more than MODEL_RTOL of its largest entry.
+    Raises InvalidParameterError when ``solutions`` is no list, a solution
+    no ImpactSolution, the model no ModelSpec or the tolerances no
+    ValidatorTolerances, when the solutions do not share one SpectralData,
+    and, naming the quantity, when its derived mass or stiffness matrix,
+    signatures or static offset differ from the model's by more than
+    MODEL_RTOL of its largest entry.
     """
+    _require_instance(solutions, list, "solutions")
     for solution in solutions:
         _require_instance(solution, ImpactSolution, "solution")
     _require_instance(model, ModelSpec, "model")
@@ -483,6 +485,7 @@ def validate_solutions(solutions, model: ModelSpec,
 # ------------------------------------------------------------------- exporters
 
 def to_csv(traj: Trajectory, path):
+    _require_instance(traj, Trajectory, "traj")
     n = traj.n
     header = ["t", "phase", *(f"{name}{i + 1}" for name in ("x", "xd", "xdd") for i in range(n)),
               "energy", "constraint_force"]

@@ -60,7 +60,7 @@ def test_traced_biped_solve():
 PINNED_DIGESTS = {
     "n2-oracle": "eec3a136696d856e71fab0fbd1ee89dbb0c62789634da9d29e8d6dd0d32dc575",
     "solve-batch": "aa6fdb92fa06debae044464bf70d44002462993510f7bffa4443eab4937c8357",
-    "c0-study": "b56f66be4576b58f51aa4a8cccf4a5468a59e25307ae9b71a082f5edab92b66c",
+    "c0-study": "abb6a91bcdd8d8cae651a6386c739c7b68e0a2f080141c8639a0fb019f86e468",
 }
 
 

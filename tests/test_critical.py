@@ -265,38 +265,55 @@ def _direct_pieces(pair, w_bar):
     return np.concatenate([P0, P1, S, r[..., None]], axis=-1)[0]
 
 
-def _stack_pairs(pairs):
-    """The critical stack built pair by pair, each table from the pair's own cached M and eta.
+def _direct_table(pair):
+    """A pair's coefficient table from its direct pieces at the corners w in {0, _NODE}**(N-1).
 
-    A pair's table is its direct pieces at the corners w in {0, 1}**(N-1),
-    differenced over one bit at a time in a loop over the subsets.
+    The corner pieces are differenced over one bit at a time in a loop over the subsets, and
+    row m is divided by _NODE**|m|.  Returns the table and the size of each coefficient: the
+    same sum over the subsets of m with the magnitudes of the corner pieces, divided by
+    |_NODE|**|m|.
     """
-    tables = []
-    for pair in pairs:
-        k = pair.n - 1
-        table = _direct_pieces(pair, impact._subsets(k)[None] * 1.0)
-        for bit in range(k):
-            for m in range(2 ** k):
-                if m >> bit & 1:
-                    table[m] -= table[m ^ 1 << bit]
-        tables.append(table)
-    return critical._Stack(
-        lam=np.stack([p.lam for p in pairs]),
-        sigma=np.stack([p.sigma for p in pairs]),
-        coef=np.stack(tables),
-    )
+    k = pair.n - 1
+    bits = impact._subsets(k)
+    table = _direct_pieces(pair, critical._NODE * bits[None])
+    size = abs(table)
+    for bit in range(k):
+        for m in range(2 ** k):
+            if m >> bit & 1:
+                table[m] -= table[m ^ 1 << bit]
+                size[m] += size[m ^ 1 << bit]
+    scale = critical._NODE ** bits.sum(axis=1)[:, None]
+    return table / scale, size / abs(scale)
+
+
+# The corner updates against a det and an inv of U-bar per corner, over the chunk tests: at
+# most 3.0e-12 of a coefficient's size at N = 4 (one P1 corner piece, which a 50-digit
+# evaluation puts 1.2e-12 from the direct value and 4.3e-12 from the updated one), and at
+# most 2.1e-13 at every other N.
+_TABLE_RTOL = 1e-11
+
+
+def _assert_stack_matches_pairs(stack, pairs):
+    """lam and sigma bit for bit the pairs', coef within _TABLE_RTOL of each coefficient's size."""
+    for name in ("lam", "sigma"):
+        want = np.stack([getattr(pair, name) for pair in pairs])
+        got = getattr(stack, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert stack.coef.shape == (len(pairs), 2 ** (pairs[0].n - 1), 7)
+    for got, pair in zip(stack.coef, pairs):
+        want, size = _direct_table(pair)
+        assert np.all(abs(got - want) <= _TABLE_RTOL * size)
 
 
 @pytest.mark.parametrize("count", [1, 7, 128])
 @pytest.mark.parametrize("n_dof", [2, 3, 4, 5, 6, 7, 8])
 def test_chunk_stack_matches_per_pair_stack(n_dof, count):
-    # same rng stream, same numbers: every field bit for bit, in two successive chunks
+    # same rng stream, same numbers, in two successive chunks: the spectra bit for bit, and the
+    # table within _TABLE_RTOL of each pair's direct corners at {0, _NODE}**(N-1)
     chunked, per_pair = np.random.default_rng(n_dof + count), np.random.default_rng(n_dof + count)
     for _ in range(2):
         stack = critical._stack(*critical._sample_chunk(n_dof, count, chunked))
-        reference = _stack_pairs([_sample_pair(n_dof, per_pair) for _ in range(count)])
-        for name, got, want in zip(stack._fields, stack, reference):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        _assert_stack_matches_pairs(stack, [_sample_pair(n_dof, per_pair) for _ in range(count)])
     assert chunked.bit_generator.state == per_pair.bit_generator.state
 
 
@@ -311,9 +328,7 @@ def test_chunk_starting_on_a_spare_half_word_matches_per_pair_draws(n_dof):
     for count in (5, 4):      # ends on a spare, then on none
         fields = critical._sample_chunk(n_dof, count, chunked)
         pairs = [_sample_pair(n_dof, per_pair) for _ in range(count)]
-        reference = _stack_pairs(pairs)
-        for name, got, want in zip(reference._fields, critical._stack(*fields), reference):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        _assert_stack_matches_pairs(critical._stack(*fields), pairs)
         assert np.array_equal(fields[1], np.stack([p.lam_prime for p in pairs]))
         assert np.array_equal(fields[3], np.stack([p.sigma_prime for p in pairs]))
         assert chunked.bit_generator.state == per_pair.bit_generator.state
@@ -567,13 +582,63 @@ def test_coefficient_table_matches_direct_kernel(n_dof):
             assert np.isnan(lo) and np.isnan(hi)
 
 
+def _seed42_chunk(n_dof):
+    """``_sample_chunk(n_dof, 1500, default_rng(42))``, and its (lam, lam_prime, M, eta)."""
+    lam, lam_prime, _, _ = fields = critical._sample_chunk(n_dof, 1500, np.random.default_rng(42))
+    return fields, (lam, lam_prime, cl.cauchy_matrix(lam, lam_prime), cl.eta(lam, lam_prime))
+
+
+def _direct_residual(taus, arrays, stack):
+    """The depoled residual from the direct pieces, a det and an inv of U-bar per point: (S, T)."""
+    w_bar = critical._hyperbolic_rates(taus, stack.nu, stack.odd)
+    P0, P1, S, r = critical._k_ingredients(np.moveaxis(w_bar, 0, -1), *arrays)
+    pieces = np.moveaxis(np.concatenate([P0, P1, S, r[..., None]], axis=-1), -1, 0)
+    A, B = critical._ab(pieces, pieces)
+    o_top = stack.om_top * taus
+    return critical._depole(A, B, stack, np.cos(o_top), np.sin(o_top))
+
+
+@pytest.mark.parametrize("n_dof", [2, 3, 4, 5, 6, 7, 8])
+def test_table_roots_within_1e12_of_the_direct_form_at_node_minus4_not_minus1_or_minus64(n_dof):
+    # Every first bracket of 1,500 samples per N (seed 42) is a sign change of the direct
+    # residual too, and the direct residual changes sign within 1e-12 relative of every
+    # polished root, so a root of the direct form lies there.  Measured against a 70-round
+    # bisection of the direct form, the worst root is 2.5e-13 away (N = 8).  The mutants fail:
+    # nodes at -1 put it 5.6e-12 away (N = 7), nodes at -64 3.4e-12 (N = 8), and corners at
+    # {0, 1} without the rank-one updates 1.8e-11 (N = 8).
+    fields, arrays = _seed42_chunk(n_dof)
+    stack = critical._stack(*fields)
+    lo, hi, f_lo, f_hi = bracket = critical._scan(stack, critical._O_MAX)
+    assert not np.isnan(bracket).any()
+    tau_c, _ = critical._polish(stack, bracket)
+    taus = np.stack([lo, hi, tau_c * (1 - 1e-12), tau_c * (1 + 1e-12)], axis=1)
+    direct = np.sign(_direct_residual(taus, arrays, stack))
+    assert np.array_equal(direct[:, :2], np.sign(np.stack([f_lo, f_hi], axis=1)))
+    assert np.all(direct[:, 2] * direct[:, 3] < 0)
+
+
+@pytest.mark.parametrize("n_dof", [2, 3, 4, 5, 6, 7, 8])
+def test_corner_update_factors_are_at_least_1_at_node_minus4_not_plus1_or_plus16(n_dof):
+    # Every update factor g = det(corner m + 2**i) / det(corner m) of the corner build is at
+    # least 1 on the seed-42 samples: exactly 1 at N = 2, where the one contact mode is the top
+    # one and V_1 = 0, and at least 1.085 above.  Positive nodes give g < 1 from N = 3 on.
+    _, (lam, lam_prime, M, _) = _seed42_chunk(n_dof)
+    det_u, _ = critical._corners(lam, critical._contact_rates(lam_prime), M)
+    for i in range(n_dof - 1):
+        g = det_u[:, 2 ** i:2 ** (i + 1)] / det_u[:, :2 ** i]
+        assert np.all(g >= 1.0)
+        assert n_dof > 2 or np.all(g == 1.0)
+
+
 def test_scan_blocks_are_the_linspace_grid(monkeypatch):
     # the blocks formed on demand are np.linspace's grid bit for bit, its pinned last point included
     stack = critical._stack(*critical._sample_chunk(3, 64, np.random.default_rng(5)))
-    blocks = []
+    # and the top mode's cos and sin are those of the one o_N grid, in slices of the same blocks
+    blocks, trigs = [], []
 
-    def flat(taus, sub):
+    def flat(taus, sub, trig):
         blocks.append(taus.copy())
+        trigs.append(np.stack(trig))
         return np.ones_like(taus)       # no sign change: every sample scans its whole grid
 
     monkeypatch.setattr(critical, "_depoled_residual", flat)
@@ -582,6 +647,9 @@ def test_scan_blocks_are_the_linspace_grid(monkeypatch):
     om_top = np.sqrt(stack.lam[:, -1])
     want = np.linspace(1e-3 / om_top, critical._O_MAX / om_top, critical._SCAN_POINTS, axis=-1)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    trig = np.concatenate([trigs[0]] + [block[:, 1:] for block in trigs[1:]], axis=1)
+    o_top = np.linspace(1e-3, critical._O_MAX, critical._SCAN_POINTS)
+    assert trig.tobytes() == np.stack([np.cos(o_top), np.sin(o_top)]).tobytes()
 
 
 def test_scan_block_moves_no_bracket(monkeypatch):

@@ -7,6 +7,7 @@ by a generated one, and the call must then return or raise a
 warning filters turn a RuntimeWarning into a failure too.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,7 @@ _SPECTRAL = cl.analyze(_BIPED)
 _LIMIT = cl.critical_limit(_SPECTRAL)
 _RUN = cl.solve_model(_BIPED)
 _SOLUTION = _RUN.records[0].solution
+_TRAJECTORY = cl.synthesize(_SOLUTION, samples_per_phase=10)
 _KERNEL_INPUTS = {"spectra": _SPECTRAL, "M": _SPECTRAL.M, "eta_vec": _SPECTRAL.eta}
 _SPECTRA = {"lam": [-2.0, 1.0, 3.0], "lam_prime": [0.5, 2.0], "sigma": [-1, 1, -1],
             "sigma_prime": [1, -1]}
@@ -111,6 +113,13 @@ CASES = [
           replaced=["tau", "tau_prime"]),
     _case("impact_residual", cl.impact_residual, {"o": [3.8, 0.93], **_KERNEL_INPUTS},
           replaced=["o"], o=_PHASE_VALUES),
+    _case("model_from_spectra", cl.model_from_spectra,
+          {"pair": cl.SpectrumPair(**_SPECTRA), "static_force": 1.0}),
+    _case("refine_root", cl.refine_root, {"seed": (3.8, 0.93), **_KERNEL_INPUTS},
+          replaced=["spectra"]),
+    _case("build_solution", cl.build_solution, {"spectral": _SPECTRAL, "times": _SOLUTION.times}),
+    _case("build_solutions", cl.build_solutions,
+          {"spectral": _SPECTRAL, "times_list": [_SOLUTION.times]}),
     _case("critical_limit", cl.critical_limit, {"spectra": _SPECTRAL}),
     _case("critical_matrices", cl.critical_matrices, {"tau": 0.7, "spectra": _LIMIT}),
     _case("solve_critical", cl.solve_critical, {"spectra": _LIMIT}),
@@ -128,6 +137,9 @@ CASES = [
           samples_per_phase=_SMALL_INTS),
     _case("validate", cl.validate,
           {"solution": _SOLUTION, "model": _BIPED, "tolerances": cl.ValidatorTolerances()}),
+    _case("validate_solutions", cl.validate_solutions,
+          {"solutions": [_SOLUTION], "model": _BIPED}),
+    _case("to_csv", lambda traj: cl.to_csv(traj, os.devnull), {"traj": _TRAJECTORY}),
     _case("pick_records run", lambda run: cl.pick_records(run, "all"), {"run": _RUN}),
     _case("pick_records", lambda **kw: cl.pick_records(_RUN, **kw), {"strategy": "lowest-row"}),
     _case("pick_records nearest", lambda target: cl.pick_records(_RUN, ("nearest", target)),
